@@ -43,7 +43,8 @@ from .features import (
     load_audio,
     write_features,
 )
-from .models import _atomic_write_text, load_model, save_model, validate
+from .fileio import atomic_write
+from .models import load_model, save_model, validate
 from .speaker_id import (
     SCORING_MODES,
     SpeakerRegistry,
@@ -277,7 +278,7 @@ def cmd_train(args) -> int:
     for (speaker, word) in sorted(groups):
         try:
             report = train(variant, groups[(speaker, word)], train_cfg)
-        except Exception as exc:  # keep going; partial progress is useful
+        except ValueError as exc:  # keep going; partial progress is useful
             print(f"FAIL {speaker}/{word}: {exc}", file=sys.stderr)
             failures += 1
             continue
@@ -347,11 +348,11 @@ def cmd_evaluate(args) -> int:
         )
         payload = report.to_dict()
         payload["config_hash"] = cfg_hash
-        _atomic_write_text(
+        atomic_write(
             os.path.join(args.out, "comparison.json"),
             json.dumps(payload, indent=1, sort_keys=True) + "\n",
         )
-        _atomic_write_text(os.path.join(args.out, "comparison.txt"), report.text())
+        atomic_write(os.path.join(args.out, "comparison.txt"), report.text())
         print(report.text(), end="")
         return 0
 
@@ -403,11 +404,11 @@ def cmd_evaluate(args) -> int:
         payload["comparison"] = comp.to_dict()
         text += "\n" + comp.text()
 
-    _atomic_write_text(
+    atomic_write(
         os.path.join(args.out, "evaluation.json"),
         json.dumps(payload, indent=1, sort_keys=True) + "\n",
     )
-    _atomic_write_text(os.path.join(args.out, "evaluation.txt"), text)
+    atomic_write(os.path.join(args.out, "evaluation.txt"), text)
     print(text, end="")
     return 0
 

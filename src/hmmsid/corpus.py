@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .features import FeatureMatrix, FeatureMeta, config_digest, read_features, write_features
+from .fileio import atomic_write
 
 __all__ = [
     "CorpusSpec",
@@ -103,18 +103,7 @@ def write_manifest(rows, path) -> None:
                 )
             )
         )
-    text = "\n".join(lines) + "\n"
-    target = os.fspath(path)
-    dirname = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_manifest(path) -> list[ManifestRow]:
@@ -297,16 +286,10 @@ def generate_synthetic_corpus(spec: CorpusSpec, out_dir) -> str:
         write_features(fm, os.path.join(out_dir, row.path))
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     write_manifest([row for row, _ in pairs], manifest_path)
-    spec_blob = json.dumps(spec.to_dict(), indent=1, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(spec_blob)
-        os.replace(tmp, os.path.join(out_dir, "corpus.json"))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(
+        os.path.join(out_dir, "corpus.json"),
+        json.dumps(spec.to_dict(), indent=1, sort_keys=True) + "\n",
+    )
     return manifest_path
 
 

@@ -35,13 +35,13 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 import wave
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateFrameError, SignalTooShortError
+from .fileio import atomic_write
 
 __all__ = [
     "FrontendConfig",
@@ -361,20 +361,6 @@ def load_audio(path, config: FrontendConfig) -> np.ndarray:
 # feature caches
 # ---------------------------------------------------------------------------
 
-def _atomic_write_bytes(path, data: bytes) -> None:
-    path = os.fspath(path)
-    dirname = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_features(features: FeatureMatrix, path) -> None:
     """Write the binary cache format documented in the module docstring."""
     x = np.ascontiguousarray(features.frames, dtype="<f8")
@@ -388,7 +374,7 @@ def write_features(features: FeatureMatrix, path) -> None:
         x.shape[1],
         features.meta.config_hash & 0xFFFFFFFFFFFFFFFF,
     )
-    _atomic_write_bytes(path, header + x.tobytes())
+    atomic_write(path, header + x.tobytes())
 
 
 def read_features(path) -> FeatureMatrix:
@@ -427,17 +413,7 @@ def write_features_text(features: FeatureMatrix, path) -> None:
     ]
     for row in features.frames:
         lines.append(" ".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    dirname = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, os.fspath(path))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_features_text(path) -> FeatureMatrix:

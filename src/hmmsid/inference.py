@@ -1,27 +1,24 @@
 """Scaled forward/backward, Viterbi and joint-probability evaluation.
 
+One engine serves both orders. A second-order chain is a first-order chain
+over state pairs (see embed_pair_states), so each recursion runs once over
+a slice holding the last ``order`` states: an (N,) vector for order 1, an
+(N, N) pair matrix for order 2. Only the step that carries a slice one frame
+on depends on the order: ``prev @ trans``; or, for order 2, ``trans1`` at
+the first step and the dense O(N^3) contraction with ``trans2`` after it.
+
 Numerical regime
 ----------------
-The recursions run in the linear domain with per-frame normalization: every
-alpha time-slice is divided by its sum, and ``scales[t]`` stores the
-multiplier applied at frame t, so
-
-    log_likelihood = -sum_t log(scales[t]).
-
-Log-space arithmetic is confined to emission-density evaluation. Before
-exponentiating, each frame's log-densities are shifted by their maximum and
-the shift is folded back into that frame's normalizer, so a frame whose
-densities are merely tiny never looks impossible; ImpossibleObservationError
-fires only when every state with incoming probability mass has log-density
--inf at some frame.
-
-Second-order lattices
----------------------
-For order 2 the alpha/beta tables are (T, N, N): slice t holds values for
-the state pair occupying frames (t-1, t), valid for t >= 1. The first frame
-is a plain state vector stored in ``alpha_start``. The terminal backward
-slice is constant 1 for left-to-right models and 1/N for circular models;
-reestimation ratios are invariant to that constant.
+Forward and backward run in the linear domain: every alpha slice is divided
+by its sum, and ``slice_log_norms[t]`` is the log of that sum plus the
+frame's emission shift, so log_likelihood = sum_t slice_log_norms[t].
+Viterbi is max-plus in the log domain. Before exponentiating, each frame's
+log-densities are shifted by their maximum and the shift is folded back into
+that frame's normalizer, so a frame whose densities are merely tiny never
+looks impossible; ImpossibleObservationError fires only when every state
+with incoming probability mass has log-density -inf at some frame. The
+terminal backward slice is 1 for left-to-right models and 1/N for circular
+models; reestimation ratios are invariant to that constant.
 
 State indices are 0-based; frame indices are 0-based.
 """
@@ -33,13 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleObservationError
-from .models import (
-    DiscreteEmission,
-    GmmEmission,
-    Hmm1Model,
-    Hmm2Model,
-    custom_topology,
-)
+from .models import GmmEmission, Hmm1Model, Hmm2Model, custom_topology
 
 __all__ = [
     "TrellisLattice",
@@ -57,9 +48,13 @@ __all__ = [
     "embed_pair_states",
 ]
 
+# Transition arrays of each order, in the order the chain first applies them;
+# array k conditions on k + 1 states, so its topology mask is allowed{k+1}.
+_TRANSITION_FIELDS = {1: ("trans",), 2: ("trans1", "trans2")}
+
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# emissions
 # ---------------------------------------------------------------------------
 
 def _frames_of(obs):
@@ -67,8 +62,18 @@ def _frames_of(obs):
     return obs.frames if hasattr(obs, "frames") else obs
 
 
+def _source_of(obs) -> str:
+    """The utterance name a FeatureMatrix carries ("" when it has none)."""
+    meta = getattr(obs, "meta", None)
+    return getattr(meta, "source", "") if meta is not None else ""
+
+
 def log_emission_matrix(model, obs) -> np.ndarray:
-    """(T, N) matrix of per-state log emission densities for ``obs``."""
+    """(T, N) matrix of per-state log emission densities for ``obs``.
+
+    A non-finite continuous frame would make every score NaN; it raises
+    ValueError naming the frame and the utterance (when ``obs`` has one).
+    """
     x = _frames_of(obs)
     first = model.emissions[0]
     if isinstance(first, GmmEmission):
@@ -77,6 +82,11 @@ def log_emission_matrix(model, obs) -> np.ndarray:
             raise ValueError(
                 f"continuous observations must be (T, D), got shape {x.shape}"
             )
+        if not np.isfinite(x).all():
+            frame = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+            source = _source_of(obs)
+            where = f"utterance {source!r}, frame {frame}" if source else f"frame {frame}"
+            raise ValueError(f"non-finite feature value at {where}")
     else:
         x = np.asarray(x)
         if x.ndim != 1:
@@ -90,12 +100,13 @@ def log_emission_matrix(model, obs) -> np.ndarray:
     return logb
 
 
-def _shifted_emissions(logb):
-    """Per-frame max-shifted linear densities.
+def _shifted_emissions(model, obs):
+    """Per-frame max-shifted linear emission densities.
 
     Returns (bsh, shifts) with bsh[t] = exp(logb[t] - shifts[t]) in [0, 1].
     A frame whose densities are all -inf raises immediately.
     """
+    logb = log_emission_matrix(model, obs)
     shifts = np.max(logb, axis=1)
     dead = np.isneginf(shifts)
     if dead.any():
@@ -103,24 +114,25 @@ def _shifted_emissions(logb):
     return np.exp(logb - shifts[:, None]), shifts
 
 
+# ---------------------------------------------------------------------------
+# the scaled lattice engine
+# ---------------------------------------------------------------------------
+
 @dataclass
 class TrellisLattice:
     """Scaled forward (and optionally backward) tables for one utterance.
 
     order 1: alpha/beta are (T, N). order 2: alpha/beta are (T, N, N) pair
     tables valid for slice index >= 1, and ``alpha_start`` holds the scaled
-    first-frame state vector. ``scales`` are the per-slice normalizer
-    multipliers; ``slice_log_norms`` are their negated logs (kept separately
-    so downstream passes never re-derive them through exp/log round trips);
-    log_likelihood = sum(slice_log_norms) = -sum(log(scales)). For a slice
-    whose conditional probability underflows float64 (log norm < -709),
-    ``scales`` saturates to inf while ``slice_log_norms`` stays exact —
-    always prefer the log-domain field.
+    first-frame state vector. ``slice_log_norms[t]`` is the log of slice t's
+    normalizer in the unshifted domain (the log conditional probability of
+    frame t given the frames before it), so
+    log_likelihood = sum(slice_log_norms); ``emission_shifts`` are the
+    per-frame maxima the emissions were shifted by.
     """
 
     order: int
     alpha: np.ndarray
-    scales: np.ndarray
     slice_log_norms: np.ndarray
     log_likelihood: float
     beta: np.ndarray | None = None
@@ -132,19 +144,113 @@ class TrellisLattice:
         return self.alpha.shape[0]
 
 
-def _norms_from(forward, T, shifts):
-    """Recover per-slice shifted-domain normalizers from a lattice or a
-    bare scales vector."""
-    if isinstance(forward, TrellisLattice):
-        if forward.slice_log_norms.shape[0] != T:
-            raise ValueError(
-                f"scales length {forward.slice_log_norms.shape[0]} != T = {T}"
-            )
-        return np.exp(forward.slice_log_norms - shifts)
-    scales = np.asarray(forward, dtype=np.float64)
-    if scales.shape != (T,):
-        raise ValueError(f"scales length {scales.shape} != ({T},)")
-    return np.exp(-np.log(scales) - shifts)
+@dataclass(frozen=True)
+class StatePath:
+    """A decoded state sequence and its joint log-probability."""
+
+    states: np.ndarray
+    log_prob: float
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "states", np.asarray(self.states, dtype=np.int64)
+        )
+
+
+def _step(model, t, prev):
+    """Carry slice t-1 to frame t, before weighting by frame t's emissions."""
+    if model.order == 1:
+        return prev @ model.trans
+    if t == 1:
+        return prev[:, None] * model.trans1
+    return np.einsum("ij,ijk->jk", prev, model.trans2)
+
+
+def _back_step(model, b, beta):
+    """Backward twin of _step: the slice-t table from frame t+1's shifted
+    emissions ``b`` and backward slice ``beta``, before normalization."""
+    if model.order == 1:
+        return model.trans @ (b * beta)
+    return np.einsum("ijk,k,jk->ij", model.trans2, b, beta)
+
+
+def _forward(model, bsh, shifts) -> TrellisLattice:
+    T, N = bsh.shape
+    order = model.order
+    alpha = np.zeros((T,) + (N,) * order)
+    log_norms = np.empty(T)
+    start = None
+    a = model.initial
+    for t in range(T):
+        if t:
+            a = _step(model, t, a)
+        u = a * bsh[t]
+        s = u.sum()
+        if s <= 0.0:
+            raise ImpossibleObservationError(t)
+        a = u / s
+        log_norms[t] = np.log(s) + shifts[t]
+        if a.ndim == order:
+            alpha[t] = a
+        else:
+            start = a
+    return TrellisLattice(
+        order=order,
+        alpha=alpha,
+        slice_log_norms=log_norms,
+        log_likelihood=float(log_norms.sum()),
+        alpha_start=start,
+        emission_shifts=shifts,
+    )
+
+
+def _backward(model, bsh, shifts, forward: TrellisLattice) -> np.ndarray:
+    T, N = bsh.shape
+    if forward.slice_log_norms.shape[0] != T:
+        raise ValueError(
+            f"lattice has {forward.slice_log_norms.shape[0]} slices, observation has T = {T}"
+        )
+    norms = np.exp(forward.slice_log_norms - shifts)
+    order = model.order
+    beta = np.zeros((T,) + (N,) * order)
+    if T < order:
+        return beta
+    term = 1.0 / N if model.mask.kind == "circular" else 1.0
+    beta[T - 1] = term / norms[T - 1]
+    for t in range(T - 2, order - 2, -1):
+        beta[t] = _back_step(model, bsh[t + 1], beta[t + 1]) / norms[t]
+    return beta
+
+
+def _log(p):
+    with np.errstate(divide="ignore"):
+        return np.where(p > 0.0, np.log(p), -np.inf)
+
+
+def _viterbi(model, logb) -> StatePath:
+    """Max-plus twin of _forward with back-pointers from each full slice to
+    the state it drops."""
+    T, N = logb.shape
+    order = model.order
+    logtrans = [_log(getattr(model, name)) for name in _TRANSITION_FIELDS[order]]
+    dp = _log(model.initial) + logb[0]
+    if np.max(dp) == -np.inf:
+        raise ImpossibleObservationError(0)
+    ptr = np.empty((T,) + (N,) * order, dtype=np.int64)
+    for t in range(1, T):
+        cand = dp[..., None] + logtrans[min(t, order) - 1]
+        if dp.ndim == order:
+            ptr[t] = np.argmax(cand, axis=0)
+            cand = cand.max(axis=0)
+        dp = cand + logb[t]
+        if np.max(dp) == -np.inf:
+            raise ImpossibleObservationError(t)
+    last = np.unravel_index(int(np.argmax(dp)), dp.shape)
+    states = np.empty(T, dtype=np.int64)
+    states[T - dp.ndim:] = last
+    for t in range(T - 1, order - 1, -1):
+        states[t - order] = ptr[t][tuple(states[t - order + 1:t + 1])]
+    return StatePath(states, float(dp[last]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,62 +261,17 @@ def forward1(model: Hmm1Model, obs) -> TrellisLattice:
     """Scaled forward pass. alpha[t] is the normalized joint of frames
     0..t and the state at t; log_likelihood is exact (computed from the
     per-slice normalizers in the log domain)."""
-    logb = log_emission_matrix(model, obs)
-    return _forward1_core(model, logb)
+    return _forward(model, *_shifted_emissions(model, obs))
 
 
-def _forward1_core(model, logb):
-    bsh, shifts = _shifted_emissions(logb)
-    T, N = logb.shape
-    alpha = np.empty((T, N))
-    log_norms = np.empty(T)
-    u = model.initial * bsh[0]
-    s = u.sum()
-    if s <= 0.0:
-        raise ImpossibleObservationError(0)
-    alpha[0] = u / s
-    log_norms[0] = np.log(s) + shifts[0]
-    for t in range(1, T):
-        u = (alpha[t - 1] @ model.trans) * bsh[t]
-        s = u.sum()
-        if s <= 0.0:
-            raise ImpossibleObservationError(t)
-        alpha[t] = u / s
-        log_norms[t] = np.log(s) + shifts[t]
-    with np.errstate(over="ignore"):
-        scales = np.exp(-log_norms)
-    return TrellisLattice(
-        order=1,
-        alpha=alpha,
-        scales=scales,
-        slice_log_norms=log_norms,
-        log_likelihood=float(log_norms.sum()),
-        emission_shifts=shifts,
-    )
-
-
-def backward1(model: Hmm1Model, obs, forward) -> np.ndarray:
-    """Scaled backward pass sharing the forward pass's scale factors.
-
-    ``forward`` is the TrellisLattice from forward1 (preferred) or its
-    scales vector. The terminal slice is 1 for left-to-right models and
-    1/N for circular models; reestimation ratios are invariant to that
-    constant. Returns the (T, N) scaled backward table.
+def backward1(model: Hmm1Model, obs, forward: TrellisLattice) -> np.ndarray:
+    """Scaled backward pass sharing the normalizers of ``forward`` (the
+    TrellisLattice from forward1). The terminal slice is 1 for
+    left-to-right models and 1/N for circular models; reestimation ratios
+    are invariant to that constant. Returns the (T, N) scaled backward
+    table.
     """
-    logb = log_emission_matrix(model, obs)
-    return _backward1_core(model, logb, forward)
-
-
-def _backward1_core(model, logb, forward):
-    bsh, shifts = _shifted_emissions(logb)
-    T, N = logb.shape
-    norms = _norms_from(forward, T, shifts)
-    beta = np.empty((T, N))
-    term = 1.0 / N if model.mask.kind == "circular" else 1.0
-    beta[T - 1] = term / norms[T - 1]
-    for t in range(T - 2, -1, -1):
-        beta[t] = (model.trans @ (bsh[t + 1] * beta[t + 1])) / norms[t]
-    return beta
+    return _backward(model, *_shifted_emissions(model, obs), forward)
 
 
 def forward_backward1(model: Hmm1Model, obs) -> TrellisLattice:
@@ -249,45 +310,13 @@ def likelihood_via_transition(model: Hmm1Model, obs, t: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class StatePath:
-    """A decoded state sequence and its joint log-probability."""
-
-    states: np.ndarray
-    log_prob: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "states", np.asarray(self.states, dtype=np.int64)
-        )
-
-
 def viterbi1(model: Hmm1Model, obs) -> StatePath:
     """Most probable state path (log-domain dynamic programming).
 
     Ties break toward the lowest state index, both at the final frame and
     at every backtrack step.
     """
-    logb = log_emission_matrix(model, obs)
-    T, N = logb.shape
-    with np.errstate(divide="ignore"):
-        loga = np.where(model.trans > 0.0, np.log(model.trans), -np.inf)
-        logpi = np.where(model.initial > 0.0, np.log(model.initial), -np.inf)
-    dp = logpi + logb[0]
-    if np.max(dp) == -np.inf:
-        raise ImpossibleObservationError(0)
-    ptr = np.empty((T, N), dtype=np.int64)
-    for t in range(1, T):
-        cand = dp[:, None] + loga          # (i, j)
-        ptr[t] = np.argmax(cand, axis=0)
-        dp = cand[ptr[t], np.arange(N)] + logb[t]
-        if np.max(dp) == -np.inf:
-            raise ImpossibleObservationError(t)
-    states = np.empty(T, dtype=np.int64)
-    states[T - 1] = int(np.argmax(dp))
-    for t in range(T - 1, 0, -1):
-        states[t - 1] = ptr[t, states[t]]
-    return StatePath(states, float(np.max(dp)))
+    return _viterbi(model, log_emission_matrix(model, obs))
 
 
 # ---------------------------------------------------------------------------
@@ -302,73 +331,17 @@ def forward2(model: Hmm2Model, obs) -> TrellisLattice:
     vector. A single-frame utterance degenerates to the initial/emission
     product.
     """
-    logb = log_emission_matrix(model, obs)
-    return _forward2_core(model, logb)
+    return _forward(model, *_shifted_emissions(model, obs))
 
 
-def _forward2_core(model, logb):
-    bsh, shifts = _shifted_emissions(logb)
-    T, N = logb.shape
-    alpha = np.zeros((T, N, N))
-    log_norms = np.empty(T)
-    u = model.initial * bsh[0]
-    s = u.sum()
-    if s <= 0.0:
-        raise ImpossibleObservationError(0)
-    astart = u / s
-    log_norms[0] = np.log(s) + shifts[0]
-    if T > 1:
-        u2 = (astart[:, None] * model.trans1) * bsh[1][None, :]
-        s = u2.sum()
-        if s <= 0.0:
-            raise ImpossibleObservationError(1)
-        alpha[1] = u2 / s
-        log_norms[1] = np.log(s) + shifts[1]
-        for t in range(2, T):
-            u2 = np.einsum("ij,ijk->jk", alpha[t - 1], model.trans2) * bsh[t][None, :]
-            s = u2.sum()
-            if s <= 0.0:
-                raise ImpossibleObservationError(t)
-            alpha[t] = u2 / s
-            log_norms[t] = np.log(s) + shifts[t]
-    with np.errstate(over="ignore"):
-        scales = np.exp(-log_norms)
-    return TrellisLattice(
-        order=2,
-        alpha=alpha,
-        scales=scales,
-        slice_log_norms=log_norms,
-        log_likelihood=float(log_norms.sum()),
-        alpha_start=astart,
-        emission_shifts=shifts,
-    )
-
-
-def backward2(model: Hmm2Model, obs, forward) -> np.ndarray:
-    """Scaled pair-state backward table sharing forward2's scale factors.
+def backward2(model: Hmm2Model, obs, forward: TrellisLattice) -> np.ndarray:
+    """Scaled pair-state backward table sharing forward2's normalizers.
 
     beta[t] (t >= 1) conditions on the pair (state at t-1, state at t);
     slice 0 is unused and left at zero. Terminal value 1 (left-to-right)
     or 1/N (circular), as for backward1.
     """
-    logb = log_emission_matrix(model, obs)
-    return _backward2_core(model, logb, forward)
-
-
-def _backward2_core(model, logb, forward):
-    bsh, shifts = _shifted_emissions(logb)
-    T, N = logb.shape
-    norms = _norms_from(forward, T, shifts)
-    beta = np.zeros((T, N, N))
-    if T == 1:
-        return beta
-    term = 1.0 / N if model.mask.kind == "circular" else 1.0
-    beta[T - 1] = term / norms[T - 1]
-    for t in range(T - 2, 0, -1):
-        beta[t] = np.einsum(
-            "ijk,k,jk->ij", model.trans2, bsh[t + 1], beta[t + 1]
-        ) / norms[t]
-    return beta
+    return _backward(model, *_shifted_emissions(model, obs), forward)
 
 
 def forward_backward2(model: Hmm2Model, obs) -> TrellisLattice:
@@ -386,37 +359,7 @@ def viterbi2(model: Hmm2Model, obs) -> StatePath:
     index, and the final pair is chosen in row-major order (lowest
     second-to-last state, then lowest last state).
     """
-    logb = log_emission_matrix(model, obs)
-    T, N = logb.shape
-    with np.errstate(divide="ignore"):
-        logpi = np.where(model.initial > 0.0, np.log(model.initial), -np.inf)
-        loga1 = np.where(model.trans1 > 0.0, np.log(model.trans1), -np.inf)
-        loga2 = np.where(model.trans2 > 0.0, np.log(model.trans2), -np.inf)
-    start = logpi + logb[0]
-    if np.max(start) == -np.inf:
-        raise ImpossibleObservationError(0)
-    if T == 1:
-        best = int(np.argmax(start))
-        return StatePath(np.array([best]), float(start[best]))
-    dp = start[:, None] + loga1 + logb[1][None, :]
-    if np.max(dp) == -np.inf:
-        raise ImpossibleObservationError(1)
-    ptr = np.empty((T, N, N), dtype=np.int64)
-    for t in range(2, T):
-        cand = dp[:, :, None] + loga2          # (i, j, k)
-        ptr[t] = np.argmax(cand, axis=0)
-        j_idx, k_idx = np.indices((N, N))
-        dp = cand[ptr[t], j_idx, k_idx] + logb[t][None, :]
-        if np.max(dp) == -np.inf:
-            raise ImpossibleObservationError(t)
-    flat = int(np.argmax(dp))
-    j, k = divmod(flat, N)
-    states = np.empty(T, dtype=np.int64)
-    states[T - 2] = j
-    states[T - 1] = k
-    for t in range(T - 1, 1, -1):
-        states[t - 2] = ptr[t, states[t - 1], states[t]]
-    return StatePath(states, float(dp[j, k]))
+    return _viterbi(model, log_emission_matrix(model, obs))
 
 
 def sequence_log_prob(model, obs, states) -> float:

@@ -26,12 +26,12 @@ Models are immutable values: construct a new one instead of mutating.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
+
+from .fileio import atomic_write
 
 __all__ = [
     "TopologyMask",
@@ -517,20 +517,6 @@ def model_from_dict(d: dict):
     raise ValueError(f"unsupported order {d['order']!r}")
 
 
-def _atomic_write_text(path, text):
-    path = os.fspath(path)
-    dirname = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_model(model, path, training: dict | None = None) -> None:
     """Write a model (plus optional training metadata) to ``path``.
 
@@ -538,11 +524,15 @@ def save_model(model, path, training: dict | None = None) -> None:
     model always produces the same bytes.
     """
     text = json.dumps(model_to_dict(model, training), indent=1, sort_keys=True)
-    _atomic_write_text(path, text + "\n")
+    atomic_write(path, text + "\n")
 
 
 def load_model(path):
-    """Read a model file. Returns (model, header_dict)."""
+    """Read a model file. Returns (model, header_dict). A file that lacks
+    a required key raises ValueError naming the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    return model_from_dict(d), d
+    try:
+        return model_from_dict(d), d
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file has no {exc.args[0]!r} key") from None

@@ -33,13 +33,12 @@ from scipy.special import logsumexp
 
 from .errors import ImpossibleObservationError, UtteranceTooShortError
 from .inference import (
-    _backward1_core,
-    _backward2_core,
-    _forward1_core,
-    _forward2_core,
+    _TRANSITION_FIELDS,
+    _backward,
+    _forward,
     _frames_of,
     _shifted_emissions,
-    log_emission_matrix,
+    _source_of,
 )
 from .models import (
     DiscreteEmission,
@@ -299,16 +298,16 @@ def segmental_kmeans_init(
 # shared reestimation pieces
 # ---------------------------------------------------------------------------
 
-def _row_normalize_floored(values, allowed, floor):
+def _reestimate(old, counts, allowed, floor):
+    """Transition update: rows (all axes but the last) that received
+    posterior mass take their counts, the others keep ``old``; then every
+    allowed entry is floored and rows are renormalized."""
+    values = old.copy()
+    has_data = counts.sum(axis=-1) > 0.0
+    values[has_data] = counts[has_data]
     v = np.where(allowed, np.maximum(values, floor), 0.0)
     s = v.sum(axis=-1, keepdims=True)
     return np.divide(v, s, out=np.zeros_like(v), where=s > 0)
-
-
-def _utt_name(obs, index):
-    meta = getattr(obs, "meta", None)
-    source = getattr(meta, "source", "") if meta is not None else ""
-    return source or index
 
 
 class _EmissionStats:
@@ -393,56 +392,109 @@ def _prepare_obs(model, obs_set):
             x = x.astype(np.int64)
         else:
             x = x.astype(np.float64)
-        out.append((x, _utt_name(o, u)))
+        out.append((x, _source_of(o) or u))
     if not out:
         raise ValueError("obs_set is empty")
     return out
 
 
 # ---------------------------------------------------------------------------
-# first-order Baum-Welch
+# Baum-Welch
 # ---------------------------------------------------------------------------
 
-def _estep1(model, obs_list):
-    n = model.n_states
-    total_ll = 0.0
-    xi_sum = np.zeros((n, n))
-    first_sum = np.zeros(n)
+def _posteriors1(model, alpha, beta, bsh, counts):
+    """State posteriors gamma (T, N); adds the xi posteriors to counts[0]."""
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    if len(gamma) > 1:
+        w = bsh[1:] * beta[1:]
+        xi = alpha[:-1][:, :, None] * model.trans[None, :, :] * w[:, None, :]
+        xi /= xi.sum(axis=(1, 2), keepdims=True)
+        counts[0] += xi.sum(axis=0)
+    return gamma
+
+
+def _posteriors2(model, alpha, beta, bsh, counts):
+    """State posteriors gamma (T, N) from the pair posteriors; adds the first
+    pair posterior to counts[0] and the triple posteriors eta to counts[1]."""
+    t_count = len(bsh)
+    pair = alpha[1:] * beta[1:]                         # (T-1, N, N)
+    pair /= pair.sum(axis=(1, 2), keepdims=True)
+    gamma = np.empty((t_count, model.n_states))
+    gamma[0] = pair[0].sum(axis=1)
+    gamma[1:] = pair.sum(axis=1)
+    counts[0] += pair[0]
+    if t_count > 2:
+        eta = (
+            alpha[1:t_count - 1][:, :, :, None]
+            * model.trans2[None]
+            * bsh[2:][:, None, None, :]
+            * beta[2:][:, None, :, :]
+        )
+        eta /= eta.sum(axis=(1, 2, 3), keepdims=True)
+        counts[1] += eta.sum(axis=0)
+    return gamma
+
+
+_POSTERIORS = {1: _posteriors1, 2: _posteriors2}
+
+
+def _estep(model, obs_list):
+    """Total log-likelihood and the accumulated statistics: transition
+    counts aligned with _TRANSITION_FIELDS, first-frame state posteriors
+    and emission statistics."""
+    posteriors = _POSTERIORS[model.order]
+    counts = [np.zeros_like(getattr(model, f)) for f in _TRANSITION_FIELDS[model.order]]
+    first_sum = np.zeros(model.n_states)
     emstats = _EmissionStats(model)
+    total_ll = 0.0
     for x, name in obs_list:
-        logb = log_emission_matrix(model, x)
         try:
-            lat = _forward1_core(model, logb)
-            beta = _backward1_core(model, logb, lat)
+            bsh, shifts = _shifted_emissions(model, x)
+            lat = _forward(model, bsh, shifts)
+            beta = _backward(model, bsh, shifts, lat)
         except ImpossibleObservationError as err:
             raise ImpossibleObservationError(err.frame, utterance=name) from None
         total_ll += lat.log_likelihood
-        gamma = lat.alpha * beta
-        gamma /= gamma.sum(axis=1, keepdims=True)
+        gamma = posteriors(model, lat.alpha, beta, bsh, counts)
         first_sum += gamma[0]
-        t_count = logb.shape[0]
-        if t_count > 1:
-            bsh, _ = _shifted_emissions(logb)
-            w = bsh[1:] * beta[1:]
-            tri = lat.alpha[:-1][:, :, None] * model.trans[None, :, :] * w[:, None, :]
-            tri /= tri.sum(axis=(1, 2), keepdims=True)
-            xi_sum += tri.sum(axis=0)
         emstats.accumulate(model, x, gamma)
-    return total_ll, xi_sum, first_sum, emstats
+    return total_ll, counts, first_sum, emstats
 
 
-def _mstep1(model, xi_sum, first_sum, emstats, config, floor_d, n_utt):
-    trans = model.trans.copy()
-    has_data = xi_sum.sum(axis=1) > 0.0
-    trans[has_data] = xi_sum[has_data]
-    trans = _row_normalize_floored(trans, model.mask.allowed1, config.transition_floor)
+def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
+    allowed = (model.mask.allowed1, model.mask.allowed2)
+    updates = {
+        name: _reestimate(getattr(model, name), c, allowed[k], config.transition_floor)
+        for k, (name, c) in enumerate(zip(_TRANSITION_FIELDS[model.order], counts))
+    }
     if model.mask.kind == "circular":
         initial = first_sum / n_utt
         initial = initial / initial.sum()
     else:
         initial = model.initial
     emissions = emstats.updated_emissions(model, config, floor_d)
-    return replace(model, initial=initial, trans=trans, emissions=emissions)
+    return replace(model, initial=initial, emissions=emissions, **updates)
+
+
+def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:
+    obs_list = _prepare_obs(model, obs_set)
+    for x, name in obs_list:
+        if x.shape[0] < min_frames:
+            raise UtteranceTooShortError(x.shape[0], min_frames, utterance=name)
+    floor_d = _variance_floor_vector(model, [x for x, _ in obs_list], config)
+    lls = []
+    converged = False
+    for _ in range(config.max_iterations):
+        total_ll, counts, first_sum, emstats = _estep(model, obs_list)
+        lls.append(total_ll)
+        if len(lls) > 1:
+            rel = abs(lls[-1] - lls[-2]) / max(abs(lls[-1]), 1e-12)
+            if rel < config.rel_tol:
+                converged = True
+                break
+        model = _mstep(model, counts, first_sum, emstats, config, floor_d, len(obs_list))
+    return TrainReport(model, lls, converged, len(obs_list))
 
 
 def baum_welch1(model: Hmm1Model, obs_set, config: TrainConfig = TrainConfig()) -> TrainReport:
@@ -451,105 +503,13 @@ def baum_welch1(model: Hmm1Model, obs_set, config: TrainConfig = TrainConfig()) 
     Stops when the relative log-likelihood improvement drops below
     ``config.rel_tol`` or after ``config.max_iterations`` updates.
     """
-    obs_list = _prepare_obs(model, obs_set)
-    floor_d = _variance_floor_vector(model, [x for x, _ in obs_list], config)
-    lls = []
-    converged = False
-    for _ in range(config.max_iterations):
-        total_ll, xi_sum, first_sum, emstats = _estep1(model, obs_list)
-        lls.append(total_ll)
-        if len(lls) > 1:
-            rel = abs(lls[-1] - lls[-2]) / max(abs(lls[-1]), 1e-12)
-            if rel < config.rel_tol:
-                converged = True
-                break
-        model = _mstep1(model, xi_sum, first_sum, emstats, config, floor_d, len(obs_list))
-    return TrainReport(model, lls, converged, len(obs_list))
-
-
-# ---------------------------------------------------------------------------
-# second-order Baum-Welch
-# ---------------------------------------------------------------------------
-
-def _estep2(model, obs_list):
-    n = model.n_states
-    total_ll = 0.0
-    eta_sum = np.zeros((n, n, n))
-    pair1_sum = np.zeros((n, n))
-    first_sum = np.zeros(n)
-    emstats = _EmissionStats(model)
-    for x, name in obs_list:
-        logb = log_emission_matrix(model, x)
-        t_count = logb.shape[0]
-        try:
-            lat = _forward2_core(model, logb)
-            beta = _backward2_core(model, logb, lat)
-        except ImpossibleObservationError as err:
-            raise ImpossibleObservationError(err.frame, utterance=name) from None
-        total_ll += lat.log_likelihood
-        pair = lat.alpha[1:] * beta[1:]                 # (T-1, N, N)
-        pair /= pair.sum(axis=(1, 2), keepdims=True)
-        gamma = np.empty((t_count, n))
-        gamma[0] = pair[0].sum(axis=1)
-        gamma[1:] = pair.sum(axis=1)
-        first_sum += gamma[0]
-        pair1_sum += pair[0]
-        if t_count > 2:
-            bsh, _ = _shifted_emissions(logb)
-            tri = (
-                lat.alpha[1:t_count - 1][:, :, :, None]
-                * model.trans2[None]
-                * bsh[2:][:, None, None, :]
-                * beta[2:][:, None, :, :]
-            )
-            tri /= tri.sum(axis=(1, 2, 3), keepdims=True)
-            eta_sum += tri.sum(axis=0)
-        emstats.accumulate(model, x, gamma)
-    return total_ll, eta_sum, pair1_sum, first_sum, emstats
-
-
-def _mstep2(model, eta_sum, pair1_sum, first_sum, emstats, config, floor_d, n_utt):
-    trans2 = model.trans2.copy()
-    has_data = eta_sum.sum(axis=2) > 0.0
-    trans2[has_data] = eta_sum[has_data]
-    trans2 = _row_normalize_floored(trans2, model.mask.allowed2, config.transition_floor)
-    trans1 = model.trans1.copy()
-    rows = pair1_sum.sum(axis=1) > 0.0
-    trans1[rows] = pair1_sum[rows]
-    trans1 = _row_normalize_floored(trans1, model.mask.allowed1, config.transition_floor)
-    if model.mask.kind == "circular":
-        initial = first_sum / n_utt
-        initial = initial / initial.sum()
-    else:
-        initial = model.initial
-    emissions = emstats.updated_emissions(model, config, floor_d)
-    return replace(
-        model, initial=initial, trans1=trans1, trans2=trans2, emissions=emissions
-    )
+    return _baum_welch(model, obs_set, config)
 
 
 def baum_welch2(model: Hmm2Model, obs_set, config: TrainConfig = TrainConfig()) -> TrainReport:
     """Reestimate a second-order model. Every utterance needs T >= 3 so
     that triple statistics exist."""
-    obs_list = _prepare_obs(model, obs_set)
-    for x, name in obs_list:
-        if x.shape[0] < 3:
-            raise UtteranceTooShortError(x.shape[0], 3, utterance=name)
-    floor_d = _variance_floor_vector(model, [x for x, _ in obs_list], config)
-    lls = []
-    converged = False
-    for _ in range(config.max_iterations):
-        total_ll, eta_sum, pair1_sum, first_sum, emstats = _estep2(model, obs_list)
-        lls.append(total_ll)
-        if len(lls) > 1:
-            rel = abs(lls[-1] - lls[-2]) / max(abs(lls[-1]), 1e-12)
-            if rel < config.rel_tol:
-                converged = True
-                break
-        model = _mstep2(
-            model, eta_sum, pair1_sum, first_sum, emstats, config, floor_d, len(obs_list)
-        )
-    return TrainReport(model, lls, converged, len(obs_list))
+    return _baum_welch(model, obs_set, config, min_frames=3)
 
 
 # ---------------------------------------------------------------------------

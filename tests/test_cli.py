@@ -280,6 +280,15 @@ class TestTrainCommand:
         model, _ = load_model(out / "ltr1" / "spk00__word0.json")
         assert model.n_states == 4
 
+    def test_programming_errors_propagate(self, corpus_dir, tmp_path, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise TypeError("bug in training code")
+
+        monkeypatch.setattr("hmmsid.cli.train", broken_train)
+        with pytest.raises(TypeError, match="bug in training code"):
+            main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                  "--out", str(tmp_path / "m"), "--variant", "ltr1"])
+
     def test_no_train_rows_is_exit_2(self, corpus_dir, tmp_path, capsys):
         # manifest reduced to test rows only
         lines = (corpus_dir / "manifest.tsv").read_text().splitlines()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,15 @@ class TestSerialization:
         path = tmp_path / "x.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        rng = np.random.default_rng(26)
+        d = model_to_dict(make_random_model(rng, 1, "ltr", "gmm"))
+        del d["trans"]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=r"broken\.json.*'trans'"):
             load_model(path)
 
     def test_dict_round_trip_without_files(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hmmsid.corpus import ManifestRow
-from hmmsid.features import FeatureMatrix
+from hmmsid.features import FeatureMatrix, FeatureMeta
 from hmmsid.models import GmmEmission, Hmm1Model, circular_topology, ltr_topology
 from hmmsid.inference import forward1, viterbi1
 from hmmsid.speaker_id import (
@@ -135,6 +135,17 @@ class TestRegistry:
         assert res.ranked[0][1] == pytest.approx(
             viterbi1(model, fm.frames).log_prob, rel=1e-12
         )
+
+    @pytest.mark.parametrize("scoring", ["forward", "viterbi"])
+    def test_non_finite_frame_raises_instead_of_picking_a_speaker(self, scoring):
+        reg = SpeakerRegistry()
+        for speaker, center in (("a", -3.0), ("b", 0.0), ("c", 3.0)):
+            reg.add_model(speaker, "w", "ltr1", point_model(center))
+        frames = np.full((6, 2), 3.0)
+        frames[4, 1] = np.nan
+        utterance = FeatureMatrix(frames, FeatureMeta(source="c-w-test-00"))
+        with pytest.raises(ValueError, match=r"'c-w-test-00', frame 4"):
+            reg.identify("w", "ltr1", utterance, scoring=scoring)
 
     def test_unknown_scoring_rejected(self):
         reg = SpeakerRegistry()
