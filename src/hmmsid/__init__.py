@@ -8,175 +8,20 @@ speaker identification with comparison reporting. See the README for the
 command-line interface and file formats.
 """
 
-from .errors import (
-    DegenerateFrameError,
-    ImpossibleObservationError,
-    SignalTooShortError,
-    UtteranceTooShortError,
-)
-from .models import (
-    DiscreteEmission,
-    GmmEmission,
-    Hmm1Model,
-    Hmm2Model,
-    TopologyMask,
-    circular_topology,
-    custom_topology,
-    load_model,
-    ltr_topology,
-    model_from_dict,
-    model_to_dict,
-    save_model,
-    symmetrize_ring_transitions,
-    validate,
-)
-from .inference import (
-    StatePath,
-    TrellisLattice,
-    backward1,
-    backward2,
-    decode_pair_path,
-    embed_pair_states,
-    forward1,
-    forward2,
-    forward_backward1,
-    forward_backward2,
-    likelihood_via_transition,
-    log_emission_matrix,
-    sequence_log_prob,
-    viterbi1,
-    viterbi2,
-)
-from .training import (
-    TrainConfig,
-    TrainReport,
-    VariantSpec,
-    baum_welch1,
-    baum_welch2,
-    init_circular1,
-    init_circular2,
-    init_ltr,
-    segmental_kmeans_init,
-    train,
-)
-from .features import (
-    FeatureMatrix,
-    FeatureMeta,
-    FrontendConfig,
-    autocorrelation,
-    cepstral_mean_subtraction,
-    extract_features,
-    frame_and_window,
-    load_audio,
-    load_raw,
-    load_wav,
-    lpc_levinson_durbin,
-    lpc_to_cepstrum,
-    pre_emphasize,
-    read_features,
-    read_features_text,
-    write_features,
-    write_features_text,
-)
-from .corpus import (
-    CorpusSpec,
-    ManifestRow,
-    generate_synthetic_corpus,
-    load_corpus,
-    read_manifest,
-    sample_corpus,
-    write_manifest,
-)
-from .speaker_id import (
-    ComparisonReport,
-    EvalResult,
-    IdentifyResult,
-    SpeakerRegistry,
-    TrialRecord,
-    comparison_report,
-    evaluate,
-    format_rate,
-    improvement_rate,
-)
+from . import corpus, errors, features, inference, models, speaker_id, training
+from .corpus import *
+from .errors import *
+from .features import *
+from .inference import *
+from .models import *
+from .speaker_id import *
+from .training import *
 
 __version__ = "0.1.0"
 
+# The package exports exactly the union of its modules' __all__ lists.
 __all__ = [
-    "DegenerateFrameError",
-    "ImpossibleObservationError",
-    "SignalTooShortError",
-    "UtteranceTooShortError",
-    "DiscreteEmission",
-    "GmmEmission",
-    "Hmm1Model",
-    "Hmm2Model",
-    "TopologyMask",
-    "circular_topology",
-    "custom_topology",
-    "ltr_topology",
-    "load_model",
-    "model_from_dict",
-    "model_to_dict",
-    "save_model",
-    "symmetrize_ring_transitions",
-    "validate",
-    "StatePath",
-    "TrellisLattice",
-    "backward1",
-    "backward2",
-    "decode_pair_path",
-    "embed_pair_states",
-    "forward1",
-    "forward2",
-    "forward_backward1",
-    "forward_backward2",
-    "likelihood_via_transition",
-    "log_emission_matrix",
-    "sequence_log_prob",
-    "viterbi1",
-    "viterbi2",
-    "TrainConfig",
-    "TrainReport",
-    "VariantSpec",
-    "baum_welch1",
-    "baum_welch2",
-    "init_circular1",
-    "init_circular2",
-    "init_ltr",
-    "segmental_kmeans_init",
-    "train",
-    "FeatureMatrix",
-    "FeatureMeta",
-    "FrontendConfig",
-    "autocorrelation",
-    "cepstral_mean_subtraction",
-    "extract_features",
-    "frame_and_window",
-    "load_audio",
-    "load_raw",
-    "load_wav",
-    "lpc_levinson_durbin",
-    "lpc_to_cepstrum",
-    "pre_emphasize",
-    "read_features",
-    "read_features_text",
-    "write_features",
-    "write_features_text",
-    "CorpusSpec",
-    "ManifestRow",
-    "generate_synthetic_corpus",
-    "load_corpus",
-    "read_manifest",
-    "sample_corpus",
-    "write_manifest",
-    "ComparisonReport",
-    "EvalResult",
-    "IdentifyResult",
-    "SpeakerRegistry",
-    "TrialRecord",
-    "comparison_report",
-    "evaluate",
-    "format_rate",
-    "improvement_rate",
-    "__version__",
-]
+    name
+    for module in (errors, models, inference, training, features, corpus, speaker_id)
+    for name in module.__all__
+] + ["__version__"]

@@ -26,10 +26,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 
 from .corpus import (
     CorpusSpec,
-    ManifestRow,
     generate_synthetic_corpus,
     load_corpus,
     read_manifest,
@@ -69,27 +69,22 @@ class CliError(Exception):
     """Hard configuration/input failure -> exit code 1."""
 
 
+# Configuration sections: the dataclass each one builds (whose field
+# defaults are the built-in defaults) and its name in error messages.
+_SECTIONS = {
+    "frontend": (FrontendConfig, "frontend"),
+    "train": (TrainConfig, "training"),
+    "variant": (VariantSpec, "variant"),
+}
+
+
 def _defaults() -> dict:
-    return {
-        "frontend": FrontendConfig().to_dict(),
-        "train": {
-            "max_iterations": 100,
-            "rel_tol": 1e-6,
-            "variance_floor": 1e-4,
-            "mixture_weight_floor": 1e-6,
-            "transition_floor": 1e-8,
-            "seed": 0,
-            "symmetrize": False,
-        },
-        "variant": {
-            "order": 1,
-            "topology": "ltr",
-            "n_states": 5,
-            "n_mixtures": 5,
-            "skip_width": 2,
-        },
-        "scoring": "forward",
-    }
+    cfg = {key: asdict(cls()) for key, (cls, _) in _SECTIONS.items()}
+    # Every key feeds config_hash; "emission" was never a default key, so
+    # adding it would change the hash of every model file and report.
+    del cfg["variant"]["emission"]
+    cfg["scoring"] = "forward"
+    return cfg
 
 
 def _deep_update(base: dict, extra: dict) -> dict:
@@ -170,25 +165,13 @@ def build_config(args, environ=None) -> dict:
     return cfg
 
 
-def _frontend_of(cfg: dict) -> FrontendConfig:
+def _section(cfg: dict, key: str):
+    """Build the dataclass of configuration section ``key``."""
+    cls, what = _SECTIONS[key]
     try:
-        return FrontendConfig(**cfg["frontend"])
+        return cls(**cfg[key])
     except (TypeError, ValueError) as exc:
-        raise CliError(f"bad frontend configuration: {exc}")
-
-
-def _variant_of(cfg: dict) -> VariantSpec:
-    try:
-        return VariantSpec(**cfg["variant"])
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad variant configuration: {exc}")
-
-
-def _train_config_of(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**cfg["train"])
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad training configuration: {exc}")
+        raise CliError(f"bad {what} configuration: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +180,7 @@ def _train_config_of(cfg: dict) -> TrainConfig:
 
 def cmd_features(args) -> int:
     cfg = build_config(args)
-    frontend = _frontend_of(cfg)
+    frontend = _section(cfg, "frontend")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
@@ -237,17 +220,7 @@ def cmd_features(args) -> int:
         note = f" degenerate_frames={degen}" if degen else ""
         print(f"ok {name}: frames={fm.n_frames} dims={fm.n_dims} cms={int(fm.meta.cms_applied)}{note}")
         if row is not None:
-            new_rows.append(
-                ManifestRow(
-                    utterance_id=row.utterance_id,
-                    speaker_id=row.speaker_id,
-                    gender=row.gender,
-                    word_id=row.word_id,
-                    condition=row.condition,
-                    split=row.split,
-                    path=f"{row.utterance_id}.lpcf",
-                )
-            )
+            new_rows.append(replace(row, path=f"{row.utterance_id}.lpcf"))
     if new_rows:
         write_manifest(new_rows, os.path.join(out_dir, "manifest.tsv"))
         print(f"wrote {os.path.join(out_dir, 'manifest.tsv')} ({len(new_rows)} rows)")
@@ -256,8 +229,8 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    variant = _variant_of(cfg)
-    train_cfg = _train_config_of(cfg)
+    variant = _section(cfg, "variant")
+    train_cfg = _section(cfg, "train")
     cfg_hash = config_digest(cfg)
 
     pairs = load_corpus(args.manifest)

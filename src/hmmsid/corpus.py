@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -48,16 +48,6 @@ __all__ = [
     "generate_synthetic_corpus",
     "load_corpus",
 ]
-
-MANIFEST_COLUMNS = (
-    "utterance_id",
-    "speaker_id",
-    "gender",
-    "word_id",
-    "condition",
-    "split",
-    "path",
-)
 
 CONDITIONS = ("neutral", "shouted")
 SPLITS = ("train", "test")
@@ -87,22 +77,12 @@ class ManifestRow:
                 raise ValueError(f"{name} must be non-empty and tab/newline free")
 
 
+MANIFEST_COLUMNS = tuple(f.name for f in fields(ManifestRow))
+
+
 def write_manifest(rows, path) -> None:
     lines = ["\t".join(MANIFEST_COLUMNS)]
-    for row in rows:
-        lines.append(
-            "\t".join(
-                (
-                    row.utterance_id,
-                    row.speaker_id,
-                    row.gender,
-                    row.word_id,
-                    row.condition,
-                    row.split,
-                    row.path,
-                )
-            )
-        )
+    lines.extend("\t".join(astuple(row)) for row in rows)
     atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -5,6 +5,13 @@ IndexError; the classes here carry domain context that callers may want to
 catch and inspect.
 """
 
+__all__ = [
+    "DegenerateFrameError",
+    "ImpossibleObservationError",
+    "SignalTooShortError",
+    "UtteranceTooShortError",
+]
+
 
 class ImpossibleObservationError(ValueError):
     """Every reachable state has zero emission probability at some frame.

@@ -36,7 +36,7 @@ import json
 import os
 import struct
 import wave
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -102,15 +102,7 @@ class FrontendConfig:
         return int(round(self.hop_ms * self.sample_rate / 1000.0))
 
     def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "preemphasis": self.preemphasis,
-            "window_ms": self.window_ms,
-            "hop_ms": self.hop_ms,
-            "lpc_order": self.lpc_order,
-            "cepstrum_order": self.cepstrum_order,
-            "cms": self.cms,
-        }
+        return asdict(self)
 
     def digest(self) -> int:
         """Stable 64-bit digest of the configuration (embedded in caches)."""

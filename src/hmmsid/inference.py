@@ -30,11 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleObservationError
-from .models import GmmEmission, Hmm1Model, Hmm2Model, custom_topology
+from .models import (
+    _TRANSITION_FIELDS,
+    GmmEmission,
+    Hmm1Model,
+    Hmm2Model,
+    custom_topology,
+)
 
 __all__ = [
     "TrellisLattice",
     "StatePath",
+    "log_emission_matrix",
     "forward1",
     "backward1",
     "forward_backward1",
@@ -46,11 +53,8 @@ __all__ = [
     "viterbi2",
     "sequence_log_prob",
     "embed_pair_states",
+    "decode_pair_path",
 ]
-
-# Transition arrays of each order, in the order the chain first applies them;
-# array k conditions on k + 1 states, so its topology mask is allowed{k+1}.
-_TRANSITION_FIELDS = {1: ("trans",), 2: ("trans1", "trans2")}
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +72,18 @@ def _source_of(obs) -> str:
     return getattr(meta, "source", "") if meta is not None else ""
 
 
+def _reject_non_finite(x, utterance=None):
+    """Raise ValueError naming the first frame of ``x`` that holds a
+    non-finite value, and the utterance when one is given."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        frame = int(np.argwhere(~finite)[0][0])
+        where = f"frame {frame}"
+        if utterance is not None:
+            where = f"utterance {utterance!r}, {where}"
+        raise ValueError(f"non-finite feature value at {where}")
+
+
 def log_emission_matrix(model, obs) -> np.ndarray:
     """(T, N) matrix of per-state log emission densities for ``obs``.
 
@@ -82,11 +98,7 @@ def log_emission_matrix(model, obs) -> np.ndarray:
             raise ValueError(
                 f"continuous observations must be (T, D), got shape {x.shape}"
             )
-        if not np.isfinite(x).all():
-            frame = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-            source = _source_of(obs)
-            where = f"utterance {source!r}, frame {frame}" if source else f"frame {frame}"
-            raise ValueError(f"non-finite feature value at {where}")
+        _reject_non_finite(x, _source_of(obs) or None)
     else:
         x = np.asarray(x)
         if x.ndim != 1:
@@ -222,6 +234,15 @@ def _backward(model, bsh, shifts, forward: TrellisLattice) -> np.ndarray:
     return beta
 
 
+def _forward_backward(model, obs):
+    """Forward lattice with its backward table, from emissions shifted once.
+    Returns (lattice, shifted emissions)."""
+    bsh, shifts = _shifted_emissions(model, obs)
+    lat = _forward(model, bsh, shifts)
+    lat.beta = _backward(model, bsh, shifts, lat)
+    return lat, bsh
+
+
 def _log(p):
     with np.errstate(divide="ignore"):
         return np.where(p > 0.0, np.log(p), -np.inf)
@@ -276,9 +297,7 @@ def backward1(model: Hmm1Model, obs, forward: TrellisLattice) -> np.ndarray:
 
 def forward_backward1(model: Hmm1Model, obs) -> TrellisLattice:
     """Forward pass plus backward table in one lattice."""
-    lat = forward1(model, obs)
-    lat.beta = backward1(model, obs, lat)
-    return lat
+    return _forward_backward(model, obs)[0]
 
 
 def likelihood_via_transition(model: Hmm1Model, obs, t: int) -> float:
@@ -345,9 +364,7 @@ def backward2(model: Hmm2Model, obs, forward: TrellisLattice) -> np.ndarray:
 
 
 def forward_backward2(model: Hmm2Model, obs) -> TrellisLattice:
-    lat = forward2(model, obs)
-    lat.beta = backward2(model, obs, lat)
-    return lat
+    return _forward_backward(model, obs)[0]
 
 
 def viterbi2(model: Hmm2Model, obs) -> StatePath:

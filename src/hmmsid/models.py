@@ -43,12 +43,18 @@ __all__ = [
     "Hmm1Model",
     "Hmm2Model",
     "validate",
+    "model_to_dict",
+    "model_from_dict",
     "save_model",
     "load_model",
     "symmetrize_ring_transitions",
 ]
 
 _SUM_TOL = 1e-9
+
+# Transition arrays of each order, in the order the chain first applies them;
+# array k conditions on k + 1 states, so its topology mask is allowed{k+1}.
+_TRANSITION_FIELDS = {1: ("trans",), 2: ("trans1", "trans2")}
 
 
 def _as_float_array(x, name, ndim):
@@ -238,8 +244,30 @@ def _check_emissions(emissions, n_states):
 # models
 # ---------------------------------------------------------------------------
 
+class _Chain:
+    """What both model orders share: array conversion and shape checks
+    driven by _TRANSITION_FIELDS, and the state count."""
+
+    def __post_init__(self):
+        n = self.mask.n_states
+        names = ("initial",) + _TRANSITION_FIELDS[self.order]
+        arrays = [
+            _as_float_array(getattr(self, name), name, rank)
+            for rank, name in enumerate(names, start=1)
+        ]
+        for name, a in zip(names, arrays):
+            if a.shape != (n,) * a.ndim:
+                raise ValueError(f"{name} shape {a.shape} != {(n,) * a.ndim}")
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "emissions", _check_emissions(self.emissions, n))
+
+    @property
+    def n_states(self) -> int:
+        return self.mask.n_states
+
+
 @dataclass(frozen=True)
-class Hmm1Model:
+class Hmm1Model(_Chain):
     """First-order chain: initial (N,), trans (N, N), one emission per state."""
 
     mask: TopologyMask
@@ -247,29 +275,11 @@ class Hmm1Model:
     trans: np.ndarray
     emissions: tuple
 
-    def __post_init__(self):
-        n = self.mask.n_states
-        init = _as_float_array(self.initial, "initial", 1)
-        trans = _as_float_array(self.trans, "trans", 2)
-        if init.shape != (n,):
-            raise ValueError(f"initial shape {init.shape} != ({n},)")
-        if trans.shape != (n, n):
-            raise ValueError(f"trans shape {trans.shape} != ({n}, {n})")
-        object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "trans", trans)
-        object.__setattr__(self, "emissions", _check_emissions(self.emissions, n))
-
-    @property
-    def n_states(self) -> int:
-        return self.mask.n_states
-
-    @property
-    def order(self) -> int:
-        return 1
+    order = 1
 
 
 @dataclass(frozen=True)
-class Hmm2Model:
+class Hmm2Model(_Chain):
     """Second-order chain.
 
     ``trans1`` carries the transition out of the first frame; ``trans2`` is
@@ -283,29 +293,7 @@ class Hmm2Model:
     trans2: np.ndarray
     emissions: tuple
 
-    def __post_init__(self):
-        n = self.mask.n_states
-        init = _as_float_array(self.initial, "initial", 1)
-        t1 = _as_float_array(self.trans1, "trans1", 2)
-        t2 = _as_float_array(self.trans2, "trans2", 3)
-        if init.shape != (n,):
-            raise ValueError(f"initial shape {init.shape} != ({n},)")
-        if t1.shape != (n, n):
-            raise ValueError(f"trans1 shape {t1.shape} != ({n}, {n})")
-        if t2.shape != (n, n, n):
-            raise ValueError(f"trans2 shape {t2.shape} != ({n}, {n}, {n})")
-        object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "trans1", t1)
-        object.__setattr__(self, "trans2", t2)
-        object.__setattr__(self, "emissions", _check_emissions(self.emissions, n))
-
-    @property
-    def n_states(self) -> int:
-        return self.mask.n_states
-
-    @property
-    def order(self) -> int:
-        return 2
+    order = 2
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +301,36 @@ class Hmm2Model:
 # ---------------------------------------------------------------------------
 
 def _check_rows(name, matrix, allowed, problems):
-    sums = matrix.sum(axis=1)
-    for i in np.flatnonzero(np.abs(sums - 1.0) > _SUM_TOL):
+    """Row sums (over the last axis, for rows with an allowed entry),
+    nonnegativity and mask compliance of one transition array."""
+    sums = matrix.sum(axis=-1)
+    off = (np.abs(sums - 1.0) > _SUM_TOL) & allowed.any(axis=-1)
+    for row in map(tuple, np.argwhere(off)):
         problems.append(
-            f"{name} row {i} sums to {sums[i]:.12g} (off by {sums[i] - 1.0:.3g})"
+            f"{name}[{_index(row)},:] sums to {sums[row]:.12g} "
+            f"(off by {sums[row] - 1.0:.3g})"
         )
     if (matrix < 0).any():
-        i, j = np.argwhere(matrix < 0)[0]
-        problems.append(f"{name}[{i},{j}] = {matrix[i, j]:.12g} is negative")
-    bad = (matrix != 0.0) & ~allowed
-    for i, j in np.argwhere(bad):
+        at = tuple(np.argwhere(matrix < 0)[0])
+        problems.append(f"{name}[{_index(at)}] = {matrix[at]:.12g} is negative")
+    for at in map(tuple, np.argwhere((matrix != 0.0) & ~allowed)):
         problems.append(
-            f"{name}[{i},{j}] = {matrix[i, j]:.12g} but the topology forbids ({i},{j})"
+            f"{name}[{_index(at)}] = {matrix[at]:.12g} "
+            f"but the topology forbids ({_index(at)})"
         )
+
+
+def _index(at) -> str:
+    return ",".join(str(i) for i in at)
+
+
+def _transitions(model):
+    """(name, array, allowed mask) for each transition array of ``model``."""
+    masks = (model.mask.allowed1, model.mask.allowed2)
+    return [
+        (name, getattr(model, name), masks[k])
+        for k, name in enumerate(_TRANSITION_FIELDS[model.order])
+    ]
 
 
 def validate(model) -> list[str]:
@@ -350,27 +355,8 @@ def validate(model) -> list[str]:
     if not np.array_equal(mask.allowed2, a2):
         problems.append("mask.allowed2 is not induced by mask.allowed1")
 
-    if isinstance(model, Hmm1Model):
-        _check_rows("trans", model.trans, mask.allowed1, problems)
-    else:
-        _check_rows("trans1", model.trans1, mask.allowed1, problems)
-        t2 = model.trans2
-        sums = t2.sum(axis=2)
-        for i, j in np.argwhere(mask.allowed1):
-            if abs(sums[i, j] - 1.0) > _SUM_TOL:
-                problems.append(
-                    f"trans2[{i},{j},:] sums to {sums[i, j]:.12g} "
-                    f"(off by {sums[i, j] - 1.0:.3g})"
-                )
-        if (t2 < 0).any():
-            i, j, k = np.argwhere(t2 < 0)[0]
-            problems.append(f"trans2[{i},{j},{k}] = {t2[i, j, k]:.12g} is negative")
-        bad = (t2 != 0.0) & ~mask.allowed2
-        for i, j, k in np.argwhere(bad):
-            problems.append(
-                f"trans2[{i},{j},{k}] = {t2[i, j, k]:.12g} "
-                f"but the topology forbids ({i},{j},{k})"
-            )
+    for name, matrix, allowed in _transitions(model):
+        _check_rows(name, matrix, allowed, problems)
 
     for s, e in enumerate(model.emissions):
         if isinstance(e, GmmEmission):
@@ -407,13 +393,12 @@ def symmetrize_ring_transitions(model):
     """
     if model.mask.kind != "circular":
         raise ValueError("symmetrization applies to circular models only")
-    a = model.trans if isinstance(model, Hmm1Model) else model.trans1
+    name = _TRANSITION_FIELDS[model.order][0]
+    a = getattr(model, name)
     s = 0.5 * (a + a.T)
     s = np.where(model.mask.allowed1, s, 0.0)
     s = s / s.sum(axis=1, keepdims=True)
-    if isinstance(model, Hmm1Model):
-        return replace(model, trans=s)
-    return replace(model, trans1=s)
+    return replace(model, **{name: s})
 
 
 # ---------------------------------------------------------------------------
@@ -489,32 +474,35 @@ def model_to_dict(model, training: dict | None = None) -> dict:
         "emissions": ems,
         "training": training,
     }
-    if isinstance(model, Hmm1Model):
-        d["trans"] = model.trans.tolist()
-    else:
-        d["trans1"] = model.trans1.tolist()
-        d["trans2"] = model.trans2.tolist()
+    for name in _TRANSITION_FIELDS[model.order]:
+        d[name] = getattr(model, name).tolist()
     return d
 
 
 def model_from_dict(d: dict):
+    """Rebuild a model from model_to_dict's layout. A missing key raises
+    ValueError naming the key."""
     if d.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} file")
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
-    mask = _topology_from_dict(d["topology"])
-    if d["emission_type"] == "gmm":
-        ems = tuple(
-            GmmEmission(e["weights"], e["means"], e["variances"])
-            for e in d["emissions"]
-        )
-    else:
-        ems = tuple(DiscreteEmission(e["probs"]) for e in d["emissions"])
-    if d["order"] == 1:
-        return Hmm1Model(mask, d["initial"], d["trans"], ems)
-    if d["order"] == 2:
-        return Hmm2Model(mask, d["initial"], d["trans1"], d["trans2"], ems)
-    raise ValueError(f"unsupported order {d['order']!r}")
+    try:
+        mask = _topology_from_dict(d["topology"])
+        if d["emission_type"] == "gmm":
+            ems = tuple(
+                GmmEmission(e["weights"], e["means"], e["variances"])
+                for e in d["emissions"]
+            )
+        else:
+            ems = tuple(DiscreteEmission(e["probs"]) for e in d["emissions"])
+        order = d["order"]
+        if order not in (1, 2):
+            raise ValueError(f"unsupported order {order!r}")
+        cls = Hmm1Model if order == 1 else Hmm2Model
+        trans = [d[name] for name in _TRANSITION_FIELDS[order]]
+        return cls(mask, d["initial"], *trans, ems)
+    except KeyError as exc:
+        raise ValueError(f"model has no {exc.args[0]!r} key") from None
 
 
 def save_model(model, path, training: dict | None = None) -> None:
@@ -528,11 +516,11 @@ def save_model(model, path, training: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Read a model file. Returns (model, header_dict). A file that lacks
-    a required key raises ValueError naming the file and the key."""
+    """Read a model file. Returns (model, header_dict). A malformed file
+    raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     try:
         return model_from_dict(d), d
-    except KeyError as exc:
-        raise ValueError(f"{path}: model file has no {exc.args[0]!r} key") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -32,19 +32,13 @@ from scipy.cluster.vq import kmeans2
 from scipy.special import logsumexp
 
 from .errors import ImpossibleObservationError, UtteranceTooShortError
-from .inference import (
-    _TRANSITION_FIELDS,
-    _backward,
-    _forward,
-    _frames_of,
-    _shifted_emissions,
-    _source_of,
-)
+from .inference import _forward_backward, _frames_of, _reject_non_finite, _source_of
 from .models import (
     DiscreteEmission,
     GmmEmission,
     Hmm1Model,
     Hmm2Model,
+    _transitions,
     circular_topology,
     ltr_topology,
     symmetrize_ring_transitions,
@@ -239,18 +233,15 @@ def segmental_kmeans_init(
     cluster sizes, variances are per-dimension cluster variances; both are
     floored. Returns a list of GmmEmission, one per state.
     """
-    frames_list = [np.asarray(_frames_of(o), dtype=np.float64) for o in obs_set]
-    if not frames_list:
-        raise ValueError("obs_set is empty")
-    for u, x in enumerate(frames_list):
+    obs_list = _prepare_obs(obs_set)
+    for x, name in obs_list:
         if x.ndim != 2:
-            raise ValueError(f"utterance {u} is not a (T, D) matrix")
+            raise ValueError(f"utterance {name!r} is not a (T, D) matrix")
         if x.shape[0] < n_states:
-            raise UtteranceTooShortError(x.shape[0], n_states, utterance=u)
+            raise UtteranceTooShortError(x.shape[0], n_states, utterance=name)
+    frames_list = [x for x, _ in obs_list]
     n_dims = frames_list[0].shape[1]
-    pooled = np.concatenate(frames_list, axis=0)
-    gvar = pooled.var(axis=0)
-    floor_d = np.maximum(variance_floor * gvar, 1e-12)
+    floor_d, gvar = _variance_floor(frames_list, variance_floor)
     fallback_var = np.maximum(gvar, floor_d)
 
     segments = [[] for _ in range(n_states)]
@@ -376,23 +367,28 @@ class _EmissionStats:
         return tuple(out)
 
 
-def _variance_floor_vector(model, obs_list, config):
-    if isinstance(model.emissions[0], DiscreteEmission):
-        return None
-    pooled = np.concatenate([np.asarray(x, dtype=np.float64) for x in obs_list])
-    return np.maximum(config.variance_floor * pooled.var(axis=0), 1e-12)
+def _variance_floor(frames_list, factor):
+    """Relative variance floor: ``factor`` times the per-dimension variance
+    of all training frames pooled, with a 1e-12 absolute backstop.
+    Returns (floor, pooled variance)."""
+    pooled_var = np.concatenate(frames_list, axis=0).var(axis=0)
+    return np.maximum(factor * pooled_var, 1e-12), pooled_var
 
 
-def _prepare_obs(model, obs_set):
-    discrete = isinstance(model.emissions[0], DiscreteEmission)
+def _prepare_obs(obs_set, discrete=False):
+    """(frames, name) per utterance, where name is the FeatureMatrix source,
+    else the utterance's index. A non-finite continuous frame raises
+    ValueError naming the utterance and the frame."""
     out = []
     for u, o in enumerate(obs_set):
         x = np.asarray(_frames_of(o))
+        name = _source_of(o) or u
         if discrete:
             x = x.astype(np.int64)
         else:
             x = x.astype(np.float64)
-        out.append((x, _source_of(o) or u))
+            _reject_non_finite(x, name)
+        out.append((x, name))
     if not out:
         raise ValueError("obs_set is empty")
     return out
@@ -441,32 +437,29 @@ _POSTERIORS = {1: _posteriors1, 2: _posteriors2}
 
 def _estep(model, obs_list):
     """Total log-likelihood and the accumulated statistics: transition
-    counts aligned with _TRANSITION_FIELDS, first-frame state posteriors
-    and emission statistics."""
+    counts aligned with the model's transition arrays, first-frame state
+    posteriors and emission statistics."""
     posteriors = _POSTERIORS[model.order]
-    counts = [np.zeros_like(getattr(model, f)) for f in _TRANSITION_FIELDS[model.order]]
+    counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
     first_sum = np.zeros(model.n_states)
     emstats = _EmissionStats(model)
     total_ll = 0.0
     for x, name in obs_list:
         try:
-            bsh, shifts = _shifted_emissions(model, x)
-            lat = _forward(model, bsh, shifts)
-            beta = _backward(model, bsh, shifts, lat)
+            lat, bsh = _forward_backward(model, x)
         except ImpossibleObservationError as err:
             raise ImpossibleObservationError(err.frame, utterance=name) from None
         total_ll += lat.log_likelihood
-        gamma = posteriors(model, lat.alpha, beta, bsh, counts)
+        gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
         first_sum += gamma[0]
         emstats.accumulate(model, x, gamma)
     return total_ll, counts, first_sum, emstats
 
 
 def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
-    allowed = (model.mask.allowed1, model.mask.allowed2)
     updates = {
-        name: _reestimate(getattr(model, name), c, allowed[k], config.transition_floor)
-        for k, (name, c) in enumerate(zip(_TRANSITION_FIELDS[model.order], counts))
+        name: _reestimate(old, c, allowed, config.transition_floor)
+        for (name, old, allowed), c in zip(_transitions(model), counts)
     }
     if model.mask.kind == "circular":
         initial = first_sum / n_utt
@@ -478,11 +471,14 @@ def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
 
 
 def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:
-    obs_list = _prepare_obs(model, obs_set)
+    discrete = isinstance(model.emissions[0], DiscreteEmission)
+    obs_list = _prepare_obs(obs_set, discrete)
     for x, name in obs_list:
         if x.shape[0] < min_frames:
             raise UtteranceTooShortError(x.shape[0], min_frames, utterance=name)
-    floor_d = _variance_floor_vector(model, [x for x, _ in obs_list], config)
+    floor_d = None
+    if not discrete:
+        floor_d = _variance_floor([x for x, _ in obs_list], config.variance_floor)[0]
     lls = []
     converged = False
     for _ in range(config.max_iterations):

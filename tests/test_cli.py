@@ -6,8 +6,8 @@ import wave
 import numpy as np
 import pytest
 
-from hmmsid.cli import build_config, build_parser, main
-from hmmsid.features import read_features
+from hmmsid.cli import _defaults, build_config, build_parser, main
+from hmmsid.features import config_digest, read_features
 from hmmsid.models import load_model
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "reference_grids.json")
@@ -57,6 +57,11 @@ class TestConfigPrecedence:
         }
         assert cfg["scoring"] == "forward"
         assert cfg["frontend"]["cms"] is False
+
+    def test_default_config_hash_is_pinned(self):
+        # Every model file and report embeds this hash, so a changed default
+        # or an added key would change them all.
+        assert config_digest(_defaults()) == 11290888139826467529
 
     def test_config_file_overrides_defaults(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -109,6 +109,27 @@ class TestValidate:
         model2 = Hmm2Model(model.mask, model.initial, model.trans1, bad, model.emissions)
         assert any("forbids" in p for p in validate(model2))
 
+    def test_order2_faults_reported_in_order(self):
+        model = make_random_model(np.random.default_rng(27), 2, "ltr", "gmm", n_states=3)
+        t1 = model.trans1.copy()
+        t1[0] *= 2.0
+        t1[1, 0] = -0.5
+        t2 = model.trans2.copy()
+        t2[0, 1] *= 0.5
+        t2[2, 2, 0] = 0.25
+        from hmmsid.models import Hmm2Model
+
+        broken = Hmm2Model(model.mask, model.initial, t1, t2, model.emissions)
+        assert validate(broken) == [
+            "trans1[0,:] sums to 2 (off by 1)",
+            "trans1[1,:] sums to 0.5 (off by -0.5)",
+            "trans1[1,0] = -0.5 is negative",
+            "trans1[1,0] = -0.5 but the topology forbids (1,0)",
+            "trans2[0,1,:] sums to 0.5 (off by -0.5)",
+            "trans2[2,2,:] sums to 1.25 (off by 0.25)",
+            "trans2[2,2,0] = 0.25 but the topology forbids (2,2,0)",
+        ]
+
     def test_detects_negative_variance(self):
         rng = np.random.default_rng(16)
         model = make_random_model(rng, 1, "ltr", "gmm", n_states=2)
@@ -188,6 +209,16 @@ class TestSerialization:
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=r"broken\.json.*'trans'"):
             load_model(path)
+
+    @pytest.mark.parametrize("key", ["topology", "trans2", "variances"])
+    def test_model_from_dict_names_missing_key(self, key):
+        d = model_to_dict(make_random_model(np.random.default_rng(28), 2, "ltr", "gmm"))
+        if key == "variances":
+            del d["emissions"][1][key]
+        else:
+            del d[key]
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            model_from_dict(d)
 
     def test_dict_round_trip_without_files(self):
         rng = np.random.default_rng(21)

@@ -1,0 +1,46 @@
+"""The package's public names are the union of its modules' __all__ lists."""
+
+import pytest
+
+import hmmsid
+from hmmsid import corpus, errors, features, inference, models, speaker_id, training
+
+MODULES = (errors, models, inference, training, features, corpus, speaker_id)
+
+# The package exports as listed by hand before they were derived from the
+# module lists; the derivation added MANIFEST_COLUMNS and nothing else.
+HAND_LISTED_EXPORTS = {
+    "ComparisonReport", "CorpusSpec", "DegenerateFrameError", "DiscreteEmission",
+    "EvalResult", "FeatureMatrix", "FeatureMeta", "FrontendConfig", "GmmEmission",
+    "Hmm1Model", "Hmm2Model", "IdentifyResult", "ImpossibleObservationError",
+    "ManifestRow", "SignalTooShortError", "SpeakerRegistry", "StatePath",
+    "TopologyMask", "TrainConfig", "TrainReport", "TrellisLattice", "TrialRecord",
+    "UtteranceTooShortError", "VariantSpec", "__version__", "autocorrelation",
+    "backward1", "backward2", "baum_welch1", "baum_welch2",
+    "cepstral_mean_subtraction", "circular_topology", "comparison_report",
+    "custom_topology", "decode_pair_path", "embed_pair_states", "evaluate",
+    "extract_features", "format_rate", "forward1", "forward2",
+    "forward_backward1", "forward_backward2", "frame_and_window",
+    "generate_synthetic_corpus", "improvement_rate", "init_circular1",
+    "init_circular2", "init_ltr", "likelihood_via_transition", "load_audio",
+    "load_corpus", "load_model", "load_raw", "load_wav", "log_emission_matrix",
+    "lpc_levinson_durbin", "lpc_to_cepstrum", "ltr_topology", "model_from_dict",
+    "model_to_dict", "pre_emphasize", "read_features", "read_features_text",
+    "read_manifest", "sample_corpus", "save_model", "segmental_kmeans_init",
+    "sequence_log_prob", "symmetrize_ring_transitions", "train", "validate",
+    "viterbi1", "viterbi2", "write_features", "write_features_text",
+    "write_manifest",
+}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_exports_resolve_to_the_package(module):
+    for name in module.__all__:
+        assert getattr(hmmsid, name) is getattr(module, name), name
+
+
+def test_package_exports_are_the_module_union():
+    names = hmmsid.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == HAND_LISTED_EXPORTS | {"MANIFEST_COLUMNS"}
+    assert len(HAND_LISTED_EXPORTS) == 77

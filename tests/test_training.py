@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import oracles
 from conftest import ALL_CONFIGS, make_obs, make_random_model
 
 from hmmsid.errors import UtteranceTooShortError
+from hmmsid.features import FeatureMatrix, FeatureMeta
 from hmmsid.inference import forward1, forward2
 from hmmsid.models import validate
 from hmmsid.training import (
@@ -353,3 +356,39 @@ class TestTrainDispatch:
             TrainConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             TrainConfig(variance_floor=-1.0)
+
+
+def _utterances_with_inf():
+    """Three named utterances; frame 7 of "u1" holds an inf."""
+    rng = np.random.default_rng(390)
+    out = []
+    for u in range(3):
+        frames = make_obs(rng, "gmm", 12, n_dims=3)
+        if u == 1:
+            frames[7, 2] = np.inf
+        out.append(FeatureMatrix(frames, FeatureMeta(source=f"u{u}")))
+    return out
+
+
+class TestNonFiniteInput:
+    """A non-finite frame is rejected by name before any pooling, so no
+    numpy warning or library error stands in for the message."""
+
+    def test_train_names_utterance_and_frame(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"utterance 'u1', frame 7"):
+                train(VariantSpec(n_states=3, n_mixtures=1), _utterances_with_inf())
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_baum_welch_names_utterance_and_frame(self, order):
+        model = make_random_model(np.random.default_rng(391), order, "ltr", "gmm", n_dims=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"utterance 'u1', frame 7"):
+                _welch(model, _utterances_with_inf(), TrainConfig(max_iterations=1))
+
+    def test_bare_arrays_are_named_by_index(self):
+        obs_set = [u.frames for u in _utterances_with_inf()]
+        with pytest.raises(ValueError, match=r"utterance 1, frame 7"):
+            segmental_kmeans_init(obs_set, 3, 1)
