@@ -35,6 +35,8 @@ from .models import (
     GmmEmission,
     Hmm1Model,
     Hmm2Model,
+    _component_log_densities,
+    _logsumexp,
     custom_topology,
 )
 
@@ -90,9 +92,20 @@ def log_emission_matrix(model, obs) -> np.ndarray:
     A non-finite continuous frame would make every score NaN; it raises
     ValueError naming the frame and the utterance (when ``obs`` has one).
     """
+    return _emission_terms(model, obs)[0]
+
+
+def _emission_terms(model, obs):
+    """The checks and the arithmetic behind log_emission_matrix.
+
+    Returns (logb, comp): the (T, N) log emission densities and, for GMM
+    emissions, the (T, N, M) component log-densities whose log-sum-exp
+    they are (None for discrete emissions), so the E-step can reuse them.
+    """
     x = _frames_of(obs)
     first = model.emissions[0]
-    if isinstance(first, GmmEmission):
+    gmm = isinstance(first, GmmEmission)
+    if gmm:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(
@@ -105,20 +118,28 @@ def log_emission_matrix(model, obs) -> np.ndarray:
             raise ValueError("discrete observations must be a 1-D symbol sequence")
     if x.shape[0] == 0:
         raise ValueError("empty observation sequence")
-    cols = [e.log_density(x) for e in model.emissions]
-    logb = np.stack(cols, axis=1)
+    if gmm:
+        if x.shape[1] != first.n_dims:
+            raise ValueError(
+                f"frames have dimension {x.shape[1]}, emission has {first.n_dims}"
+            )
+        comp = _component_log_densities(x, *model._gmm_parameters)
+        logb = _logsumexp(comp)
+    else:
+        comp = None
+        logb = np.stack([e.log_density(x) for e in model.emissions], axis=1)
     if np.isposinf(logb).any():
         raise ValueError("emission density is infinite (zero variance?)")
-    return logb
+    return logb, comp
 
 
-def _shifted_emissions(model, obs):
-    """Per-frame max-shifted linear emission densities.
+def _shifted_emissions(logb):
+    """Per-frame max-shifted linear emission densities of the (T, N) log
+    densities ``logb``.
 
     Returns (bsh, shifts) with bsh[t] = exp(logb[t] - shifts[t]) in [0, 1].
     A frame whose densities are all -inf raises immediately.
     """
-    logb = log_emission_matrix(model, obs)
     shifts = np.max(logb, axis=1)
     dead = np.isneginf(shifts)
     if dead.any():
@@ -236,11 +257,13 @@ def _backward(model, bsh, shifts, forward: TrellisLattice) -> np.ndarray:
 
 def _forward_backward(model, obs):
     """Forward lattice with its backward table, from emissions shifted once.
-    Returns (lattice, shifted emissions)."""
-    bsh, shifts = _shifted_emissions(model, obs)
+    Returns (lattice, shifted emissions, log emission densities, component
+    log-densities) -- the last two as _emission_terms gives them."""
+    logb, comp = _emission_terms(model, obs)
+    bsh, shifts = _shifted_emissions(logb)
     lat = _forward(model, bsh, shifts)
     lat.beta = _backward(model, bsh, shifts, lat)
-    return lat, bsh
+    return lat, bsh, logb, comp
 
 
 def _log(p):
@@ -282,7 +305,7 @@ def forward1(model: Hmm1Model, obs) -> TrellisLattice:
     """Scaled forward pass. alpha[t] is the normalized joint of frames
     0..t and the state at t; log_likelihood is exact (computed from the
     per-slice normalizers in the log domain)."""
-    return _forward(model, *_shifted_emissions(model, obs))
+    return _forward(model, *_shifted_emissions(log_emission_matrix(model, obs)))
 
 
 def backward1(model: Hmm1Model, obs, forward: TrellisLattice) -> np.ndarray:
@@ -292,7 +315,7 @@ def backward1(model: Hmm1Model, obs, forward: TrellisLattice) -> np.ndarray:
     are invariant to that constant. Returns the (T, N) scaled backward
     table.
     """
-    return _backward(model, *_shifted_emissions(model, obs), forward)
+    return _backward(model, *_shifted_emissions(log_emission_matrix(model, obs)), forward)
 
 
 def forward_backward1(model: Hmm1Model, obs) -> TrellisLattice:
@@ -350,7 +373,7 @@ def forward2(model: Hmm2Model, obs) -> TrellisLattice:
     vector. A single-frame utterance degenerates to the initial/emission
     product.
     """
-    return _forward(model, *_shifted_emissions(model, obs))
+    return _forward(model, *_shifted_emissions(log_emission_matrix(model, obs)))
 
 
 def backward2(model: Hmm2Model, obs, forward: TrellisLattice) -> np.ndarray:
@@ -360,7 +383,7 @@ def backward2(model: Hmm2Model, obs, forward: TrellisLattice) -> np.ndarray:
     slice 0 is unused and left at zero. Terminal value 1 (left-to-right)
     or 1/N (circular), as for backward1.
     """
-    return _backward(model, *_shifted_emissions(model, obs), forward)
+    return _backward(model, *_shifted_emissions(log_emission_matrix(model, obs)), forward)
 
 
 def forward_backward2(model: Hmm2Model, obs) -> TrellisLattice:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .fileio import atomic_write
 
@@ -177,18 +177,49 @@ class GmmEmission:
             raise ValueError(
                 f"frames have dimension {frames.shape[1]}, emission has {self.n_dims}"
             )
-        # (T, M): log w_m + sum_d log N(x_d; mu_md, v_md)
-        return logsumexp(self.component_log_density(frames), axis=1)
+        return _logsumexp(self.component_log_density(frames))
 
     def component_log_density(self, frames) -> np.ndarray:
         """(T, M) matrix of log(weights[m]) + log N(x; means[m], variances[m])."""
         frames = np.asarray(frames, dtype=np.float64)
-        diff = frames[:, None, :] - self.means[None, :, :]
-        quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
-        const = -0.5 * np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
-        with np.errstate(divide="ignore"):
-            logw = np.log(self.weights)
-        return logw[None, :] + const[None, :] - 0.5 * quad
+        return _component_log_densities(
+            frames, self.weights[None], self.means[None], self.variances[None]
+        )[:, 0]
+
+
+def _component_log_densities(frames, weights, means, variances) -> np.ndarray:
+    """(T, N, M) tensor of log(weights[n, m]) + log N(x_t; means[n, m],
+    diag(variances[n, m])) for (T, D) frames and the stacked parameters of
+    N states, in one broadcast."""
+    diff = frames[:, None, None, :] - means[None]
+    quad = np.sum(diff * diff / variances[None], axis=3)
+    const = -0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=2)
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    return logw[None] + const[None] - 0.5 * quad
+
+
+def _logsumexp(a) -> np.ndarray:
+    """log(sum(exp(a))) over the last (non-empty) axis.
+
+    The arithmetic is that of scipy.special.logsumexp (scipy 1.17), so the
+    bits are the same, without its per-call array-API dispatch: the maximum
+    is split out of the sum and its ties counted, the rest is summed
+    relative to it and added through log1p. Where that result is not finite
+    (a row of -inf, a +inf or nan entry, overflow) the row takes
+    log(sum(exp(a))) instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=-1, keepdims=True)
+        at_top = a == top
+        ties = np.sum(at_top, axis=-1, keepdims=True, dtype=np.float64)
+        rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=-1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / ties)
+        out = (np.log1p(rest) + np.log(ties) + top)[..., 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=-1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,6 +295,15 @@ class _Chain:
     @property
     def n_states(self) -> int:
         return self.mask.n_states
+
+    @cached_property
+    def _gmm_parameters(self):
+        """Stacked (N, M) weights and (N, M, D) means and variances of the
+        GMM emissions, built on first use and kept (models are immutable)."""
+        return tuple(
+            np.stack([getattr(e, name) for e in self.emissions])
+            for name in ("weights", "means", "variances")
+        )
 
 
 @dataclass(frozen=True)

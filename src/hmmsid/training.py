@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
-from scipy.special import logsumexp
 
 from .errors import ImpossibleObservationError, UtteranceTooShortError
 from .inference import _forward_backward, _frames_of, _reject_non_finite, _source_of
@@ -233,7 +232,7 @@ def segmental_kmeans_init(
     cluster sizes, variances are per-dimension cluster variances; both are
     floored. Returns a list of GmmEmission, one per state.
     """
-    obs_list = _prepare_obs(obs_set)
+    obs_list = _prepared(obs_set)
     for x, name in obs_list:
         if x.ndim != 2:
             raise ValueError(f"utterance {name!r} is not a (T, D) matrix")
@@ -317,22 +316,25 @@ class _EmissionStats:
             self.s1 = np.zeros((n, m, d))
             self.s2 = np.zeros((n, m, d))
 
-    def accumulate(self, model, x, gamma):
+    def accumulate(self, x, gamma, logb, comp):
+        """Add one utterance's statistics from its state posteriors ``gamma``
+        and the emission terms its forward-backward pass computed: the
+        (T, N) log-densities ``logb`` and (T, N, M) component log-densities
+        ``comp``."""
         if self.discrete:
             m = self.counts.shape[1]
-            for i in range(model.n_states):
+            for i in range(gamma.shape[1]):
                 self.counts[i] += np.bincount(x, weights=gamma[:, i], minlength=m)
             return
-        for i, e in enumerate(model.emissions):
-            comp = e.component_log_density(x)           # (T, M)
-            tot = logsumexp(comp, axis=1)
-            ratio = np.zeros_like(comp)
-            alive = np.isfinite(tot)
-            ratio[alive] = np.exp(comp[alive] - tot[alive, None])
-            resp = gamma[:, i][:, None] * ratio         # (T, M)
+        ratio = np.zeros_like(comp)
+        alive = np.isfinite(logb)
+        ratio[alive] = np.exp(comp[alive] - logb[alive][:, None])
+        xx = x * x
+        for i in range(gamma.shape[1]):
+            resp = gamma[:, i][:, None] * ratio[:, i]   # (T, M)
             self.r[i] += resp.sum(axis=0)
             self.s1[i] += resp.T @ x
-            self.s2[i] += resp.T @ (x * x)
+            self.s2[i] += resp.T @ xx
 
     def updated_emissions(self, model, config, floor_d):
         if self.discrete:
@@ -375,15 +377,27 @@ def _variance_floor(frames_list, factor):
     return np.maximum(factor * pooled_var, 1e-12), pooled_var
 
 
+class _PreparedObs(list):
+    """What _prepare_obs returns: utterances already converted and checked."""
+
+
 def _prepare_obs(obs_set, discrete=False):
     """(frames, name) per utterance, where name is the FeatureMatrix source,
-    else the utterance's index. A non-finite continuous frame raises
-    ValueError naming the utterance and the frame."""
-    out = []
+    else the utterance's index. A non-finite continuous frame, or a symbol
+    that is not an integer, raises ValueError naming the utterance and the
+    frame."""
+    out = _PreparedObs()
     for u, o in enumerate(obs_set):
         x = np.asarray(_frames_of(o))
         name = _source_of(o) or u
         if discrete:
+            if np.issubdtype(x.dtype, np.floating):
+                whole = np.isfinite(x) & (x == np.trunc(x))
+                if not whole.all():
+                    at = tuple(np.argwhere(~whole)[0])
+                    raise ValueError(
+                        f"non-integer symbol {x[at]} at utterance {name!r}, frame {at[0]}"
+                    )
             x = x.astype(np.int64)
         else:
             x = x.astype(np.float64)
@@ -392,6 +406,14 @@ def _prepare_obs(obs_set, discrete=False):
     if not out:
         raise ValueError("obs_set is empty")
     return out
+
+
+def _prepared(obs_set, discrete=False):
+    """_prepare_obs(obs_set, discrete), unless obs_set is already its result
+    (train prepares once for k-means initialization and Baum-Welch)."""
+    if isinstance(obs_set, _PreparedObs):
+        return obs_set
+    return _prepare_obs(obs_set, discrete)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +468,13 @@ def _estep(model, obs_list):
     total_ll = 0.0
     for x, name in obs_list:
         try:
-            lat, bsh = _forward_backward(model, x)
+            lat, bsh, logb, comp = _forward_backward(model, x)
         except ImpossibleObservationError as err:
             raise ImpossibleObservationError(err.frame, utterance=name) from None
         total_ll += lat.log_likelihood
         gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
         first_sum += gamma[0]
-        emstats.accumulate(model, x, gamma)
+        emstats.accumulate(x, gamma, logb, comp)
     return total_ll, counts, first_sum, emstats
 
 
@@ -472,7 +494,7 @@ def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
 
 def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:
     discrete = isinstance(model.emissions[0], DiscreteEmission)
-    obs_list = _prepare_obs(obs_set, discrete)
+    obs_list = _prepared(obs_set, discrete)
     for x, name in obs_list:
         if x.shape[0] < min_frames:
             raise UtteranceTooShortError(x.shape[0], min_frames, utterance=name)
@@ -521,6 +543,7 @@ def train(variant: VariantSpec, obs_set, config: TrainConfig = TrainConfig()) ->
     final model are projected toward symmetry (the recorded likelihoods
     refer to the unprojected parameters).
     """
+    obs_set = _prepare_obs(obs_set, variant.emission == "discrete")
     if variant.emission == "gmm":
         emission_spec = segmental_kmeans_init(
             obs_set,

@@ -1,11 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 import oracles
 from conftest import ALL_CONFIGS, make_obs, make_random_model
 
+from hmmsid.inference import log_emission_matrix
 from hmmsid.models import (
     DiscreteEmission,
     GmmEmission,
@@ -16,6 +22,7 @@ from hmmsid.models import (
     model_from_dict,
     model_to_dict,
     save_model,
+    _logsumexp,
     symmetrize_ring_transitions,
     validate,
 )
@@ -67,6 +74,76 @@ class TestEmissionDensities:
         e = DiscreteEmission(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             e.log_density(np.array([0.0, 1.0]))
+
+
+# Values that make ties, empty rows, overflow and the non-finite fallback.
+_SPECIAL = st.sampled_from([-np.inf, np.inf, np.nan, 0.0, 1.0, -1.0, -745.2, 709.8, 1e308])
+
+
+class TestEmissionKernel:
+    """The stacked kernel must give the bits of the per-state formula with
+    scipy's logsumexp that it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
+        elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True), _SPECIAL),
+    ))
+    def test_logsumexp_matches_scipy(self, a):
+        with np.errstate(all="ignore"):
+            want = logsumexp(a, axis=-1)
+        got = _logsumexp(a)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_logsumexp_rows_of_minus_inf_ties_and_inf(self):
+        a = np.array([
+            [-np.inf, -np.inf, -np.inf],
+            [2.0, 2.0, 2.0],
+            [1.0, 3.0, 3.0],
+            [np.inf, 0.0, np.inf],
+            [np.nan, 0.0, 1.0],
+            [-np.inf, np.inf, np.nan],
+        ])
+        with np.errstate(all="ignore"):
+            want = logsumexp(a, axis=-1)
+        assert np.array_equal(_logsumexp(a), want, equal_nan=True)
+
+    @pytest.mark.parametrize("n_mixtures", [1, 2, 5])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_log_emission_matrix_matches_per_state_formula(self, order, n_mixtures):
+        rng = np.random.default_rng(40 + 10 * order + n_mixtures)
+        for _ in range(10):
+            model = make_random_model(rng, order, "circular", "gmm", n_dims=4,
+                                      n_mixtures=n_mixtures)
+            if n_mixtures > 1:
+                e = model.emissions[0]
+                w = e.weights.copy()
+                w[-1] = 0.0
+                zeroed = GmmEmission(w / w.sum(), e.means, e.variances)
+                model = replace(model, emissions=(zeroed,) + model.emissions[1:])
+            x = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 30)), 4))
+            want = np.stack([_per_state_log_density(e, x) for e in model.emissions], axis=1)
+            assert np.array_equal(log_emission_matrix(model, x), want)
+            for i, e in enumerate(model.emissions):
+                assert np.array_equal(e.log_density(x), want[:, i])
+
+    def test_dimension_mismatch_is_reported(self):
+        model = make_random_model(np.random.default_rng(45), 1, "ltr", "gmm", n_dims=3)
+        with pytest.raises(ValueError, match=r"^frames have dimension 2, emission has 3$"):
+            log_emission_matrix(model, np.zeros((5, 2)))
+
+
+def _per_state_log_density(e, x):
+    """One state's log-density as computed before the stacked kernel: the
+    (T, M) component matrix, then scipy's logsumexp over components."""
+    diff = x[:, None, :] - e.means[None, :, :]
+    quad = np.sum(diff * diff / e.variances[None, :, :], axis=2)
+    const = -0.5 * np.sum(np.log(2.0 * np.pi * e.variances), axis=1)
+    with np.errstate(divide="ignore"):
+        logw = np.log(e.weights)
+    return logsumexp(logw[None, :] + const[None, :] - 0.5 * quad, axis=1)
 
 
 class TestValidate:

@@ -1,5 +1,8 @@
 """The package's public names are the union of its modules' __all__ lists."""
 
+import ast
+import pathlib
+
 import pytest
 
 import hmmsid
@@ -44,3 +47,23 @@ def test_package_exports_are_the_module_union():
     assert len(names) == len(set(names))
     assert set(names) == HAND_LISTED_EXPORTS | {"MANIFEST_COLUMNS"}
     assert len(HAND_LISTED_EXPORTS) == 77
+
+
+def _imported_modules(path):
+    """Every module a source file imports, with the names it takes from it."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy_special():
+    """Emission log-sum-exp stays on the plain-numpy kernel: scipy.special's
+    per-call array-API dispatch once took half of the desk workload."""
+    sources = sorted(pathlib.Path(hmmsid.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        found = [m for m in _imported_modules(path) if m.startswith("scipy.special")]
+        assert found == [], f"{path.name} imports {found}"

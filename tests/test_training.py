@@ -10,6 +10,7 @@ from hmmsid.errors import UtteranceTooShortError
 from hmmsid.features import FeatureMatrix, FeatureMeta
 from hmmsid.inference import forward1, forward2
 from hmmsid.models import validate
+from hmmsid import training
 from hmmsid.training import (
     TrainConfig,
     VariantSpec,
@@ -392,3 +393,45 @@ class TestNonFiniteInput:
         obs_set = [u.frames for u in _utterances_with_inf()]
         with pytest.raises(ValueError, match=r"utterance 1, frame 7"):
             segmental_kmeans_init(obs_set, 3, 1)
+
+
+class TestDiscreteSymbols:
+    """Float symbol sequences are accepted only when every value is an
+    integer; anything else is named by utterance and frame."""
+
+    @pytest.mark.parametrize("bad,shown", [
+        ([0.0, np.nan, 1.0, 2.0], "nan"),
+        ([0.0, np.inf, 1.0, 2.0], "inf"),
+        ([0.0, 1.5, 1.0, 2.0], "1.5"),
+    ])
+    def test_baum_welch1_rejects_non_integer_symbols(self, bad, shown):
+        model = init_ltr(3, 2, ("discrete", 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=rf"^non-integer symbol {shown} at utterance 1, frame 1$"):
+                baum_welch1(model, [[0, 1, 2, 3, 1], bad], TrainConfig(max_iterations=1))
+
+    def test_integral_float_symbols_are_accepted(self):
+        model = init_ltr(3, 2, ("discrete", 4))
+        floats = baum_welch1(model, [[0, 1, 2, 3, 1], [0.0, 1.0, 2.0]], TrainConfig(max_iterations=3))
+        ints = baum_welch1(model, [[0, 1, 2, 3, 1], [0, 1, 2]], TrainConfig(max_iterations=3))
+        assert floats.log_likelihoods == ints.log_likelihoods
+
+
+class TestPrepareOnce:
+    @pytest.mark.parametrize("emission,n_mixtures", [("gmm", 2), ("discrete", 4)])
+    def test_train_prepares_utterances_once(self, monkeypatch, emission, n_mixtures):
+        calls = []
+        prepare = training._prepare_obs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_prepare_obs", counting)
+        rng = np.random.default_rng(395)
+        obs_set = [make_obs(rng, emission, 12) for _ in range(3)]
+        variant = VariantSpec(n_states=3, n_mixtures=n_mixtures, emission=emission)
+        train(variant, obs_set, TrainConfig(max_iterations=2))
+        assert len(calls) == 1
