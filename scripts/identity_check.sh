@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Byte-identity check of the command-line pipeline: a git revision against
+# the working tree.
+#
+#   scripts/identity_check.sh <rev> [workdir]
+#
+# Exports <rev> with `git archive`, then runs the same pipeline once with
+# each source tree, from its own directory under workdir (a new temporary
+# directory when omitted):
+#
+#   hmmsid synth (default corpus)                                  -> data/
+#   hmmsid train ltr1, ltr2, circ1, circ2 (--states 5 --mixtures 2,
+#     20 EM iterations)                                            -> models/
+#   hmmsid evaluate, forward and Viterbi scoring                   -> report/
+#   every test trial's ranked scores, printed with repr            -> scores/
+#
+# and compares data/, models/, report/, scores/ and the commands' output
+# with `diff -r`. Exits 0 when everything is identical, 1 when anything
+# differs.
+set -euo pipefail
+
+rev=${1:?usage: scripts/identity_check.sh <rev> [workdir]}
+repo=$(git rev-parse --show-toplevel)
+work=${2:-$(mktemp -d)}
+mkdir -p "$work/base/tree"
+git -C "$repo" archive "$rev" | tar -x -C "$work/base/tree"
+echo "$rev ($(git -C "$repo" rev-parse --short "$rev")) vs working tree, in $work"
+
+run_pipeline() {  # <source tree> <run directory>
+    local src=$1/src dir=$2
+    mkdir -p "$dir/log"
+    cd "$dir"
+    echo '{"train": {"max_iterations": 20}}' > config.json
+    hmmsid() { PYTHONPATH="$src" python3 -m hmmsid "$@"; }
+    hmmsid synth --out data > log/synth.txt
+    for variant in ltr1 ltr2 circ1 circ2; do
+        hmmsid train --manifest data/manifest.tsv --out models --config config.json \
+            --variant "$variant" --states 5 --mixtures 2 > "log/train-$variant.txt"
+    done
+    for scoring in forward viterbi; do
+        hmmsid evaluate --manifest data/manifest.tsv --models models --config config.json \
+            --states 5 --mixtures 2 --scoring "$scoring" --out "report/$scoring" \
+            > "log/evaluate-$scoring.txt"
+    done
+    mkdir -p scores
+    PYTHONPATH="$src" python3 - <<'PY'
+import os
+from hmmsid import SpeakerRegistry, load_corpus, load_model
+
+for label in sorted(os.listdir("models")):
+    registry = SpeakerRegistry()
+    for name in sorted(os.listdir(os.path.join("models", label))):
+        model, header = load_model(os.path.join("models", label, name))
+        meta = header["training"]
+        registry.add_model(meta["speaker_id"], meta["word_id"], label, model)
+    for scoring in ("forward", "viterbi"):
+        with open(os.path.join("scores", f"{label}-{scoring}.txt"), "w") as out:
+            for row, fm in load_corpus("data/manifest.tsv"):
+                if row.split == "test":
+                    ident = registry.identify(row.word_id, label, fm, scoring=scoring)
+                    out.write(f"{row.utterance_id} {ident.ranked!r}\n")
+PY
+    cd - > /dev/null
+}
+
+run_pipeline "$work/base/tree" "$work/base/run"
+run_pipeline "$repo" "$work/head/run"
+
+status=0
+for part in data models report scores log; do
+    if diff -r "$work/base/run/$part" "$work/head/run/$part" > "$work/diff-$part.txt"; then
+        echo "identical: $part/ ($(find "$work/head/run/$part" -type f | wc -l) files)"
+    else
+        echo "DIFFERENT: $part/ (see $work/diff-$part.txt)"
+        status=1
+    fi
+done
+exit $status

@@ -274,8 +274,23 @@ def generate_synthetic_corpus(spec: CorpusSpec, out_dir) -> str:
 
 
 def load_corpus(manifest_path) -> list[tuple[ManifestRow, FeatureMatrix]]:
-    """Read a manifest and every feature cache it references."""
+    """Read a manifest and every feature cache it references.
+
+    The caches of one manifest must come from one front-end configuration:
+    the first cache whose config_hash differs from the first cache's raises
+    ValueError naming the manifest, both caches and both hashes.
+    """
     manifest_path = os.fspath(manifest_path)
     base = os.path.dirname(manifest_path)
-    rows = read_manifest(manifest_path)
-    return [(row, read_features(os.path.join(base, row.path))) for row in rows]
+    pairs = []
+    for row in read_manifest(manifest_path):
+        path = os.path.join(base, row.path)
+        fm = read_features(path)
+        if pairs and fm.meta.config_hash != pairs[0][1].meta.config_hash:
+            first_path = os.path.join(base, pairs[0][0].path)
+            raise ValueError(
+                f"{manifest_path}: cache {path} has config_hash {fm.meta.config_hash}, "
+                f"but {first_path} has {pairs[0][1].meta.config_hash}"
+            )
+        pairs.append((row, fm))
+    return pairs

@@ -6,6 +6,9 @@ a slice holding the last ``order`` states: an (N,) vector for order 1, an
 (N, N) pair matrix for order 2. Only the step that carries a slice one frame
 on depends on the order: ``prev @ trans``; or, for order 2, ``trans1`` at
 the first step and the dense O(N^3) contraction with ``trans2`` after it.
+The forward and Viterbi recursions also run over a leading model axis, so
+score_models scores every candidate model of an utterance in one pass;
+the single-model functions are the one-model case of the same code.
 
 Numerical regime
 ----------------
@@ -37,6 +40,8 @@ from .models import (
     Hmm2Model,
     _component_log_densities,
     _logsumexp,
+    _ModelStack,
+    _stack_key,
     custom_topology,
 )
 
@@ -54,6 +59,7 @@ __all__ = [
     "forward_backward2",
     "viterbi2",
     "sequence_log_prob",
+    "score_models",
     "embed_pair_states",
     "decode_pair_path",
 ]
@@ -74,16 +80,33 @@ def _source_of(obs) -> str:
     return getattr(meta, "source", "") if meta is not None else ""
 
 
+def _where(frame, utterance=None) -> str:
+    where = f"frame {frame}"
+    if utterance is not None:
+        where = f"utterance {utterance!r}, {where}"
+    return where
+
+
 def _reject_non_finite(x, utterance=None):
     """Raise ValueError naming the first frame of ``x`` that holds a
     non-finite value, and the utterance when one is given."""
     finite = np.isfinite(x)
     if not finite.all():
         frame = int(np.argwhere(~finite)[0][0])
-        where = f"frame {frame}"
-        if utterance is not None:
-            where = f"utterance {utterance!r}, {where}"
-        raise ValueError(f"non-finite feature value at {where}")
+        raise ValueError(f"non-finite feature value at {_where(frame, utterance)}")
+
+
+def _symbols(x, utterance=None) -> np.ndarray:
+    """``x`` as int64 symbols. A float sequence qualifies only when every
+    value is an integer; the first that is not (NaN, inf, 1.5) raises
+    ValueError naming its frame, and the utterance when one is given."""
+    x = np.asarray(x)
+    if np.issubdtype(x.dtype, np.floating):
+        whole = np.isfinite(x) & (x == np.trunc(x))
+        if not whole.all():
+            at = tuple(np.argwhere(~whole)[0])
+            raise ValueError(f"non-integer symbol {x[at]} at {_where(at[0], utterance)}")
+    return x.astype(np.int64, copy=False)
 
 
 def log_emission_matrix(model, obs) -> np.ndarray:
@@ -92,18 +115,24 @@ def log_emission_matrix(model, obs) -> np.ndarray:
     A non-finite continuous frame would make every score NaN; it raises
     ValueError naming the frame and the utterance (when ``obs`` has one).
     """
-    return _emission_terms(model, obs)[0]
+    logb, _, errors = _emission_terms(model._stack, obs)
+    _raise_first(errors)
+    return logb[:, 0]
 
 
-def _emission_terms(model, obs):
-    """The checks and the arithmetic behind log_emission_matrix.
+def _emission_terms(stack, obs):
+    """The checks and the arithmetic behind log_emission_matrix, for the
+    S models of ``stack`` (a models._ModelStack) at once.
 
-    Returns (logb, comp): the (T, N) log emission densities and, for GMM
-    emissions, the (T, N, M) component log-densities whose log-sum-exp
-    they are (None for discrete emissions), so the E-step can reuse them.
+    Returns (logb, comp, errors): the (T, S, N) log emission densities;
+    for GMM emissions the (T, S, N, M) component log-densities whose
+    log-sum-exp they are (None for discrete emissions), so the E-step can
+    reuse them; and, per model, the ValueError it raises for an infinite
+    density, else None. Such a model's densities are set to 0 so that it
+    stays quiet in the recursions. Checks of ``obs`` itself raise at once.
     """
     x = _frames_of(obs)
-    first = model.emissions[0]
+    first = stack.emissions[0]
     gmm = isinstance(first, GmmEmission)
     if gmm:
         x = np.asarray(x, dtype=np.float64)
@@ -116,40 +145,82 @@ def _emission_terms(model, obs):
         x = np.asarray(x)
         if x.ndim != 1:
             raise ValueError("discrete observations must be a 1-D symbol sequence")
+        x = _symbols(x, _source_of(obs) or None)
     if x.shape[0] == 0:
         raise ValueError("empty observation sequence")
+    shape = (x.shape[0], stack.n_models, stack.n_states)
     if gmm:
         if x.shape[1] != first.n_dims:
             raise ValueError(
                 f"frames have dimension {x.shape[1]}, emission has {first.n_dims}"
             )
-        comp = _component_log_densities(x, *model._gmm_parameters)
-        logb = _logsumexp(comp)
+        comp = _component_log_densities(x, *stack._gmm_parameters)
+        logb = _logsumexp(comp).reshape(shape)
+        comp = comp.reshape(shape + comp.shape[-1:])
     else:
         comp = None
-        logb = np.stack([e.log_density(x) for e in model.emissions], axis=1)
-    if np.isposinf(logb).any():
-        raise ValueError("emission density is infinite (zero variance?)")
-    return logb, comp
+        logb = np.stack([e.log_density(x) for e in stack.emissions], axis=1).reshape(shape)
+    errors = [None] * stack.n_models
+    infinite = np.isposinf(logb)
+    if infinite.any():
+        for k in np.flatnonzero(infinite.any(axis=(0, 2))):
+            errors[k] = ValueError("emission density is infinite (zero variance?)")
+            logb[:, k] = 0.0
+    return logb, comp, errors
 
 
-def _shifted_emissions(logb):
-    """Per-frame max-shifted linear emission densities of the (T, N) log
+def _shifted_emissions(logb, errors):
+    """Per-frame max-shifted linear emission densities of the (T, S, N) log
     densities ``logb``.
 
-    Returns (bsh, shifts) with bsh[t] = exp(logb[t] - shifts[t]) in [0, 1].
-    A frame whose densities are all -inf raises immediately.
+    Returns (bsh, shifts) with bsh[t, s] = exp(logb[t, s] - shifts[t, s]) in
+    [0, 1]. A model with a frame whose densities are all -inf gets
+    ImpossibleObservationError for the first such frame in ``errors``; its
+    shift there is 0, which makes that frame's densities 0.
     """
-    shifts = np.max(logb, axis=1)
+    shifts = np.max(logb, axis=2)
     dead = np.isneginf(shifts)
     if dead.any():
-        raise ImpossibleObservationError(int(np.flatnonzero(dead)[0]))
-    return np.exp(logb - shifts[:, None]), shifts
+        for k, t in _first(dead.T):
+            _fail(errors, k, ImpossibleObservationError(t))
+        shifts = np.where(dead, 0.0, shifts)
+    return np.exp(logb - shifts[..., None]), shifts
+
+
+def _fail(errors, k, err):
+    """Record model k's error unless it already has an earlier one."""
+    if errors[k] is None:
+        errors[k] = err
+
+
+def _first(hits):
+    """(model, frame) of each model's first True in the (S, T) ``hits``."""
+    if not hits.any():
+        return []
+    return [(k, int(np.argmax(hits[k]))) for k in np.flatnonzero(hits.any(axis=1))]
+
+
+def _raise_first(errors):
+    """Raise the first error of ``errors`` (one entry per model, in model
+    order): the one that scoring the models one by one would raise."""
+    for err in errors:
+        if err is not None:
+            raise err
 
 
 # ---------------------------------------------------------------------------
 # the scaled lattice engine
 # ---------------------------------------------------------------------------
+#
+# _forward and _viterbi run S models of one shape at once (a
+# models._ModelStack; S = 1 for a single model) over frame-major (T, S, N)
+# emissions. Each model's numbers are computed as the one-model recursion
+# computes them, so its results are bitwise those of running it alone:
+# each slice's normalizer is summed over that model's own contiguous slice,
+# log normalizers are summed along a contiguous T axis, and the order-1
+# step is a (S, 1, N) @ (S, N, N) matmul. A model that fails records its
+# error in ``errors``; the NaN (forward) or -inf (Viterbi) it carries from
+# then on stays in its own slices.
 
 @dataclass
 class TrellisLattice:
@@ -190,54 +261,67 @@ class StatePath:
         )
 
 
-def _step(model, t, prev):
-    """Carry slice t-1 to frame t, before weighting by frame t's emissions."""
-    if model.order == 1:
-        return prev @ model.trans
+def _step(stack, t, prev):
+    """Carry the (S, R, N) slices at t-1 to frame t, before weighting by
+    frame t's emissions. R is 1 for order 1 and for order 2's first-frame
+    vectors, N for pair tables."""
+    if stack.order == 1:
+        return prev @ stack.trans
     if t == 1:
-        return prev[:, None] * model.trans1
-    return np.einsum("ij,ijk->jk", prev, model.trans2)
+        return prev.transpose(0, 2, 1) * stack.trans1
+    return np.einsum("sij,sijk->sjk", prev, stack.trans2)
 
 
 def _back_step(model, b, beta):
-    """Backward twin of _step: the slice-t table from frame t+1's shifted
-    emissions ``b`` and backward slice ``beta``, before normalization."""
+    """Backward twin of _step for one model: the slice-t table from frame
+    t+1's shifted emissions ``b`` and backward slice ``beta``, before
+    normalization."""
     if model.order == 1:
         return model.trans @ (b * beta)
     return np.einsum("ijk,k,jk->ij", model.trans2, b, beta)
 
 
-def _forward(model, bsh, shifts) -> TrellisLattice:
-    T, N = bsh.shape
-    order = model.order
-    alpha = np.zeros((T,) + (N,) * order)
-    log_norms = np.empty(T)
+def _forward(stack, bsh, shifts, errors):
+    """Scaled forward pass of every model of ``stack`` over the (T, S, N)
+    shifted emissions ``bsh`` and their (T, S) ``shifts``.
+
+    Returns (alpha, start, log_norms): the (T, S, N...) tables, the (S, N)
+    first-frame vectors for order 2 (None for order 1) and the (S, T) slice
+    log normalizers. A model whose slice sums to 0 at frame t gets
+    ImpossibleObservationError(t) in ``errors``; its later values are NaN.
+    """
+    T, S, N = bsh.shape
+    order = stack.order
+    alpha = np.zeros((T, S) + (N,) * order)
+    slices = alpha.reshape(T, S, -1, N)
+    norms = np.empty((T, S, 1, 1))
     start = None
-    a = model.initial
-    for t in range(T):
-        if t:
-            a = _step(model, t, a)
-        u = a * bsh[t]
-        s = u.sum()
-        if s <= 0.0:
-            raise ImpossibleObservationError(t)
-        a = u / s
-        log_norms[t] = np.log(s) + shifts[t]
-        if a.ndim == order:
-            alpha[t] = a
-        else:
-            start = a
-    return TrellisLattice(
-        order=order,
-        alpha=alpha,
-        slice_log_norms=log_norms,
-        log_likelihood=float(log_norms.sum()),
-        alpha_start=start,
-        emission_shifts=shifts,
-    )
+    b = bsh[:, :, None, :]
+    a = stack.initial[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(T):
+            if t:
+                a = _step(stack, t, a)
+            u = a * b[t]
+            # positional out= arguments: this loop runs once per frame
+            s = np.add.reduce(u, (1, 2), None, norms[t], True)
+            if t or order == 1:
+                a = np.divide(u, s, slices[t])
+            else:
+                a = u / s
+                start = a[:, 0]
+        norms = norms.reshape(T, S).T.copy()
+        log_norms = np.log(norms)
+    log_norms += shifts.T
+    for k, t in _first(norms <= 0.0):
+        _fail(errors, k, ImpossibleObservationError(t))
+    return alpha, start, log_norms
 
 
 def _backward(model, bsh, shifts, forward: TrellisLattice) -> np.ndarray:
+    """Scaled backward table of one model from its (T, 1, N) shifted
+    emissions and (T, 1) shifts, sharing the normalizers of ``forward``."""
+    bsh, shifts = bsh[:, 0], shifts[:, 0]
     T, N = bsh.shape
     if forward.slice_log_norms.shape[0] != T:
         raise ValueError(
@@ -251,19 +335,40 @@ def _backward(model, bsh, shifts, forward: TrellisLattice) -> np.ndarray:
     term = 1.0 / N if model.mask.kind == "circular" else 1.0
     beta[T - 1] = term / norms[T - 1]
     for t in range(T - 2, order - 2, -1):
-        beta[t] = _back_step(model, bsh[t + 1], beta[t + 1]) / norms[t]
+        np.divide(_back_step(model, bsh[t + 1], beta[t + 1]), norms[t], beta[t])
     return beta
 
 
-def _forward_backward(model, obs):
-    """Forward lattice with its backward table, from emissions shifted once.
-    Returns (lattice, shifted emissions, log emission densities, component
-    log-densities) -- the last two as _emission_terms gives them."""
-    logb, comp = _emission_terms(model, obs)
-    bsh, shifts = _shifted_emissions(logb)
-    lat = _forward(model, bsh, shifts)
-    lat.beta = _backward(model, bsh, shifts, lat)
-    return lat, bsh, logb, comp
+def _shifted(model, obs):
+    """One model's emission terms and max-shifted densities, stacked as S = 1
+    (see _emission_terms, _shifted_emissions); raises what the model fails
+    with before any recursion. Returns (logb, comp, bsh, shifts)."""
+    logb, comp, errors = _emission_terms(model._stack, obs)
+    bsh, shifts = _shifted_emissions(logb, errors)
+    _raise_first(errors)
+    return logb, comp, bsh, shifts
+
+
+def _forward_backward(model, obs, backward=True):
+    """One model's forward lattice, with its backward table when
+    ``backward``, from emissions shifted once. Returns (lattice, shifted
+    emissions, log emission densities, component log-densities) -- the
+    last three (T, N, ...) as _emission_terms gives them for the model."""
+    logb, comp, bsh, shifts = _shifted(model, obs)
+    errors = [None]
+    alpha, start, log_norms = _forward(model._stack, bsh, shifts, errors)
+    _raise_first(errors)
+    lat = TrellisLattice(
+        order=model.order,
+        alpha=alpha[:, 0],
+        slice_log_norms=log_norms[0],
+        log_likelihood=float(log_norms[0].sum()),
+        alpha_start=None if start is None else start[0],
+        emission_shifts=shifts[:, 0],
+    )
+    if backward:
+        lat.beta = _backward(model, bsh, shifts, lat)
+    return lat, bsh[:, 0], logb[:, 0], None if comp is None else comp[:, 0]
 
 
 def _log(p):
@@ -271,30 +376,94 @@ def _log(p):
         return np.where(p > 0.0, np.log(p), -np.inf)
 
 
-def _viterbi(model, logb) -> StatePath:
+def _viterbi(stack, logb, errors):
     """Max-plus twin of _forward with back-pointers from each full slice to
-    the state it drops."""
-    T, N = logb.shape
-    order = model.order
-    logtrans = [_log(getattr(model, name)) for name in _TRANSITION_FIELDS[order]]
-    dp = _log(model.initial) + logb[0]
-    if np.max(dp) == -np.inf:
-        raise ImpossibleObservationError(0)
-    ptr = np.empty((T,) + (N,) * order, dtype=np.int64)
+    the state it drops. Returns the (S, T) best paths and their (S,) joint
+    log-probabilities. A model whose slice is all -inf at frame t gets
+    ImpossibleObservationError(t) in ``errors``."""
+    T, S, N = logb.shape
+    order = stack.order
+    logtrans = [_log(getattr(stack, name)) for name in _TRANSITION_FIELDS[order]]
+    frames = logb if order == 1 else logb[:, :, None, :]
+    peaks = np.empty((S, T))
+    ptr = np.empty((S, T) + (N,) * order, dtype=np.int64)
+    dp = _log(stack.initial) + logb[0]
+    peaks[:, 0] = dp.max(axis=1)
     for t in range(1, T):
         cand = dp[..., None] + logtrans[min(t, order) - 1]
-        if dp.ndim == order:
-            ptr[t] = np.argmax(cand, axis=0)
-            cand = cand.max(axis=0)
-        dp = cand + logb[t]
-        if np.max(dp) == -np.inf:
-            raise ImpossibleObservationError(t)
-    last = np.unravel_index(int(np.argmax(dp)), dp.shape)
-    states = np.empty(T, dtype=np.int64)
-    states[T - dp.ndim:] = last
+        if dp.ndim > order:
+            ptr[:, t] = np.argmax(cand, axis=1)
+            cand = cand.max(axis=1)
+        dp = cand + frames[t]
+        peaks[:, t] = dp.reshape(S, -1).max(axis=1)
+    for k, t in _first(np.isneginf(peaks)):
+        _fail(errors, k, ImpossibleObservationError(t))
+    flat = dp.reshape(S, -1)
+    best = np.argmax(flat, axis=1)
+    rows = np.arange(S)
+    states = np.empty((S, T), dtype=np.int64)
+    states[:, T - (dp.ndim - 1):] = np.stack(np.unravel_index(best, dp.shape[1:]), axis=1)
     for t in range(T - 1, order - 1, -1):
-        states[t - order] = ptr[t][tuple(states[t - order + 1:t + 1])]
-    return StatePath(states, float(dp[last]))
+        states[:, t - order] = ptr[(rows, t) + tuple(states[:, t - order + 1:t + 1].T)]
+    return states, flat[rows, best]
+
+
+def _single_path(model, obs) -> StatePath:
+    """Best path of one model (viterbi1, viterbi2)."""
+    logb, _, errors = _emission_terms(model._stack, obs)
+    states, log_probs = _viterbi(model._stack, logb, errors)
+    _raise_first(errors)
+    return StatePath(states[0], float(log_probs[0]))
+
+
+# ---------------------------------------------------------------------------
+# scoring many models
+# ---------------------------------------------------------------------------
+
+SCORING_MODES = ("forward", "viterbi")
+
+
+def score_models(models, obs, scoring: str = "forward") -> list:
+    """Score ``obs`` under each of ``models``: the forward log-likelihood
+    (as forward1/forward2 give it) or the best-path log-probability (as
+    viterbi1/viterbi2 give it), bit for bit.
+
+    Models that share order, state count and emission kind and shape are
+    scored together: one emission evaluation and one recursion over a
+    leading model axis. Returns the scores in the order of ``models``. When
+    models fail, raises the error that the first of them, scored alone,
+    raises.
+    """
+    if scoring not in SCORING_MODES:
+        raise ValueError(f"scoring must be one of {SCORING_MODES}, got {scoring!r}")
+    groups: dict = {}
+    for i, model in enumerate(models):
+        groups.setdefault(_stack_key(model), []).append(i)
+    scores = [None] * len(models)
+    errors = [None] * len(models)
+    for members in groups.values():
+        if any(err is not None for err in errors[:members[0]]):
+            break   # an earlier model fails: later groups would not be scored
+        stack = _ModelStack([models[i] for i in members])
+        try:
+            values, failed = _stack_scores(stack, obs, scoring)
+        except ValueError as err:   # a check of obs, raised by the group's first model
+            errors[members[0]] = err
+            continue
+        for i, value, err in zip(members, values, failed):
+            scores[i], errors[i] = value, err
+    _raise_first(errors)
+    return scores
+
+
+def _stack_scores(stack, obs, scoring):
+    """(scores, errors) of every model of ``stack``; checks of ``obs`` that
+    fail raise."""
+    logb, _, errors = _emission_terms(stack, obs)
+    if scoring == "forward":
+        log_norms = _forward(stack, *_shifted_emissions(logb, errors), errors)[2]
+        return log_norms.sum(axis=1).tolist(), errors
+    return _viterbi(stack, logb, errors)[1].tolist(), errors
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +474,7 @@ def forward1(model: Hmm1Model, obs) -> TrellisLattice:
     """Scaled forward pass. alpha[t] is the normalized joint of frames
     0..t and the state at t; log_likelihood is exact (computed from the
     per-slice normalizers in the log domain)."""
-    return _forward(model, *_shifted_emissions(log_emission_matrix(model, obs)))
+    return _forward_backward(model, obs, backward=False)[0]
 
 
 def backward1(model: Hmm1Model, obs, forward: TrellisLattice) -> np.ndarray:
@@ -315,7 +484,7 @@ def backward1(model: Hmm1Model, obs, forward: TrellisLattice) -> np.ndarray:
     are invariant to that constant. Returns the (T, N) scaled backward
     table.
     """
-    return _backward(model, *_shifted_emissions(log_emission_matrix(model, obs)), forward)
+    return _backward(model, *_shifted(model, obs)[2:], forward)
 
 
 def forward_backward1(model: Hmm1Model, obs) -> TrellisLattice:
@@ -358,7 +527,7 @@ def viterbi1(model: Hmm1Model, obs) -> StatePath:
     Ties break toward the lowest state index, both at the final frame and
     at every backtrack step.
     """
-    return _viterbi(model, log_emission_matrix(model, obs))
+    return _single_path(model, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +542,7 @@ def forward2(model: Hmm2Model, obs) -> TrellisLattice:
     vector. A single-frame utterance degenerates to the initial/emission
     product.
     """
-    return _forward(model, *_shifted_emissions(log_emission_matrix(model, obs)))
+    return _forward_backward(model, obs, backward=False)[0]
 
 
 def backward2(model: Hmm2Model, obs, forward: TrellisLattice) -> np.ndarray:
@@ -383,7 +552,7 @@ def backward2(model: Hmm2Model, obs, forward: TrellisLattice) -> np.ndarray:
     slice 0 is unused and left at zero. Terminal value 1 (left-to-right)
     or 1/N (circular), as for backward1.
     """
-    return _backward(model, *_shifted_emissions(log_emission_matrix(model, obs)), forward)
+    return _backward(model, *_shifted(model, obs)[2:], forward)
 
 
 def forward_backward2(model: Hmm2Model, obs) -> TrellisLattice:
@@ -399,7 +568,7 @@ def viterbi2(model: Hmm2Model, obs) -> StatePath:
     index, and the final pair is chosen in row-major order (lowest
     second-to-last state, then lowest last state).
     """
-    return _viterbi(model, log_emission_matrix(model, obs))
+    return _single_path(model, obs)
 
 
 def sequence_log_prob(model, obs, states) -> float:

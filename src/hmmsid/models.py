@@ -192,7 +192,9 @@ def _component_log_densities(frames, weights, means, variances) -> np.ndarray:
     diag(variances[n, m])) for (T, D) frames and the stacked parameters of
     N states, in one broadcast."""
     diff = frames[:, None, None, :] - means[None]
-    quad = np.sum(diff * diff / variances[None], axis=3)
+    diff *= diff
+    diff /= variances[None]
+    quad = np.sum(diff, axis=3)
     const = -0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=2)
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
@@ -304,6 +306,46 @@ class _Chain:
             np.stack([getattr(e, name) for e in self.emissions])
             for name in ("weights", "means", "variances")
         )
+
+    @cached_property
+    def _stack(self):
+        """This model as a one-model _ModelStack, built on first use."""
+        return _ModelStack((self,))
+
+
+def _stack_key(model):
+    """What models must share to be stacked: order, state count and the
+    emission kind and shape."""
+    e = model.emissions[0]
+    shape = (e.n_components, e.n_dims) if isinstance(e, GmmEmission) else (e.n_symbols,)
+    return model.order, model.n_states, type(e), shape
+
+
+class _ModelStack:
+    """S models with one _stack_key, their parameters stacked along a
+    leading model axis: ``initial`` (S, N), each transition array of
+    _TRANSITION_FIELDS (S, N, ...), and ``emissions``, the S·N state
+    emissions model by model. For GMM emissions ``_gmm_parameters`` are
+    the (S·N, M) weights and (S·N, M, D) means and variances."""
+
+    def __init__(self, models):
+        first = models[0]
+        self.order = first.order
+        self.n_states = first.n_states
+        self.n_models = len(models)
+        self.emissions = tuple(e for m in models for e in m.emissions)
+        for name in ("initial",) + _TRANSITION_FIELDS[self.order]:
+            setattr(self, name, _stacked([getattr(m, name)[None] for m in models]))
+        if isinstance(first.emissions[0], GmmEmission):
+            self._gmm_parameters = tuple(
+                map(_stacked, zip(*(m._gmm_parameters for m in models)))
+            )
+
+
+def _stacked(arrays):
+    """The arrays joined along their first axis; one array is returned as
+    it is (a one-model stack views its model's arrays)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 @dataclass(frozen=True)

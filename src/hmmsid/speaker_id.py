@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .corpus import CONDITIONS, GENDERS, ManifestRow
 from .features import FeatureMatrix
-from .inference import forward1, forward2, viterbi1, viterbi2
+from .inference import SCORING_MODES, score_models
 from .training import TrainConfig, TrainReport, VariantSpec, train
 
 __all__ = [
@@ -34,19 +34,6 @@ __all__ = [
     "ComparisonReport",
     "comparison_report",
 ]
-
-SCORING_MODES = ("forward", "viterbi")
-
-
-def _score(model, utterance, scoring: str) -> float:
-    if scoring == "forward":
-        fwd = forward1(model, utterance) if model.order == 1 else forward2(model, utterance)
-        return float(fwd.log_likelihood)
-    if scoring == "viterbi":
-        path = viterbi1(model, utterance) if model.order == 1 else viterbi2(model, utterance)
-        return float(path.log_prob)
-    raise ValueError(f"scoring must be one of {SCORING_MODES}, got {scoring!r}")
-
 
 @dataclass(frozen=True)
 class IdentifyResult:
@@ -133,18 +120,14 @@ class SpeakerRegistry:
     def identify(self, word_id: str, variant_label: str, utterance: FeatureMatrix,
                  scoring: str = "forward") -> IdentifyResult:
         """Score the utterance against every enrolled speaker for the key and
-        return the best. Raises LookupError when nobody is enrolled."""
+        return the best. The candidates are scored together (see
+        inference.score_models). Raises LookupError when nobody is enrolled."""
         candidates = self.speakers_for(word_id, variant_label)
         if not candidates:
             raise LookupError(f"no models enrolled for word={word_id} variant={variant_label}")
-        scored = []
-        best = None
-        for speaker in candidates:
-            value = _score(self._models[(speaker, word_id, variant_label)], utterance, scoring)
-            scored.append((speaker, value))
-            if best is None or value > scored[best][1]:
-                best = len(scored) - 1
-        predicted = scored[best][0]
+        models = [self._models[(speaker, word_id, variant_label)] for speaker in candidates]
+        scored = list(zip(candidates, score_models(models, utterance, scoring)))
+        predicted = max(scored, key=lambda sv: sv[1])[0]   # first of equal maxima
         order = {s: i for i, (s, _) in enumerate(scored)}
         ranked = tuple(sorted(scored, key=lambda sv: (-sv[1], order[sv[0]])))
         return IdentifyResult(predicted_speaker=predicted, scoring=scoring, ranked=ranked)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.cluster.vq import kmeans2
 
 from .errors import ImpossibleObservationError, UtteranceTooShortError
-from .inference import _forward_backward, _frames_of, _reject_non_finite, _source_of
+from .inference import _forward_backward, _frames_of, _reject_non_finite, _source_of, _symbols
 from .models import (
     DiscreteEmission,
     GmmEmission,
@@ -385,20 +385,13 @@ def _prepare_obs(obs_set, discrete=False):
     """(frames, name) per utterance, where name is the FeatureMatrix source,
     else the utterance's index. A non-finite continuous frame, or a symbol
     that is not an integer, raises ValueError naming the utterance and the
-    frame."""
+    frame (the symbol check is the one scoring applies)."""
     out = _PreparedObs()
     for u, o in enumerate(obs_set):
         x = np.asarray(_frames_of(o))
         name = _source_of(o) or u
         if discrete:
-            if np.issubdtype(x.dtype, np.floating):
-                whole = np.isfinite(x) & (x == np.trunc(x))
-                if not whole.all():
-                    at = tuple(np.argwhere(~whole)[0])
-                    raise ValueError(
-                        f"non-integer symbol {x[at]} at utterance {name!r}, frame {at[0]}"
-                    )
-            x = x.astype(np.int64)
+            x = _symbols(x, name)
         else:
             x = x.astype(np.float64)
             _reject_non_finite(x, name)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hmmsid.corpus import (
     speaker_gender,
     write_manifest,
 )
+from hmmsid.features import FeatureMatrix, read_features, write_features
 from hmmsid.speaker_id import SpeakerRegistry, evaluate
 from hmmsid.training import TrainConfig, VariantSpec
 
@@ -232,6 +234,21 @@ class TestOnDiskCorpus:
         assert [r for r, _ in loaded] == [r for r, _ in sampled]
         for (_, fa), (_, fb) in zip(loaded, sampled):
             np.testing.assert_array_equal(fa.frames, fb.frames)
+
+    def test_mixed_config_hashes_rejected(self, tmp_path):
+        manifest = generate_synthetic_corpus(self.SPEC, tmp_path / "c")
+        root = os.path.dirname(manifest)
+        rows = read_manifest(manifest)
+        first, odd = (os.path.join(root, rows[i].path) for i in (0, 2))
+        fm = read_features(odd)
+        write_features(FeatureMatrix(fm.frames, replace(fm.meta, config_hash=12345)), odd)
+        want = read_features(first).meta.config_hash
+        assert want != 12345
+        with pytest.raises(ValueError) as err:
+            load_corpus(manifest)
+        assert str(err.value) == (
+            f"{manifest}: cache {odd} has config_hash 12345, but {first} has {want}"
+        )
 
     def test_layout(self, tmp_path):
         manifest = generate_synthetic_corpus(self.SPEC, tmp_path / "c")

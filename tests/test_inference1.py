@@ -269,3 +269,30 @@ class TestImpossibleObservations:
         lat = forward1(model, obs)
         assert np.isfinite(lat.log_likelihood)
         assert lat.log_likelihood < -1e4
+
+
+class TestDiscreteSymbols:
+    """Scoring accepts exactly the symbol sequences Baum-Welch accepts: a
+    float sequence of integral values scores like the ints, NaN or 1.5 is
+    named by frame."""
+
+    @pytest.mark.parametrize("topology", ["ltr", "circular"])
+    def test_integral_floats_score_like_ints(self, topology):
+        rng = np.random.default_rng(153)
+        model = make_random_model(rng, 1, topology, "discrete")
+        obs = make_obs(rng, "discrete", 12)
+        floats = obs.astype(np.float64)
+        assert forward1(model, floats).log_likelihood == forward1(model, obs).log_likelihood
+        got, want = viterbi1(model, floats), viterbi1(model, obs)
+        assert got.log_prob == want.log_prob
+        assert np.array_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("score", [forward1, viterbi1])
+    @pytest.mark.parametrize("bad,shown", [(np.nan, "nan"), (np.inf, "inf"), (1.5, "1.5")])
+    def test_non_integer_symbol_named_by_frame(self, score, bad, shown):
+        rng = np.random.default_rng(154)
+        model = make_random_model(rng, 1, "ltr", "discrete")
+        obs = make_obs(rng, "discrete", 6).astype(np.float64)
+        obs[3] = bad
+        with pytest.raises(ValueError, match=rf"^non-integer symbol {shown} at frame 3$"):
+            score(model, obs)

@@ -1,15 +1,24 @@
 import json
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import make_obs, make_random_model
 from hmmsid.corpus import ManifestRow
+from hmmsid.errors import ImpossibleObservationError
 from hmmsid.features import FeatureMatrix, FeatureMeta
-from hmmsid.models import GmmEmission, Hmm1Model, circular_topology, ltr_topology
-from hmmsid.inference import forward1, viterbi1
+from hmmsid.models import (
+    DiscreteEmission,
+    GmmEmission,
+    Hmm1Model,
+    circular_topology,
+    ltr_topology,
+)
+from hmmsid.inference import forward1, forward2, log_emission_matrix, viterbi1, viterbi2
 from hmmsid.speaker_id import (
     ComparisonReport,
     EvalResult,
@@ -121,9 +130,7 @@ class TestRegistry:
         reg = SpeakerRegistry()
         reg.add_model("a", "w", "ltr1", model)
         res = reg.identify("w", "ltr1", fm)
-        assert res.ranked[0][1] == pytest.approx(
-            forward1(model, fm.frames).log_likelihood, rel=1e-12
-        )
+        assert res.ranked[0][1] == forward1(model, fm.frames).log_likelihood
 
     def test_viterbi_scoring_mode(self):
         model = point_model(0.0)
@@ -132,9 +139,7 @@ class TestRegistry:
         reg.add_model("a", "w", "ltr1", model)
         res = reg.identify("w", "ltr1", fm, scoring="viterbi")
         assert res.scoring == "viterbi"
-        assert res.ranked[0][1] == pytest.approx(
-            viterbi1(model, fm.frames).log_prob, rel=1e-12
-        )
+        assert res.ranked[0][1] == viterbi1(model, fm.frames).log_prob
 
     @pytest.mark.parametrize("scoring", ["forward", "viterbi"])
     def test_non_finite_frame_raises_instead_of_picking_a_speaker(self, scoring):
@@ -152,6 +157,201 @@ class TestRegistry:
         reg.add_model("a", "w", "ltr1", point_model(0.0))
         with pytest.raises(ValueError):
             reg.identify("w", "ltr1", obs_at(0.0), scoring="magic")
+
+    def test_unenrolled_key_reported_before_unknown_scoring(self):
+        reg = SpeakerRegistry()
+        reg.add_model("a", "w", "ltr1", point_model(0.0))
+        with pytest.raises(LookupError):
+            reg.identify("other", "ltr1", obs_at(0.0), scoring="magic")
+
+
+def score_alone(model, obs, scoring):
+    """The score of one model on its own."""
+    if scoring == "forward":
+        return (forward1 if model.order == 1 else forward2)(model, obs).log_likelihood
+    return (viterbi1 if model.order == 1 else viterbi2)(model, obs).log_prob
+
+
+def scaled_forward_loop(model, logb):
+    """Forward log-likelihood of one model from its (T, N) log densities,
+    frame by frame on plain (N,) / (N, N) slices: the arithmetic that every
+    score, stacked or not, must reproduce bit for bit."""
+    shifts = logb.max(axis=1)
+    bsh = np.exp(logb - shifts[:, None])
+    a = model.initial
+    log_norms = np.empty(len(logb))
+    for t in range(len(logb)):
+        if t and model.order == 1:
+            a = a @ model.trans
+        elif t == 1:
+            a = a[:, None] * model.trans1
+        elif t:
+            a = np.einsum("ij,ijk->jk", a, model.trans2)
+        u = a * bsh[t]
+        s = u.sum()
+        a = u / s
+        log_norms[t] = np.log(s) + shifts[t]
+    return float(log_norms.sum())
+
+
+def max_plus_loop(model, logb):
+    """Best-path log-probability of one model, frame by frame."""
+    names = ("trans",) if model.order == 1 else ("trans1", "trans2")
+    with np.errstate(divide="ignore"):
+        logtrans = [np.log(getattr(model, name)) for name in names]
+        dp = np.log(model.initial) + logb[0]
+    for t in range(1, len(logb)):
+        cand = dp[..., None] + logtrans[min(t, model.order) - 1]
+        if dp.ndim == model.order:
+            cand = cand.max(axis=0)
+        dp = cand + logb[t]
+    return float(dp.max())
+
+
+REFERENCE_LOOPS = {"forward": scaled_forward_loop, "viterbi": max_plus_loop}
+
+
+def ranking_alone(speakers, models, obs, scoring):
+    """identify's ranking rebuilt from single-model scores: best first, ties
+    in enrollment order."""
+    scores = [score_alone(m, obs, scoring) for m in models]
+    order = sorted(range(len(speakers)), key=lambda i: (-scores[i], i))
+    return tuple((speakers[i], scores[i]) for i in order)
+
+
+def level_models(n_models):
+    """Order-1 models whose states sit at 0, 0, 1 and 38: on frames at 0, the
+    last state's density is ~722 nats below the others, so the shifted
+    emissions and the forward slices hold subnormal numbers."""
+    mask = ltr_topology(4, skip_width=2)
+    trans = np.where(mask.allowed1, 1.0, 0.0)
+    trans /= trans.sum(axis=1, keepdims=True)
+    initial = np.array([1.0, 0.0, 0.0, 0.0])
+    models = []
+    for k in range(n_models):
+        means = (0.0, 0.01 * k, 1.0, 38.0 + 0.01 * k)
+        emissions = tuple(
+            GmmEmission(np.array([1.0]), np.array([[m]]), np.array([[1.0]])) for m in means
+        )
+        models.append(Hmm1Model(mask, initial, trans, emissions))
+    return models
+
+
+class TestStackedScoring:
+    """identify scores every candidate of a key in one stacked pass; each
+    score must equal, bit for bit, what the model scores on its own."""
+
+    @staticmethod
+    def _registry(models):
+        reg = SpeakerRegistry()
+        for k, model in enumerate(models):
+            reg.add_model(f"s{k}", "w", "v", model)
+        return reg
+
+    def _check(self, models, obs):
+        reg = self._registry(models)
+        speakers = [f"s{k}" for k in range(len(models))]
+        for scoring in ("forward", "viterbi"):
+            res = reg.identify("w", "v", obs, scoring=scoring)
+            got = dict(res.ranked)
+            for speaker, model in zip(speakers, models):
+                want = REFERENCE_LOOPS[scoring](model, log_emission_matrix(model, obs))
+                assert got[speaker] == score_alone(model, obs, scoring) == want, (scoring, speaker)
+            assert res.ranked == ranking_alone(speakers, models, obs, scoring)
+            assert res.predicted_speaker == res.ranked[0][0]
+
+    @pytest.mark.parametrize("n_models", [1, 3, 7])
+    @pytest.mark.parametrize("emission,n_mixtures", [("gmm", 1), ("gmm", 2), ("discrete", None)])
+    @pytest.mark.parametrize("topology", ["ltr", "circular"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_scores_equal_single_model_scores(self, order, topology, emission,
+                                              n_mixtures, n_models):
+        rng = np.random.default_rng([order, len(topology), n_mixtures or 0, n_models])
+        models = [
+            make_random_model(rng, order, topology, emission, n_states=4,
+                              n_mixtures=n_mixtures or 1)
+            for _ in range(n_models)
+        ]
+        self._check(models, make_obs(rng, emission, 40))
+
+    def test_trial_leaving_the_normal_range(self):
+        models = level_models(5)
+        obs = FeatureMatrix(np.zeros((30, 1)))
+        tiny = np.finfo(np.float64).tiny
+        alpha = forward1(models[0], obs).alpha
+        assert ((alpha > 0.0) & (alpha < tiny)).any()
+        self._check(models, obs)
+
+    def test_key_mixing_state_counts(self):
+        rng = np.random.default_rng(396)
+        models = [
+            make_random_model(rng, 1, "ltr", "gmm", n_states=n) for n in (3, 4, 3, 5, 4)
+        ]
+        self._check(models, make_obs(rng, "gmm", 25))
+
+
+def discrete_model(n_states, probs, skip_width=2):
+    """Left-to-right discrete model whose state i emits with probs[i]."""
+    mask = ltr_topology(n_states, skip_width=skip_width)
+    trans = np.where(mask.allowed1, 1.0, 0.0)
+    trans /= trans.sum(axis=1, keepdims=True)
+    initial = np.zeros(n_states)
+    initial[0] = 1.0
+    emissions = tuple(DiscreteEmission(np.asarray(p, dtype=float)) for p in probs)
+    return Hmm1Model(mask, initial, trans, emissions)
+
+
+class TestFailingCandidates:
+    """When candidates fail, identify raises what the first failing one in
+    enrollment order raises on its own, and nothing else escapes."""
+
+    OBS = np.array([0, 0, 2, 0, 0, 3, 0, 0])
+
+    def _candidates(self, n_states_c):
+        ok = discrete_model(3, [[0.25] * 4] * 3)
+        # frame 5's symbol 3 only comes from states 6 and 7, which a skip-1
+        # chain started in state 0 cannot reach before frame 6
+        at_frame_5 = discrete_model(
+            8, [[1 / 3, 1 / 3, 1 / 3, 0.0]] * 6 + [[0.0, 0.0, 0.0, 1.0]] * 2, skip_width=1
+        )
+        # no state emits frame 2's symbol 2
+        at_frame_2 = discrete_model(n_states_c, [[0.5, 0.25, 0.0, 0.25]] * n_states_c)
+        return [ok, at_frame_5, at_frame_2]
+
+    @pytest.mark.parametrize("n_states_c", [3, 8], ids=["other-group", "same-group"])
+    @pytest.mark.parametrize("scoring", ["forward", "viterbi"])
+    def test_first_failure_in_enrollment_order(self, scoring, n_states_c):
+        ok, at_frame_5, at_frame_2 = self._candidates(n_states_c)
+        assert score_alone(ok, self.OBS, scoring) < 0.0
+        with pytest.raises(ImpossibleObservationError) as alone:
+            score_alone(at_frame_5, self.OBS, scoring)
+        reg = SpeakerRegistry()
+        for speaker, model in zip(("ok", "five", "two"), (ok, at_frame_5, at_frame_2)):
+            reg.add_model(speaker, "w", "v", model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImpossibleObservationError) as raised:
+                reg.identify("w", "v", self.OBS, scoring=scoring)
+        assert raised.value.frame == 5
+        assert str(raised.value) == str(alone.value)
+
+    def test_integral_float_symbols_score_like_ints(self):
+        reg = SpeakerRegistry()
+        for k in range(3):
+            reg.add_model(f"s{k}", "w", "v", discrete_model(3, [[0.1 + 0.1 * k, 0.2, 0.3, 0.4 - 0.1 * k]] * 3))
+        for scoring in ("forward", "viterbi"):
+            as_ints = reg.identify("w", "v", self.OBS, scoring=scoring)
+            as_floats = reg.identify("w", "v", self.OBS.astype(float), scoring=scoring)
+            assert as_floats == as_ints
+
+    @pytest.mark.parametrize("bad,shown", [(np.nan, "nan"), (1.5, "1.5")])
+    def test_non_integer_symbol_named_by_frame(self, bad, shown):
+        reg = SpeakerRegistry()
+        reg.add_model("a", "w", "v", discrete_model(3, [[0.25] * 4] * 3))
+        obs = self.OBS.astype(float)
+        obs[4] = bad
+        with pytest.raises(ValueError, match=rf"^non-integer symbol {shown} at frame 4$"):
+            reg.identify("w", "v", obs)
 
 
 class TestArgmaxProperties:
