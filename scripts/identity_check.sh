@@ -12,10 +12,13 @@
 #   hmmsid train ltr1, ltr2, circ1, circ2 (--states 5 --mixtures 2,
 #     20 EM iterations)                                            -> models/
 #   hmmsid evaluate, forward and Viterbi scoring                   -> report/
+#   hmmsid evaluate --from-grids on the working tree's
+#     tests/fixtures/reference_grids.json                          -> report/
+#   hmmsid inspect of every model file, with its exit status       -> inspect/
 #   every test trial's ranked scores, printed with repr            -> scores/
 #
-# and compares data/, models/, report/, scores/ and the commands' output
-# with `diff -r`. Exits 0 when everything is identical, 1 when anything
+# and compares data/, models/, report/, inspect/, scores/ and the commands'
+# output with `diff -r`. Exits 0 when everything is identical, 1 when anything
 # differs.
 set -euo pipefail
 
@@ -42,6 +45,13 @@ run_pipeline() {  # <source tree> <run directory>
             --states 5 --mixtures 2 --scoring "$scoring" --out "report/$scoring" \
             > "log/evaluate-$scoring.txt"
     done
+    hmmsid evaluate --from-grids "$repo/tests/fixtures/reference_grids.json" \
+        --out report/from-grids > log/evaluate-from-grids.txt
+    mkdir -p inspect
+    for model in models/*/*.json; do
+        local name=${model#models/}
+        { hmmsid inspect "$model" || echo "exit status $?"; } > "inspect/${name//\//__}.txt"
+    done
     mkdir -p scores
     PYTHONPATH="$src" python3 - <<'PY'
 import os
@@ -67,7 +77,7 @@ run_pipeline "$work/base/tree" "$work/base/run"
 run_pipeline "$repo" "$work/head/run"
 
 status=0
-for part in data models report scores log; do
+for part in data models report inspect scores log; do
     if diff -r "$work/base/run/$part" "$work/head/run/$part" > "$work/diff-$part.txt"; then
         echo "identical: $part/ ($(find "$work/head/run/$part" -type f | wc -l) files)"
     else

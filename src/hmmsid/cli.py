@@ -43,7 +43,7 @@ from .features import (
     load_audio,
     write_features,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json_object
 from .models import load_model, save_model, validate
 from .speaker_id import (
     SCORING_MODES,
@@ -57,11 +57,11 @@ ENV_PREFIX = "HMMSID_"
 MAX_STATES = 64
 MAX_MIXTURES = 64
 
+# --variant's labels and the (topology, order) each one sets.
 VARIANT_LABELS = {
-    "ltr1": ("ltr", 1),
-    "ltr2": ("ltr", 2),
-    "circ1": ("circular", 1),
-    "circ2": ("circular", 2),
+    VariantSpec(order=order, topology=topology).label: (topology, order)
+    for topology in ("ltr", "circular")
+    for order in (1, 2)
 }
 
 
@@ -121,16 +121,7 @@ def build_config(args, environ=None) -> dict:
     """Merge defaults <- config file <- environment <- flags."""
     cfg = _defaults()
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config file is not valid JSON: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise CliError("config file must hold a JSON object")
-        _deep_update(cfg, file_cfg)
+        _deep_update(cfg, read_json_object(args.config))
     _deep_update(cfg, _env_overrides(os.environ if environ is None else environ))
 
     flag_cfg: dict = {}
@@ -139,10 +130,6 @@ def build_config(args, environ=None) -> dict:
             raise CliError(f"--variant must be one of {sorted(VARIANT_LABELS)}")
         topology, order = VARIANT_LABELS[args.variant]
         flag_cfg.setdefault("variant", {}).update({"topology": topology, "order": order})
-    if getattr(args, "order", None) is not None:
-        flag_cfg.setdefault("variant", {})["order"] = args.order
-    if getattr(args, "topology", None) is not None:
-        flag_cfg.setdefault("variant", {})["topology"] = args.topology
     if getattr(args, "states", None) is not None:
         flag_cfg.setdefault("variant", {})["n_states"] = args.states
     if getattr(args, "mixtures", None) is not None:
@@ -273,7 +260,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model_store(models_dir: str) -> dict:
-    """Scan a model store: {variant_label: [(speaker, word, condition, model)]}.
+    """Scan a model store: {variant_label: [(speaker, word, model)]}.
 
     Layout is <models_dir>/<variant_label>/<speaker>__<word>.json; files are
     read in sorted order so enrollment order (and tie-breaks) is stable.
@@ -294,7 +281,7 @@ def _load_model_store(models_dir: str) -> dict:
             stem = fn[:-5]
             speaker = meta.get("speaker_id") or stem.split("__")[0]
             word = meta.get("word_id") or (stem.split("__")[1] if "__" in stem else stem)
-            entries.append((speaker, word, meta.get("condition", "neutral"), model))
+            entries.append((speaker, word, model))
         if entries:
             store[label] = entries
     return store
@@ -306,8 +293,7 @@ def cmd_evaluate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.from_grids:
-        with open(args.from_grids, "r", encoding="utf-8") as fh:
-            fixture = json.load(fh)
+        fixture = read_json_object(args.from_grids)
         try:
             grids = fixture["grids"]
             reference = args.reference or fixture["reference"]
@@ -340,8 +326,8 @@ def cmd_evaluate(args) -> int:
     results = {}
     for label, entries in store.items():
         registry = SpeakerRegistry()
-        for speaker, word, condition, model in entries:
-            registry.add_model(speaker, word, label, model, condition=condition)
+        for speaker, word, model in entries:
+            registry.add_model(speaker, word, label, model)
         results[label] = evaluate(registry, pairs, label, scoring=cfg["scoring"], split="test")
 
     total_trials = sum(r.n_trials for r in results.values())
@@ -389,10 +375,7 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     spec_dict = {}
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec_dict = json.load(fh)
-        if not isinstance(spec_dict, dict):
-            raise CliError("corpus spec file must hold a JSON object")
+        spec_dict = read_json_object(args.spec)
     if args.seed is not None:
         spec_dict["seed"] = args.seed
     try:
@@ -444,8 +427,6 @@ def cmd_inspect(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--variant", help="model variant label: ltr1, ltr2, circ1, circ2")
-    parser.add_argument("--order", type=int, choices=(1, 2), help="transition memory order")
-    parser.add_argument("--topology", choices=("ltr", "circular"), help="state-graph shape")
     parser.add_argument("--states", type=int, help="number of states")
     parser.add_argument("--mixtures", type=int, help="Gaussian mixtures per state")
     cms = parser.add_mutually_exclusive_group()

@@ -13,6 +13,15 @@ __all__ = [
 ]
 
 
+def _where(frame, utterance=None) -> str:
+    """Where a frame-level error happened: "frame F", or "utterance U,
+    frame F" when the utterance is named."""
+    where = f"frame {frame}"
+    if utterance is not None:
+        where = f"utterance {utterance!r}, {where}"
+    return where
+
+
 class ImpossibleObservationError(ValueError):
     """Every reachable state has zero emission probability at some frame.
 
@@ -25,10 +34,9 @@ class ImpossibleObservationError(ValueError):
     def __init__(self, frame, utterance=None):
         self.frame = int(frame)
         self.utterance = utterance
-        where = f"frame {self.frame}"
-        if utterance is not None:
-            where = f"utterance {utterance!r}, {where}"
-        super().__init__(f"observation impossible under the model at {where}")
+        super().__init__(
+            f"observation impossible under the model at {_where(self.frame, utterance)}"
+        )
 
 
 class UtteranceTooShortError(ValueError):

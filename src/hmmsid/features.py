@@ -25,8 +25,8 @@ Binary feature cache (little-endian), extension ``.lpcf``:
           16   hash    u64      configuration digest (see config_digest)
           24   data    T*D float64, row-major
 
-A plain-text twin (``write_features_text``) exists for debugging; floats are
-written with shortest round-trip repr so text round-trips are exact too.
+A cache holds exactly 24 + 8*T*D bytes; read_features rejects a shorter
+(truncated) or longer (trailing bytes) file.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ __all__ = [
     "load_audio",
     "write_features",
     "read_features",
-    "write_features_text",
-    "read_features_text",
 ]
 
 CACHE_MAGIC = b"LPCF"
@@ -379,8 +377,10 @@ def read_features(path) -> FeatureMatrix:
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
     need = 24 + 8 * t * d
-    if len(blob) != need:
+    if len(blob) < need:
         raise ValueError(f"{path}: truncated cache ({len(blob)} bytes, need {need})")
+    if len(blob) > need:
+        raise ValueError(f"{path}: {len(blob) - need} trailing bytes after the {need}-byte cache")
     x = np.frombuffer(blob, dtype="<f8", offset=24).reshape(t, d).copy()
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return FeatureMatrix(
@@ -389,54 +389,5 @@ def read_features(path) -> FeatureMatrix:
             source=stem,
             cms_applied=bool(flags & _FLAG_CMS),
             config_hash=config_hash,
-        ),
-    )
-
-
-def write_features_text(features: FeatureMatrix, path) -> None:
-    """Plain-text twin of the binary cache, for eyeballing and diffing."""
-    lines = [
-        "# lpcf-text 1",
-        f"frames {features.n_frames}",
-        f"dims {features.n_dims}",
-        f"cms_applied {int(features.meta.cms_applied)}",
-        f"config_hash {features.meta.config_hash}",
-        f"degenerate {' '.join(str(i) for i in features.meta.degenerate_frames)}".rstrip(),
-    ]
-    for row in features.frames:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def read_features_text(path) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# lpcf-text"):
-        raise ValueError(f"{path}: not a text feature cache")
-    header = {}
-    body_at = 1
-    for i, line in enumerate(lines[1:], start=1):
-        key = line.split(" ", 1)[0]
-        if key in ("frames", "dims", "cms_applied", "config_hash", "degenerate"):
-            parts = line.split(" ", 1)
-            header[key] = parts[1] if len(parts) > 1 else ""
-            body_at = i + 1
-        else:
-            break
-    t = int(header["frames"])
-    d = int(header["dims"])
-    rows = [
-        [float(v) for v in line.split()] for line in lines[body_at:body_at + t]
-    ]
-    x = np.array(rows, dtype=np.float64).reshape(t, d)
-    degen = tuple(int(v) for v in header.get("degenerate", "").split())
-    stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return FeatureMatrix(
-        x,
-        FeatureMeta(
-            source=stem,
-            cms_applied=bool(int(header.get("cms_applied", "0"))),
-            config_hash=int(header.get("config_hash", "0")),
-            degenerate_frames=degen,
         ),
     )

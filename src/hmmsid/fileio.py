@@ -1,7 +1,9 @@
-"""Atomic file writes shared by every writer in the package."""
+"""File access shared by the package: atomic writes and the JSON-object
+reader behind every JSON input."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 
@@ -22,3 +24,16 @@ def atomic_write(path, data) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the UTF-8 file ``path``. A file that is not valid
+    JSON, or holds anything but an object, raises ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: does not hold a JSON object")
+    return d

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImpossibleObservationError
+from .errors import ImpossibleObservationError, _where
 from .models import (
     _TRANSITION_FIELDS,
     GmmEmission,
@@ -78,13 +78,6 @@ def _source_of(obs) -> str:
     """The utterance name a FeatureMatrix carries ("" when it has none)."""
     meta = getattr(obs, "meta", None)
     return getattr(meta, "source", "") if meta is not None else ""
-
-
-def _where(frame, utterance=None) -> str:
-    where = f"frame {frame}"
-    if utterance is not None:
-        where = f"utterance {utterance!r}, {where}"
-    return where
 
 
 def _reject_non_finite(x, utterance=None):
@@ -242,10 +235,6 @@ class TrellisLattice:
     beta: np.ndarray | None = None
     alpha_start: np.ndarray | None = None
     emission_shifts: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def n_frames(self) -> int:
-        return self.alpha.shape[0]
 
 
 @dataclass(frozen=True)

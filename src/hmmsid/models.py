@@ -26,12 +26,12 @@ Models are immutable values: construct a new one instead of mutating.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json_object
 
 __all__ = [
     "TopologyMask",
@@ -79,9 +79,9 @@ class TopologyMask:
 
     n_states: int
     allowed1: np.ndarray
-    allowed2: np.ndarray
     kind: str                      # "ltr" | "circular" | "custom"
     skip_width: int | None = None
+    allowed2: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.n_states < 1:
@@ -111,7 +111,7 @@ def ltr_topology(n_states: int, skip_width: int = 2) -> TopologyMask:
         raise ValueError("skip_width must be >= 1")
     i, j = np.indices((n_states, n_states))
     a1 = (j >= i) & (j - i <= skip_width)
-    return TopologyMask(n_states, a1, np.empty(0), "ltr", skip_width)
+    return TopologyMask(n_states, a1, "ltr", skip_width)
 
 
 def circular_topology(n_states: int) -> TopologyMask:
@@ -121,7 +121,7 @@ def circular_topology(n_states: int) -> TopologyMask:
     i, j = np.indices((n_states, n_states))
     d = (j - i) % n_states
     a1 = (d == 0) | (d == 1) | (d == n_states - 1)
-    return TopologyMask(n_states, a1, np.empty(0), "circular", None)
+    return TopologyMask(n_states, a1, "circular", None)
 
 
 def custom_topology(allowed1) -> TopologyMask:
@@ -129,7 +129,7 @@ def custom_topology(allowed1) -> TopologyMask:
     a1 = np.array(allowed1, dtype=bool)
     if a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
         raise ValueError("allowed1 must be a square boolean matrix")
-    return TopologyMask(a1.shape[0], a1, np.empty(0), "custom", None)
+    return TopologyMask(a1.shape[0], a1, "custom", None)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +251,6 @@ class DiscreteEmission:
             )
         with np.errstate(divide="ignore"):
             return np.log(self.probs[sym])
-
-
-Emission = GmmEmission | DiscreteEmission
 
 
 def _check_emissions(emissions, n_states):
@@ -422,7 +419,6 @@ def validate(model) -> list[str]:
     compliance and emission parameter sanity. Reported indices are 0-based.
     """
     problems: list[str] = []
-    mask = model.mask
     init = model.initial
 
     if (init < 0).any():
@@ -432,10 +428,6 @@ def validate(model) -> list[str]:
             f"initial distribution sums to {init.sum():.12g} "
             f"(off by {init.sum() - 1.0:.3g})"
         )
-
-    a2 = mask.allowed1[:, :, None] & mask.allowed1[None, :, :]
-    if not np.array_equal(mask.allowed2, a2):
-        problems.append("mask.allowed2 is not induced by mask.allowed1")
 
     for name, matrix, allowed in _transitions(model):
         _check_rows(name, matrix, allowed, problems)
@@ -600,8 +592,7 @@ def save_model(model, path, training: dict | None = None) -> None:
 def load_model(path):
     """Read a model file. Returns (model, header_dict). A malformed file
     raises ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = read_json_object(path)
     try:
         return model_from_dict(d), d
     except ValueError as exc:

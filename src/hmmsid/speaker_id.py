@@ -66,12 +66,7 @@ class SpeakerRegistry:
 
     def __init__(self):
         self._models: dict[tuple[str, str, str], object] = {}
-        self._condition: dict[tuple[str, str, str], str] = {}
         self._speaker_order: list[str] = []
-
-    @property
-    def speakers(self) -> tuple:
-        return tuple(self._speaker_order)
 
     def keys(self):
         return tuple(self._models.keys())
@@ -79,24 +74,24 @@ class SpeakerRegistry:
     def model_for(self, speaker_id: str, word_id: str, variant_label: str):
         return self._models[(speaker_id, word_id, variant_label)]
 
-    def _register(self, key, model, condition):
+    def _free_key(self, speaker_id, word_id, variant_label):
+        """The registry key, which must not be enrolled yet."""
+        key = (speaker_id, word_id, variant_label)
         if key in self._models:
-            raise ValueError(f"already enrolled: speaker={key[0]} word={key[1]} variant={key[2]}")
-        if condition not in CONDITIONS:
-            raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
+            raise ValueError(f"already enrolled: speaker={speaker_id} word={word_id} variant={variant_label}")
+        return key
+
+    def _register(self, key, model):
         self._models[key] = model
-        self._condition[key] = condition
         if key[0] not in self._speaker_order:
             self._speaker_order.append(key[0])
 
-    def add_model(self, speaker_id: str, word_id: str, variant_label: str, model,
-                  condition: str = "neutral") -> None:
+    def add_model(self, speaker_id: str, word_id: str, variant_label: str, model) -> None:
         """Register an already-trained model under an explicit variant label."""
-        self._register((speaker_id, word_id, variant_label), model, condition)
+        self._register(self._free_key(speaker_id, word_id, variant_label), model)
 
     def enroll(self, speaker_id: str, word_id: str, variant: VariantSpec,
-               utterances, config: TrainConfig = TrainConfig(),
-               condition: str = "neutral") -> TrainReport:
+               utterances, config: TrainConfig = TrainConfig()) -> TrainReport:
         """Train a model on the given utterances and register it.
 
         The registry key uses variant.label; training failures propagate and
@@ -105,11 +100,9 @@ class SpeakerRegistry:
         utterances = list(utterances)
         if not utterances:
             raise ValueError("enroll needs at least one training utterance")
-        key = (speaker_id, word_id, variant.label)
-        if key in self._models:
-            raise ValueError(f"already enrolled: speaker={speaker_id} word={word_id} variant={variant.label}")
+        key = self._free_key(speaker_id, word_id, variant.label)
         report = train(variant, utterances, config)
-        self._register(key, report.model, condition)
+        self._register(key, report.model)
         return report
 
     def speakers_for(self, word_id: str, variant_label: str) -> tuple:
@@ -145,10 +138,6 @@ class EvalResult:
     @property
     def n_trials(self) -> int:
         return len(self.trials)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.trials
 
     def accuracy(self, condition: str | None = None, gender: str | None = None) -> float | None:
         """Percent correct over matching trials; None when none match."""

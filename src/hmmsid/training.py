@@ -177,42 +177,41 @@ def _emissions_from_spec(spec, n_states):
     return tuple(e for _ in range(n_states))
 
 
+def _uniform_init(mask, order: int, emission_spec):
+    """A chain over ``mask`` whose transition rows are uniform over the
+    allowed successors (for order 2, over the allowed triples too). The
+    initial distribution is e_0 for left-to-right masks and uniform for
+    ring masks; emissions come from ``emission_spec``."""
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    n = mask.n_states
+    if mask.kind == "ltr":
+        initial = np.zeros(n)
+        initial[0] = 1.0
+    else:
+        initial = np.full(n, 1.0 / n)
+    counts = mask.allowed1.sum(axis=1)
+    trans = [mask.allowed1 / counts[:, None], mask.allowed2 / counts[None, :, None]]
+    cls = Hmm1Model if order == 1 else Hmm2Model
+    return cls(mask, initial, *trans[:order], _emissions_from_spec(emission_spec, n))
+
+
 def init_circular1(n_states: int, emission_spec) -> Hmm1Model:
     """Uniform ring start: initial 1/N, 1/3 on each of the three ring
     neighbours, placeholder emissions (uniform 1/M for discrete)."""
-    mask = circular_topology(n_states)
-    trans = np.where(mask.allowed1, 1.0 / 3.0, 0.0)
-    initial = np.full(n_states, 1.0 / n_states)
-    return Hmm1Model(mask, initial, trans, _emissions_from_spec(emission_spec, n_states))
+    return _uniform_init(circular_topology(n_states), 1, emission_spec)
 
 
 def init_circular2(n_states: int, emission_spec) -> Hmm2Model:
     """Uniform ring start for the second-order chain: 1/3 on every allowed
     triple (and on every allowed pair for the first transition)."""
-    mask = circular_topology(n_states)
-    trans1 = np.where(mask.allowed1, 1.0 / 3.0, 0.0)
-    trans2 = np.where(mask.allowed2, 1.0 / 3.0, 0.0)
-    initial = np.full(n_states, 1.0 / n_states)
-    return Hmm2Model(
-        mask, initial, trans1, trans2, _emissions_from_spec(emission_spec, n_states)
-    )
+    return _uniform_init(circular_topology(n_states), 2, emission_spec)
 
 
 def init_ltr(n_states: int, skip_width: int, emission_spec, order: int = 1):
     """Left-to-right start: initial e_0, rows uniform over allowed
     successors (for order 2, uniform over allowed triples)."""
-    mask = ltr_topology(n_states, skip_width)
-    counts = mask.allowed1.sum(axis=1).astype(np.float64)
-    trans = mask.allowed1 / counts[:, None]
-    initial = np.zeros(n_states)
-    initial[0] = 1.0
-    ems = _emissions_from_spec(emission_spec, n_states)
-    if order == 1:
-        return Hmm1Model(mask, initial, trans, ems)
-    if order == 2:
-        trans2 = mask.allowed2 / counts[None, :, None]
-        return Hmm2Model(mask, initial, trans, trans2, ems)
-    raise ValueError("order must be 1 or 2")
+    return _uniform_init(ltr_topology(n_states, skip_width), order, emission_spec)
 
 
 def segmental_kmeans_init(
@@ -550,17 +549,12 @@ def train(variant: VariantSpec, obs_set, config: TrainConfig = TrainConfig()) ->
         emission_spec = ("discrete", variant.n_mixtures)
 
     if variant.topology == "circular":
-        if variant.order == 1:
-            model = init_circular1(variant.n_states, emission_spec)
-        else:
-            model = init_circular2(variant.n_states, emission_spec)
+        mask = circular_topology(variant.n_states)
     else:
-        model = init_ltr(variant.n_states, variant.skip_width, emission_spec, variant.order)
-
-    if variant.order == 1:
-        report = baum_welch1(model, obs_set, config)
-    else:
-        report = baum_welch2(model, obs_set, config)
+        mask = ltr_topology(variant.n_states, variant.skip_width)
+    model = _uniform_init(mask, variant.order, emission_spec)
+    baum_welch = baum_welch1 if variant.order == 1 else baum_welch2
+    report = baum_welch(model, obs_set, config)
 
     if config.symmetrize and variant.topology == "circular":
         report.model = symmetrize_ring_transitions(report.model)

@@ -437,3 +437,21 @@ class TestInspectCommand:
 
     def test_missing_file_is_exit_1(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.json")]) == 1
+
+
+class TestMalformedJsonInputs:
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"], ids=["not-json", "list"])
+    @pytest.mark.parametrize("argv", [
+        ["inspect", "{path}"],
+        ["evaluate", "--from-grids", "{path}", "--out", "{out}"],
+        ["synth", "--spec", "{path}", "--out", "{out}"],
+        ["train", "--manifest", "m.tsv", "--out", "{out}", "--config", "{path}"],
+    ], ids=["inspect", "from-grids", "spec", "config"])
+    def test_exit_1_with_one_error_line_naming_the_file(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        rc = main([arg.format(path=path, out=tmp_path / "out") for arg in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1

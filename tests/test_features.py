@@ -23,9 +23,7 @@ from hmmsid.features import (
     lpc_to_cepstrum,
     pre_emphasize,
     read_features,
-    read_features_text,
     write_features,
-    write_features_text,
 )
 
 
@@ -350,21 +348,21 @@ class TestFeatureCaches:
         with pytest.raises(ValueError, match="truncated"):
             read_features(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        fm = self._sample()
+        p = tmp_path / "u1.lpcf"
+        write_features(fm, p)
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes() + b"\x00" * 7)
+        with pytest.raises(ValueError, match=f"7 trailing bytes after the {size}-byte cache") as info:
+            read_features(p)
+        assert "truncated" not in str(info.value)
+
     def test_foreign_file_rejected(self, tmp_path):
         p = tmp_path / "x.lpcf"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             read_features(p)
-
-    def test_text_round_trip_exact(self, tmp_path):
-        fm = self._sample(cms=True)
-        p = tmp_path / "u1.lpcft"
-        write_features_text(fm, p)
-        back = read_features_text(p)
-        np.testing.assert_array_equal(back.frames, fm.frames)
-        assert back.meta.cms_applied
-        assert back.meta.config_hash == 12345
-        assert back.meta.degenerate_frames == (2,)
 
 
 class TestConfigDigest:

@@ -287,6 +287,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"broken\.json.*'trans'"):
             load_model(path)
 
+    @pytest.mark.parametrize("text, why", [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "does not hold a JSON object"),
+    ])
+    def test_malformed_file_names_file(self, tmp_path, text, why):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.json: {why}"):
+            load_model(path)
+
     @pytest.mark.parametrize("key", ["topology", "trans2", "variances"])
     def test_model_from_dict_names_missing_key(self, key):
         d = model_to_dict(make_random_model(np.random.default_rng(28), 2, "ltr", "gmm"))

@@ -98,8 +98,5 @@ class TestCustomTopology:
 
     def test_mask_always_induces_allowed2(self):
         base = ltr_topology(3)
-        bad2 = np.zeros_like(base.allowed2)
-        mask = TopologyMask(
-            n_states=3, allowed1=base.allowed1, allowed2=bad2, kind="ltr", skip_width=2
-        )
+        mask = TopologyMask(n_states=3, allowed1=base.allowed1, kind="ltr", skip_width=2)
         assert np.array_equal(mask.allowed2, base.allowed2)
