@@ -16,10 +16,12 @@
 #     tests/fixtures/reference_grids.json                          -> report/
 #   hmmsid inspect of every model file, with its exit status       -> inspect/
 #   every test trial's ranked scores, printed with repr            -> scores/
+#   scripts/sweep_identity.py of the working tree: library-level
+#     hashes over all 8 model configurations, GMM and discrete     -> sweep/
 #
-# and compares data/, models/, report/, inspect/, scores/ and the commands'
-# output with `diff -r`. Exits 0 when everything is identical, 1 when anything
-# differs.
+# and compares data/, models/, report/, inspect/, scores/, sweep/ and the
+# commands' output with `diff -r`. Exits 0 when everything is identical, 1 when
+# anything differs.
 set -euo pipefail
 
 rev=${1:?usage: scripts/identity_check.sh <rev> [workdir]}
@@ -70,6 +72,8 @@ for label in sorted(os.listdir("models")):
                     ident = registry.identify(row.word_id, label, fm, scoring=scoring)
                     out.write(f"{row.utterance_id} {ident.ranked!r}\n")
 PY
+    mkdir -p sweep
+    PYTHONPATH="$src" python3 "$repo/scripts/sweep_identity.py" > sweep/hashes.txt
     cd - > /dev/null
 }
 
@@ -77,7 +81,7 @@ run_pipeline "$work/base/tree" "$work/base/run"
 run_pipeline "$repo" "$work/head/run"
 
 status=0
-for part in data models report inspect scores log; do
+for part in data models report inspect scores sweep log; do
     if diff -r "$work/base/run/$part" "$work/head/run/$part" > "$work/diff-$part.txt"; then
         echo "identical: $part/ ($(find "$work/head/run/$part" -type f | wc -l) files)"
     else

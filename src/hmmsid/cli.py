@@ -287,6 +287,14 @@ def _load_model_store(models_dir: str) -> dict:
     return store
 
 
+def _is_grid_set(value, depth=3) -> bool:
+    """Whether ``value`` nests ``depth`` JSON objects (variant -> row ->
+    condition) over numbers."""
+    if depth == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, dict) and all(_is_grid_set(v, depth - 1) for v in value.values())
+
+
 def cmd_evaluate(args) -> int:
     cfg = build_config(args)
     cfg_hash = config_digest(cfg)
@@ -299,6 +307,8 @@ def cmd_evaluate(args) -> int:
             reference = args.reference or fixture["reference"]
         except KeyError as exc:
             raise CliError(f"fixtures file missing key: {exc}")
+        if not _is_grid_set(grids):
+            raise CliError(f"{args.from_grids}: grids must map variant -> row -> condition -> number")
         report = comparison_report(
             grids,
             reference=reference,
@@ -401,14 +411,8 @@ def cmd_inspect(args) -> int:
         f"format: {header.get('format')} v{header.get('format_version')}",
         f"order: {model.order}",
         f"topology: {model.mask.kind} (n_states={model.n_states})",
+        f"emissions: {model.emissions[0]}",
     ]
-    emission = model.emissions[0]
-    if hasattr(emission, "weights"):
-        lines.append(
-            f"emissions: gmm ({emission.weights.shape[0]} mixtures, {emission.means.shape[1]} dims)"
-        )
-    else:
-        lines.append(f"emissions: discrete ({emission.probs.shape[0]} symbols)")
     training = header.get("training")
     if training:
         for key in sorted(training):

@@ -22,6 +22,12 @@ def _where(frame, utterance=None) -> str:
     return where
 
 
+def _named(message, utterance=None) -> str:
+    """``message``, prefixed with "utterance U: " when the utterance is
+    named."""
+    return message if utterance is None else f"utterance {utterance!r}: {message}"
+
+
 class ImpossibleObservationError(ValueError):
     """Every reachable state has zero emission probability at some frame.
 

@@ -36,7 +36,7 @@ import json
 import os
 import struct
 import wave
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class FeatureMeta:
     cms_applied: bool = False
     config_hash: int = 0
     degenerate_frames: tuple = ()
-    config: FrontendConfig | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,6 @@ def extract_features(signal, config: FrontendConfig = FrontendConfig(), source: 
             cms_applied=False,
             config_hash=config.digest(),
             degenerate_frames=tuple(bad),
-            config=config,
         ),
     )
     if config.cms:

@@ -32,14 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImpossibleObservationError, _where
+from .errors import ImpossibleObservationError
 from .models import (
     _TRANSITION_FIELDS,
-    GmmEmission,
     Hmm1Model,
     Hmm2Model,
-    _component_log_densities,
-    _logsumexp,
     _ModelStack,
     _stack_key,
     custom_topology,
@@ -50,12 +47,10 @@ __all__ = [
     "StatePath",
     "log_emission_matrix",
     "forward1",
-    "backward1",
     "forward_backward1",
     "viterbi1",
     "likelihood_via_transition",
     "forward2",
-    "backward2",
     "forward_backward2",
     "viterbi2",
     "sequence_log_prob",
@@ -69,37 +64,12 @@ __all__ = [
 # emissions
 # ---------------------------------------------------------------------------
 
-def _frames_of(obs):
-    """Accept a FeatureMatrix-like object (has .frames) or a raw array."""
-    return obs.frames if hasattr(obs, "frames") else obs
-
-
-def _source_of(obs) -> str:
-    """The utterance name a FeatureMatrix carries ("" when it has none)."""
-    meta = getattr(obs, "meta", None)
-    return getattr(meta, "source", "") if meta is not None else ""
-
-
-def _reject_non_finite(x, utterance=None):
-    """Raise ValueError naming the first frame of ``x`` that holds a
-    non-finite value, and the utterance when one is given."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        frame = int(np.argwhere(~finite)[0][0])
-        raise ValueError(f"non-finite feature value at {_where(frame, utterance)}")
-
-
-def _symbols(x, utterance=None) -> np.ndarray:
-    """``x`` as int64 symbols. A float sequence qualifies only when every
-    value is an integer; the first that is not (NaN, inf, 1.5) raises
-    ValueError naming its frame, and the utterance when one is given."""
-    x = np.asarray(x)
-    if np.issubdtype(x.dtype, np.floating):
-        whole = np.isfinite(x) & (x == np.trunc(x))
-        if not whole.all():
-            at = tuple(np.argwhere(~whole)[0])
-            raise ValueError(f"non-integer symbol {x[at]} at {_where(at[0], utterance)}")
-    return x.astype(np.int64, copy=False)
+def _utterance(obs):
+    """(frames, name) of a FeatureMatrix (name None when its source is
+    empty) or of a raw array (name None)."""
+    if hasattr(obs, "frames"):
+        return obs.frames, obs.meta.source or None
+    return obs, None
 
 
 def log_emission_matrix(model, obs) -> np.ndarray:
@@ -117,42 +87,23 @@ def _emission_terms(stack, obs):
     """The checks and the arithmetic behind log_emission_matrix, for the
     S models of ``stack`` (a models._ModelStack) at once.
 
-    Returns (logb, comp, errors): the (T, S, N) log emission densities;
-    for GMM emissions the (T, S, N, M) component log-densities whose
-    log-sum-exp they are (None for discrete emissions), so the E-step can
-    reuse them; and, per model, the ValueError it raises for an infinite
-    density, else None. Such a model's densities are set to 0 so that it
-    stays quiet in the recursions. Checks of ``obs`` itself raise at once.
+    ``obs`` is converted and checked by the emission kind's observation
+    rule, and scored by its kernel in one call. Returns (logb, comp,
+    errors): the (T, S, N) log emission densities; the (T, S, N, M)
+    component log-densities whose log-sum-exp they are, when the kind has
+    components (None for symbol tables), so the E-step can reuse them; and,
+    per model, the ValueError it raises for an infinite density, else None.
+    Such a model's densities are set to 0 so that it stays quiet in the
+    recursions. Checks of ``obs`` itself raise at once.
     """
-    x = _frames_of(obs)
-    first = stack.emissions[0]
-    gmm = isinstance(first, GmmEmission)
-    if gmm:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError(
-                f"continuous observations must be (T, D), got shape {x.shape}"
-            )
-        _reject_non_finite(x, _source_of(obs) or None)
-    else:
-        x = np.asarray(x)
-        if x.ndim != 1:
-            raise ValueError("discrete observations must be a 1-D symbol sequence")
-        x = _symbols(x, _source_of(obs) or None)
+    x = stack.emission._observations(*_utterance(obs))
     if x.shape[0] == 0:
         raise ValueError("empty observation sequence")
+    logb, comp = stack.emission._kernel(x, *stack.emission_parameters)
     shape = (x.shape[0], stack.n_models, stack.n_states)
-    if gmm:
-        if x.shape[1] != first.n_dims:
-            raise ValueError(
-                f"frames have dimension {x.shape[1]}, emission has {first.n_dims}"
-            )
-        comp = _component_log_densities(x, *stack._gmm_parameters)
-        logb = _logsumexp(comp).reshape(shape)
+    logb = logb.reshape(shape)
+    if comp is not None:
         comp = comp.reshape(shape + comp.shape[-1:])
-    else:
-        comp = None
-        logb = np.stack([e.log_density(x) for e in stack.emissions], axis=1).reshape(shape)
     errors = [None] * stack.n_models
     infinite = np.isposinf(logb)
     if infinite.any():
@@ -220,10 +171,9 @@ class TrellisLattice:
     """Scaled forward (and optionally backward) tables for one utterance.
 
     order 1: alpha/beta are (T, N). order 2: alpha/beta are (T, N, N) pair
-    tables valid for slice index >= 1, and ``alpha_start`` holds the scaled
-    first-frame state vector. ``slice_log_norms[t]`` is the log of slice t's
-    normalizer in the unshifted domain (the log conditional probability of
-    frame t given the frames before it), so
+    tables valid for slice index >= 1. ``slice_log_norms[t]`` is the log of
+    slice t's normalizer in the unshifted domain (the log conditional
+    probability of frame t given the frames before it), so
     log_likelihood = sum(slice_log_norms); ``emission_shifts`` are the
     per-frame maxima the emissions were shifted by.
     """
@@ -233,7 +183,6 @@ class TrellisLattice:
     slice_log_norms: np.ndarray
     log_likelihood: float
     beta: np.ndarray | None = None
-    alpha_start: np.ndarray | None = None
     emission_shifts: np.ndarray = field(default=None, repr=False)
 
 
@@ -274,9 +223,8 @@ def _forward(stack, bsh, shifts, errors):
     """Scaled forward pass of every model of ``stack`` over the (T, S, N)
     shifted emissions ``bsh`` and their (T, S) ``shifts``.
 
-    Returns (alpha, start, log_norms): the (T, S, N...) tables, the (S, N)
-    first-frame vectors for order 2 (None for order 1) and the (S, T) slice
-    log normalizers. A model whose slice sums to 0 at frame t gets
+    Returns (alpha, log_norms): the (T, S, N...) tables and the (S, T)
+    slice log normalizers. A model whose slice sums to 0 at frame t gets
     ImpossibleObservationError(t) in ``errors``; its later values are NaN.
     """
     T, S, N = bsh.shape
@@ -284,7 +232,6 @@ def _forward(stack, bsh, shifts, errors):
     alpha = np.zeros((T, S) + (N,) * order)
     slices = alpha.reshape(T, S, -1, N)
     norms = np.empty((T, S, 1, 1))
-    start = None
     b = bsh[:, :, None, :]
     a = stack.initial[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -294,29 +241,21 @@ def _forward(stack, bsh, shifts, errors):
             u = a * b[t]
             # positional out= arguments: this loop runs once per frame
             s = np.add.reduce(u, (1, 2), None, norms[t], True)
-            if t or order == 1:
-                a = np.divide(u, s, slices[t])
-            else:
-                a = u / s
-                start = a[:, 0]
+            # order 2's first-frame vectors have no slot in the pair tables
+            a = np.divide(u, s, slices[t]) if t or order == 1 else u / s
         norms = norms.reshape(T, S).T.copy()
         log_norms = np.log(norms)
     log_norms += shifts.T
     for k, t in _first(norms <= 0.0):
         _fail(errors, k, ImpossibleObservationError(t))
-    return alpha, start, log_norms
+    return alpha, log_norms
 
 
-def _backward(model, bsh, shifts, forward: TrellisLattice) -> np.ndarray:
-    """Scaled backward table of one model from its (T, 1, N) shifted
-    emissions and (T, 1) shifts, sharing the normalizers of ``forward``."""
-    bsh, shifts = bsh[:, 0], shifts[:, 0]
+def _backward(model, bsh, shifts, slice_log_norms) -> np.ndarray:
+    """Scaled backward table of one model from its (T, N) shifted emissions
+    and (T,) shifts, sharing the forward pass's ``slice_log_norms``."""
     T, N = bsh.shape
-    if forward.slice_log_norms.shape[0] != T:
-        raise ValueError(
-            f"lattice has {forward.slice_log_norms.shape[0]} slices, observation has T = {T}"
-        )
-    norms = np.exp(forward.slice_log_norms - shifts)
+    norms = np.exp(slice_log_norms - shifts)
     order = model.order
     beta = np.zeros((T,) + (N,) * order)
     if T < order:
@@ -328,36 +267,28 @@ def _backward(model, bsh, shifts, forward: TrellisLattice) -> np.ndarray:
     return beta
 
 
-def _shifted(model, obs):
-    """One model's emission terms and max-shifted densities, stacked as S = 1
-    (see _emission_terms, _shifted_emissions); raises what the model fails
-    with before any recursion. Returns (logb, comp, bsh, shifts)."""
-    logb, comp, errors = _emission_terms(model._stack, obs)
-    bsh, shifts = _shifted_emissions(logb, errors)
-    _raise_first(errors)
-    return logb, comp, bsh, shifts
-
-
 def _forward_backward(model, obs, backward=True):
     """One model's forward lattice, with its backward table when
     ``backward``, from emissions shifted once. Returns (lattice, shifted
     emissions, log emission densities, component log-densities) -- the
-    last three (T, N, ...) as _emission_terms gives them for the model."""
-    logb, comp, bsh, shifts = _shifted(model, obs)
-    errors = [None]
-    alpha, start, log_norms = _forward(model._stack, bsh, shifts, errors)
+    last three (T, N, ...) as _emission_terms gives them for the model.
+    An emission failure is raised before the forward pass runs."""
+    logb, comp, errors = _emission_terms(model._stack, obs)
+    bsh, shifts = _shifted_emissions(logb, errors)
     _raise_first(errors)
+    alpha, log_norms = _forward(model._stack, bsh, shifts, errors)
+    _raise_first(errors)
+    bsh, shifts = bsh[:, 0], shifts[:, 0]
     lat = TrellisLattice(
         order=model.order,
         alpha=alpha[:, 0],
         slice_log_norms=log_norms[0],
         log_likelihood=float(log_norms[0].sum()),
-        alpha_start=None if start is None else start[0],
-        emission_shifts=shifts[:, 0],
+        emission_shifts=shifts,
     )
     if backward:
-        lat.beta = _backward(model, bsh, shifts, lat)
-    return lat, bsh[:, 0], logb[:, 0], None if comp is None else comp[:, 0]
+        lat.beta = _backward(model, bsh, shifts, lat.slice_log_norms)
+    return lat, bsh, logb[:, 0], None if comp is None else comp[:, 0]
 
 
 def _log(p):
@@ -450,7 +381,7 @@ def _stack_scores(stack, obs, scoring):
     fail raise."""
     logb, _, errors = _emission_terms(stack, obs)
     if scoring == "forward":
-        log_norms = _forward(stack, *_shifted_emissions(logb, errors), errors)[2]
+        log_norms = _forward(stack, *_shifted_emissions(logb, errors), errors)[1]
         return log_norms.sum(axis=1).tolist(), errors
     return _viterbi(stack, logb, errors)[1].tolist(), errors
 
@@ -464,16 +395,6 @@ def forward1(model: Hmm1Model, obs) -> TrellisLattice:
     0..t and the state at t; log_likelihood is exact (computed from the
     per-slice normalizers in the log domain)."""
     return _forward_backward(model, obs, backward=False)[0]
-
-
-def backward1(model: Hmm1Model, obs, forward: TrellisLattice) -> np.ndarray:
-    """Scaled backward pass sharing the normalizers of ``forward`` (the
-    TrellisLattice from forward1). The terminal slice is 1 for
-    left-to-right models and 1/N for circular models; reestimation ratios
-    are invariant to that constant. Returns the (T, N) scaled backward
-    table.
-    """
-    return _backward(model, *_shifted(model, obs)[2:], forward)
 
 
 def forward_backward1(model: Hmm1Model, obs) -> TrellisLattice:
@@ -527,21 +448,10 @@ def forward2(model: Hmm2Model, obs) -> TrellisLattice:
     """Scaled forward pass over state pairs.
 
     alpha[t] (t >= 1) is the normalized joint of frames 0..t and the pair
-    (state at t-1, state at t); alpha_start is the scaled first-frame state
-    vector. A single-frame utterance degenerates to the initial/emission
-    product.
+    (state at t-1, state at t). A single-frame utterance degenerates to the
+    initial/emission product.
     """
     return _forward_backward(model, obs, backward=False)[0]
-
-
-def backward2(model: Hmm2Model, obs, forward: TrellisLattice) -> np.ndarray:
-    """Scaled pair-state backward table sharing forward2's normalizers.
-
-    beta[t] (t >= 1) conditions on the pair (state at t-1, state at t);
-    slice 0 is unused and left at zero. Terminal value 1 (left-to-right)
-    or 1/N (circular), as for backward1.
-    """
-    return _backward(model, *_shifted(model, obs)[2:], forward)
 
 
 def forward_backward2(model: Hmm2Model, obs) -> TrellisLattice:
@@ -608,8 +518,7 @@ def embed_pair_states(model: Hmm2Model, obs):
     computational device, not a modeling topology. Returns
     (embedded_model, obs_tail).
     """
-    x = _frames_of(obs)
-    x = np.asarray(x)
+    x = np.asarray(_utterance(obs)[0])
     if x.shape[0] < 2:
         raise ValueError("pair-state embedding needs at least 2 frames")
     N = model.n_states

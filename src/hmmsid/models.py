@@ -7,7 +7,12 @@ file header records this). A first-order model is (initial, trans, emissions)
 with ``trans[i, j] = P(state j at t | state i at t-1)``. A second-order model
 adds ``trans2[i, j, k] = P(state k at t | state j at t-1, state i at t-2)``;
 its ``trans1`` matrix drives the single transition out of the first frame.
-Emission densities depend on the current state only.
+Emission densities depend on the current state only. An emission kind
+(GmmEmission, DiscreteEmission) is a frozen dataclass whose fields are its
+per-state parameters, and it owns the rest of what the engine needs: its
+``kind`` name in model files, the observation rule that converts and checks
+one utterance, and one kernel that scores an utterance under K states whose
+parameters are stacked field by field.
 
 Two modeling topologies are supported:
 
@@ -26,11 +31,12 @@ Models are immutable values: construct a new one instead of mutating.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
+from .errors import _named, _where
 from .fileio import atomic_write, read_json_object
 
 __all__ = [
@@ -148,6 +154,8 @@ class GmmEmission:
     means: np.ndarray
     variances: np.ndarray
 
+    kind = "gmm"
+
     def __post_init__(self):
         w = _as_float_array(self.weights, "weights", 1)
         mu = _as_float_array(self.means, "means", 2)
@@ -161,6 +169,14 @@ class GmmEmission:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", v)
 
+    def __str__(self) -> str:
+        return f"{self.kind} ({self.n_components} mixtures, {self.n_dims} dims)"
+
+    @classmethod
+    def _placeholder(cls, m, d):
+        """M equal weights, zero means and unit variances in D dimensions."""
+        return cls(np.full(m, 1.0 / m), np.zeros((m, d)), np.ones((m, d)))
+
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
@@ -173,11 +189,7 @@ class GmmEmission:
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim == 1:
             frames = frames[None, :]
-        if frames.shape[1] != self.n_dims:
-            raise ValueError(
-                f"frames have dimension {frames.shape[1]}, emission has {self.n_dims}"
-            )
-        return _logsumexp(self.component_log_density(frames))
+        return self._kernel(frames, self.weights[None], self.means[None], self.variances[None])[0][:, 0]
 
     def component_log_density(self, frames) -> np.ndarray:
         """(T, M) matrix of log(weights[m]) + log N(x; means[m], variances[m])."""
@@ -185,6 +197,33 @@ class GmmEmission:
         return _component_log_densities(
             frames, self.weights[None], self.means[None], self.variances[None]
         )[:, 0]
+
+    @staticmethod
+    def _observations(x, utterance=None) -> np.ndarray:
+        """``x`` as a (T, D) float64 matrix. A non-finite value raises
+        ValueError naming its frame, and the utterance when one is given."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(_named(
+                f"continuous observations must be (T, D), got shape {x.shape}", utterance
+            ))
+        finite = np.isfinite(x)
+        if not finite.all():
+            frame = int(np.argwhere(~finite)[0][0])
+            raise ValueError(f"non-finite feature value at {_where(frame, utterance)}")
+        return x
+
+    @staticmethod
+    def _kernel(x, weights, means, variances):
+        """(T, K) log-densities of the (T, D) frames ``x`` under K states
+        with (K, M) weights and (K, M, D) means and variances, and the
+        (T, K, M) component log-densities whose log-sum-exp they are."""
+        if x.shape[1] != means.shape[2]:
+            raise ValueError(
+                f"frames have dimension {x.shape[1]}, emission has {means.shape[2]}"
+            )
+        comp = _component_log_densities(x, weights, means, variances)
+        return _logsumexp(comp), comp
 
 
 def _component_log_densities(frames, weights, means, variances) -> np.ndarray:
@@ -230,9 +269,19 @@ class DiscreteEmission:
 
     probs: np.ndarray
 
+    kind = "discrete"
+
     def __post_init__(self):
         p = _as_float_array(self.probs, "probs", 1)
         object.__setattr__(self, "probs", p)
+
+    def __str__(self) -> str:
+        return f"{self.kind} ({self.n_symbols} symbols)"
+
+    @classmethod
+    def _placeholder(cls, n_symbols):
+        """Equal probabilities."""
+        return cls(np.full(n_symbols, 1.0 / n_symbols))
 
     @property
     def n_symbols(self) -> int:
@@ -244,29 +293,54 @@ class DiscreteEmission:
             raise ValueError("symbol sequence must be 1-dimensional")
         if not np.issubdtype(sym.dtype, np.integer):
             raise ValueError("discrete emissions need integer symbols")
-        if sym.size and (sym.min() < 0 or sym.max() >= self.n_symbols):
+        return self._kernel(sym, self.probs[None])[0][:, 0]
+
+    @staticmethod
+    def _observations(x, utterance=None) -> np.ndarray:
+        """``x`` as int64 symbols. A float sequence qualifies only when every
+        value is an integer; the first that is not (NaN, inf, 1.5) raises
+        ValueError naming its frame, and the utterance when one is given."""
+        x = np.asarray(x)
+        if x.ndim != 1:
             raise ValueError(
-                f"symbol out of range [0, {self.n_symbols}): "
-                f"min {sym.min()}, max {sym.max()}"
+                _named("discrete observations must be a 1-D symbol sequence", utterance)
             )
+        if np.issubdtype(x.dtype, np.floating):
+            whole = np.isfinite(x) & (x == np.trunc(x))
+            if not whole.all():
+                at = int(np.argwhere(~whole)[0][0])
+                raise ValueError(f"non-integer symbol {x[at]} at {_where(at, utterance)}")
+        return x.astype(np.int64, copy=False)
+
+    @staticmethod
+    def _kernel(x, probs):
+        """(T, K) log-probabilities of the symbols ``x`` under the (K, M)
+        tables ``probs``; a symbol table has no components (None)."""
+        m = probs.shape[1]
+        if x.size and (x.min() < 0 or x.max() >= m):
+            raise ValueError(f"symbol out of range [0, {m}): min {x.min()}, max {x.max()}")
         with np.errstate(divide="ignore"):
-            return np.log(self.probs[sym])
+            return np.log(probs.T[x]), None
+
+
+# The emission kinds by name (a model file's "emission_type").
+_EMISSION_KINDS = {kind.kind: kind for kind in (GmmEmission, DiscreteEmission)}
+
+
+def _parameter_names(emission) -> tuple:
+    """The parameter fields of an emission kind (its dataclass fields)."""
+    return tuple(f.name for f in fields(emission))
 
 
 def _check_emissions(emissions, n_states):
     ems = tuple(emissions)
     if len(ems) != n_states:
         raise ValueError(f"need {n_states} emissions, got {len(ems)}")
-    first = ems[0]
-    for e in ems:
-        if type(e) is not type(first):
-            raise ValueError("all states must share one emission type")
-        if isinstance(e, GmmEmission):
-            if (e.n_components, e.n_dims) != (first.n_components, first.n_dims):
-                raise ValueError("all GMM emissions must share (M, D)")
-        else:
-            if e.n_symbols != first.n_symbols:
-                raise ValueError("all discrete emissions must share alphabet size")
+    if len({type(e) for e in ems}) > 1:
+        raise ValueError("all states must share one emission type")
+    shapes = {tuple(getattr(e, name).shape for name in _parameter_names(e)) for e in ems}
+    if len(shapes) > 1:
+        raise ValueError(f"all {ems[0].kind} emissions must share their parameter shapes")
     return ems
 
 
@@ -296,12 +370,13 @@ class _Chain:
         return self.mask.n_states
 
     @cached_property
-    def _gmm_parameters(self):
-        """Stacked (N, M) weights and (N, M, D) means and variances of the
-        GMM emissions, built on first use and kept (models are immutable)."""
+    def _emission_parameters(self):
+        """The emissions' parameter fields, each stacked over states: (N, M)
+        weights and (N, M, D) means and variances, or (N, M) probs. Built
+        on first use and kept (models are immutable)."""
         return tuple(
             np.stack([getattr(e, name) for e in self.emissions])
-            for name in ("weights", "means", "variances")
+            for name in _parameter_names(self.emissions[0])
         )
 
     @cached_property
@@ -311,32 +386,27 @@ class _Chain:
 
 
 def _stack_key(model):
-    """What models must share to be stacked: order, state count and the
-    emission kind and shape."""
-    e = model.emissions[0]
-    shape = (e.n_components, e.n_dims) if isinstance(e, GmmEmission) else (e.n_symbols,)
-    return model.order, model.n_states, type(e), shape
+    """What models must share to be stacked: the order, the emission kind
+    and the shapes of its stacked parameters (which hold the state count)."""
+    return model.order, type(model.emissions[0]), tuple(p.shape for p in model._emission_parameters)
 
 
 class _ModelStack:
     """S models with one _stack_key, their parameters stacked along a
     leading model axis: ``initial`` (S, N), each transition array of
-    _TRANSITION_FIELDS (S, N, ...), and ``emissions``, the S·N state
-    emissions model by model. For GMM emissions ``_gmm_parameters`` are
-    the (S·N, M) weights and (S·N, M, D) means and variances."""
+    _TRANSITION_FIELDS (S, N, ...), and ``emission_parameters``, each field
+    of the emission kind ``emission`` stacked over the S·N states model by
+    model ((S·N, M) weights, ...)."""
 
     def __init__(self, models):
         first = models[0]
         self.order = first.order
         self.n_states = first.n_states
         self.n_models = len(models)
-        self.emissions = tuple(e for m in models for e in m.emissions)
+        self.emission = type(first.emissions[0])
         for name in ("initial",) + _TRANSITION_FIELDS[self.order]:
             setattr(self, name, _stacked([getattr(m, name)[None] for m in models]))
-        if isinstance(first.emissions[0], GmmEmission):
-            self._gmm_parameters = tuple(
-                map(_stacked, zip(*(m._gmm_parameters for m in models)))
-            )
+        self.emission_parameters = tuple(map(_stacked, zip(*(m._emission_parameters for m in models))))
 
 
 def _stacked(arrays):
@@ -524,28 +594,18 @@ def _topology_from_dict(d: dict) -> TopologyMask:
 
 
 def model_to_dict(model, training: dict | None = None) -> dict:
-    ems = []
-    if isinstance(model.emissions[0], GmmEmission):
-        etype = "gmm"
-        for e in model.emissions:
-            ems.append({
-                "weights": e.weights.tolist(),
-                "means": e.means.tolist(),
-                "variances": e.variances.tolist(),
-            })
-    else:
-        etype = "discrete"
-        for e in model.emissions:
-            ems.append({"probs": e.probs.tolist()})
     d = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
         "state_indexing": "0-based",
         "order": model.order,
         "topology": _topology_to_dict(model.mask),
-        "emission_type": etype,
+        "emission_type": model.emissions[0].kind,
         "initial": model.initial.tolist(),
-        "emissions": ems,
+        "emissions": [
+            {name: getattr(e, name).tolist() for name in _parameter_names(e)}
+            for e in model.emissions
+        ],
         "training": training,
     }
     for name in _TRANSITION_FIELDS[model.order]:
@@ -553,22 +613,30 @@ def model_to_dict(model, training: dict | None = None) -> dict:
     return d
 
 
+def _json_object(value, what) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    return value
+
+
 def model_from_dict(d: dict):
-    """Rebuild a model from model_to_dict's layout. A missing key raises
-    ValueError naming the key."""
+    """Rebuild a model from model_to_dict's layout. A missing key, an
+    unknown kind or a value of the wrong JSON type raises ValueError."""
     if d.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} file")
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {d.get('format_version')!r}")
+    if d.get("training") is not None:
+        _json_object(d["training"], "training")
     try:
-        mask = _topology_from_dict(d["topology"])
-        if d["emission_type"] == "gmm":
-            ems = tuple(
-                GmmEmission(e["weights"], e["means"], e["variances"])
-                for e in d["emissions"]
-            )
-        else:
-            ems = tuple(DiscreteEmission(e["probs"]) for e in d["emissions"])
+        mask = _topology_from_dict(_json_object(d["topology"], "topology"))
+        kind = _EMISSION_KINDS.get(d["emission_type"])
+        if kind is None:
+            raise ValueError(f"unknown emission_type {d['emission_type']!r}")
+        ems = tuple(
+            kind(*(_json_object(e, f"emissions[{s}]")[name] for name in _parameter_names(kind)))
+            for s, e in enumerate(d["emissions"])
+        )
         order = d["order"]
         if order not in (1, 2):
             raise ValueError(f"unsupported order {order!r}")
@@ -577,6 +645,8 @@ def model_from_dict(d: dict):
         return cls(mask, d["initial"], *trans, ems)
     except KeyError as exc:
         raise ValueError(f"model has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise ValueError(f"a value has the wrong JSON type: {exc}") from None
 
 
 def save_model(model, path, training: dict | None = None) -> None:

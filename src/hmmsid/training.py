@@ -31,8 +31,9 @@ import numpy as np
 from scipy.cluster.vq import kmeans2
 
 from .errors import ImpossibleObservationError, UtteranceTooShortError
-from .inference import _forward_backward, _frames_of, _reject_non_finite, _source_of, _symbols
+from .inference import _forward_backward, _utterance
 from .models import (
+    _EMISSION_KINDS,
     DiscreteEmission,
     GmmEmission,
     Hmm1Model,
@@ -140,7 +141,7 @@ class VariantSpec:
             raise ValueError("order must be 1 or 2")
         if self.topology not in ("ltr", "circular"):
             raise ValueError("topology must be 'ltr' or 'circular'")
-        if self.emission not in ("gmm", "discrete"):
+        if self.emission not in _EMISSION_KINDS:
             raise ValueError("emission must be 'gmm' or 'discrete'")
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
@@ -163,18 +164,12 @@ class VariantSpec:
 def _emissions_from_spec(spec, n_states):
     """Accept a prepared emission list or a ("gmm", M, D) / ("discrete", M)
     placeholder spec and return a length-n_states tuple."""
-    if len(spec) and isinstance(spec[0], (GmmEmission, DiscreteEmission)):
+    if len(spec) and isinstance(spec[0], tuple(_EMISSION_KINDS.values())):
         return tuple(spec)
-    kind = spec[0]
-    if kind == "gmm":
-        _, m, d = spec
-        e = GmmEmission(np.full(m, 1.0 / m), np.zeros((m, d)), np.ones((m, d)))
-    elif kind == "discrete":
-        _, m = spec
-        e = DiscreteEmission(np.full(m, 1.0 / m))
-    else:
-        raise ValueError(f"unknown emission spec kind {kind!r}")
-    return tuple(e for _ in range(n_states))
+    kind = _EMISSION_KINDS.get(spec[0])
+    if kind is None:
+        raise ValueError(f"unknown emission spec kind {spec[0]!r}")
+    return (kind._placeholder(*spec[1:]),) * n_states
 
 
 def _uniform_init(mask, order: int, emission_spec):
@@ -231,10 +226,8 @@ def segmental_kmeans_init(
     cluster sizes, variances are per-dimension cluster variances; both are
     floored. Returns a list of GmmEmission, one per state.
     """
-    obs_list = _prepared(obs_set)
+    obs_list = _prepared(obs_set, GmmEmission)
     for x, name in obs_list:
-        if x.ndim != 2:
-            raise ValueError(f"utterance {name!r} is not a (T, D) matrix")
         if x.shape[0] < n_states:
             raise UtteranceTooShortError(x.shape[0], n_states, utterance=name)
     frames_list = [x for x, _ in obs_list]
@@ -268,12 +261,10 @@ def segmental_kmeans_init(
                 warnings.simplefilter("ignore")
                 centers, labels = kmeans2(data, m, iter=20, minit="++", seed=rng)
             counts = np.bincount(labels, minlength=m).astype(np.float64)
-        weights = counts / counts.sum()
-        weights = np.maximum(weights, weight_floor)
-        weights = weights / weights.sum()
+        weights = _floored(counts, weight_floor)
         variances = np.empty((m, n_dims))
         for c in range(m):
-            members = data[labels == c] if data.shape[0] >= 1 else data
+            members = data[labels == c]
             if members.shape[0] >= 1:
                 variances[c] = members.var(axis=0)
             else:
@@ -286,6 +277,13 @@ def segmental_kmeans_init(
 # ---------------------------------------------------------------------------
 # shared reestimation pieces
 # ---------------------------------------------------------------------------
+
+def _floored(counts, floor):
+    """``counts`` normalized to sum to 1, floored at ``floor`` and
+    renormalized."""
+    p = np.maximum(counts / counts.sum(), floor)
+    return p / p.sum()
+
 
 def _reestimate(old, counts, allowed, floor):
     """Transition update: rows (all axes but the last) that received
@@ -300,20 +298,17 @@ def _reestimate(old, counts, allowed, floor):
 
 
 class _EmissionStats:
-    """Sufficient statistics for the emission update, shared by both orders."""
+    """Sufficient statistics for the emission update, shared by both orders:
+    ``r`` holds the (N, M) posterior mass per state and mixture component,
+    or per state and symbol; a GMM also sums first and second moments."""
 
     def __init__(self, model):
         self.discrete = isinstance(model.emissions[0], DiscreteEmission)
-        n = model.n_states
-        if self.discrete:
-            m = model.emissions[0].n_symbols
-            self.counts = np.zeros((n, m))
-        else:
-            m = model.emissions[0].n_components
-            d = model.emissions[0].n_dims
-            self.r = np.zeros((n, m))
-            self.s1 = np.zeros((n, m, d))
-            self.s2 = np.zeros((n, m, d))
+        stacked = model._emission_parameters
+        self.r = np.zeros(stacked[0].shape)
+        if not self.discrete:
+            self.s1 = np.zeros(stacked[1].shape)
+            self.s2 = np.zeros(stacked[1].shape)
 
     def accumulate(self, x, gamma, logb, comp):
         """Add one utterance's statistics from its state posteriors ``gamma``
@@ -321,9 +316,9 @@ class _EmissionStats:
         (T, N) log-densities ``logb`` and (T, N, M) component log-densities
         ``comp``."""
         if self.discrete:
-            m = self.counts.shape[1]
+            m = self.r.shape[1]
             for i in range(gamma.shape[1]):
-                self.counts[i] += np.bincount(x, weights=gamma[:, i], minlength=m)
+                self.r[i] += np.bincount(x, weights=gamma[:, i], minlength=m)
             return
         ratio = np.zeros_like(comp)
         alive = np.isfinite(logb)
@@ -336,26 +331,18 @@ class _EmissionStats:
             self.s2[i] += resp.T @ xx
 
     def updated_emissions(self, model, config, floor_d):
-        if self.discrete:
-            out = []
-            for i, e in enumerate(model.emissions):
-                total = self.counts[i].sum()
-                if total <= 0.0:
-                    out.append(e)
-                    continue
-                p = self.counts[i] / total
-                p = np.maximum(p, config.mixture_weight_floor)
-                out.append(DiscreteEmission(p / p.sum()))
-            return tuple(out)
+        """The floored, renormalized mass becomes the symbol table or the
+        mixture weights; a state that received none keeps its emission."""
         out = []
         for i, e in enumerate(model.emissions):
             r = self.r[i]
-            total = r.sum()
-            if total <= 0.0:
+            if r.sum() <= 0.0:
                 out.append(e)
                 continue
-            weights = np.maximum(r / total, config.mixture_weight_floor)
-            weights = weights / weights.sum()
+            weights = _floored(r, config.mixture_weight_floor)
+            if self.discrete:
+                out.append(DiscreteEmission(weights))
+                continue
             means = e.means.copy()
             variances = e.variances.copy()
             active = r > 1e-300
@@ -380,32 +367,27 @@ class _PreparedObs(list):
     """What _prepare_obs returns: utterances already converted and checked."""
 
 
-def _prepare_obs(obs_set, discrete=False):
+def _prepare_obs(obs_set, kind):
     """(frames, name) per utterance, where name is the FeatureMatrix source,
-    else the utterance's index. A non-finite continuous frame, or a symbol
-    that is not an integer, raises ValueError naming the utterance and the
-    frame (the symbol check is the one scoring applies)."""
+    else the utterance's index, and the frames are converted and checked by
+    the emission ``kind``'s observation rule (the one scoring applies), so
+    its errors name the utterance."""
     out = _PreparedObs()
     for u, o in enumerate(obs_set):
-        x = np.asarray(_frames_of(o))
-        name = _source_of(o) or u
-        if discrete:
-            x = _symbols(x, name)
-        else:
-            x = x.astype(np.float64)
-            _reject_non_finite(x, name)
-        out.append((x, name))
+        frames, name = _utterance(o)
+        name = u if name is None else name
+        out.append((kind._observations(frames, name), name))
     if not out:
         raise ValueError("obs_set is empty")
     return out
 
 
-def _prepared(obs_set, discrete=False):
-    """_prepare_obs(obs_set, discrete), unless obs_set is already its result
+def _prepared(obs_set, kind):
+    """_prepare_obs(obs_set, kind), unless obs_set is already its result
     (train prepares once for k-means initialization and Baum-Welch)."""
     if isinstance(obs_set, _PreparedObs):
         return obs_set
-    return _prepare_obs(obs_set, discrete)
+    return _prepare_obs(obs_set, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +467,13 @@ def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
 
 
 def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:
-    discrete = isinstance(model.emissions[0], DiscreteEmission)
-    obs_list = _prepared(obs_set, discrete)
+    kind = type(model.emissions[0])
+    obs_list = _prepared(obs_set, kind)
     for x, name in obs_list:
         if x.shape[0] < min_frames:
             raise UtteranceTooShortError(x.shape[0], min_frames, utterance=name)
     floor_d = None
-    if not discrete:
+    if kind is GmmEmission:
         floor_d = _variance_floor([x for x, _ in obs_list], config.variance_floor)[0]
     lls = []
     converged = False
@@ -535,8 +517,9 @@ def train(variant: VariantSpec, obs_set, config: TrainConfig = TrainConfig()) ->
     final model are projected toward symmetry (the recorded likelihoods
     refer to the unprojected parameters).
     """
-    obs_set = _prepare_obs(obs_set, variant.emission == "discrete")
-    if variant.emission == "gmm":
+    kind = _EMISSION_KINDS[variant.emission]
+    obs_set = _prepare_obs(obs_set, kind)
+    if kind is GmmEmission:
         emission_spec = segmental_kmeans_init(
             obs_set,
             variant.n_states,
@@ -546,7 +529,7 @@ def train(variant: VariantSpec, obs_set, config: TrainConfig = TrainConfig()) ->
             weight_floor=config.mixture_weight_floor,
         )
     else:
-        emission_spec = ("discrete", variant.n_mixtures)
+        emission_spec = (variant.emission, variant.n_mixtures)
 
     if variant.topology == "circular":
         mask = circular_topology(variant.n_states)

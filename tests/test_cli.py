@@ -455,3 +455,38 @@ class TestMalformedJsonInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, text", [
+        (["inspect", "{path}"],
+         '{"format": "hmmsid-model", "format_version": 1, "topology": [1], "emission_type": "gmm"}'),
+        (["inspect", "{path}"],
+         '{"format": "hmmsid-model", "format_version": 1, "emission_type": "gmm", "emissions": [[1]],'
+         ' "topology": {"kind": "ltr", "n_states": 1, "skip_width": 1}}'),
+        (["evaluate", "--from-grids", "{path}", "--out", "{out}"],
+         '{"grids": {"a": 1, "b": 2}, "reference": "a"}'),
+        (["evaluate", "--from-grids", "{path}", "--out", "{out}"],
+         '{"grids": {"a": {"average": {"neutral": "90"}}, "b": {}}, "reference": "a"}'),
+    ], ids=["inspect-topology", "inspect-emission", "from-grids-entry", "from-grids-cell"])
+    def test_wrong_json_types_exit_1_naming_the_file(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        rc = main([arg.format(path=path, out=tmp_path / "out") for arg in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
+    def test_store_training_metadata_must_be_an_object(self, corpus_dir, trained_store,
+                                                       tmp_path, capsys):
+        model = sorted((trained_store / "ltr1").glob("*.json"))[0]
+        header = json.loads(model.read_text())
+        header["training"] = [1, 2]
+        bad = tmp_path / "store" / "ltr1" / model.name
+        bad.parent.mkdir(parents=True)
+        bad.write_text(json.dumps(header))
+        rc = main([
+            "evaluate", "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--models", str(tmp_path / "store"), "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: training is not a JSON object\n"

@@ -7,7 +7,6 @@ from conftest import make_obs, make_random_model
 from hmmsid.errors import ImpossibleObservationError
 from hmmsid.features import FeatureMatrix
 from hmmsid.inference import (
-    backward1,
     forward1,
     forward_backward1,
     likelihood_via_transition,

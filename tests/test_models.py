@@ -129,6 +129,27 @@ class TestEmissionKernel:
             for i, e in enumerate(model.emissions):
                 assert np.array_equal(e.log_density(x), want[:, i])
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_discrete_log_emission_matrix_matches_per_state_formula(self, order):
+        """The discrete input of the check above: the stacked symbol-table
+        kernel against each state's own table lookup, with a zero-probability
+        symbol and integral float symbols."""
+        rng = np.random.default_rng(48 + order)
+        for _ in range(10):
+            model = make_random_model(rng, order, "circular", "discrete")
+            p = model.emissions[0].probs.copy()
+            p[1] = 0.0
+            model = replace(model, emissions=(DiscreteEmission(p / p.sum()),) + model.emissions[1:])
+            x = make_obs(rng, "discrete", int(rng.integers(1, 30)))
+            x[0] = 1
+            with np.errstate(divide="ignore"):
+                want = np.stack([np.log(e.probs[x]) for e in model.emissions], axis=1)
+            assert np.isneginf(want[0, 0])
+            assert np.array_equal(log_emission_matrix(model, x), want)
+            assert np.array_equal(log_emission_matrix(model, x.astype(np.float64)), want)
+            for i, e in enumerate(model.emissions):
+                assert np.array_equal(e.log_density(x), want[:, i])
+
     def test_dimension_mismatch_is_reported(self):
         model = make_random_model(np.random.default_rng(45), 1, "ltr", "gmm", n_dims=3)
         with pytest.raises(ValueError, match=r"^frames have dimension 2, emission has 3$"):
@@ -239,6 +260,10 @@ class TestShapeChecks:
             Hmm1Model(model.mask, model.initial, model.trans, mixed)
 
 
+# A one-state left-to-right topology entry of a model file.
+_LTR1 = '{"kind": "ltr", "n_states": 1, "skip_width": 1}'
+
+
 class TestSerialization:
     @pytest.mark.parametrize("order,topology,emission", ALL_CONFIGS)
     def test_round_trip_is_exact(self, tmp_path, order, topology, emission):
@@ -290,6 +315,20 @@ class TestSerialization:
     @pytest.mark.parametrize("text, why", [
         ("{not json", "not valid JSON"),
         ("[1, 2]", "does not hold a JSON object"),
+        ('{"format": "hmmsid-model", "format_version": 1, "topology": [1], "emission_type": "gmm"}',
+         "topology is not a JSON object"),
+        ('{"format": "hmmsid-model", "format_version": 1, "topology": ' + _LTR1
+         + ', "emission_type": "gmm", "emissions": [[0.5, 0.5]]}',
+         r"emissions\[0\] is not a JSON object"),
+        ('{"format": "hmmsid-model", "format_version": 1, "training": [1, 2]}',
+         "training is not a JSON object"),
+        ('{"format": "hmmsid-model", "format_version": 1, "topology": ' + _LTR1
+         + ', "emission_type": "gmmx", "emissions": [{"weights": [1.0]}]}',
+         "unknown emission_type 'gmmx'"),
+        ('{"format": "hmmsid-model", "format_version": 1, "topology": ' + _LTR1
+         + ', "emission_type": "discrete", "emissions": [{"probs": [1.0]}],'
+         ' "order": 1, "initial": {"a": 1}, "trans": [[1.0]]}',
+         "a value has the wrong JSON type"),
     ])
     def test_malformed_file_names_file(self, tmp_path, text, why):
         path = tmp_path / "bad.json"

@@ -395,6 +395,24 @@ class TestNonFiniteInput:
             segmental_kmeans_init(obs_set, 3, 1)
 
 
+class TestObservationRule:
+    """train checks every utterance with the emission kind's observation
+    rule, whose errors name the utterance."""
+
+    def test_continuous_utterance_that_is_not_a_matrix(self):
+        rng = np.random.default_rng(393)
+        obs_set = [make_obs(rng, "gmm", 12), make_obs(rng, "gmm", 12)[:, 0]]
+        with pytest.raises(ValueError, match=r"^utterance 1: continuous observations "
+                                             r"must be \(T, D\), got shape \(12,\)$"):
+            train(VariantSpec(n_states=3, n_mixtures=1), obs_set)
+
+    def test_named_symbol_utterance_that_is_not_a_sequence(self):
+        obs_set = [FeatureMatrix(np.zeros((6, 2)), FeatureMeta(source="u0"))]
+        with pytest.raises(ValueError, match=r"^utterance 'u0': discrete observations "
+                                             r"must be a 1-D symbol sequence$"):
+            train(VariantSpec(n_states=3, n_mixtures=4, emission="discrete"), obs_set)
+
+
 class TestDiscreteSymbols:
     """Float symbol sequences are accepted only when every value is an
     integer; anything else is named by utterance and frame."""
