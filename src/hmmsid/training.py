@@ -111,14 +111,13 @@ class TrainReport:
         return self.log_likelihoods[-1]
 
     def training_metadata(self, **extra) -> dict:
-        meta = {
+        return {
             "iterations": self.iterations_run,
             "final_log_likelihood": self.final_log_likelihood,
             "converged": self.converged,
             "n_utterances": self.n_utterances,
+            **extra,
         }
-        meta.update(extra)
-        return meta
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,10 @@ def _emissions_from_spec(spec, n_states):
     kind = _EMISSION_KINDS.get(spec[0])
     if kind is None:
         raise ValueError(f"unknown emission spec kind {spec[0]!r}")
-    return (kind._placeholder(*spec[1:]),) * n_states
+    try:
+        return (kind._placeholder(*spec[1:]),) * n_states
+    except TypeError as err:
+        raise ValueError(f"bad emission spec {spec!r}") from err
 
 
 def _uniform_init(mask, order: int, emission_spec):
@@ -385,9 +387,7 @@ def _prepare_obs(obs_set, kind):
 def _prepared(obs_set, kind):
     """_prepare_obs(obs_set, kind), unless obs_set is already its result
     (train prepares once for k-means initialization and Baum-Welch)."""
-    if isinstance(obs_set, _PreparedObs):
-        return obs_set
-    return _prepare_obs(obs_set, kind)
+    return obs_set if isinstance(obs_set, _PreparedObs) else _prepare_obs(obs_set, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +457,10 @@ def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
         name: _reestimate(old, c, allowed, config.transition_floor)
         for (name, old, allowed), c in zip(_transitions(model), counts)
     }
+    initial = model.initial
     if model.mask.kind == "circular":
         initial = first_sum / n_utt
         initial = initial / initial.sum()
-    else:
-        initial = model.initial
     emissions = emstats.updated_emissions(model, config, floor_d)
     return replace(model, initial=initial, emissions=emissions, **updates)
 

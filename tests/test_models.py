@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 import oracles
-from conftest import ALL_CONFIGS, make_obs, make_random_model
+from conftest import ALL_CONFIGS, N_SYMBOLS, make_obs, make_random_model
 
 from hmmsid.inference import log_emission_matrix
 from hmmsid.models import (
@@ -110,43 +110,43 @@ class TestEmissionKernel:
             want = logsumexp(a, axis=-1)
         assert np.array_equal(_logsumexp(a), want, equal_nan=True)
 
-    @pytest.mark.parametrize("n_mixtures", [1, 2, 5])
+    @pytest.mark.parametrize("emission, n_mixtures", [
+        ("gmm", 1), ("gmm", 2), ("gmm", 5), ("discrete", N_SYMBOLS),
+    ])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_log_emission_matrix_matches_per_state_formula(self, order, n_mixtures):
+    def test_log_emission_matrix_matches_per_state_formula(self, order, emission, n_mixtures):
+        """The per-state reference is scipy's logsumexp over components for
+        GMM and each state's own table lookup for discrete. State 0 has a
+        zeroed last mixture weight or symbol probability; discrete symbols
+        are also given as integral floats."""
         rng = np.random.default_rng(40 + 10 * order + n_mixtures)
         for _ in range(10):
-            model = make_random_model(rng, order, "circular", "gmm", n_dims=4,
+            model = make_random_model(rng, order, "circular", emission, n_dims=4,
                                       n_mixtures=n_mixtures)
             if n_mixtures > 1:
                 e = model.emissions[0]
-                w = e.weights.copy()
-                w[-1] = 0.0
-                zeroed = GmmEmission(w / w.sum(), e.means, e.variances)
+                if emission == "gmm":
+                    w = e.weights.copy()
+                    w[-1] = 0.0
+                    zeroed = GmmEmission(w / w.sum(), e.means, e.variances)
+                else:
+                    p = e.probs.copy()
+                    p[-1] = 0.0
+                    zeroed = DiscreteEmission(p / p.sum())
                 model = replace(model, emissions=(zeroed,) + model.emissions[1:])
-            x = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 30)), 4))
-            want = np.stack([_per_state_log_density(e, x) for e in model.emissions], axis=1)
-            assert np.array_equal(log_emission_matrix(model, x), want)
-            for i, e in enumerate(model.emissions):
-                assert np.array_equal(e.log_density(x), want[:, i])
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_discrete_log_emission_matrix_matches_per_state_formula(self, order):
-        """The discrete input of the check above: the stacked symbol-table
-        kernel against each state's own table lookup, with a zero-probability
-        symbol and integral float symbols."""
-        rng = np.random.default_rng(48 + order)
-        for _ in range(10):
-            model = make_random_model(rng, order, "circular", "discrete")
-            p = model.emissions[0].probs.copy()
-            p[1] = 0.0
-            model = replace(model, emissions=(DiscreteEmission(p / p.sum()),) + model.emissions[1:])
-            x = make_obs(rng, "discrete", int(rng.integers(1, 30)))
-            x[0] = 1
-            with np.errstate(divide="ignore"):
-                want = np.stack([np.log(e.probs[x]) for e in model.emissions], axis=1)
-            assert np.isneginf(want[0, 0])
-            assert np.array_equal(log_emission_matrix(model, x), want)
-            assert np.array_equal(log_emission_matrix(model, x.astype(np.float64)), want)
+            if emission == "gmm":
+                x = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 30)), 4))
+                want = np.stack([_per_state_log_density(e, x) for e in model.emissions], axis=1)
+                inputs = [x]
+            else:
+                x = make_obs(rng, emission, int(rng.integers(1, 30)))
+                x[0] = n_mixtures - 1
+                with np.errstate(divide="ignore"):
+                    want = np.stack([np.log(e.probs[x]) for e in model.emissions], axis=1)
+                assert np.isneginf(want[0, 0])
+                inputs = [x, x.astype(np.float64)]
+            for obs in inputs:
+                assert np.array_equal(log_emission_matrix(model, obs), want)
             for i, e in enumerate(model.emissions):
                 assert np.array_equal(e.log_density(x), want[:, i])
 

@@ -298,6 +298,11 @@ class TestInitializers:
         np.testing.assert_allclose(sums[m2.mask.allowed1], 1.0)
         assert validate(m2) == []
 
+    @pytest.mark.parametrize("spec", [("gmm", 2), ("gmm", 2, 3, 4), ("discrete",)])
+    def test_spec_with_wrong_field_count_is_a_value_error(self, spec):
+        with pytest.raises(ValueError, match=r"^bad emission spec "):
+            init_ltr(3, 2, spec)
+
 
 class TestTrainDispatch:
     @pytest.mark.parametrize("label,order,topology", [
