@@ -11,7 +11,10 @@ each of the 8 (order, topology, emission) configurations, seeds 0-2 and
   forward/backward lattices (alpha, beta, slice log normalizers, shifts,
   log-likelihood), Viterbi paths and scores, log_emission_matrix,
   score_models under forward and Viterbi scoring, and 3-iteration
-  baum_welch1/2 and train runs (EM curve, convergence flag, model JSON);
+  baum_welch1/2 and train runs (EM curve, convergence flag, model JSON),
+  baum_welch1/2 among them on utterance sets of differing lengths where
+  two utterances fail in different ways (non-finite frame, impossible
+  frame, infinite density, symbol out of range, wrong dimension);
 
 and, for every call that raises, the exception type, text and frame.
 Inputs include zero-probability symbols, integral float symbols, frames
@@ -114,6 +117,70 @@ def _observations(rng, emission):
     return obs
 
 
+def _lane_model(model, emission):
+    """For discrete models, the model with symbol 0 impossible in every state
+    and symbol 3 of infinite density in state 0; GMM models as they are."""
+    if emission != "discrete":
+        return model
+    probs = np.array([e.probs for e in model.emissions])
+    probs[:, 0] = 0.0
+    probs[0, 3] = np.inf
+    return replace(model, emissions=tuple(DiscreteEmission(p) for p in probs))
+
+
+def _ordinary(rng, emission, t_count):
+    """An utterance no model of _lane_model fails on (discrete symbols 1-2)."""
+    if emission == "discrete":
+        return rng.integers(1, 3, size=t_count)
+    return make_obs(rng, emission, t_count)
+
+
+def _failing(rng, emission, how, t_count):
+    """An utterance of t_count frames that fails baum_welch1/2 in the way
+    ``how`` names, at a random frame."""
+    x = _ordinary(rng, emission, t_count)
+    at = int(rng.integers(0, t_count))
+    if how == "non-finite":
+        x = x.astype(np.float64)
+        x[at] = np.nan
+    elif how == "impossible":
+        x[at] = 0 if emission == "discrete" else 1e200   # every density is 0
+    elif how == "infinite":
+        x[at] = 3
+    elif how == "out-of-range":
+        x[at] = N_SYMBOLS
+    else:   # wrong dimension
+        x = make_obs(rng, emission, t_count, n_dims=3)
+    return x
+
+
+LANE_FAILURES = {
+    "discrete": ("non-finite", "impossible", "infinite", "out-of-range"),
+    "gmm": ("non-finite", "impossible", "wrong-dimension"),
+}
+
+
+def _lane_sets(rng, order, emission):
+    """Utterance sets of differing lengths, the shortest allowed among them:
+    ordinary ones, and ones where two utterances fail, in every pair of
+    ways and in both orders, among ordinary ones."""
+    shortest = 1 if order == 1 else 3
+    sets = []
+    for n_lanes in (1, 2, 5):
+        lengths = [shortest] + [int(rng.integers(shortest, 40)) for _ in range(n_lanes - 1)]
+        sets.append([_ordinary(rng, emission, n) for n in lengths])
+    for first in LANE_FAILURES[emission]:
+        for second in LANE_FAILURES[emission]:
+            lengths = rng.integers(shortest, 30, size=4)
+            sets.append([
+                _ordinary(rng, emission, lengths[0]),
+                _failing(rng, emission, first, lengths[1]),
+                _ordinary(rng, emission, lengths[2]),
+                _failing(rng, emission, second, lengths[3]),
+            ])
+    return sets
+
+
 def sweep(index, seeds):
     order, topology, emission = ALL_CONFIGS[index]
     d = Digest()
@@ -156,6 +223,12 @@ def sweep(index, seeds):
             if report is not None:
                 d.value(report.log_likelihoods)
                 d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+            model = _lane_model(models[-1], emission)
+            for utterances in _lane_sets(rng, order, emission):
+                report = d.call(bw, model, utterances, config)
+                if report is not None:
+                    d.value(report.log_likelihoods)
+                    d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
     return d.hexdigest()
 
 

@@ -276,8 +276,12 @@ def _load_model_store(models_dir: str) -> dict:
         for fn in sorted(os.listdir(sub)):
             if not fn.endswith(".json"):
                 continue
-            model, header = load_model(os.path.join(sub, fn))
+            path = os.path.join(sub, fn)
+            model, header = load_model(path)
             meta = header.get("training") or {}
+            for key in ("speaker_id", "word_id"):
+                if meta.get(key) is not None and not isinstance(meta[key], str):
+                    raise CliError(f"{path}: training.{key} is not a string")
             stem = fn[:-5]
             speaker = meta.get("speaker_id") or stem.split("__")[0]
             word = meta.get("word_id") or (stem.split("__")[1] if "__" in stem else stem)
@@ -309,10 +313,15 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"fixtures file missing key: {exc}")
         if not _is_grid_set(grids):
             raise CliError(f"{args.from_grids}: grids must map variant -> row -> condition -> number")
+        if not isinstance(reference, str):
+            raise CliError(f"{args.from_grids}: reference must be a variant label (a string)")
+        claimed_rates = fixture.get("claimed_rates")
+        if claimed_rates is not None and not _is_grid_set(claimed_rates, depth=2):
+            raise CliError(f"{args.from_grids}: claimed_rates must map variant -> condition -> number")
         report = comparison_report(
             grids,
             reference=reference,
-            claimed_rates=fixture.get("claimed_rates"),
+            claimed_rates=claimed_rates,
             scoring=cfg["scoring"],
         )
         payload = report.to_dict()

@@ -7,8 +7,11 @@ a slice holding the last ``order`` states: an (N,) vector for order 1, an
 on depends on the order: ``prev @ trans``; or, for order 2, ``trans1`` at
 the first step and the dense O(N^3) contraction with ``trans2`` after it.
 The forward and Viterbi recursions also run over a leading model axis, so
-score_models scores every candidate model of an utterance in one pass;
-the single-model functions are the one-model case of the same code.
+score_models scores every candidate model of an utterance in one pass.
+Forward-backward runs that axis as "lanes", the utterances of one model,
+so that a Baum-Welch E-step makes one emission call, one forward and one
+backward pass per iteration. The single-model, single-utterance functions
+are the one-model and one-lane cases of the same code.
 
 Numerical regime
 ----------------
@@ -21,7 +24,16 @@ that frame's normalizer, so a frame whose densities are merely tiny never
 looks impossible; ImpossibleObservationError fires only when every state
 with incoming probability mass has log-density -inf at some frame. The
 terminal backward slice is 1 for left-to-right models and 1/N for circular
-models; reestimation ratios are invariant to that constant.
+models; reestimation ratios are invariant to that constant. Backward slice
+t is divided by forward slice t's normalizer (in the shifted domain).
+
+Lanes of differing lengths share one frame axis. Forward holds each lane
+from frame 0 on and pads it after its last frame with emissions of 1 and
+shifts of 0; backward holds each lane reversed in time (its row r is
+frame T_k-1-r) and pads it after its frame 0 with emissions and
+normalizers of 1. No lane's arithmetic reads another lane or a padding
+row, so each lane's alpha, beta, normalizers and log-likelihood (the sum
+of its first T_k log normalizers) are bitwise those of running it alone.
 
 State indices are 0-based; frame indices are 0-based.
 """
@@ -78,39 +90,46 @@ def log_emission_matrix(model, obs) -> np.ndarray:
     A non-finite continuous frame would make every score NaN; it raises
     ValueError naming the frame and the utterance (when ``obs`` has one).
     """
-    logb, _, errors = _emission_terms(model._stack, obs)
+    logb, errors = _emission_terms(model._stack, obs)
     _raise_first(errors)
     return logb[:, 0]
+
+
+def _checked(kind, obs):
+    """``obs`` converted and checked by the emission ``kind``'s observation
+    rule; an empty utterance raises ValueError."""
+    x = kind._observations(*_utterance(obs))
+    if x.shape[0] == 0:
+        raise ValueError("empty observation sequence")
+    return x
 
 
 def _emission_terms(stack, obs):
     """The checks and the arithmetic behind log_emission_matrix, for the
     S models of ``stack`` (a models._ModelStack) at once.
 
-    ``obs`` is converted and checked by the emission kind's observation
-    rule, and scored by its kernel in one call. Returns (logb, comp,
-    errors): the (T, S, N) log emission densities; the (T, S, N, M)
-    component log-densities whose log-sum-exp they are, when the kind has
-    components (None for symbol tables), so the E-step can reuse them; and,
-    per model, the ValueError it raises for an infinite density, else None.
-    Such a model's densities are set to 0 so that it stays quiet in the
-    recursions. Checks of ``obs`` itself raise at once.
+    ``obs`` is converted and checked by _checked and scored by the emission
+    kind's kernel in one call. Returns the (T, S, N) log emission densities
+    and, per model, the error _infinite records. Checks of ``obs`` itself
+    raise at once.
     """
-    x = stack.emission._observations(*_utterance(obs))
-    if x.shape[0] == 0:
-        raise ValueError("empty observation sequence")
-    logb, comp = stack.emission._kernel(x, *stack.emission_parameters)
-    shape = (x.shape[0], stack.n_models, stack.n_states)
-    logb = logb.reshape(shape)
-    if comp is not None:
-        comp = comp.reshape(shape + comp.shape[-1:])
-    errors = [None] * stack.n_models
+    x = _checked(stack.emission, obs)
+    logb = stack.emission._kernel(x, *stack.emission_parameters)[0]
+    logb = logb.reshape(x.shape[0], stack.n_models, stack.n_states)
+    return logb, _infinite(logb)
+
+
+def _infinite(logb):
+    """Per model (or lane) of the (T, S, N) log densities ``logb``, the
+    ValueError an infinite density raises, else None. Such a model's
+    densities are set to 0 so that it stays quiet in the recursions."""
+    errors = [None] * logb.shape[1]
     infinite = np.isposinf(logb)
     if infinite.any():
         for k in np.flatnonzero(infinite.any(axis=(0, 2))):
             errors[k] = ValueError("emission density is infinite (zero variance?)")
             logb[:, k] = 0.0
-    return logb, comp, errors
+    return errors
 
 
 def _shifted_emissions(logb, errors):
@@ -165,6 +184,17 @@ def _raise_first(errors):
 # step is a (S, 1, N) @ (S, N, N) matmul. A model that fails records its
 # error in ``errors``; the NaN (forward) or -inf (Viterbi) it carries from
 # then on stays in its own slices.
+#
+# Forward-backward runs one model over L utterances the same way, with the
+# utterances as "lanes" in place of models (_lanes): one emission-kernel
+# call on the concatenated frames, then one _forward over a (T_max, L, N)
+# stack in which lane k holds utterance k's T_k frames from row 0 and
+# padding frames of emission 1 and shift 0 after them, and one _backward
+# over the lanes reversed in time, so that every lane starts from its own
+# last frame: step r of lane k is frame T_k-1-r. Lane k's log-likelihood
+# is the sum of the contiguous T_k-prefix of its log normalizers, and
+# padding never records an error. The single-utterance functions are the
+# one-lane case.
 
 @dataclass
 class TrellisLattice:
@@ -211,21 +241,23 @@ def _step(stack, t, prev):
 
 
 def _back_step(model, b, beta):
-    """Backward twin of _step for one model: the slice-t table from frame
-    t+1's shifted emissions ``b`` and backward slice ``beta``, before
-    normalization."""
+    """Backward twin of _step over L lanes of one model: the slice-t tables
+    from frame t+1's (L, N) shifted emissions ``b`` and (L, N...) backward
+    slices ``beta``, before normalization."""
     if model.order == 1:
-        return model.trans @ (b * beta)
-    return np.einsum("ijk,k,jk->ij", model.trans2, b, beta)
+        return np.matmul(model.trans, (b * beta)[..., None])[..., 0]
+    return np.einsum("ijk,sk,sjk->sij", model.trans2, b, beta)
 
 
-def _forward(stack, bsh, shifts, errors):
-    """Scaled forward pass of every model of ``stack`` over the (T, S, N)
-    shifted emissions ``bsh`` and their (T, S) ``shifts``.
+def _forward(stack, bsh, shifts, errors, lengths=None):
+    """Scaled forward pass of every model (or lane) of ``stack`` over the
+    (T, S, N) shifted emissions ``bsh`` and their (T, S) ``shifts``.
 
     Returns (alpha, log_norms): the (T, S, N...) tables and the (S, T)
     slice log normalizers. A model whose slice sums to 0 at frame t gets
     ImpossibleObservationError(t) in ``errors``; its later values are NaN.
+    With ``lengths``, lane k's frames from lengths[k] on are padding and
+    record no error.
     """
     T, S, N = bsh.shape
     order = stack.order
@@ -246,49 +278,98 @@ def _forward(stack, bsh, shifts, errors):
         norms = norms.reshape(T, S).T.copy()
         log_norms = np.log(norms)
     log_norms += shifts.T
-    for k, t in _first(norms <= 0.0):
+    dead = norms <= 0.0
+    if lengths is not None:
+        dead &= np.arange(T) < lengths[:, None]
+    for k, t in _first(dead):
         _fail(errors, k, ImpossibleObservationError(t))
     return alpha, log_norms
 
 
-def _backward(model, bsh, shifts, slice_log_norms) -> np.ndarray:
-    """Scaled backward table of one model from its (T, N) shifted emissions
-    and (T,) shifts, sharing the forward pass's ``slice_log_norms``."""
-    T, N = bsh.shape
-    norms = np.exp(slice_log_norms - shifts)
+def _backward(model, bsh, shifts, log_norms, lengths):
+    """Scaled backward tables of the lanes of one model's forward pass over
+    the (T, L, N) shifted emissions ``bsh``, with its (T, L) ``shifts`` and
+    (L, T) ``log_norms``; lane k holds lengths[k] frames.
+
+    The lanes run reversed in time: step r of lane k is its frame
+    lengths[k]-1-r. Steps past a lane's frame 0 see emissions and
+    normalizers of 1, and their tables are dropped. Returns each lane's
+    (T_k, N...) table; for order 2, slice 0 is 0.
+    """
+    T, L, N = bsh.shape
     order = model.order
-    beta = np.zeros((T,) + (N,) * order)
-    if T < order:
-        return beta
-    term = 1.0 / N if model.mask.kind == "circular" else 1.0
-    beta[T - 1] = term / norms[T - 1]
-    for t in range(T - 2, order - 2, -1):
-        np.divide(_back_step(model, bsh[t + 1], beta[t + 1]), norms[t], beta[t])
-    return beta
+    frame = lengths - 1 - np.arange(T)[:, None]      # (T, L): frame of step r in lane k
+    live = frame >= 0
+    at = (np.maximum(frame, 0), np.arange(L))
+    b = np.where(live[..., None], bsh[at], 1.0)
+    norms = np.where(live, np.exp(log_norms.T - shifts)[at], 1.0)
+    norms = norms.reshape((T, L) + (1,) * order)
+    beta = np.empty((T, L) + (N,) * order)
+    beta[0] = (1.0 / N if model.mask.kind == "circular" else 1.0) / norms[0]
+    for r in range(1, T - order + 1):
+        np.divide(_back_step(model, b[r - 1], beta[r - 1]), norms[r], beta[r])
+    beta[frame < order - 1] = 0.0
+    return [beta[n - 1::-1, k] for k, n in enumerate(lengths)]
+
+
+def _lanes(model, xs, backward=True):
+    """Forward lattices, with backward tables when ``backward``, of the
+    utterances ``xs`` under ``model``, run as the lanes of one stacked pass.
+    Each utterance is non-empty and already converted by the emission kind's
+    observation rule.
+
+    Returns (lanes, errors). ``lanes`` holds, per utterance, its lattice and
+    its (T_k, N...) shifted emissions, log emission densities and component
+    log-densities (None for symbol tables), or is None when an utterance
+    fails. ``errors`` holds, in utterance order up to the first that fails,
+    the error each utterance raises on its own, else None.
+    """
+    kind = type(model.emissions[0])
+    try:
+        logb, comp = kind._kernel(np.concatenate(xs), *model._emission_parameters)
+    except ValueError as err:   # the kernel's check of the frames (dimension, symbol range)
+        if len(xs) == 1:
+            return None, [err]
+        errors = []
+        for x in xs:   # one by one, so that the error speaks of its utterance's frames
+            errors += _lanes(model, [x], backward=False)[1]
+            if errors[-1] is not None:
+                return None, errors
+        raise
+    lengths = np.array([len(x) for x in xs])
+    starts = np.cumsum(lengths) - lengths
+    T, L = lengths.max(), len(xs)
+    lane = np.repeat(np.arange(L), lengths)
+    padded = np.zeros((T, L, model.n_states))   # padding: emission 1, shift 0
+    padded[np.arange(len(logb)) - starts[lane], lane] = logb
+    errors = _infinite(padded)
+    bsh, shifts = _shifted_emissions(padded, errors)
+    stack = model._stack if L == 1 else _ModelStack([model] * L)
+    alpha, log_norms = _forward(stack, bsh, shifts, errors, lengths)
+    if any(err is not None for err in errors):
+        return None, errors
+    betas = _backward(model, bsh, shifts, log_norms, lengths) if backward else [None] * L
+    lanes = []
+    for k, (n, start) in enumerate(zip(lengths, starts)):
+        lat = TrellisLattice(
+            order=model.order,
+            alpha=alpha[:n, k],
+            slice_log_norms=log_norms[k, :n],
+            log_likelihood=float(log_norms[k, :n].sum()),
+            beta=betas[k],
+            emission_shifts=shifts[:n, k],
+        )
+        rows = slice(start, start + n)
+        lanes.append((lat, bsh[:n, k], logb[rows], None if comp is None else comp[rows]))
+    return lanes, errors
 
 
 def _forward_backward(model, obs, backward=True):
     """One model's forward lattice, with its backward table when
-    ``backward``, from emissions shifted once. Returns (lattice, shifted
-    emissions, log emission densities, component log-densities) -- the
-    last three (T, N, ...) as _emission_terms gives them for the model.
-    An emission failure is raised before the forward pass runs."""
-    logb, comp, errors = _emission_terms(model._stack, obs)
-    bsh, shifts = _shifted_emissions(logb, errors)
+    ``backward``: the one-lane case of _lanes. Errors raise."""
+    lanes, errors = _lanes(model, [_checked(model._stack.emission, obs)], backward)
     _raise_first(errors)
-    alpha, log_norms = _forward(model._stack, bsh, shifts, errors)
-    _raise_first(errors)
-    bsh, shifts = bsh[:, 0], shifts[:, 0]
-    lat = TrellisLattice(
-        order=model.order,
-        alpha=alpha[:, 0],
-        slice_log_norms=log_norms[0],
-        log_likelihood=float(log_norms[0].sum()),
-        emission_shifts=shifts,
-    )
-    if backward:
-        lat.beta = _backward(model, bsh, shifts, lat.slice_log_norms)
-    return lat, bsh, logb[:, 0], None if comp is None else comp[:, 0]
+    return lanes[0][0]
 
 
 def _log(p):
@@ -330,7 +411,7 @@ def _viterbi(stack, logb, errors):
 
 def _single_path(model, obs) -> StatePath:
     """Best path of one model (viterbi1, viterbi2)."""
-    logb, _, errors = _emission_terms(model._stack, obs)
+    logb, errors = _emission_terms(model._stack, obs)
     states, log_probs = _viterbi(model._stack, logb, errors)
     _raise_first(errors)
     return StatePath(states[0], float(log_probs[0]))
@@ -379,7 +460,7 @@ def score_models(models, obs, scoring: str = "forward") -> list:
 def _stack_scores(stack, obs, scoring):
     """(scores, errors) of every model of ``stack``; checks of ``obs`` that
     fail raise."""
-    logb, _, errors = _emission_terms(stack, obs)
+    logb, errors = _emission_terms(stack, obs)
     if scoring == "forward":
         log_norms = _forward(stack, *_shifted_emissions(logb, errors), errors)[1]
         return log_norms.sum(axis=1).tolist(), errors
@@ -394,12 +475,12 @@ def forward1(model: Hmm1Model, obs) -> TrellisLattice:
     """Scaled forward pass. alpha[t] is the normalized joint of frames
     0..t and the state at t; log_likelihood is exact (computed from the
     per-slice normalizers in the log domain)."""
-    return _forward_backward(model, obs, backward=False)[0]
+    return _forward_backward(model, obs, backward=False)
 
 
 def forward_backward1(model: Hmm1Model, obs) -> TrellisLattice:
     """Forward pass plus backward table in one lattice."""
-    return _forward_backward(model, obs)[0]
+    return _forward_backward(model, obs)
 
 
 def likelihood_via_transition(model: Hmm1Model, obs, t: int) -> float:
@@ -451,11 +532,11 @@ def forward2(model: Hmm2Model, obs) -> TrellisLattice:
     (state at t-1, state at t). A single-frame utterance degenerates to the
     initial/emission product.
     """
-    return _forward_backward(model, obs, backward=False)[0]
+    return _forward_backward(model, obs, backward=False)
 
 
 def forward_backward2(model: Hmm2Model, obs) -> TrellisLattice:
-    return _forward_backward(model, obs)[0]
+    return _forward_backward(model, obs)
 
 
 def viterbi2(model: Hmm2Model, obs) -> StatePath:

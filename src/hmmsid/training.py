@@ -6,6 +6,14 @@ training log-likelihood is non-decreasing across iterations up to floor
 projections). Topology zeros are preserved exactly: a forbidden transition
 contributes an exact zero to every accumulator and stays zero forever.
 
+Each E-step runs the model's utterances as the lanes of one stacked pass
+(inference._lanes): one emission-kernel call on their concatenated
+frames, one forward pass and one backward pass, the backward over lanes
+reversed in time. Posteriors and statistics are then added utterance by
+utterance in utterance order, so every total is bitwise what running the
+utterances one at a time gives. When utterances fail, the first of them
+raises the error it raises on its own.
+
 Conventions applied here:
 
 * left-to-right models keep their initial distribution fixed at e_0;
@@ -31,7 +39,7 @@ import numpy as np
 from scipy.cluster.vq import kmeans2
 
 from .errors import ImpossibleObservationError, UtteranceTooShortError
-from .inference import _forward_backward, _utterance
+from .inference import _lanes, _utterance
 from .models import (
     _EMISSION_KINDS,
     DiscreteEmission,
@@ -439,12 +447,14 @@ def _estep(model, obs_list):
     counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
     first_sum = np.zeros(model.n_states)
     emstats = _EmissionStats(model)
+    lanes, errors = _lanes(model, [x for x, _ in obs_list])
+    for (_, name), err in zip(obs_list, errors):
+        if isinstance(err, ImpossibleObservationError):
+            raise ImpossibleObservationError(err.frame, utterance=name)
+        if err is not None:
+            raise err
     total_ll = 0.0
-    for x, name in obs_list:
-        try:
-            lat, bsh, logb, comp = _forward_backward(model, x)
-        except ImpossibleObservationError as err:
-            raise ImpossibleObservationError(err.frame, utterance=name) from None
+    for (x, _), (lat, bsh, logb, comp) in zip(obs_list, lanes):
         total_ll += lat.log_likelihood
         gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
         first_sum += gamma[0]

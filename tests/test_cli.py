@@ -476,6 +476,37 @@ class TestMalformedJsonInputs:
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fields, shown", [
+        ('"reference": ["a"]', "reference must be a variant label (a string)"),
+        ('"reference": "a", "claimed_rates": [1]',
+         "claimed_rates must map variant -> condition -> number"),
+        ('"reference": "a", "claimed_rates": {"b": 1}',
+         "claimed_rates must map variant -> condition -> number"),
+    ], ids=["reference-list", "claimed-list", "claimed-row-number"])
+    def test_from_grids_reference_and_claimed_rates_types(self, tmp_path, capsys, fields, shown):
+        path = tmp_path / "grids.json"
+        grids = '{"a": {"average": {"neutral": 90}}, "b": {"average": {"neutral": 80}}}'
+        path.write_text(f'{{"grids": {grids}, {fields}}}')
+        rc = main(["evaluate", "--from-grids", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {shown}\n"
+
+    @pytest.mark.parametrize("key", ["speaker_id", "word_id"])
+    def test_store_speaker_and_word_must_be_strings(self, corpus_dir, trained_store,
+                                                    tmp_path, capsys, key):
+        model = sorted((trained_store / "ltr1").glob("*.json"))[0]
+        header = json.loads(model.read_text())
+        header["training"][key] = ["x"]
+        bad = tmp_path / "store" / "ltr1" / model.name
+        bad.parent.mkdir(parents=True)
+        bad.write_text(json.dumps(header))
+        rc = main([
+            "evaluate", "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--models", str(tmp_path / "store"), "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: training.{key} is not a string\n"
+
     def test_store_training_metadata_must_be_an_object(self, corpus_dir, trained_store,
                                                        tmp_path, capsys):
         model = sorted((trained_store / "ltr1").glob("*.json"))[0]

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 import oracles
 from conftest import ALL_CONFIGS, make_obs, make_random_model
 
-from hmmsid.errors import UtteranceTooShortError
+from hmmsid.errors import ImpossibleObservationError, UtteranceTooShortError
 from hmmsid.features import FeatureMatrix, FeatureMeta
-from hmmsid.inference import forward1, forward2
-from hmmsid.models import validate
+from hmmsid.inference import forward1, forward2, forward_backward1, forward_backward2
+from hmmsid.models import DiscreteEmission, Hmm1Model, _transitions, custom_topology, validate
 from hmmsid import training
 from hmmsid.training import (
     TrainConfig,
@@ -458,3 +459,84 @@ class TestPrepareOnce:
         variant = VariantSpec(n_states=3, n_mixtures=n_mixtures, emission=emission)
         train(variant, obs_set, TrainConfig(max_iterations=2))
         assert len(calls) == 1
+
+
+class TestLaneIndependence:
+    """_estep accumulates, bit for bit and in utterance order, what the
+    one-utterance forward_backward1/2 passes give."""
+
+    @staticmethod
+    def _one_by_one(model, obs_list):
+        fb = forward_backward1 if model.order == 1 else forward_backward2
+        posteriors = training._POSTERIORS[model.order]
+        kind = type(model.emissions[0])
+        counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+        first_sum = np.zeros(model.n_states)
+        stats = training._EmissionStats(model)
+        total = 0.0
+        for x, _ in obs_list:
+            lat = fb(model, x)
+            logb, comp = kind._kernel(x, *model._emission_parameters)
+            bsh = np.exp(logb - lat.emission_shifts[:, None])
+            total += lat.log_likelihood
+            gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
+            first_sum += gamma[0]
+            stats.accumulate(x, gamma, logb, comp)
+        return total, counts, first_sum, stats
+
+    @pytest.mark.parametrize("order,topology,emission", ALL_CONFIGS)
+    def test_estep_matches_one_utterance_passes(self, order, topology, emission):
+        rng = np.random.default_rng([401, order, len(topology), len(emission)])
+        shortest = 1 if order == 1 else 3
+        for lengths in ([shortest, 17, 4, 30, shortest], [9], [shortest, shortest], [23, 5, 12]):
+            model = make_random_model(rng, order, topology, emission)
+            kind = type(model.emissions[0])
+            obs_list = training._prepare_obs([make_obs(rng, emission, n) for n in lengths], kind)
+            total, counts, first_sum, stats = training._estep(model, obs_list)
+            want_total, want_counts, want_first, want_stats = self._one_by_one(model, obs_list)
+            assert total == want_total
+            assert len(counts) == len(want_counts)
+            for got, want in zip(counts, want_counts):
+                assert np.array_equal(got, want)
+            assert np.array_equal(first_sum, want_first)
+            for name in ("r", "s1", "s2"):
+                if hasattr(want_stats, name):
+                    assert np.array_equal(getattr(stats, name), getattr(want_stats, name))
+
+    @staticmethod
+    def _failing_model():
+        """A discrete model under which symbol 0 is impossible in every
+        state and symbol 3 has an infinite density in state 0."""
+        model = make_random_model(np.random.default_rng(403), 1, "ltr", "discrete", n_states=3)
+        probs = np.array([e.probs for e in model.emissions])
+        probs[:, 0] = 0.0
+        probs[0, 3] = np.inf
+        return replace(model, emissions=tuple(DiscreteEmission(p) for p in probs))
+
+    @pytest.mark.parametrize("obs_set,error,message", [
+        ([[1, 2, 1, 2], [1, 2, 1, 0, 2, 1], [1, 3, 2]], ImpossibleObservationError,
+         "observation impossible under the model at utterance 1, frame 3"),
+        ([[1, 2, 1, 2], [1, 3, 2], [1, 2, 1, 0, 2, 1]], ValueError,
+         "emission density is infinite (zero variance?)"),
+        ([[1, 2], [2, 1, 2, 1, 1, 0], [1, 5, 2, 2]], ImpossibleObservationError,
+         "observation impossible under the model at utterance 1, frame 5"),
+        ([[1, 2], [1, 5, 2, 2], [2, 1, 0, 1]], ValueError,
+         "symbol out of range [0, 4): min 1, max 5"),
+    ], ids=["impossible-then-infinite", "infinite-then-impossible",
+            "impossible-then-out-of-range", "out-of-range-then-impossible"])
+    def test_first_failing_utterance_wins(self, obs_set, error, message):
+        with pytest.raises(error) as caught:
+            baum_welch1(self._failing_model(), obs_set, TrainConfig(max_iterations=2))
+        assert str(caught.value) == message
+        assert type(caught.value) is error
+
+    def test_padding_frames_record_no_error(self):
+        """A lane shorter than the longest ends in a state whose transition
+        row is 0, so its padding frames carry no mass; alone it scores."""
+        mask = custom_topology(np.array([[True, True], [False, True]]))
+        emissions = (DiscreteEmission([0.0, 1.0]), DiscreteEmission([1.0, 0.0]))
+        model = Hmm1Model(mask, [1.0, 0.0], [[0.5, 0.5], [0.0, 0.0]], emissions)
+        obs_set = [[1, 0], [1, 1, 1, 1]]
+        alone = [baum_welch1(model, [x], TrainConfig(max_iterations=1)) for x in obs_set]
+        both = baum_welch1(model, obs_set, TrainConfig(max_iterations=1))
+        assert both.log_likelihoods == [alone[0].log_likelihoods[0] + alone[1].log_likelihoods[0]]
