@@ -31,8 +31,8 @@ Lanes of differing lengths share one frame axis. Forward holds each lane
 from frame 0 on and pads it after its last frame with emissions of 1 and
 shifts of 0; backward holds each lane reversed in time (its row r is
 frame T_k-1-r) and pads it after its frame 0 with emissions and
-normalizers of 1. No lane's arithmetic reads another lane or a padding
-row, so each lane's alpha, beta, normalizers and log-likelihood (the sum
+normalizers of 1. A lane's own frames never read another lane or a
+padding row, so its alpha, beta, normalizers and log-likelihood (the sum
 of its first T_k log normalizers) are bitwise those of running it alone.
 
 State indices are 0-based; frame indices are 0-based.
@@ -185,16 +185,9 @@ def _raise_first(errors):
 # error in ``errors``; the NaN (forward) or -inf (Viterbi) it carries from
 # then on stays in its own slices.
 #
-# Forward-backward runs one model over L utterances the same way, with the
-# utterances as "lanes" in place of models (_lanes): one emission-kernel
-# call on the concatenated frames, then one _forward over a (T_max, L, N)
-# stack in which lane k holds utterance k's T_k frames from row 0 and
-# padding frames of emission 1 and shift 0 after them, and one _backward
-# over the lanes reversed in time, so that every lane starts from its own
-# last frame: step r of lane k is frame T_k-1-r. Lane k's log-likelihood
-# is the sum of the contiguous T_k-prefix of its log normalizers, and
-# padding never records an error. The single-utterance functions are the
-# one-lane case.
+# _lanes runs one model's utterances the same way, as lanes in place of
+# models: one emission-kernel call on their concatenated frames, one
+# _forward and one _backward over lanes padded as "Numerical regime" says.
 
 @dataclass
 class TrellisLattice:

@@ -400,19 +400,13 @@ class _ModelStack:
 
     def __init__(self, models):
         first = models[0]
-        self._models = models
         self.order = first.order
         self.n_states = first.n_states
         self.n_models = len(models)
         self.emission = type(first.emissions[0])
         for name in ("initial",) + _TRANSITION_FIELDS[self.order]:
             setattr(self, name, _stacked([getattr(m, name)[None] for m in models]))
-
-    @cached_property
-    def emission_parameters(self):
-        """Stacked on first use: a stack of one model's utterances (see
-        inference._lanes) never reads them."""
-        return tuple(map(_stacked, zip(*(m._emission_parameters for m in self._models))))
+        self.emission_parameters = tuple(map(_stacked, zip(*(m._emission_parameters for m in models))))
 
 
 def _stacked(arrays):
