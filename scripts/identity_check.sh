@@ -20,8 +20,9 @@
 #     hashes over all 8 model configurations, GMM and discrete     -> sweep/
 #
 # and compares data/, models/, report/, inspect/, scores/, sweep/ and the
-# commands' output with `diff -r`. Exits 0 when everything is identical, 1 when
-# anything differs.
+# commands' output with `diff -r`. When sweep/ differs, it also names each
+# configuration's input families (lattices, viterbi, ...) whose hashes moved.
+# Exits 0 when everything is identical, 1 when anything differs.
 set -euo pipefail
 
 rev=${1:?usage: scripts/identity_check.sh <rev> [workdir]}
@@ -89,4 +90,10 @@ for part in data models report inspect scores sweep log; do
         status=1
     fi
 done
+# each sweep line: order= topology= emission= <overall hash> family=<hash> ...
+paste -d' ' "$work/base/run/sweep/hashes.txt" "$work/head/run/sweep/hashes.txt" | awk '{
+    n = NF / 2
+    for (i = 5; i <= n; i++)
+        if ($i != $(i + n)) { split($i, family, "="); print "  sweep moved: " $1 " " $2 " " $3 " " family[1] }
+}'
 exit $status

@@ -18,8 +18,11 @@ each of the 8 (order, topology, emission) configurations, seeds 0-2 and
 
 and, for every call that raises, the exception type, text and frame.
 Inputs include zero-probability symbols, integral float symbols, frames
-scaled far from the models, and malformed observations. Prints one
-sha256 per configuration; run it on two trees and compare the output
+scaled far from the models, and malformed observations. Prints one line
+per configuration: a sha256 over everything, then one hash per input
+family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
+Baum-Welch and train, failing lane sets), so that a difference names the
+family that moved. Run it on two trees and compare the output
 (scripts/identity_check.sh does).
 """
 
@@ -41,6 +44,9 @@ from hmmsid import inference, training  # noqa: E402
 from hmmsid.models import DiscreteEmission, model_to_dict  # noqa: E402
 
 SEEDS = 3
+
+# The input families, each hashed on its own.
+FAMILIES = ("lattices", "viterbi", "emissions", "scoring", "training", "lane-sets")
 
 
 class Digest:
@@ -182,8 +188,10 @@ def _lane_sets(rng, order, emission):
 
 
 def sweep(index, seeds):
+    """The hex digest of each of FAMILIES for configuration ``index``."""
     order, topology, emission = ALL_CONFIGS[index]
-    d = Digest()
+    digests = {family: Digest() for family in FAMILIES}
+    lattices, viterbi, emissions, scoring, trained, lane_sets = digests.values()
     fb = getattr(inference, f"forward_backward{order}")
     fwd = getattr(inference, f"forward{order}")
     vit = getattr(inference, f"viterbi{order}")
@@ -197,46 +205,46 @@ def sweep(index, seeds):
                 models = [_with_zero_symbol(m, rng) for m in models]
             for obs in _observations(rng, emission):
                 for model in models:
-                    lat = d.call(fb, model, obs)
-                    if lat is not None:
-                        _lattice(d, lat)
-                    lat = d.call(fwd, model, obs)
-                    if lat is not None:
-                        _lattice(d, lat)
-                    path = d.call(vit, model, obs)
+                    for fn in (fb, fwd):
+                        lat = lattices.call(fn, model, obs)
+                        if lat is not None:
+                            _lattice(lattices, lat)
+                    path = viterbi.call(vit, model, obs)
                     if path is not None:
-                        d.value(path.states)
-                        d.value(path.log_prob)
-                    d.value(d.call(inference.log_emission_matrix, model, obs))
-                for scoring in inference.SCORING_MODES:
-                    d.value(d.call(inference.score_models, models, obs, scoring))
+                        viterbi.value(path.states)
+                        viterbi.value(path.log_prob)
+                    emissions.value(emissions.call(inference.log_emission_matrix, model, obs))
+                for mode in inference.SCORING_MODES:
+                    scoring.value(scoring.call(inference.score_models, models, obs, mode))
             utterances = [make_obs(rng, emission, int(rng.integers(3, 30))) for _ in range(3)]
-            report = d.call(bw, models[0], utterances, config)
+            report = trained.call(bw, models[0], utterances, config)
             if report is not None:
-                d.value(report.log_likelihoods)
-                d.value(str(report.converged))
-                d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+                trained.value(report.log_likelihoods)
+                trained.value(str(report.converged))
+                trained.text(json.dumps(model_to_dict(report.model), sort_keys=True))
             n_mixtures = N_SYMBOLS if emission == "discrete" else 2
             variant = training.VariantSpec(order=order, topology=topology, n_states=3,
                                            n_mixtures=n_mixtures, emission=emission)
-            report = d.call(training.train, variant, utterances, config)
+            report = trained.call(training.train, variant, utterances, config)
             if report is not None:
-                d.value(report.log_likelihoods)
-                d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+                trained.value(report.log_likelihoods)
+                trained.text(json.dumps(model_to_dict(report.model), sort_keys=True))
             model = _lane_model(models[-1], emission)
             for utterances in _lane_sets(rng, order, emission):
-                report = d.call(bw, model, utterances, config)
+                report = lane_sets.call(bw, model, utterances, config)
                 if report is not None:
-                    d.value(report.log_likelihoods)
-                    d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
-    return d.hexdigest()
+                    lane_sets.value(report.log_likelihoods)
+                    lane_sets.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+    return {family: digest.hexdigest() for family, digest in digests.items()}
 
 
 def main():
     for index, (order, topology, emission) in enumerate(ALL_CONFIGS):
         with np.errstate(all="ignore"):
-            digest = sweep(index, SEEDS)
-        print(f"order={order} topology={topology} emission={emission} {digest}")
+            digests = sweep(index, SEEDS)
+        overall = hashlib.sha256("".join(digests.values()).encode()).hexdigest()
+        families = " ".join(f"{family}={digest[:16]}" for family, digest in digests.items())
+        print(f"order={order} topology={topology} emission={emission} {overall} {families}")
 
 
 if __name__ == "__main__":

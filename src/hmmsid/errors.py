@@ -31,10 +31,10 @@ def _named(message, utterance=None) -> str:
 class ImpossibleObservationError(ValueError):
     """Every reachable state has zero emission probability at some frame.
 
-    Raised by the forward/Viterbi passes when a frame cannot be produced by
-    the model at all (log-density -inf on every state with incoming
-    probability mass). ``frame`` is the 0-based frame index; ``utterance``
-    is set when the error surfaces while training on a named utterance.
+    Raised by every pass at the first frame whose forward normalizer is 0
+    (or, for Viterbi, whose best score is -inf). ``frame`` is the 0-based
+    frame index; ``utterance`` is set wherever the utterance has a name (a
+    FeatureMatrix's source, or the utterance's index in training).
     """
 
     def __init__(self, frame, utterance=None):

@@ -21,19 +21,25 @@ frame's emission shift, so log_likelihood = sum_t slice_log_norms[t].
 Viterbi is max-plus in the log domain. Before exponentiating, each frame's
 log-densities are shifted by their maximum and the shift is folded back into
 that frame's normalizer, so a frame whose densities are merely tiny never
-looks impossible; ImpossibleObservationError fires only when every state
-with incoming probability mass has log-density -inf at some frame. The
-terminal backward slice is 1 for left-to-right models and 1/N for circular
-models; reestimation ratios are invariant to that constant. Backward slice
-t is divided by forward slice t's normalizer (in the shifted domain).
+looks impossible. The terminal backward slice is 1 for left-to-right
+models and 1/N for circular models; reestimation ratios are invariant to
+that constant. Backward slice t is divided by forward slice t's
+normalizer (in the shifted domain).
 
-Lanes of differing lengths share one frame axis. Forward holds each lane
-from frame 0 on and pads it after its last frame with emissions of 1 and
-shifts of 0; backward holds each lane reversed in time (its row r is
-frame T_k-1-r) and pads it after its frame 0 with emissions and
-normalizers of 1. A lane's own frames never read another lane or a
-padding row, so its alpha, beta, normalizers and log-likelihood (the sum
-of its first T_k log normalizers) are bitwise those of running it alone.
+Every pass fails an utterance with ImpossibleObservationError at the
+first frame whose forward normalizer is 0 (no state with incoming mass can
+emit it; a frame with all densities -inf is shifted by 0, so it is one),
+or, for Viterbi, whose best score is -inf. A +inf or NaN log-density (a
+zero variance) fails it with ValueError. _raise_first raises the errors,
+naming the utterance where it has a name.
+
+Lanes of differing lengths share one time axis: row t is every lane's
+frame t. Forward pads each lane after its last frame with emissions of 1
+and shifts of 0; backward starts each lane from its terminal slice at its
+own last frame and gives its padding normalizers of 1. A lane's own
+frames never read another lane or a padding row, so its alpha, beta,
+normalizers and log-likelihood (the sum of its first T_k log normalizers)
+are bitwise those of running it alone.
 
 State indices are 0-based; frame indices are 0-based.
 """
@@ -90,18 +96,20 @@ def log_emission_matrix(model, obs) -> np.ndarray:
     A non-finite continuous frame would make every score NaN; it raises
     ValueError naming the frame and the utterance (when ``obs`` has one).
     """
-    logb, errors = _emission_terms(model._stack, obs)
-    _raise_first(errors)
+    logb, errors, name = _emission_terms(model._stack, obs)
+    _raise_first(errors, [name])
     return logb[:, 0]
 
 
 def _checked(kind, obs):
-    """``obs`` converted and checked by the emission ``kind``'s observation
-    rule; an empty utterance raises ValueError."""
-    x = kind._observations(*_utterance(obs))
+    """(x, name): ``obs`` converted and checked by the emission ``kind``'s
+    observation rule, and its name (see _utterance); an empty utterance
+    raises ValueError."""
+    x, name = _utterance(obs)
+    x = kind._observations(x, name)
     if x.shape[0] == 0:
         raise ValueError("empty observation sequence")
-    return x
+    return x, name
 
 
 def _emission_terms(stack, obs):
@@ -109,64 +117,59 @@ def _emission_terms(stack, obs):
     S models of ``stack`` (a models._ModelStack) at once.
 
     ``obs`` is converted and checked by _checked and scored by the emission
-    kind's kernel in one call. Returns the (T, S, N) log emission densities
-    and, per model, the error _infinite records. Checks of ``obs`` itself
-    raise at once.
+    kind's kernel in one call. Returns the (T, S, N) log emission densities,
+    per model the error _bad_densities records, and the utterance's name.
+    Checks of ``obs`` itself raise at once.
     """
-    x = _checked(stack.emission, obs)
+    x, name = _checked(stack.emission, obs)
     logb = stack.emission._kernel(x, *stack.emission_parameters)[0]
     logb = logb.reshape(x.shape[0], stack.n_models, stack.n_states)
-    return logb, _infinite(logb)
+    return logb, _bad_densities(logb), name
 
 
-def _infinite(logb):
+def _bad_densities(logb):
     """Per model (or lane) of the (T, S, N) log densities ``logb``, the
-    ValueError an infinite density raises, else None. Such a model's
+    ValueError a +inf or NaN density raises, else None. Such a model's
     densities are set to 0 so that it stays quiet in the recursions."""
     errors = [None] * logb.shape[1]
-    infinite = np.isposinf(logb)
-    if infinite.any():
-        for k in np.flatnonzero(infinite.any(axis=(0, 2))):
-            errors[k] = ValueError("emission density is infinite (zero variance?)")
+    bad = ~(logb < np.inf)   # +inf or NaN
+    if bad.any():
+        for k in np.flatnonzero(bad.any(axis=(0, 2))):
+            what = "infinite" if np.isposinf(logb[:, k]).any() else "NaN"
+            errors[k] = ValueError(f"emission density is {what} (zero variance?)")
             logb[:, k] = 0.0
     return errors
 
 
-def _shifted_emissions(logb, errors):
+def _shifted_emissions(logb):
     """Per-frame max-shifted linear emission densities of the (T, S, N) log
     densities ``logb``.
 
     Returns (bsh, shifts) with bsh[t, s] = exp(logb[t, s] - shifts[t, s]) in
-    [0, 1]. A model with a frame whose densities are all -inf gets
-    ImpossibleObservationError for the first such frame in ``errors``; its
-    shift there is 0, which makes that frame's densities 0.
+    [0, 1]. A frame whose densities are all -inf is shifted by 0, so its
+    forward normalizer is 0 and _forward fails it ("Numerical regime").
     """
     shifts = np.max(logb, axis=2)
-    dead = np.isneginf(shifts)
-    if dead.any():
-        for k, t in _first(dead.T):
-            _fail(errors, k, ImpossibleObservationError(t))
-        shifts = np.where(dead, 0.0, shifts)
+    shifts[np.isneginf(shifts)] = 0.0
     return np.exp(logb - shifts[..., None]), shifts
 
 
-def _fail(errors, k, err):
-    """Record model k's error unless it already has an earlier one."""
-    if errors[k] is None:
-        errors[k] = err
+def _fail_first(errors, hits):
+    """Record, for each model without an error, ImpossibleObservationError
+    at its first True in the (S, T) ``hits``."""
+    for k in np.flatnonzero(hits.any(axis=1)):
+        if errors[k] is None:
+            errors[k] = ImpossibleObservationError(np.argmax(hits[k]))
 
 
-def _first(hits):
-    """(model, frame) of each model's first True in the (S, T) ``hits``."""
-    if not hits.any():
-        return []
-    return [(k, int(np.argmax(hits[k]))) for k in np.flatnonzero(hits.any(axis=1))]
-
-
-def _raise_first(errors):
-    """Raise the first error of ``errors`` (one entry per model, in model
-    order): the one that scoring the models one by one would raise."""
-    for err in errors:
+def _raise_first(errors, names):
+    """Raise the first error of ``errors`` (one entry per model or lane, in
+    order): the one that running them one by one would raise. An
+    ImpossibleObservationError names the utterance of its entry in
+    ``names`` unless that is None."""
+    for err, name in zip(errors, names):
+        if isinstance(err, ImpossibleObservationError) and name is not None:
+            raise ImpossibleObservationError(err.frame, utterance=name)
         if err is not None:
             raise err
 
@@ -233,13 +236,13 @@ def _step(stack, t, prev):
     return np.einsum("sij,sijk->sjk", prev, stack.trans2)
 
 
-def _back_step(model, b, beta):
-    """Backward twin of _step over L lanes of one model: the slice-t tables
-    from frame t+1's (L, N) shifted emissions ``b`` and (L, N...) backward
-    slices ``beta``, before normalization."""
-    if model.order == 1:
-        return np.matmul(model.trans, (b * beta)[..., None])[..., 0]
-    return np.einsum("ijk,sk,sjk->sij", model.trans2, b, beta)
+def _back_step(stack, b, beta):
+    """Backward twin of _step: the (S, N...) slices at frame t from frame
+    t+1's (S, N) shifted emissions ``b`` and (S, N...) backward slices
+    ``beta``, before normalization."""
+    if stack.order == 1:
+        return np.matmul(stack.trans, (b * beta)[..., None])[..., 0]
+    return np.einsum("sijk,sk,sjk->sij", stack.trans2, b, beta)
 
 
 def _forward(stack, bsh, shifts, errors, lengths=None):
@@ -274,60 +277,57 @@ def _forward(stack, bsh, shifts, errors, lengths=None):
     dead = norms <= 0.0
     if lengths is not None:
         dead &= np.arange(T) < lengths[:, None]
-    for k, t in _first(dead):
-        _fail(errors, k, ImpossibleObservationError(t))
+    _fail_first(errors, dead)
     return alpha, log_norms
 
 
-def _backward(model, bsh, shifts, log_norms, lengths):
-    """Scaled backward tables of the lanes of one model's forward pass over
-    the (T, L, N) shifted emissions ``bsh``, with its (T, L) ``shifts`` and
-    (L, T) ``log_norms``; lane k holds lengths[k] frames.
-
-    The lanes run reversed in time: step r of lane k is its frame
-    lengths[k]-1-r. Steps past a lane's frame 0 see emissions and
-    normalizers of 1, and their tables are dropped. Returns each lane's
-    (T_k, N...) table; for order 2, slice 0 is 0.
+def _backward(stack, bsh, shifts, log_norms, lengths):
+    """Scaled (T, L, N...) backward tables of the L lanes of ``stack`` on
+    the time axis of their forward pass: its (T, L, N) shifted emissions
+    ``bsh`` and (T, L) ``shifts``, and (L, T) ``log_norms``. Lane k starts
+    from its terminal slice (stack.terminal) at its last frame
+    lengths[k]-1; its rows after that are padding, with normalizers of 1.
+    For order 2, slice 0 is 0.
     """
     T, L, N = bsh.shape
-    order = model.order
-    frame = lengths - 1 - np.arange(T)[:, None]      # (T, L): frame of step r in lane k
-    live = frame >= 0
-    at = (np.maximum(frame, 0), np.arange(L))
-    b = np.where(live[..., None], bsh[at], 1.0)
-    norms = np.where(live, np.exp(log_norms.T - shifts)[at], 1.0)
+    order = stack.order
+    norms = np.exp(log_norms.T - shifts)
+    norms[np.arange(T)[:, None] >= lengths] = 1.0
     norms = norms.reshape((T, L) + (1,) * order)
+    terminal = stack.terminal.reshape((L,) + (1,) * order)
+    ends = {}   # frame -> the lanes whose last frame it is
+    for k, n in enumerate(lengths):
+        ends.setdefault(n - 1, []).append(k)
     beta = np.empty((T, L) + (N,) * order)
-    beta[0] = (1.0 / N if model.mask.kind == "circular" else 1.0) / norms[0]
-    for r in range(1, T - order + 1):
-        np.divide(_back_step(model, b[r - 1], beta[r - 1]), norms[r], beta[r])
-    beta[frame < order - 1] = 0.0
-    return [beta[n - 1::-1, k] for k, n in enumerate(lengths)]
+    beta[T - 1] = terminal / norms[T - 1]
+    for t in range(T - 2, order - 2, -1):
+        np.divide(_back_step(stack, bsh[t + 1], beta[t + 1]), norms[t], beta[t])
+        if t in ends:
+            k = ends[t]
+            beta[t, k] = terminal[k] / norms[t, k]
+    if order == 2:
+        beta[0] = 0.0
+    return beta
 
 
-def _lanes(model, xs, backward=True):
+def _lanes(model, xs, names, backward=True):
     """Forward lattices, with backward tables when ``backward``, of the
     utterances ``xs`` under ``model``, run as the lanes of one stacked pass.
     Each utterance is non-empty and already converted by the emission kind's
-    observation rule.
+    observation rule; ``names`` are their names for errors (None: unnamed).
 
-    Returns (lanes, errors). ``lanes`` holds, per utterance, its lattice and
-    its (T_k, N...) shifted emissions, log emission densities and component
-    log-densities (None for symbol tables), or is None when an utterance
-    fails. ``errors`` holds, in utterance order up to the first that fails,
-    the error each utterance raises on its own, else None.
+    Returns, per utterance, its lattice and its (T_k, N...) shifted
+    emissions, log emission densities and component log-densities (None
+    for symbol tables). When utterances fail, raises the error the first of
+    them raises on its own.
     """
     kind = type(model.emissions[0])
     try:
         logb, comp = kind._kernel(np.concatenate(xs), *model._emission_parameters)
-    except ValueError as err:   # the kernel's check of the frames (dimension, symbol range)
-        if len(xs) == 1:
-            return None, [err]
-        errors = []
-        for x in xs:   # one by one, so that the error speaks of its utterance's frames
-            errors += _lanes(model, [x], backward=False)[1]
-            if errors[-1] is not None:
-                return None, errors
+    except ValueError:   # the kernel's check of the frames (dimension, symbol range)
+        if len(xs) > 1:   # one by one, so that the first utterance that fails raises its own error
+            for x, name in zip(xs, names):
+                _lanes(model, [x], [name], backward=False)
         raise
     lengths = np.array([len(x) for x in xs])
     starts = np.cumsum(lengths) - lengths
@@ -335,13 +335,12 @@ def _lanes(model, xs, backward=True):
     lane = np.repeat(np.arange(L), lengths)
     padded = np.zeros((T, L, model.n_states))   # padding: emission 1, shift 0
     padded[np.arange(len(logb)) - starts[lane], lane] = logb
-    errors = _infinite(padded)
-    bsh, shifts = _shifted_emissions(padded, errors)
+    errors = _bad_densities(padded)
+    bsh, shifts = _shifted_emissions(padded)
     stack = model._stack if L == 1 else _ModelStack([model] * L)
     alpha, log_norms = _forward(stack, bsh, shifts, errors, lengths)
-    if any(err is not None for err in errors):
-        return None, errors
-    betas = _backward(model, bsh, shifts, log_norms, lengths) if backward else [None] * L
+    _raise_first(errors, names)
+    beta = _backward(stack, bsh, shifts, log_norms, lengths) if backward else None
     lanes = []
     for k, (n, start) in enumerate(zip(lengths, starts)):
         lat = TrellisLattice(
@@ -349,20 +348,19 @@ def _lanes(model, xs, backward=True):
             alpha=alpha[:n, k],
             slice_log_norms=log_norms[k, :n],
             log_likelihood=float(log_norms[k, :n].sum()),
-            beta=betas[k],
+            beta=None if beta is None else beta[:n, k],
             emission_shifts=shifts[:n, k],
         )
         rows = slice(start, start + n)
         lanes.append((lat, bsh[:n, k], logb[rows], None if comp is None else comp[rows]))
-    return lanes, errors
+    return lanes
 
 
 def _forward_backward(model, obs, backward=True):
     """One model's forward lattice, with its backward table when
-    ``backward``: the one-lane case of _lanes. Errors raise."""
-    lanes, errors = _lanes(model, [_checked(model._stack.emission, obs)], backward)
-    _raise_first(errors)
-    return lanes[0][0]
+    ``backward``: the one-lane case of _lanes."""
+    x, name = _checked(model._stack.emission, obs)
+    return _lanes(model, [x], [name], backward)[0][0]
 
 
 def _log(p):
@@ -390,8 +388,7 @@ def _viterbi(stack, logb, errors):
             cand = cand.max(axis=1)
         dp = cand + frames[t]
         peaks[:, t] = dp.reshape(S, -1).max(axis=1)
-    for k, t in _first(np.isneginf(peaks)):
-        _fail(errors, k, ImpossibleObservationError(t))
+    _fail_first(errors, np.isneginf(peaks))
     flat = dp.reshape(S, -1)
     best = np.argmax(flat, axis=1)
     rows = np.arange(S)
@@ -404,9 +401,9 @@ def _viterbi(stack, logb, errors):
 
 def _single_path(model, obs) -> StatePath:
     """Best path of one model (viterbi1, viterbi2)."""
-    logb, errors = _emission_terms(model._stack, obs)
+    logb, errors, name = _emission_terms(model._stack, obs)
     states, log_probs = _viterbi(model._stack, logb, errors)
-    _raise_first(errors)
+    _raise_first(errors, [name])
     return StatePath(states[0], float(log_probs[0]))
 
 
@@ -430,6 +427,7 @@ def score_models(models, obs, scoring: str = "forward") -> list:
     """
     if scoring not in SCORING_MODES:
         raise ValueError(f"scoring must be one of {SCORING_MODES}, got {scoring!r}")
+    name = _utterance(obs)[1]
     groups: dict = {}
     for i, model in enumerate(models):
         groups.setdefault(_stack_key(model), []).append(i)
@@ -446,16 +444,16 @@ def score_models(models, obs, scoring: str = "forward") -> list:
             continue
         for i, value, err in zip(members, values, failed):
             scores[i], errors[i] = value, err
-    _raise_first(errors)
+    _raise_first(errors, [name] * len(models))
     return scores
 
 
 def _stack_scores(stack, obs, scoring):
     """(scores, errors) of every model of ``stack``; checks of ``obs`` that
     fail raise."""
-    logb, errors = _emission_terms(stack, obs)
+    logb, errors, _ = _emission_terms(stack, obs)
     if scoring == "forward":
-        log_norms = _forward(stack, *_shifted_emissions(logb, errors), errors)[1]
+        log_norms = _forward(stack, *_shifted_emissions(logb), errors)[1]
         return log_norms.sum(axis=1).tolist(), errors
     return _viterbi(stack, logb, errors)[1].tolist(), errors
 

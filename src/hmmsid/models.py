@@ -396,7 +396,8 @@ class _ModelStack:
     leading model axis: ``initial`` (S, N), each transition array of
     _TRANSITION_FIELDS (S, N, ...), and ``emission_parameters``, each field
     of the emission kind ``emission`` stacked over the S·N states model by
-    model ((S·N, M) weights, ...)."""
+    model ((S·N, M) weights, ...), and the (S,) ``terminal`` backward
+    values: 1/N for a ring model, else 1."""
 
     def __init__(self, models):
         first = models[0]
@@ -407,6 +408,7 @@ class _ModelStack:
         for name in ("initial",) + _TRANSITION_FIELDS[self.order]:
             setattr(self, name, _stacked([getattr(m, name)[None] for m in models]))
         self.emission_parameters = tuple(map(_stacked, zip(*(m._emission_parameters for m in models))))
+        self.terminal = np.array([1.0 / m.n_states if m.mask.kind == "circular" else 1.0 for m in models])
 
 
 def _stacked(arrays):

@@ -8,11 +8,11 @@ contributes an exact zero to every accumulator and stays zero forever.
 
 Each E-step runs the model's utterances as the lanes of one stacked pass
 (inference._lanes): one emission-kernel call on their concatenated
-frames, one forward pass and one backward pass, the backward over lanes
-reversed in time. Posteriors and statistics are then added utterance by
-utterance in utterance order, so every total is bitwise what running the
-utterances one at a time gives. When utterances fail, the first of them
-raises the error it raises on its own.
+frames, one forward pass and one backward pass on one time axis.
+Posteriors and statistics are then added utterance by utterance in
+utterance order, so every total is bitwise what running the utterances
+one at a time gives. When utterances fail, the first of them raises the
+error it raises on its own, naming the utterance.
 
 Conventions applied here:
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.cluster.vq import kmeans2
 
-from .errors import ImpossibleObservationError, UtteranceTooShortError
+from .errors import UtteranceTooShortError, _named
 from .inference import _lanes, _utterance
 from .models import (
     _EMISSION_KINDS,
@@ -242,6 +242,7 @@ def segmental_kmeans_init(
             raise UtteranceTooShortError(x.shape[0], n_states, utterance=name)
     frames_list = [x for x, _ in obs_list]
     n_dims = frames_list[0].shape[1]
+    _check_dimensions(obs_list, n_dims, f"utterance {obs_list[0][1]!r}")
     floor_d, gvar = _variance_floor(frames_list, variance_floor)
     fallback_var = np.maximum(gvar, floor_d)
 
@@ -365,6 +366,14 @@ class _EmissionStats:
         return tuple(out)
 
 
+def _check_dimensions(obs_list, n_dims, what):
+    """Raise ValueError naming the first utterance of ``obs_list`` whose
+    frames do not have ``n_dims`` dimensions, the dimension of ``what``."""
+    for x, name in obs_list:
+        if x.shape[1] != n_dims:
+            raise ValueError(_named(f"frames have dimension {x.shape[1]}, {what} has {n_dims}", name))
+
+
 def _variance_floor(frames_list, factor):
     """Relative variance floor: ``factor`` times the per-dimension variance
     of all training frames pooled, with a 1e-12 absolute backstop.
@@ -447,12 +456,7 @@ def _estep(model, obs_list):
     counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
     first_sum = np.zeros(model.n_states)
     emstats = _EmissionStats(model)
-    lanes, errors = _lanes(model, [x for x, _ in obs_list])
-    for (_, name), err in zip(obs_list, errors):
-        if isinstance(err, ImpossibleObservationError):
-            raise ImpossibleObservationError(err.frame, utterance=name)
-        if err is not None:
-            raise err
+    lanes = _lanes(model, *zip(*obs_list))
     total_ll = 0.0
     for (x, _), (lat, bsh, logb, comp) in zip(obs_list, lanes):
         total_ll += lat.log_likelihood
@@ -483,6 +487,7 @@ def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:
             raise UtteranceTooShortError(x.shape[0], min_frames, utterance=name)
     floor_d = None
     if kind is GmmEmission:
+        _check_dimensions(obs_list, model.emissions[0].n_dims, "emission")
         floor_d = _variance_floor([x for x, _ in obs_list], config.variance_floor)[0]
     lls = []
     converged = False
