@@ -16,12 +16,18 @@ each of the 8 (order, topology, emission) configurations, seeds 0-2 and
   two utterances fail in different ways (non-finite frame, impossible
   frame, infinite density, symbol out of range, wrong dimension);
 
+and, for the order-2 configurations, 24-state models on utterances of
+150-250 frames (lattices, Viterbi paths and scores, score_models in both
+modes, and a 2-iteration baum_welch2), long enough that the E-step builds
+its triple posterior over several chunks of frames;
+
 and, for every call that raises, the exception type, text and frame.
 Inputs include zero-probability symbols, integral float symbols, frames
 scaled far from the models, and malformed observations. Prints one line
 per configuration: a sha256 over everything, then one hash per input
 family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
-Baum-Welch and train, failing lane sets), so that a difference names the
+Baum-Welch and train, failing lane sets, long order-2 utterances; the
+last is the empty digest for order 1), so that a difference names the
 family that moved. Run it on two trees and compare the output
 (scripts/identity_check.sh does).
 """
@@ -46,7 +52,8 @@ from hmmsid.models import DiscreteEmission, model_to_dict  # noqa: E402
 SEEDS = 3
 
 # The input families, each hashed on its own.
-FAMILIES = ("lattices", "viterbi", "emissions", "scoring", "training", "lane-sets")
+FAMILIES = ("lattices", "viterbi", "emissions", "scoring", "training", "lane-sets",
+            "long-order2")
 
 
 class Digest:
@@ -187,11 +194,37 @@ def _lane_sets(rng, order, emission):
     return sets
 
 
+def _long_order2(d, index, topology, emission):
+    """Order-2 models of 24 states on utterances of 150-250 frames, long
+    enough that the E-step builds the triple posterior over several chunks
+    of frames: lattices, viterbi2 paths and scores, score_models in both
+    modes over 3 models, and a 2-iteration baum_welch2."""
+    rng = np.random.default_rng([index, 24])
+    models = [make_random_model(rng, 2, topology, emission, n_states=24) for _ in range(3)]
+    utterances = [make_obs(rng, emission, int(rng.integers(150, 251))) for _ in range(3)]
+    for obs in utterances:
+        for model in models:
+            lat = d.call(inference.forward_backward2, model, obs)
+            if lat is not None:
+                _lattice(d, lat)
+            path = d.call(inference.viterbi2, model, obs)
+            if path is not None:
+                d.value(path.states)
+                d.value(path.log_prob)
+        for mode in inference.SCORING_MODES:
+            d.value(d.call(inference.score_models, models, obs, mode))
+    report = d.call(training.baum_welch2, models[0], utterances,
+                    training.TrainConfig(max_iterations=2))
+    if report is not None:
+        d.value(report.log_likelihoods)
+        d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+
+
 def sweep(index, seeds):
     """The hex digest of each of FAMILIES for configuration ``index``."""
     order, topology, emission = ALL_CONFIGS[index]
     digests = {family: Digest() for family in FAMILIES}
-    lattices, viterbi, emissions, scoring, trained, lane_sets = digests.values()
+    lattices, viterbi, emissions, scoring, trained, lane_sets, long_order2 = digests.values()
     fb = getattr(inference, f"forward_backward{order}")
     fwd = getattr(inference, f"forward{order}")
     vit = getattr(inference, f"viterbi{order}")
@@ -235,6 +268,8 @@ def sweep(index, seeds):
                 if report is not None:
                     lane_sets.value(report.log_likelihoods)
                     lane_sets.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+    if order == 2:
+        _long_order2(long_order2, index, topology, emission)
     return {family: digest.hexdigest() for family, digest in digests.items()}
 
 

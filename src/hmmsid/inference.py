@@ -11,7 +11,10 @@ score_models scores every candidate model of an utterance in one pass.
 Forward-backward runs that axis as "lanes", the utterances of one model,
 so that a Baum-Welch E-step makes one emission call, one forward and one
 backward pass per iteration. The single-model, single-utterance functions
-are the one-model and one-lane cases of the same code.
+are the one-model and one-lane cases of the same code. Viterbi scoring
+(score_models) runs the max-plus recursion without back-pointers, since
+it reads only the best score; viterbi1/viterbi2 keep them to decode the
+path.
 
 Numerical regime
 ----------------
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImpossibleObservationError
+from .errors import ImpossibleObservationError, _named
 from .models import (
     _TRANSITION_FIELDS,
     Hmm1Model,
@@ -108,7 +111,7 @@ def _checked(kind, obs):
     x, name = _utterance(obs)
     x = kind._observations(x, name)
     if x.shape[0] == 0:
-        raise ValueError("empty observation sequence")
+        raise ValueError(_named("empty observation sequence", name))
     return x, name
 
 
@@ -368,23 +371,27 @@ def _log(p):
         return np.where(p > 0.0, np.log(p), -np.inf)
 
 
-def _viterbi(stack, logb, errors):
+def _viterbi(stack, logb, errors, paths=True):
     """Max-plus twin of _forward with back-pointers from each full slice to
     the state it drops. Returns the (S, T) best paths and their (S,) joint
     log-probabilities. A model whose slice is all -inf at frame t gets
-    ImpossibleObservationError(t) in ``errors``."""
+    ImpossibleObservationError(t) in ``errors``. Without ``paths`` it keeps
+    no back-pointers and returns None for the paths; the scores are the
+    same."""
     T, S, N = logb.shape
     order = stack.order
     logtrans = [_log(getattr(stack, name)) for name in _TRANSITION_FIELDS[order]]
     frames = logb if order == 1 else logb[:, :, None, :]
     peaks = np.empty((S, T))
-    ptr = np.empty((S, T) + (N,) * order, dtype=np.int64)
+    if paths:
+        ptr = np.empty((S, T) + (N,) * order, dtype=np.int64)
     dp = _log(stack.initial) + logb[0]
     peaks[:, 0] = dp.max(axis=1)
     for t in range(1, T):
         cand = dp[..., None] + logtrans[min(t, order) - 1]
         if dp.ndim > order:
-            ptr[:, t] = np.argmax(cand, axis=1)
+            if paths:
+                ptr[:, t] = np.argmax(cand, axis=1)
             cand = cand.max(axis=1)
         dp = cand + frames[t]
         peaks[:, t] = dp.reshape(S, -1).max(axis=1)
@@ -392,6 +399,8 @@ def _viterbi(stack, logb, errors):
     flat = dp.reshape(S, -1)
     best = np.argmax(flat, axis=1)
     rows = np.arange(S)
+    if not paths:
+        return None, flat[rows, best]
     states = np.empty((S, T), dtype=np.int64)
     states[:, T - (dp.ndim - 1):] = np.stack(np.unravel_index(best, dp.shape[1:]), axis=1)
     for t in range(T - 1, order - 1, -1):
@@ -455,7 +464,7 @@ def _stack_scores(stack, obs, scoring):
     if scoring == "forward":
         log_norms = _forward(stack, *_shifted_emissions(logb), errors)[1]
         return log_norms.sum(axis=1).tolist(), errors
-    return _viterbi(stack, logb, errors)[1].tolist(), errors
+    return _viterbi(stack, logb, errors, paths=False)[1].tolist(), errors
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,10 @@ def _component_log_densities(frames, weights, means, variances) -> np.ndarray:
     diag(variances[n, m])) for (T, D) frames and the stacked parameters of
     N states, in one broadcast."""
     diff = frames[:, None, None, :] - means[None]
-    diff *= diff
-    diff /= variances[None]
-    quad = np.sum(diff, axis=3)
+    with np.errstate(over="ignore"):   # a far-off frame's density is 0, not an error
+        diff *= diff
+        diff /= variances[None]
+        quad = np.sum(diff, axis=3)
     const = -0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=2)
     with np.errstate(divide="ignore"):
         logw = np.log(weights)

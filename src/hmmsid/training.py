@@ -12,7 +12,10 @@ frames, one forward pass and one backward pass on one time axis.
 Posteriors and statistics are then added utterance by utterance in
 utterance order, so every total is bitwise what running the utterances
 one at a time gives. When utterances fail, the first of them raises the
-error it raises on its own, naming the utterance.
+error it raises on its own, naming the utterance. The order-2 triple
+posterior eta is built over chunks of frames of about 1 MB each, not as
+one (T-2, N, N, N) tensor, and its frames are summed in frame order, so
+its total is bitwise that of the whole tensor (_triple_sum).
 
 Conventions applied here:
 
@@ -434,15 +437,38 @@ def _posteriors2(model, alpha, beta, bsh, counts):
     gamma[1:] = pair.sum(axis=1)
     counts[0] += pair[0]
     if t_count > 2:
-        eta = (
-            alpha[1:t_count - 1][:, :, :, None]
-            * model.trans2[None]
-            * bsh[2:][:, None, None, :]
-            * beta[2:][:, None, :, :]
-        )
-        eta /= eta.sum(axis=(1, 2, 3), keepdims=True)
-        counts[1] += eta.sum(axis=0)
+        counts[1] += _triple_sum(model.trans2, alpha, beta, bsh)
     return gamma
+
+
+_ETA_CHUNK_BYTES = 2**20
+
+
+def _triple_sum(trans2, alpha, beta, bsh):
+    """Sum over frames t = 1..T-2 of the triple posterior eta_t(i, j, k),
+    built in one reused buffer over chunks of frames of about
+    _ETA_CHUNK_BYTES each, so that a chunk stays in cache. The product is
+    taken in the order alpha * trans2 * bsh * beta, as one expression
+    would take it. The sum of the chunks before is folded into each
+    chunk's first slice; numpy sums axis 0 of a C-contiguous array by
+    adding its slices one by one in order, so the frames' slices are added
+    in frame order, bitwise as in the sum of the whole (T-2, N, N, N)
+    tensor."""
+    t_count = len(bsh)
+    step = min(max(1, _ETA_CHUNK_BYTES // (8 * trans2.size)), t_count - 2)
+    buffer = np.empty((step,) + trans2.shape)
+    acc = None
+    for lo in range(1, t_count - 1, step):
+        hi = min(lo + step, t_count - 1)
+        eta = buffer[:hi - lo]
+        np.multiply(alpha[lo:hi][:, :, :, None], trans2, out=eta)
+        eta *= bsh[lo + 1:hi + 1][:, None, None, :]
+        eta *= beta[lo + 1:hi + 1][:, None, :, :]
+        eta /= eta.sum(axis=(1, 2, 3), keepdims=True)
+        if acc is not None:
+            eta[0] += acc
+        acc = eta.sum(axis=0)
+    return acc
 
 
 _POSTERIORS = {1: _posteriors1, 2: _posteriors2}

@@ -11,6 +11,7 @@ concatenation error.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -176,3 +177,30 @@ class TestMixedDimensions:
         with pytest.raises(ValueError) as caught:
             baum_welch(model, self._obs_set(), ONE_ITERATION)
         assert str(caught.value) == "utterance 2: frames have dimension 3, emission has 2"
+
+
+def test_empty_feature_matrix_names_its_source():
+    model = make_random_model(np.random.default_rng(35), 1, "ltr", "gmm", n_states=3)
+    with pytest.raises(ValueError) as caught:
+        forward1(model, FeatureMatrix(np.zeros((0, 2)), FeatureMeta(source="a.wav")))
+    assert str(caught.value) == "utterance 'a.wav': empty observation sequence"
+    with pytest.raises(ValueError) as caught:
+        forward1(model, np.zeros((0, 2)))
+    assert str(caught.value) == "empty observation sequence"
+
+
+@pytest.mark.parametrize("run", [forward1, viterbi1], ids=["forward1", "viterbi1"])
+def test_far_off_frame_fails_without_overflow_warning(run):
+    """A frame whose squared distance from every mean overflows has density
+    0: the pass fails there, and the overflow is not reported as a warning."""
+    rng = np.random.default_rng(36)
+    model = make_random_model(rng, 1, "ltr", "gmm", n_states=3)
+    frames = make_obs(rng, "gmm", 6)
+    frames[3] = 1e200
+    fm = FeatureMatrix(frames, FeatureMeta(source="far.wav"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImpossibleObservationError) as caught:
+            run(model, fm)
+    assert caught.value.frame == 3
+    assert caught.value.utterance == "far.wav"

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -288,6 +289,45 @@ class TestStackedScoring:
             make_random_model(rng, 1, "ltr", "gmm", n_states=n) for n in (3, 4, 3, 5, 4)
         ]
         self._check(models, make_obs(rng, "gmm", 25))
+
+    @staticmethod
+    def _phrase_models(rng, emission, topology):
+        """4 order-2 candidates of 24 states, as the phrase workload scores."""
+        return [make_random_model(rng, 2, topology, emission, n_states=24, n_mixtures=1)
+                for _ in range(4)]
+
+    @pytest.mark.parametrize("topology", ["ltr", "circular"])
+    def test_long_order2_viterbi_scores(self, topology):
+        """Viterbi scoring keeps no back-pointers; its scores are those of
+        the frame-by-frame loop and of viterbi2, bit for bit."""
+        rng = np.random.default_rng([421, len(topology)])
+        models = self._phrase_models(rng, "gmm", topology)
+        reg = self._registry(models)
+        for t_count in (150, 203, 250):
+            obs = make_obs(rng, "gmm", t_count)
+            got = dict(reg.identify("w", "v", obs, scoring="viterbi").ranked)
+            for k, model in enumerate(models):
+                want = max_plus_loop(model, log_emission_matrix(model, obs))
+                assert got[f"s{k}"] == viterbi2(model, obs).log_prob == want, (t_count, k)
+
+    def test_long_order2_failing_candidate(self):
+        """A candidate to which frame 170's symbol is impossible fails Viterbi
+        scoring at the frame viterbi2 names on its own."""
+        rng = np.random.default_rng(422)
+        models = self._phrase_models(rng, "discrete", "circular")
+        probs = np.array([e.probs for e in models[2].emissions])
+        probs[:, 3] = 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        models[2] = replace(models[2], emissions=tuple(DiscreteEmission(p) for p in probs))
+        obs = rng.integers(0, 3, size=220)
+        obs[170] = 3
+        with pytest.raises(ImpossibleObservationError) as alone:
+            viterbi2(models[2], obs)
+        assert alone.value.frame == 170
+        with pytest.raises(ImpossibleObservationError) as raised:
+            self._registry(models).identify("w", "v", obs, scoring="viterbi")
+        assert raised.value.frame == alone.value.frame
+        assert str(raised.value) == str(alone.value)
 
 
 def discrete_model(n_states, probs, skip_width=2):

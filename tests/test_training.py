@@ -540,3 +540,87 @@ class TestLaneIndependence:
         alone = [baum_welch1(model, [x], TrainConfig(max_iterations=1)) for x in obs_set]
         both = baum_welch1(model, obs_set, TrainConfig(max_iterations=1))
         assert both.log_likelihoods == [alone[0].log_likelihoods[0] + alone[1].log_likelihoods[0]]
+
+
+def _whole_posteriors2(model, alpha, beta, bsh, counts):
+    """_posteriors2 with the triple posterior eta built as one
+    (T-2, N, N, N) tensor: the reference for the chunked build."""
+    t_count = len(bsh)
+    pair = alpha[1:] * beta[1:]
+    pair /= pair.sum(axis=(1, 2), keepdims=True)
+    gamma = np.empty((t_count, model.n_states))
+    gamma[0] = pair[0].sum(axis=1)
+    gamma[1:] = pair.sum(axis=1)
+    counts[0] += pair[0]
+    if t_count > 2:
+        eta = (
+            alpha[1:t_count - 1][:, :, :, None]
+            * model.trans2[None]
+            * bsh[2:][:, None, None, :]
+            * beta[2:][:, None, :, :]
+        )
+        eta /= eta.sum(axis=(1, 2, 3), keepdims=True)
+        counts[1] += eta.sum(axis=0)
+    return gamma
+
+
+class TestChunkedTriplePosterior:
+    """_posteriors2 builds eta over chunks of frames and sums them in frame
+    order; every total is bitwise that of the whole tensor."""
+
+    N_STATES = 24
+    # frames per chunk at N = 24 (eta spans frames 1..T-2)
+    CHUNK = max(1, training._ETA_CHUNK_BYTES // (8 * N_STATES**3))
+    # one frame of eta, one full chunk, one frame past it, two full chunks
+    # and one past them, then long utterances spanning many chunks
+    LENGTHS = sorted({3, 4, CHUNK + 2, CHUNK + 3, 2 * CHUNK + 2, 2 * CHUNK + 3,
+                      76, 77, 78, 152, 200, 251})
+
+    def _model(self, topology, seed):
+        rng = np.random.default_rng([seed, len(topology)])
+        return make_random_model(rng, 2, topology, "gmm", n_states=self.N_STATES, n_mixtures=1), rng
+
+    @staticmethod
+    def _lattice(model, x):
+        lat = forward_backward2(model, x)
+        logb = type(model.emissions[0])._kernel(x, *model._emission_parameters)[0]
+        return lat, np.exp(logb - lat.emission_shifts[:, None])
+
+    @pytest.mark.parametrize("topology", ["ltr", "circular"])
+    def test_posteriors_equal_the_whole_tensor(self, topology):
+        model, rng = self._model(topology, 501)
+        for t_count in self.LENGTHS:
+            lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
+            got = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+            want = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+            gamma = training._posteriors2(model, lat.alpha, lat.beta, bsh, got)
+            want_gamma = _whole_posteriors2(model, lat.alpha, lat.beta, bsh, want)
+            assert np.array_equal(gamma, want_gamma), t_count
+            assert np.array_equal(got[0], want[0]), t_count
+            assert np.array_equal(got[1], want[1]), t_count
+            assert got[1].any(), t_count
+
+    @pytest.mark.parametrize("topology", ["ltr", "circular"])
+    def test_estep_equals_one_utterance_passes(self, topology):
+        model, rng = self._model(topology, 502)
+        lengths = [77, 3, 251, self.CHUNK + 2, 152, 76, 2 * self.CHUNK + 3, 200, 78]
+        kind = type(model.emissions[0])
+        obs_list = training._prepare_obs([make_obs(rng, "gmm", n) for n in lengths], kind)
+        total, counts, first_sum, stats = training._estep(model, obs_list)
+        want_counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+        want_first = np.zeros(model.n_states)
+        want_stats = training._EmissionStats(model)
+        want_total = 0.0
+        for x, _ in obs_list:
+            lat, bsh = self._lattice(model, x)
+            logb, comp = kind._kernel(x, *model._emission_parameters)
+            want_total += lat.log_likelihood
+            gamma = _whole_posteriors2(model, lat.alpha, lat.beta, bsh, want_counts)
+            want_first += gamma[0]
+            want_stats.accumulate(x, gamma, logb, comp)
+        assert total == want_total
+        for got, want in zip(counts, want_counts):
+            assert np.array_equal(got, want)
+        assert np.array_equal(first_sum, want_first)
+        for name in ("r", "s1", "s2"):
+            assert np.array_equal(getattr(stats, name), getattr(want_stats, name))
