@@ -466,9 +466,9 @@ class TestLaneIndependence:
     one-utterance forward_backward1/2 passes give."""
 
     @staticmethod
-    def _one_by_one(model, obs_list):
+    def _one_by_one(model, obs_list, posteriors=None):
         fb = forward_backward1 if model.order == 1 else forward_backward2
-        posteriors = training._POSTERIORS[model.order]
+        posteriors = posteriors or training._POSTERIORS[model.order]
         kind = type(model.emissions[0])
         counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
         first_sum = np.zeros(model.n_states)
@@ -607,17 +607,9 @@ class TestChunkedTriplePosterior:
         kind = type(model.emissions[0])
         obs_list = training._prepare_obs([make_obs(rng, "gmm", n) for n in lengths], kind)
         total, counts, first_sum, stats = training._estep(model, obs_list)
-        want_counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
-        want_first = np.zeros(model.n_states)
-        want_stats = training._EmissionStats(model)
-        want_total = 0.0
-        for x, _ in obs_list:
-            lat, bsh = self._lattice(model, x)
-            logb, comp = kind._kernel(x, *model._emission_parameters)
-            want_total += lat.log_likelihood
-            gamma = _whole_posteriors2(model, lat.alpha, lat.beta, bsh, want_counts)
-            want_first += gamma[0]
-            want_stats.accumulate(x, gamma, logb, comp)
+        want_total, want_counts, want_first, want_stats = TestLaneIndependence._one_by_one(
+            model, obs_list, _whole_posteriors2
+        )
         assert total == want_total
         for got, want in zip(counts, want_counts):
             assert np.array_equal(got, want)
