@@ -17,12 +17,18 @@
 #   hmmsid inspect of every model file, with its exit status       -> inspect/
 #   every test trial's ranked scores, printed with repr            -> scores/
 #   scripts/sweep_identity.py of the working tree: library-level
-#     hashes over all 8 model configurations, GMM and discrete     -> sweep/
+#     hashes over all 8 model configurations, GMM and discrete,
+#     and over the front end                                       -> sweep/
+#   hmmsid features, without and with --cms, on 16-bit WAVs the
+#     script writes once with the wave module (speech-like, lead
+#     and mid-utterance silence, all silent, too short)            -> features/
 #
-# and compares data/, models/, report/, inspect/, scores/, sweep/ and the
-# commands' output with `diff -r`. When sweep/ differs, it also names each
-# configuration's input families (lattices, viterbi, ...) whose hashes moved.
-# Exits 0 when everything is identical, 1 when anything differs.
+# and compares data/, models/, report/, inspect/, scores/, sweep/,
+# features/ (the .lpcf bytes) and the commands' output
+# (log/) with `diff -r`. When sweep/ differs, it also names each line's
+# input families (lattices, viterbi, ..., silence, one-frame) whose
+# hashes moved. Exits 0 when everything is identical, 1 when anything
+# differs.
 set -euo pipefail
 
 rev=${1:?usage: scripts/identity_check.sh <rev> [workdir]}
@@ -31,6 +37,36 @@ work=${2:-$(mktemp -d)}
 mkdir -p "$work/base/tree"
 git -C "$repo" archive "$rev" | tar -x -C "$work/base/tree"
 echo "$rev ($(git -C "$repo" rev-parse --short "$rev")) vs working tree, in $work"
+
+mkdir -p "$work/audio"
+python3 - "$work/audio" <<'PY'
+import sys, wave
+import numpy as np
+
+rng = np.random.default_rng(7)
+rate = 8000
+excitation = 0.1 * rng.standard_normal(12000)
+excitation[::57] += 1.0
+speech = np.zeros_like(excitation)
+for t in range(speech.size):   # a stable all-pole filter
+    speech[t] = excitation[t] + 1.2 * speech[t - 1] - 0.6 * speech[t - 2] if t > 1 else excitation[t]
+speech = 0.5 * speech / np.abs(speech).max()
+mid = speech.copy()
+mid[5000:7000] = 0.0
+signals = {
+    "speech": speech,
+    "lead-silence": np.concatenate([np.zeros(1600), speech[:8000]]),
+    "mid-silence": mid,
+    "silent": np.zeros(8000),
+    "short": speech[:150],
+}
+for name, x in signals.items():
+    with wave.open(f"{sys.argv[1]}/{name}.wav", "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(np.round(32767.0 * x).astype("<i2").tobytes())
+PY
 
 run_pipeline() {  # <source tree> <run directory>
     local src=$1/src dir=$2
@@ -73,6 +109,10 @@ for label in sorted(os.listdir("models")):
                     ident = registry.identify(row.word_id, label, fm, scoring=scoring)
                     out.write(f"{row.utterance_id} {ident.ranked!r}\n")
 PY
+    for cms in --no-cms --cms; do
+        { hmmsid features "$work"/audio/*.wav --out "features/${cms#--}" "$cms" 2>&1 \
+            || echo "exit status $?"; } > "log/features${cms#-}.txt"
+    done
     mkdir -p sweep
     PYTHONPATH="$src" python3 "$repo/scripts/sweep_identity.py" > sweep/hashes.txt
     cd - > /dev/null
@@ -82,7 +122,7 @@ run_pipeline "$work/base/tree" "$work/base/run"
 run_pipeline "$repo" "$work/head/run"
 
 status=0
-for part in data models report inspect scores sweep log; do
+for part in data models report inspect scores sweep features log; do
     if diff -r "$work/base/run/$part" "$work/head/run/$part" > "$work/diff-$part.txt"; then
         echo "identical: $part/ ($(find "$work/head/run/$part" -type f | wc -l) files)"
     else
@@ -90,10 +130,12 @@ for part in data models report inspect scores sweep log; do
         status=1
     fi
 done
-# each sweep line: order= topology= emission= <overall hash> family=<hash> ...
+# each sweep line: <label key=value fields> <overall hash> family=<hash> ...
 paste -d' ' "$work/base/run/sweep/hashes.txt" "$work/head/run/sweep/hashes.txt" | awk '{
     n = NF / 2
-    for (i = 5; i <= n; i++)
-        if ($i != $(i + n)) { split($i, family, "="); print "  sweep moved: " $1 " " $2 " " $3 " " family[1] }
+    label = ""
+    for (i = 1; $i ~ /=/; i++) label = label " " $i
+    for (i++; i <= n; i++)
+        if ($i != $(i + n)) { split($i, family, "="); print "  sweep moved:" label " " family[1] }
 }'
 exit $status

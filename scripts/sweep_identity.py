@@ -28,8 +28,22 @@ per configuration: a sha256 over everything, then one hash per input
 family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
 Baum-Welch and train, failing lane sets, long order-2 utterances; the
 last is the empty digest for order 1), so that a difference names the
-family that moved. Run it on two trees and compare the output
-(scripts/identity_check.sh does).
+family that moved.
+
+A last line, ``stage=frontend``, does the same for the LPC-cepstrum front
+end: extract_features output (coefficients, degenerate frames, cms flag,
+configuration hash) or error text under five front-end configurations
+(FRONTEND_CONFIGS: cms on and off, lpc_order 1 and 20, and a window too
+short for the prediction order) on synthetic signals by family
+(FRONTEND_FAMILIES: ordinary, lead/mid/trailing silence, every or nearly
+every frame degenerate, too short), and the one-frame functions
+(autocorrelation, lpc_levinson_durbin, lpc_to_cepstrum) chained on single
+frames and on autocorrelations that die at each order or are NaN.
+Non-finite samples are left out: extract_features rejects them since the
+front end was batched over frames, and before that it returned NaN rows.
+
+Run it on two trees and compare the output (scripts/identity_check.sh
+does).
 """
 
 from __future__ import annotations
@@ -45,8 +59,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import ALL_CONFIGS, N_SYMBOLS, make_obs, make_random_model  # noqa: E402
+from oracles import predictor_from_reflection, sample_ar_signal  # noqa: E402
 
-from hmmsid import inference, training  # noqa: E402
+from hmmsid import features, inference, training  # noqa: E402
 from hmmsid.models import DiscreteEmission, model_to_dict  # noqa: E402
 
 SEEDS = 3
@@ -54,6 +69,14 @@ SEEDS = 3
 # The input families, each hashed on its own.
 FAMILIES = ("lattices", "viterbi", "emissions", "scoring", "training", "lane-sets",
             "long-order2")
+FRONTEND_FAMILIES = ("ordinary", "silence", "degenerate", "too-short", "one-frame")
+FRONTEND_CONFIGS = (
+    features.FrontendConfig(),
+    features.FrontendConfig(cms=True),
+    features.FrontendConfig(lpc_order=1, cepstrum_order=1),
+    features.FrontendConfig(window_ms=20.0, hop_ms=5.0, lpc_order=20, cepstrum_order=16, cms=True),
+    features.FrontendConfig(window_ms=1.5),   # 12-sample windows, too short for order 12
+)
 
 
 class Digest:
@@ -273,13 +296,83 @@ def sweep(index, seeds):
     return {family: digest.hexdigest() for family, digest in digests.items()}
 
 
+def _frontend_signals(rng):
+    """Synthetic signals for each of FRONTEND_FAMILIES but the last."""
+    ar = sample_ar_signal(rng, predictor_from_reflection([0.7, -0.5, 0.3, -0.2]), 8000, 0.1)
+    speech = np.round(0.5 * 32767.0 * ar / np.abs(ar).max()) / 32768.0
+    noise = 0.3 * rng.standard_normal(5000)
+    burst = np.zeros(6000)
+    burst[3000:3300] = noise[:300]
+    return {
+        "ordinary": [speech, noise, 0.4 * np.cos(0.3 * np.arange(4000))],
+        "silence": [np.concatenate([np.zeros(1500), speech[:6000]]),
+                    np.concatenate([speech[:3000], np.zeros(2000), speech[3000:6000]]),
+                    np.concatenate([noise, np.zeros(2500)])],
+        "degenerate": [np.zeros(6000), burst],
+        "too-short": [speech[:200], np.zeros(0)],
+    }
+
+
+def _one_frame(d, frames, order, n_coeffs):
+    """The one-frame functions chained on each frame."""
+    for frame in frames:
+        r = d.call(features.autocorrelation, frame, order)
+        d.value(r)
+        if r is None:
+            continue
+        lpc = d.call(features.lpc_levinson_durbin, r, order)
+        if lpc is not None:
+            a, err, k = lpc
+            d.value(a)
+            d.value(err)
+            d.value(k)
+            d.value(d.call(features.lpc_to_cepstrum, a, n_coeffs))
+
+
+def frontend():
+    """The hex digest of each of FRONTEND_FAMILIES."""
+    digests = {family: Digest() for family in FRONTEND_FAMILIES}
+    rng = np.random.default_rng(11)
+    signals = _frontend_signals(rng)
+    for family, xs in signals.items():
+        d = digests[family]
+        for x in xs:
+            for config in FRONTEND_CONFIGS:
+                fm = d.call(features.extract_features, x, config, "u")
+                if fm is not None:
+                    d.value(fm.frames)
+                    d.value(np.array(fm.meta.degenerate_frames, dtype=np.int64))
+                    d.text(f"{fm.meta.cms_applied} {fm.meta.config_hash}")
+    d = digests["one-frame"]
+    for config in FRONTEND_CONFIGS:
+        for x in signals["silence"]:
+            y = features.pre_emphasize(x, config.preemphasis)
+            frames = features.frame_and_window(y, config.window_samples, config.hop_samples)
+            _one_frame(d, frames[::7], config.lpc_order, config.cepstrum_order)
+    dying = [[1.0, 1.0, 0.5, 0.2], [1.0, 0.5, 1.0, 0.1], [1.0, 0.5, 0.2, 1.5],
+             [0.0, 0.0, 0.0, 0.0], [-1.0, 0.5, 0.2, 0.1], [np.nan, 0.5, 0.2, 0.1],
+             [1.0, np.nan, 0.2, 0.1], [1.0, 0.5, 0.2]]
+    for r in dying:
+        lpc = d.call(features.lpc_levinson_durbin, r, 3)
+        if lpc is not None:
+            d.value(lpc[0])
+            d.value(lpc[1])
+            d.value(lpc[2])
+    return {family: digest.hexdigest() for family, digest in digests.items()}
+
+
+def _line(label, digests):
+    overall = hashlib.sha256("".join(digests.values()).encode()).hexdigest()
+    families = " ".join(f"{family}={digest[:16]}" for family, digest in digests.items())
+    return f"{label} {overall} {families}"
+
+
 def main():
     for index, (order, topology, emission) in enumerate(ALL_CONFIGS):
         with np.errstate(all="ignore"):
             digests = sweep(index, SEEDS)
-        overall = hashlib.sha256("".join(digests.values()).encode()).hexdigest()
-        families = " ".join(f"{family}={digest[:16]}" for family, digest in digests.items())
-        print(f"order={order} topology={topology} emission={emission} {overall} {families}")
+        print(_line(f"order={order} topology={topology} emission={emission}", digests))
+    print(_line("stage=frontend", frontend()))
 
 
 if __name__ == "__main__":

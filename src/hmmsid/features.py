@@ -6,7 +6,17 @@ first-difference pre-emphasis y[n] = x[n] - 0.95 x[n-1] (y[0] = x[0]),
 30 ms symmetric Hamming windows every 10 ms, order-12 autocorrelation
 prediction per frame, and the order-12 cepstrum of the prediction filter.
 A frame whose autocorrelation cannot support prediction (digital silence)
-yields a zero cepstrum and is flagged in the metadata.
+yields a zero cepstrum and is flagged in the metadata. Signals must be
+finite: a NaN or infinite sample is rejected before framing.
+
+extract_features runs autocorrelation, the Levinson-Durbin recursion and
+the cepstral recursion as one kernel over the (F, W) matrix of all
+windowed frames of an utterance (_autocorrelations, _levinson_durbin,
+_cepstra), one numpy call per lag or order rather than per frame. The
+public autocorrelation, lpc_levinson_durbin and lpc_to_cepstrum are the
+kernel's one-frame case, and each frame's row has the bits it has alone
+(Makhoul, "Linear prediction: a tutorial review", Proc. IEEE 1975, for
+the autocorrelation method and the LPC-cepstrum recursion).
 
 Sign convention: prediction coefficients a_k satisfy
 x_hat[n] = sum_k a_k x[n-k]; the prediction-error filter is
@@ -40,7 +50,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateFrameError, SignalTooShortError
+from .errors import DegenerateFrameError, SignalTooShortError, _named
 from .fileio import atomic_write
 
 __all__ = [
@@ -181,9 +191,7 @@ def autocorrelation(frame, max_lag: int) -> np.ndarray:
     x = np.asarray(frame, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("frame must be 1-dimensional")
-    if not 0 <= max_lag < x.size:
-        raise ValueError(f"max_lag must be in [0, {x.size - 1}]")
-    return np.array([x[: x.size - k] @ x[k:] for k in range(max_lag + 1)])
+    return _autocorrelations(x[None, :], max_lag)[0]
 
 
 def lpc_levinson_durbin(r, order: int):
@@ -197,25 +205,14 @@ def lpc_levinson_durbin(r, order: int):
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 1 or r.size < order + 1:
         raise ValueError(f"need r[0..{order}], got shape {r.shape}")
-    if r[0] <= 0.0:
+    a, err, k, died = _levinson_durbin(r[None, :], order)
+    if died[0] == 0:
         raise DegenerateFrameError(f"r[0] = {r[0]:.6g} is not positive")
-    a = np.zeros(order)
-    k = np.zeros(order)
-    err = r[0]
-    for i in range(1, order + 1):
-        acc = r[i] - a[: i - 1] @ r[1:i][::-1]
-        ki = acc / err
-        k[i - 1] = ki
-        a_prev = a[: i - 1].copy()
-        a[i - 1] = ki
-        if i > 1:
-            a[: i - 1] = a_prev - ki * a_prev[::-1]
-        err = (1.0 - ki * ki) * err
-        if err <= 0.0:
-            raise DegenerateFrameError(
-                f"prediction error vanished at order {i} (|k| >= 1)"
-            )
-    return a, float(err), k
+    if died[0] > 0:
+        raise DegenerateFrameError(
+            f"prediction error vanished at order {died[0]} (|k| >= 1)"
+        )
+    return a[0], float(err[0]), k[0]
 
 
 def lpc_to_cepstrum(a, n_coeffs: int) -> np.ndarray:
@@ -230,11 +227,66 @@ def lpc_to_cepstrum(a, n_coeffs: int) -> np.ndarray:
         raise ValueError("prediction coefficients must be 1-dimensional")
     if not 1 <= n_coeffs <= a.size:
         raise ValueError(f"n_coeffs must be in [1, {a.size}]")
-    c = np.zeros(n_coeffs)
-    c[0] = a[0]
+    return _cepstra(a[None, :], n_coeffs)[0]
+
+
+# The frame-batched kernel. Each stage takes one row per frame and does, for
+# every row at once, exactly the floating-point operations of the one-frame
+# case in the same order, so a row's bits do not depend on the other rows:
+# matmul of a (1, m) by an (m, 1) slice is the dot product of the one-frame
+# case, and elementwise steps and row sums of C-contiguous rows are the
+# 1-D ones. A dead frame's row runs on through later stages on meaningless
+# values, hence the errstate.
+
+@np.errstate(all="ignore")
+def _autocorrelations(frames, max_lag):
+    """(F, W) frames -> (F, max_lag + 1) biased autocorrelations."""
+    n = frames.shape[1]
+    if not 0 <= max_lag < n:
+        raise ValueError(f"max_lag must be in [0, {n - 1}]")
+    r = np.empty((frames.shape[0], max_lag + 1))
+    for k in range(max_lag + 1):
+        r[:, k] = np.matmul(frames[:, None, : n - k], frames[:, k:, None])[:, 0, 0]
+    return r
+
+
+@np.errstate(all="ignore")
+def _levinson_durbin(r, order):
+    """Levinson-Durbin on every row of r (F, >= order + 1) at once.
+
+    Returns (a, err, k, died): (F, order) prediction coefficients, (F,)
+    residual energies, (F, order) reflection coefficients, and for each row
+    the order at which its residual energy first fell to <= 0 (0 when
+    r[0] <= 0), or -1 for a row that stayed positive through every order.
+    The tests are "<= 0", so a NaN row is not dead.
+    """
+    a = np.zeros((r.shape[0], order))
+    k = np.zeros((r.shape[0], order))
+    err = r[:, 0].copy()
+    died = np.where(err <= 0.0, 0, -1)
+    for i in range(1, order + 1):
+        # the dot product runs on the reversed view r[i-1], ..., r[1]: a
+        # contiguous copy of it changes the bits
+        acc = r[:, i] - np.matmul(a[:, None, : i - 1], r[:, i - 1 : 0 : -1, None])[:, 0, 0]
+        ki = acc / err
+        k[:, i - 1] = ki
+        a_prev = a[:, : i - 1].copy()
+        a[:, i - 1] = ki
+        if i > 1:
+            a[:, : i - 1] = a_prev - ki[:, None] * a_prev[:, ::-1]
+        err = (1.0 - ki * ki) * err
+        died[(died < 0) & (err <= 0.0)] = i
+    return a, err, k, died
+
+
+@np.errstate(all="ignore")
+def _cepstra(a, n_coeffs):
+    """(F, order) prediction coefficients -> (F, n_coeffs) cepstra."""
+    c = np.zeros((a.shape[0], n_coeffs))
+    c[:, 0] = a[:, 0]
     for n in range(2, n_coeffs + 1):
         ks = np.arange(1, n)
-        c[n - 1] = a[n - 1] + np.sum(ks / n * c[: n - 1] * a[n - 1 - ks])
+        c[:, n - 1] = a[:, n - 1] + np.sum(ks / n * c[:, : n - 1] * a[:, n - 1 - ks], axis=1)
     return c
 
 
@@ -251,25 +303,25 @@ def cepstral_mean_subtraction(features: FeatureMatrix) -> FeatureMatrix:
 def extract_features(signal, config: FrontendConfig = FrontendConfig(), source: str = "") -> FeatureMatrix:
     """Run the full front end on a [-1, 1) float signal.
 
-    Degenerate frames (zero autocorrelation energy, or a frame on which the
+    A NaN or infinite sample raises ValueError naming ``source`` and the
+    first such sample's index. Degenerate frames (zero autocorrelation energy, or a frame on which the
     recursion collapses) produce all-zero coefficient rows and their indices
     are recorded in meta.degenerate_frames. A signal where every frame is
     degenerate raises DegenerateFrameError; a signal shorter than one window
     raises SignalTooShortError.
     """
-    y = pre_emphasize(signal, config.preemphasis)
+    x = np.asarray(signal, dtype=np.float64)
+    nonfinite = np.flatnonzero(~np.isfinite(x))
+    if nonfinite.size:
+        raise ValueError(_named(f"non-finite sample at index {nonfinite[0]}", source or None))
+    y = pre_emphasize(x, config.preemphasis)
     frames = frame_and_window(y, config.window_samples, config.hop_samples)
-    out = np.zeros((frames.shape[0], config.cepstrum_order))
-    bad = []
-    for t in range(frames.shape[0]):
-        r = autocorrelation(frames[t], config.lpc_order)
-        try:
-            a, _, _ = lpc_levinson_durbin(r, config.lpc_order)
-        except DegenerateFrameError:
-            bad.append(t)
-            continue
-        out[t] = lpc_to_cepstrum(a, config.cepstrum_order)
-    if len(bad) == frames.shape[0]:
+    r = _autocorrelations(frames, config.lpc_order)
+    a, _, _, died = _levinson_durbin(r, config.lpc_order)
+    out = _cepstra(a, config.cepstrum_order)
+    bad = np.flatnonzero(died >= 0)
+    out[bad] = 0.0
+    if bad.size == frames.shape[0]:
         raise DegenerateFrameError("every frame of the signal is degenerate")
     fm = FeatureMatrix(
         out,
@@ -277,7 +329,7 @@ def extract_features(signal, config: FrontendConfig = FrontendConfig(), source: 
             source=source,
             cms_applied=False,
             config_hash=config.digest(),
-            degenerate_frames=tuple(bad),
+            degenerate_frames=tuple(bad.tolist()),
         ),
     )
     if config.cms:

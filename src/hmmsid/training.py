@@ -381,7 +381,8 @@ def _variance_floor(frames_list, factor):
     """Relative variance floor: ``factor`` times the per-dimension variance
     of all training frames pooled, with a 1e-12 absolute backstop.
     Returns (floor, pooled variance)."""
-    pooled_var = np.concatenate(frames_list, axis=0).var(axis=0)
+    with np.errstate(over="ignore"):   # a far-off frame overflows; the E-step then names it
+        pooled_var = np.concatenate(frames_list, axis=0).var(axis=0)
     return np.maximum(factor * pooled_var, 1e-12), pooled_var
 
 

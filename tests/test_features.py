@@ -1,8 +1,12 @@
+import hashlib
 import struct
+import warnings
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -247,12 +251,152 @@ class TestExtractFeatures:
         with pytest.raises(SignalTooShortError):
             extract_features(np.ones(100))
 
+    @pytest.mark.parametrize("window_ms, longest", [(1.0, 7), (1.5, 11)])
+    def test_window_shorter_than_the_prediction_order_raises(self, window_ms, longest):
+        rng = np.random.default_rng(417)
+        with pytest.raises(ValueError) as caught:
+            extract_features(0.3 * rng.standard_normal(400), FrontendConfig(window_ms=window_ms))
+        assert str(caught.value) == f"max_lag must be in [0, {longest}]"
+
     def test_deterministic(self):
         rng = np.random.default_rng(414)
         x = 0.2 * rng.standard_normal(8000)
         a = extract_features(x)
         b = extract_features(x)
         np.testing.assert_array_equal(a.frames, b.frames)
+
+
+def _speech(rng, n_samples):
+    """A stable AR(4) process scaled to half full scale, on the 16-bit grid."""
+    x = oracles.sample_ar_signal(rng, oracles.predictor_from_reflection([0.7, -0.5, 0.3, -0.2]),
+                                 n_samples, noise_std=0.1)
+    return np.round(0.5 * 32767.0 * x / np.abs(x).max()) / 32768.0
+
+
+def _pinned_signal(kind):
+    x = _speech(np.random.default_rng(420), 12000)
+    if kind == "lead-silence":
+        x[:2000] = 0.0
+    elif kind == "mid-silence":
+        x[5000:7000] = 0.0
+    return x
+
+
+def _one_frame_chain(x, config):
+    """extract_features built from the one-frame public functions, frame by
+    frame: (coefficients, degenerate frames), or the DegenerateFrameError."""
+    frames = frame_and_window(pre_emphasize(x, config.preemphasis),
+                              config.window_samples, config.hop_samples)
+    out = np.zeros((frames.shape[0], config.cepstrum_order))
+    bad = []
+    for t, frame in enumerate(frames):
+        r = autocorrelation(frame, config.lpc_order)
+        try:
+            a, _, _ = lpc_levinson_durbin(r, config.lpc_order)
+        except DegenerateFrameError:
+            bad.append(t)
+            continue
+        out[t] = lpc_to_cepstrum(a, config.cepstrum_order)
+    if len(bad) == frames.shape[0]:
+        return DegenerateFrameError
+    if config.cms:
+        out = cepstral_mean_subtraction(FeatureMatrix(out)).frames
+    return out, tuple(bad)
+
+
+class TestFrameBatchedKernel:
+    """extract_features runs the DSP over all frames of an utterance at once;
+    every row must carry the bits of the one-frame functions."""
+
+    # sha256 of extract_features output (coefficient bytes, degenerate
+    # frames, cms flag), recorded with the per-frame implementation
+    PINNED = {
+        ("speech", 12, 12, False):
+            "0c2b539e8a62a313e1a04100b45761d4c6bd8bec1f81e99b37a377de354387be",
+        ("lead-silence", 12, 12, False):
+            "dea71bc50816a02748f624aab46ae9e67a6319aef44d604c778f8014e9a9481b",
+        ("mid-silence", 12, 12, True):
+            "3b032e8c14f6214a6f4aa0c40711b947ca8ad3660d8401e143e39db98093ec22",
+        ("speech", 1, 1, False):
+            "8c6c6ce71252074f456e29202ce565fb82217d984644415da544a28508d294a5",
+        ("mid-silence", 20, 16, False):
+            "f2faa088404e732352ee6ddd140fbfa49c04e168a724b768a9e8ed394aa4ad8c",
+        ("lead-silence", 20, 20, True):
+            "ca1c2b798e13fef72e37bb49f72dd76d8e10336e5854c977fda2c9b89c200600",
+    }
+
+    @pytest.mark.parametrize("kind, lpc_order, cepstrum_order, cms", list(PINNED))
+    def test_pinned_digest(self, kind, lpc_order, cepstrum_order, cms):
+        config = FrontendConfig(lpc_order=lpc_order, cepstrum_order=cepstrum_order, cms=cms)
+        fm = extract_features(_pinned_signal(kind), config)
+        h = hashlib.sha256(fm.frames.tobytes())
+        h.update(repr((fm.meta.degenerate_frames, fm.meta.cms_applied)).encode())
+        assert h.hexdigest() == self.PINNED[kind, lpc_order, cepstrum_order, cms]
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lpc_order=st.integers(1, 20),
+        cepstrum_cut=st.integers(0, 19),
+        window_ms=st.sampled_from([10.0, 20.0, 25.0, 30.0]),
+        hop_ms=st.sampled_from([5.0, 10.0, 12.5]),
+        cms=st.booleans(),
+        n_zero_stretches=st.integers(0, 4),
+    )
+    def test_rows_equal_the_one_frame_chain(self, seed, lpc_order, cepstrum_cut, window_ms,
+                                            hop_ms, cms, n_zero_stretches):
+        rng = np.random.default_rng(seed)
+        x = 0.3 * rng.standard_normal(int(rng.integers(240, 2400)))
+        if rng.random() < 0.5:
+            x = np.round(x * 32767.0) / 32768.0
+        for _ in range(n_zero_stretches):
+            start = int(rng.integers(0, x.size))
+            x[start:start + int(rng.integers(1, 600))] = 0.0
+        config = FrontendConfig(window_ms=window_ms, hop_ms=hop_ms, lpc_order=lpc_order,
+                                cepstrum_order=max(1, lpc_order - cepstrum_cut), cms=cms)
+        want = _one_frame_chain(x, config)
+        if want is DegenerateFrameError:
+            with pytest.raises(DegenerateFrameError, match="every frame"):
+                extract_features(x, config)
+            return
+        fm = extract_features(x, config)
+        assert fm.frames.tobytes() == want[0].tobytes()
+        assert fm.meta.degenerate_frames == want[1]
+
+    def test_silent_frames_emit_no_runtime_warning(self):
+        x = _pinned_signal("lead-silence")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fm = extract_features(x)
+            with pytest.raises(DegenerateFrameError):
+                lpc_levinson_durbin(autocorrelation(np.zeros(240), 12), 12)
+        assert len(fm.meta.degenerate_frames) > 0
+
+    @pytest.mark.parametrize("r, text", [
+        ([0.0, 0.0, 0.0], "r[0] = 0 is not positive"),
+        ([-2.5, 0.0, 0.0], "r[0] = -2.5 is not positive"),
+        ([1.0, 1.0, 0.5], "prediction error vanished at order 1 (|k| >= 1)"),
+        ([1.0, 0.5, 1.0], "prediction error vanished at order 2 (|k| >= 1)"),
+    ])
+    def test_degenerate_frame_texts(self, r, text):
+        with pytest.raises(DegenerateFrameError) as caught:
+            lpc_levinson_durbin(r, 2)
+        assert str(caught.value) == text
+
+    def test_nan_autocorrelation_is_not_degenerate(self):
+        a, err, k = lpc_levinson_durbin([np.nan, 0.5, 0.2], 2)
+        assert np.isnan(a).all() and np.isnan(err) and np.isnan(k).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_rejected(self, bad):
+        x = _pinned_signal("speech")
+        x[1234] = bad
+        x[5000] = bad
+        with pytest.raises(ValueError) as caught:
+            extract_features(x, source="spk01/a.wav")
+        assert str(caught.value) == "utterance 'spk01/a.wav': non-finite sample at index 1234"
+        with pytest.raises(ValueError, match="^non-finite sample at index 1234$"):
+            extract_features(x)
 
 
 class TestAudioIngestion:
