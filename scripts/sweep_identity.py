@@ -313,19 +313,23 @@ def _frontend_signals(rng):
     }
 
 
+def _levinson(d, r, order):
+    """Hash lpc_levinson_durbin's (a, err, k) or error; return a or None."""
+    lpc = d.call(features.lpc_levinson_durbin, r, order)
+    if lpc is None:
+        return None
+    for part in lpc:
+        d.value(part)
+    return lpc[0]
+
+
 def _one_frame(d, frames, order, n_coeffs):
     """The one-frame functions chained on each frame."""
     for frame in frames:
         r = d.call(features.autocorrelation, frame, order)
         d.value(r)
-        if r is None:
-            continue
-        lpc = d.call(features.lpc_levinson_durbin, r, order)
-        if lpc is not None:
-            a, err, k = lpc
-            d.value(a)
-            d.value(err)
-            d.value(k)
+        a = None if r is None else _levinson(d, r, order)
+        if a is not None:
             d.value(d.call(features.lpc_to_cepstrum, a, n_coeffs))
 
 
@@ -353,11 +357,7 @@ def frontend():
              [0.0, 0.0, 0.0, 0.0], [-1.0, 0.5, 0.2, 0.1], [np.nan, 0.5, 0.2, 0.1],
              [1.0, np.nan, 0.2, 0.1], [1.0, 0.5, 0.2]]
     for r in dying:
-        lpc = d.call(features.lpc_levinson_durbin, r, 3)
-        if lpc is not None:
-            d.value(lpc[0])
-            d.value(lpc[1])
-            d.value(lpc[2])
+        _levinson(d, r, 3)
     return {family: digest.hexdigest() for family, digest in digests.items()}
 
 
