@@ -62,13 +62,13 @@ from conftest import ALL_CONFIGS, N_SYMBOLS, make_obs, make_random_model  # noqa
 from oracles import predictor_from_reflection, sample_ar_signal  # noqa: E402
 
 from hmmsid import features, inference, training  # noqa: E402
-from hmmsid.models import DiscreteEmission, model_to_dict  # noqa: E402
+from hmmsid.models import DiscreteEmission, GmmEmission, model_to_dict  # noqa: E402
 
 SEEDS = 3
 
 # The input families, each hashed on its own.
 FAMILIES = ("lattices", "viterbi", "emissions", "scoring", "training", "lane-sets",
-            "long-order2")
+            "long-order2", "no-mass")
 FRONTEND_FAMILIES = ("ordinary", "silence", "degenerate", "too-short", "one-frame")
 FRONTEND_CONFIGS = (
     features.FrontendConfig(),
@@ -243,11 +243,47 @@ def _long_order2(d, index, topology, emission):
         d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
 
 
+def _no_mass(d, index, order, topology, emission):
+    """baum_welch1/2 where one state and one mixture component receive no
+    posterior mass, so that the update keeps their parameters. State 1 of
+    a 5-state model emits none of the frames: its Gaussians lie 1e6 away
+    from them, or its symbol table holds only the last symbol, which the
+    utterances never use. For 3-component mixtures, component 0 of every
+    state lies as far away; for symbol tables, the last symbol is the
+    component without mass. Mixtures of 1 and 3 components, 3-iteration
+    runs on 3 sets of 1-3 utterances of 3-40 frames."""
+    rng = np.random.default_rng([index, 5])
+    bw = getattr(training, f"baum_welch{order}")
+    config = training.TrainConfig(max_iterations=3)
+    for n_mixtures in ((1, 3) if emission == "gmm" else (N_SYMBOLS,)):
+        model = make_random_model(rng, order, topology, emission, n_states=5, n_mixtures=n_mixtures)
+        if emission == "discrete":
+            emissions = list(model.emissions)
+            emissions[1] = DiscreteEmission(np.eye(N_SYMBOLS)[-1])
+        else:
+            means = np.array([e.means for e in model.emissions])
+            means[1] = 1e6
+            if n_mixtures > 1:
+                means[:, 0] = 1e6
+            emissions = [GmmEmission(e.weights, m, e.variances) for e, m in zip(model.emissions, means)]
+        model = replace(model, emissions=tuple(emissions))
+        for _ in range(3):
+            lengths = rng.integers(3, 41, size=int(rng.integers(1, 4)))
+            if emission == "discrete":
+                utterances = [rng.integers(0, N_SYMBOLS - 1, size=n) for n in lengths]
+            else:
+                utterances = [make_obs(rng, emission, n) for n in lengths]
+            report = d.call(bw, model, utterances, config)
+            if report is not None:
+                d.value(report.log_likelihoods)
+                d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+
+
 def sweep(index, seeds):
     """The hex digest of each of FAMILIES for configuration ``index``."""
     order, topology, emission = ALL_CONFIGS[index]
     digests = {family: Digest() for family in FAMILIES}
-    lattices, viterbi, emissions, scoring, trained, lane_sets, long_order2 = digests.values()
+    lattices, viterbi, emissions, scoring, trained, lane_sets, long_order2, no_mass = digests.values()
     fb = getattr(inference, f"forward_backward{order}")
     fwd = getattr(inference, f"forward{order}")
     vit = getattr(inference, f"viterbi{order}")
@@ -293,6 +329,7 @@ def sweep(index, seeds):
                     lane_sets.text(json.dumps(model_to_dict(report.model), sort_keys=True))
     if order == 2:
         _long_order2(long_order2, index, topology, emission)
+    _no_mass(no_mass, index, order, topology, emission)
     return {family: digest.hexdigest() for family, digest in digests.items()}
 
 

@@ -157,7 +157,7 @@ class FeatureMatrix:
 # signal operations
 # ---------------------------------------------------------------------------
 
-def pre_emphasize(signal, coeff: float = 0.95) -> np.ndarray:
+def pre_emphasize(signal, coeff: float = FrontendConfig.preemphasis) -> np.ndarray:
     """First-difference high-pass: y[n] = x[n] - coeff * x[n-1], y[0] = x[0]."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
@@ -372,8 +372,13 @@ def _read_wav(path) -> tuple[int, np.ndarray]:
 
 
 def load_raw(path, sample_rate: int) -> tuple[int, np.ndarray]:
-    """Read headerless 16-bit little-endian PCM at a configured rate."""
-    data = np.fromfile(os.fspath(path), dtype="<i2")
+    """Read headerless 16-bit little-endian PCM at a configured rate. An odd
+    byte count (a truncated file) raises ValueError naming the file."""
+    p = os.fspath(path)
+    size = os.path.getsize(p)
+    if size % 2:
+        raise ValueError(f"{p}: {size} bytes is not a whole number of 16-bit samples")
+    data = np.fromfile(p, dtype="<i2")
     return int(sample_rate), data.astype(np.float64) / 32768.0
 
 

@@ -10,9 +10,9 @@ its ``trans1`` matrix drives the single transition out of the first frame.
 Emission densities depend on the current state only. An emission kind
 (GmmEmission, DiscreteEmission) is a frozen dataclass whose fields are its
 per-state parameters, and it owns the rest of what the engine needs: its
-``kind`` name in model files, the observation rule that converts and checks
-one utterance, and one kernel that scores an utterance under K states whose
-parameters are stacked field by field.
+``kind`` name in model files, the observation rule for one utterance, one
+kernel that scores an utterance under K states whose parameters are stacked
+field by field, and its Baum-Welch statistics and update over all states.
 
 Two modeling topologies are supported:
 
@@ -225,6 +225,51 @@ class GmmEmission:
         comp = _component_log_densities(x, weights, means, variances)
         return _logsumexp(comp), comp
 
+    @staticmethod
+    def _statistics(stacked, x, gamma, logb, comp):
+        """One utterance's (N, M) component mass and (N, M, D) first and
+        second moments for all states, from its (T, N) posteriors ``gamma``
+        and the ``logb`` and ``comp`` that _kernel returned."""
+        ratio = np.zeros_like(comp)
+        alive = np.isfinite(logb)
+        ratio[alive] = np.exp(comp[alive] - logb[alive][:, None])
+        # Each state's (T, M) block is contiguous, as a state's alone would be:
+        # numpy sums a (T, 1) block pairwise, not frame by frame.
+        by_state = np.ascontiguousarray((gamma[:, :, None] * ratio).transpose(1, 0, 2))
+        resp = by_state.transpose(0, 2, 1)
+        return by_state.sum(axis=1), resp @ x, resp @ (x * x)
+
+    @staticmethod
+    def _updated(stacked, stats, weight_floor, variance_floor):
+        """Stacked parameters from summed _statistics: _floored mass as weights,
+        posterior means and variances of components with mass, variances
+        floored at ``variance_floor``. A state without mass keeps its rows."""
+        weights, means, variances = stacked
+        r, s1, s2 = stats
+        has_mass, weights = _with_mass(weights, r, weight_floor)
+        active = has_mass[:, None] & (r > 1e-300)
+        mass = r[active][:, None]
+        means, variances = means.copy(), variances.copy()
+        means[active] = s1[active] / mass
+        variances[active] = s2[active] / mass - means[active] ** 2
+        variances[has_mass] = np.maximum(variances[has_mass], variance_floor)
+        return weights, means, variances
+
+
+def _floored(counts, floor):
+    """``counts`` normalized along the last axis, floored and renormalized."""
+    p = np.maximum(counts / counts.sum(axis=-1, keepdims=True), floor)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _with_mass(table, r, floor):
+    """Which states of the (N, M) mass ``r`` have any, and ``table`` with
+    their rows replaced by their _floored mass (the others keep their bits)."""
+    has_mass = ~(r.sum(axis=1) <= 0.0)
+    table = table.copy()
+    table[has_mass] = _floored(r[has_mass], floor)
+    return has_mass, table
+
 
 def _component_log_densities(frames, weights, means, variances) -> np.ndarray:
     """(T, N, M) tensor of log(weights[n, m]) + log N(x_t; means[n, m],
@@ -322,6 +367,20 @@ class DiscreteEmission:
             raise ValueError(f"symbol out of range [0, {m}): min {x.min()}, max {x.max()}")
         with np.errstate(divide="ignore"):
             return np.log(probs.T[x]), None
+
+    @staticmethod
+    def _statistics(stacked, x, gamma, logb, comp):
+        """One utterance's (N, M) mass per state and symbol from its (T, N)
+        posteriors ``gamma``: one bincount, each bin adding in frame order."""
+        n, m = stacked[0].shape
+        mass = np.bincount((x[:, None] * n + np.arange(n)).ravel(), weights=gamma.ravel(), minlength=m * n)
+        return (np.ascontiguousarray(mass.reshape(m, n).T),)
+
+    @staticmethod
+    def _updated(stacked, stats, weight_floor, variance_floor):
+        """The (N, M) tables re-estimated as _floored mass; a state without
+        mass keeps its row."""
+        return (_with_mass(stacked[0], stats[0], weight_floor)[1],)
 
 
 # The emission kinds by name (a model file's "emission_type").

@@ -120,10 +120,8 @@ class SpeakerRegistry:
             raise LookupError(f"no models enrolled for word={word_id} variant={variant_label}")
         models = [self._models[(speaker, word_id, variant_label)] for speaker in candidates]
         scored = list(zip(candidates, score_models(models, utterance, scoring)))
-        predicted = max(scored, key=lambda sv: sv[1])[0]   # first of equal maxima
-        order = {s: i for i, (s, _) in enumerate(scored)}
-        ranked = tuple(sorted(scored, key=lambda sv: (-sv[1], order[sv[0]])))
-        return IdentifyResult(predicted_speaker=predicted, scoring=scoring, ranked=ranked)
+        ranked = tuple(sorted(scored, key=lambda sv: -sv[1]))   # stable: ties in enrollment order
+        return IdentifyResult(predicted_speaker=ranked[0][0], scoring=scoring, ranked=ranked)
 
 
 @dataclass

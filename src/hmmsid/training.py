@@ -9,13 +9,13 @@ contributes an exact zero to every accumulator and stays zero forever.
 Each E-step runs the model's utterances as the lanes of one stacked pass
 (inference._lanes): one emission-kernel call on their concatenated
 frames, one forward pass and one backward pass on one time axis.
-Posteriors and statistics are then added utterance by utterance in
-utterance order, so every total is bitwise what running the utterances
-one at a time gives. When utterances fail, the first of them raises the
-error it raises on its own, naming the utterance. The order-2 triple
-posterior eta is built over chunks of frames of about 1 MB each, not as
-one (T-2, N, N, N) tensor, and its frames are summed in frame order, so
-its total is bitwise that of the whole tensor (_triple_sum).
+Posteriors and the emission kind's statistics (all states at once) are
+added in utterance order, so every total is bitwise what running the
+utterances one at a time gives. When utterances fail, the first of them
+raises the error it raises on its own, naming the utterance. The order-2
+triple posterior eta is built over chunks of frames of about 1 MB each,
+not as one (T-2, N, N, N) tensor, and its frames are summed in frame
+order, so its total is bitwise that of the whole tensor (_triple_sum).
 
 Conventions applied here:
 
@@ -45,10 +45,10 @@ from .errors import UtteranceTooShortError, _named
 from .inference import _lanes, _utterance
 from .models import (
     _EMISSION_KINDS,
-    DiscreteEmission,
     GmmEmission,
     Hmm1Model,
     Hmm2Model,
+    _floored,
     _transitions,
     circular_topology,
     ltr_topology,
@@ -226,9 +226,9 @@ def segmental_kmeans_init(
     obs_set,
     n_states: int,
     n_mixtures: int,
-    seed: int = 0,
-    variance_floor: float = 1e-4,
-    weight_floor: float = 1e-6,
+    seed: int = TrainConfig.seed,
+    variance_floor: float = TrainConfig.variance_floor,
+    weight_floor: float = TrainConfig.mixture_weight_floor,
 ):
     """Gaussian-mixture starting points from equal contiguous segments.
 
@@ -292,13 +292,6 @@ def segmental_kmeans_init(
 # shared reestimation pieces
 # ---------------------------------------------------------------------------
 
-def _floored(counts, floor):
-    """``counts`` normalized to sum to 1, floored at ``floor`` and
-    renormalized."""
-    p = np.maximum(counts / counts.sum(), floor)
-    return p / p.sum()
-
-
 def _reestimate(old, counts, allowed, floor):
     """Transition update: rows (all axes but the last) that received
     posterior mass take their counts, the others keep ``old``; then every
@@ -309,64 +302,6 @@ def _reestimate(old, counts, allowed, floor):
     v = np.where(allowed, np.maximum(values, floor), 0.0)
     s = v.sum(axis=-1, keepdims=True)
     return np.divide(v, s, out=np.zeros_like(v), where=s > 0)
-
-
-class _EmissionStats:
-    """Sufficient statistics for the emission update, shared by both orders:
-    ``r`` holds the (N, M) posterior mass per state and mixture component,
-    or per state and symbol; a GMM also sums first and second moments."""
-
-    def __init__(self, model):
-        self.discrete = isinstance(model.emissions[0], DiscreteEmission)
-        stacked = model._emission_parameters
-        self.r = np.zeros(stacked[0].shape)
-        if not self.discrete:
-            self.s1 = np.zeros(stacked[1].shape)
-            self.s2 = np.zeros(stacked[1].shape)
-
-    def accumulate(self, x, gamma, logb, comp):
-        """Add one utterance's statistics from its state posteriors ``gamma``
-        and the emission terms its forward-backward pass computed: the
-        (T, N) log-densities ``logb`` and (T, N, M) component log-densities
-        ``comp``."""
-        if self.discrete:
-            m = self.r.shape[1]
-            for i in range(gamma.shape[1]):
-                self.r[i] += np.bincount(x, weights=gamma[:, i], minlength=m)
-            return
-        ratio = np.zeros_like(comp)
-        alive = np.isfinite(logb)
-        ratio[alive] = np.exp(comp[alive] - logb[alive][:, None])
-        xx = x * x
-        for i in range(gamma.shape[1]):
-            resp = gamma[:, i][:, None] * ratio[:, i]   # (T, M)
-            self.r[i] += resp.sum(axis=0)
-            self.s1[i] += resp.T @ x
-            self.s2[i] += resp.T @ xx
-
-    def updated_emissions(self, model, config, floor_d):
-        """The floored, renormalized mass becomes the symbol table or the
-        mixture weights; a state that received none keeps its emission."""
-        out = []
-        for i, e in enumerate(model.emissions):
-            r = self.r[i]
-            if r.sum() <= 0.0:
-                out.append(e)
-                continue
-            weights = _floored(r, config.mixture_weight_floor)
-            if self.discrete:
-                out.append(DiscreteEmission(weights))
-                continue
-            means = e.means.copy()
-            variances = e.variances.copy()
-            active = r > 1e-300
-            means[active] = self.s1[i][active] / r[active, None]
-            variances[active] = (
-                self.s2[i][active] / r[active, None] - means[active] ** 2
-            )
-            variances = np.maximum(variances, floor_d[None, :])
-            out.append(GmmEmission(weights, means, variances))
-        return tuple(out)
 
 
 def _check_dimensions(obs_list, n_dims, what):
@@ -478,19 +413,20 @@ _POSTERIORS = {1: _posteriors1, 2: _posteriors2}
 def _estep(model, obs_list):
     """Total log-likelihood and the accumulated statistics: transition
     counts aligned with the model's transition arrays, first-frame state
-    posteriors and emission statistics."""
+    posteriors and the emission kind's statistics."""
     posteriors = _POSTERIORS[model.order]
+    kind = type(model.emissions[0])
     counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
     first_sum = np.zeros(model.n_states)
-    emstats = _EmissionStats(model)
+    stats = []
     lanes = _lanes(model, *zip(*obs_list))
     total_ll = 0.0
     for (x, _), (lat, bsh, logb, comp) in zip(obs_list, lanes):
         total_ll += lat.log_likelihood
         gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
         first_sum += gamma[0]
-        emstats.accumulate(x, gamma, logb, comp)
-    return total_ll, counts, first_sum, emstats
+        stats.append(kind._statistics(model._emission_parameters, x, gamma, logb, comp))
+    return total_ll, counts, first_sum, tuple(map(sum, zip(*stats)))
 
 
 def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
@@ -502,8 +438,9 @@ def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
     if model.mask.kind == "circular":
         initial = first_sum / n_utt
         initial = initial / initial.sum()
-    emissions = emstats.updated_emissions(model, config, floor_d)
-    return replace(model, initial=initial, emissions=emissions, **updates)
+    kind = type(model.emissions[0])
+    stacked = kind._updated(model._emission_parameters, emstats, config.mixture_weight_floor, floor_d)
+    return replace(model, initial=initial, emissions=tuple(map(kind, *stacked)), **updates)
 
 
 def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:

@@ -162,6 +162,20 @@ class TestFeaturesCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_truncated_raw_is_exit_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(63)
+        pcm = (8000 * rng.standard_normal(4000)).astype("<i2")
+        good, cut = tmp_path / "good.raw", tmp_path / "cut.raw"
+        good.write_bytes(pcm.tobytes())
+        cut.write_bytes(pcm.tobytes()[:-1])
+        out = tmp_path / "o"
+        rc = main(["features", str(good), str(cut), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "ok good" in captured.out
+        assert captured.err == f"FAIL cut: {cut}: 7999 bytes is not a whole number of 16-bit samples\n"
+        assert sorted(os.listdir(out)) == ["good.lpcf"]
+
     def test_reruns_byte_identical(self, tmp_path):
         rng = np.random.default_rng(62)
         wav = tmp_path / "utt.wav"

@@ -427,6 +427,18 @@ class TestAudioIngestion:
         assert rate == 8000
         np.testing.assert_allclose(back, pcm.astype(float) / 32768.0)
 
+    @pytest.mark.parametrize("size", [1, 3, 9])
+    def test_raw_with_an_odd_byte_count_rejected(self, tmp_path, size):
+        p = tmp_path / "cut.raw"
+        p.write_bytes(bytes(range(size)))
+        message = f"{p}: {size} bytes is not a whole number of 16-bit samples"
+        with pytest.raises(ValueError) as caught:
+            load_raw(p, 8000)
+        assert str(caught.value) == message
+        with pytest.raises(ValueError) as caught:
+            load_audio(p, FrontendConfig())
+        assert str(caught.value) == message
+
     def test_rate_mismatch_rejected(self, tmp_path):
         p = tmp_path / "a.wav"
         self._write_wav(p, np.zeros(100), rate=16000)

@@ -10,7 +10,15 @@ from conftest import ALL_CONFIGS, make_obs, make_random_model
 from hmmsid.errors import ImpossibleObservationError, UtteranceTooShortError
 from hmmsid.features import FeatureMatrix, FeatureMeta
 from hmmsid.inference import forward1, forward2, forward_backward1, forward_backward2
-from hmmsid.models import DiscreteEmission, Hmm1Model, _transitions, custom_topology, validate
+from hmmsid.models import (
+    DiscreteEmission,
+    GmmEmission,
+    Hmm1Model,
+    _logsumexp,
+    _transitions,
+    custom_topology,
+    validate,
+)
 from hmmsid import training
 from hmmsid.training import (
     TrainConfig,
@@ -472,7 +480,7 @@ class TestLaneIndependence:
         kind = type(model.emissions[0])
         counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
         first_sum = np.zeros(model.n_states)
-        stats = training._EmissionStats(model)
+        stats = []
         total = 0.0
         for x, _ in obs_list:
             lat = fb(model, x)
@@ -481,8 +489,8 @@ class TestLaneIndependence:
             total += lat.log_likelihood
             gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
             first_sum += gamma[0]
-            stats.accumulate(x, gamma, logb, comp)
-        return total, counts, first_sum, stats
+            stats.append(kind._statistics(model._emission_parameters, x, gamma, logb, comp))
+        return total, counts, first_sum, tuple(map(sum, zip(*stats)))
 
     @pytest.mark.parametrize("order,topology,emission", ALL_CONFIGS)
     def test_estep_matches_one_utterance_passes(self, order, topology, emission):
@@ -499,9 +507,9 @@ class TestLaneIndependence:
             for got, want in zip(counts, want_counts):
                 assert np.array_equal(got, want)
             assert np.array_equal(first_sum, want_first)
-            for name in ("r", "s1", "s2"):
-                if hasattr(want_stats, name):
-                    assert np.array_equal(getattr(stats, name), getattr(want_stats, name))
+            assert len(stats) == len(want_stats) == len(model._emission_parameters)
+            for got, want in zip(stats, want_stats):
+                assert np.array_equal(got, want)
 
     @staticmethod
     def _failing_model():
@@ -540,6 +548,128 @@ class TestLaneIndependence:
         alone = [baum_welch1(model, [x], TrainConfig(max_iterations=1)) for x in obs_set]
         both = baum_welch1(model, obs_set, TrainConfig(max_iterations=1))
         assert both.log_likelihoods == [alone[0].log_likelihoods[0] + alone[1].log_likelihoods[0]]
+
+
+def _per_state_statistics(model, utterances):
+    """The emission statistics of (x, gamma, logb, comp) utterances summed
+    by the per-state loops that the stacked _statistics replaced: the
+    reference for their bits."""
+    stacked = model._emission_parameters
+    r = np.zeros(stacked[0].shape)
+    s1 = np.zeros(stacked[-1].shape)
+    s2 = np.zeros(stacked[-1].shape)
+    for x, gamma, logb, comp in utterances:
+        if comp is None:
+            for i in range(gamma.shape[1]):
+                r[i] += np.bincount(x, weights=gamma[:, i], minlength=r.shape[1])
+            continue
+        ratio = np.zeros_like(comp)
+        alive = np.isfinite(logb)
+        ratio[alive] = np.exp(comp[alive] - logb[alive][:, None])
+        xx = x * x
+        for i in range(gamma.shape[1]):
+            resp = gamma[:, i][:, None] * ratio[:, i]
+            r[i] += resp.sum(axis=0)
+            s1[i] += resp.T @ x
+            s2[i] += resp.T @ xx
+    return (r,) if len(stacked) == 1 else (r, s1, s2)
+
+
+def _per_state_update(model, stats, weight_floor, floor_d):
+    """The per-state emission update that the stacked _updated replaced."""
+    def floored(counts):
+        p = np.maximum(counts / counts.sum(), weight_floor)
+        return p / p.sum()
+
+    out = []
+    for i, e in enumerate(model.emissions):
+        r = stats[0][i]
+        if r.sum() <= 0.0:
+            out.append(e)
+            continue
+        if isinstance(e, DiscreteEmission):
+            out.append(DiscreteEmission(floored(r)))
+            continue
+        means = e.means.copy()
+        variances = e.variances.copy()
+        active = r > 1e-300
+        means[active] = stats[1][i][active] / r[active, None]
+        variances[active] = stats[2][i][active] / r[active, None] - means[active] ** 2
+        variances = np.maximum(variances, floor_d[None, :])
+        out.append(GmmEmission(floored(r), means, variances))
+    return out
+
+
+class TestStackedEmissionStatistics:
+    """Each emission kind's _statistics and _updated, over all states at
+    once, equal bit for bit the per-state loops they replaced, with a
+    frame of no density, a state without mass and a component or symbol
+    without mass among the inputs."""
+
+    @staticmethod
+    def _posteriors(rng, t_count, n_states, empty_state):
+        gamma = rng.dirichlet(np.full(n_states, 0.5), size=t_count)
+        gamma[:, empty_state] = 0.0
+        return gamma / gamma.sum(axis=1, keepdims=True)
+
+    @staticmethod
+    def _check(model, utterances, floor_d):
+        kind = type(model.emissions[0])
+        stacked = model._emission_parameters
+        stats = tuple(map(sum, zip(*(kind._statistics(stacked, *u) for u in utterances))))
+        want = _per_state_statistics(model, utterances)
+        assert len(stats) == len(want) == len(stacked)
+        for got, expected in zip(stats, want):
+            assert np.array_equal(got, expected)
+        updated = tuple(map(kind, *kind._updated(stacked, stats, 1e-3, floor_d)))
+        want_updated = _per_state_update(model, want, 1e-3, floor_d)
+        for got, expected in zip(updated, want_updated):
+            for name, value in vars(expected).items():
+                assert np.array_equal(getattr(got, name), value)
+        return stats, updated
+
+    @pytest.mark.parametrize("n_mixtures", [1, 2, 5])
+    @pytest.mark.parametrize("n_states", [3, 5, 24])
+    def test_gmm(self, n_mixtures, n_states):
+        rng = np.random.default_rng([701, n_mixtures, n_states])
+        model = make_random_model(rng, 1, "ltr", "gmm", n_states=n_states, n_mixtures=n_mixtures)
+        empty_state, dead_state = rng.choice(n_states, size=2, replace=False)
+        dead_component = int(rng.integers(n_mixtures))
+        utterances = []
+        for t_count in (1, 7, 40):
+            x = make_obs(rng, "gmm", t_count)
+            comp = GmmEmission._kernel(x, *model._emission_parameters)[1]
+            comp[:, dead_state, dead_component] = -np.inf
+            comp[t_count // 2] = -np.inf   # a frame no state can emit
+            gamma = self._posteriors(rng, t_count, n_states, empty_state)
+            utterances.append((x, gamma, _logsumexp(comp), comp))
+        floor_d = rng.uniform(0.05, 1.0, size=2)
+        stats, updated = self._check(model, utterances, floor_d)
+        r = stats[0]
+        assert not r[empty_state].any()
+        assert r[dead_state, dead_component] == 0.0
+        assert r[dead_state].any() == (n_mixtures > 1)   # the dead component's state keeps mass
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(updated[empty_state], name),
+                                  getattr(model.emissions[empty_state], name))
+
+    @pytest.mark.parametrize("n_symbols", [4, 16])
+    def test_discrete_with_an_unused_symbol(self, n_symbols):
+        rng = np.random.default_rng([702, n_symbols])
+        n_states = 5
+        model = make_random_model(rng, 1, "circular", "discrete", n_states=n_states)
+        probs = rng.dirichlet(np.ones(n_symbols), size=n_states)
+        model = replace(model, emissions=tuple(DiscreteEmission(p) for p in probs))
+        used = np.delete(np.arange(n_symbols), 2)
+        utterances = []
+        for t_count in (1, 9, 60):
+            x = rng.choice(used, size=t_count)
+            gamma = self._posteriors(rng, t_count, n_states, 3)
+            utterances.append((x, gamma, DiscreteEmission._kernel(x, probs)[0], None))
+        stats, updated = self._check(model, utterances, None)
+        assert not stats[0][:, 2].any()
+        assert not stats[0][3].any()
+        assert np.array_equal(updated[3].probs, probs[3])
 
 
 def _whole_posteriors2(model, alpha, beta, bsh, counts):
@@ -614,5 +744,6 @@ class TestChunkedTriplePosterior:
         for got, want in zip(counts, want_counts):
             assert np.array_equal(got, want)
         assert np.array_equal(first_sum, want_first)
-        for name in ("r", "s1", "s2"):
-            assert np.array_equal(getattr(stats, name), getattr(want_stats, name))
+        assert len(stats) == len(want_stats) == 3
+        for got, want in zip(stats, want_stats):
+            assert np.array_equal(got, want)
