@@ -21,14 +21,18 @@ and, for the order-2 configurations, 24-state models on utterances of
 modes, and a 2-iteration baum_welch2), long enough that the E-step builds
 its triple posterior over several chunks of frames;
 
+and 3-iteration baum_welch1/2 runs where one state and one mixture
+component (for symbol tables, one symbol) receive no posterior mass, so
+that the update keeps their parameters, with 1- and 3-component mixtures;
+
 and, for every call that raises, the exception type, text and frame.
 Inputs include zero-probability symbols, integral float symbols, frames
 scaled far from the models, and malformed observations. Prints one line
 per configuration: a sha256 over everything, then one hash per input
 family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
-Baum-Welch and train, failing lane sets, long order-2 utterances; the
-last is the empty digest for order 1), so that a difference names the
-family that moved.
+Baum-Welch and train, failing lane sets, long order-2 utterances, which
+is the empty digest for order 1, and states and components without
+mass), so that a difference names the family that moved.
 
 A last line, ``stage=frontend``, does the same for the LPC-cepstrum front
 end: extract_features output (coefficients, degenerate frames, cms flag,
