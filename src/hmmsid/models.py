@@ -172,11 +172,6 @@ class GmmEmission:
     def __str__(self) -> str:
         return f"{self.kind} ({self.n_components} mixtures, {self.n_dims} dims)"
 
-    @classmethod
-    def _placeholder(cls, m, d):
-        """M equal weights, zero means and unit variances in D dimensions."""
-        return cls(np.full(m, 1.0 / m), np.zeros((m, d)), np.ones((m, d)))
-
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]

@@ -1,4 +1,4 @@
-"""Initialization and Baum-Welch reestimation for both model orders.
+"""Starting chains and Baum-Welch reestimation for both model orders.
 
 Reestimation uses the classical posterior ratios assembled from the scaled
 lattices (per-slice normalization makes every posterior exact, so the total
@@ -19,6 +19,10 @@ order, so its total is bitwise that of the whole tensor (_triple_sum).
 
 Conventions applied here:
 
+* every variant starts from one chain (_uniform_init): transition rows
+  uniform over the allowed successors (for order 2, over the allowed
+  triples), initial e_0 for left-to-right models and uniform for circular
+  ones;
 * left-to-right models keep their initial distribution fixed at e_0;
   circular models reestimate it from the first-frame posterior;
 * the order-2 tensor update normalizes the triple posterior
@@ -59,9 +63,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "VariantSpec",
-    "init_ltr",
-    "init_circular1",
-    "init_circular2",
     "segmental_kmeans_init",
     "baum_welch1",
     "baum_welch2",
@@ -171,55 +172,21 @@ class VariantSpec:
 # initialization
 # ---------------------------------------------------------------------------
 
-def _emissions_from_spec(spec, n_states):
-    """Accept a prepared emission list or a ("gmm", M, D) / ("discrete", M)
-    placeholder spec and return a length-n_states tuple."""
-    if len(spec) and isinstance(spec[0], tuple(_EMISSION_KINDS.values())):
-        return tuple(spec)
-    kind = _EMISSION_KINDS.get(spec[0])
-    if kind is None:
-        raise ValueError(f"unknown emission spec kind {spec[0]!r}")
-    try:
-        return (kind._placeholder(*spec[1:]),) * n_states
-    except TypeError as err:
-        raise ValueError(f"bad emission spec {spec!r}") from err
-
-
-def _uniform_init(mask, order: int, emission_spec):
-    """A chain over ``mask`` whose transition rows are uniform over the
-    allowed successors (for order 2, over the allowed triples too). The
-    initial distribution is e_0 for left-to-right masks and uniform for
-    ring masks; emissions come from ``emission_spec``."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    n = mask.n_states
-    if mask.kind == "ltr":
+def _uniform_init(variant: VariantSpec, emissions):
+    """The variant's starting chain (see the module's conventions) with
+    the per-state ``emissions``."""
+    n = variant.n_states
+    if variant.topology == "circular":
+        mask = circular_topology(n)
+        initial = np.full(n, 1.0 / n)
+    else:
+        mask = ltr_topology(n, variant.skip_width)
         initial = np.zeros(n)
         initial[0] = 1.0
-    else:
-        initial = np.full(n, 1.0 / n)
     counts = mask.allowed1.sum(axis=1)
     trans = [mask.allowed1 / counts[:, None], mask.allowed2 / counts[None, :, None]]
-    cls = Hmm1Model if order == 1 else Hmm2Model
-    return cls(mask, initial, *trans[:order], _emissions_from_spec(emission_spec, n))
-
-
-def init_circular1(n_states: int, emission_spec) -> Hmm1Model:
-    """Uniform ring start: initial 1/N, 1/3 on each of the three ring
-    neighbours, placeholder emissions (uniform 1/M for discrete)."""
-    return _uniform_init(circular_topology(n_states), 1, emission_spec)
-
-
-def init_circular2(n_states: int, emission_spec) -> Hmm2Model:
-    """Uniform ring start for the second-order chain: 1/3 on every allowed
-    triple (and on every allowed pair for the first transition)."""
-    return _uniform_init(circular_topology(n_states), 2, emission_spec)
-
-
-def init_ltr(n_states: int, skip_width: int, emission_spec, order: int = 1):
-    """Left-to-right start: initial e_0, rows uniform over allowed
-    successors (for order 2, uniform over allowed triples)."""
-    return _uniform_init(ltr_topology(n_states, skip_width), order, emission_spec)
+    cls = Hmm1Model if variant.order == 1 else Hmm2Model
+    return cls(mask, initial, *trans[:variant.order], emissions)
 
 
 def segmental_kmeans_init(
@@ -487,7 +454,8 @@ def baum_welch2(model: Hmm2Model, obs_set, config: TrainConfig = TrainConfig()) 
 # ---------------------------------------------------------------------------
 
 def train(variant: VariantSpec, obs_set, config: TrainConfig = TrainConfig()) -> TrainReport:
-    """Initialize per the variant's conventions and run Baum-Welch.
+    """Start from the variant's uniform chain (see the module's
+    conventions) and run Baum-Welch.
 
     Gaussian variants get segmental k-means starting points; discrete
     variants start from uniform symbol tables. When ``config.symmetrize``
@@ -498,7 +466,7 @@ def train(variant: VariantSpec, obs_set, config: TrainConfig = TrainConfig()) ->
     kind = _EMISSION_KINDS[variant.emission]
     obs_set = _prepare_obs(obs_set, kind)
     if kind is GmmEmission:
-        emission_spec = segmental_kmeans_init(
+        emissions = segmental_kmeans_init(
             obs_set,
             variant.n_states,
             variant.n_mixtures,
@@ -507,13 +475,8 @@ def train(variant: VariantSpec, obs_set, config: TrainConfig = TrainConfig()) ->
             weight_floor=config.mixture_weight_floor,
         )
     else:
-        emission_spec = (variant.emission, variant.n_mixtures)
-
-    if variant.topology == "circular":
-        mask = circular_topology(variant.n_states)
-    else:
-        mask = ltr_topology(variant.n_states, variant.skip_width)
-    model = _uniform_init(mask, variant.order, emission_spec)
+        emissions = [kind._placeholder(variant.n_mixtures)] * variant.n_states
+    model = _uniform_init(variant, emissions)
     baum_welch = baum_welch1 if variant.order == 1 else baum_welch2
     report = baum_welch(model, obs_set, config)
 

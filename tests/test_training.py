@@ -25,9 +25,6 @@ from hmmsid.training import (
     VariantSpec,
     baum_welch1,
     baum_welch2,
-    init_circular1,
-    init_circular2,
-    init_ltr,
     segmental_kmeans_init,
     train,
 )
@@ -289,28 +286,30 @@ class TestSegmentalKmeans:
             assert np.isfinite(e.means).all()
 
 
+def _uniform_discrete(order, topology, n_states, n_symbols):
+    """train's starting chain of a discrete variant."""
+    variant = VariantSpec(order=order, topology=topology, n_states=n_states,
+                          n_mixtures=n_symbols, emission="discrete")
+    return training._uniform_init(variant, [DiscreteEmission._placeholder(n_symbols)] * n_states)
+
+
 class TestInitializers:
     def test_circular_inits_are_uniform_on_masks(self):
-        m1 = init_circular1(4, ("discrete", 3))
+        m1 = _uniform_discrete(1, "circular", 4, 3)
         assert np.allclose(m1.initial, 0.25)
         assert np.allclose(m1.trans[m1.mask.allowed1], 1.0 / 3.0)
-        m2 = init_circular2(4, ("discrete", 3))
+        m2 = _uniform_discrete(2, "circular", 4, 3)
         assert np.allclose(m2.trans2[m2.mask.allowed2], 1.0 / 3.0)
         assert validate(m1) == [] and validate(m2) == []
 
     def test_ltr_init_pins_start_and_normalizes_rows(self):
-        m = init_ltr(4, 2, ("discrete", 3), order=1)
+        m = _uniform_discrete(1, "ltr", 4, 3)
         assert m.initial[0] == 1.0 and m.initial[1:].sum() == 0.0
         np.testing.assert_allclose(m.trans.sum(axis=1), 1.0)
-        m2 = init_ltr(4, 2, ("discrete", 3), order=2)
+        m2 = _uniform_discrete(2, "ltr", 4, 3)
         sums = m2.trans2.sum(axis=2)
         np.testing.assert_allclose(sums[m2.mask.allowed1], 1.0)
         assert validate(m2) == []
-
-    @pytest.mark.parametrize("spec", [("gmm", 2), ("gmm", 2, 3, 4), ("discrete",)])
-    def test_spec_with_wrong_field_count_is_a_value_error(self, spec):
-        with pytest.raises(ValueError, match=r"^bad emission spec "):
-            init_ltr(3, 2, spec)
 
 
 class TestTrainDispatch:
@@ -437,7 +436,7 @@ class TestDiscreteSymbols:
         ([0.0, 1.5, 1.0, 2.0], "1.5"),
     ])
     def test_baum_welch1_rejects_non_integer_symbols(self, bad, shown):
-        model = init_ltr(3, 2, ("discrete", 4))
+        model = _uniform_discrete(1, "ltr", 3, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
@@ -445,7 +444,7 @@ class TestDiscreteSymbols:
                 baum_welch1(model, [[0, 1, 2, 3, 1], bad], TrainConfig(max_iterations=1))
 
     def test_integral_float_symbols_are_accepted(self):
-        model = init_ltr(3, 2, ("discrete", 4))
+        model = _uniform_discrete(1, "ltr", 3, 4)
         floats = baum_welch1(model, [[0, 1, 2, 3, 1], [0.0, 1.0, 2.0]], TrainConfig(max_iterations=3))
         ints = baum_welch1(model, [[0, 1, 2, 3, 1], [0, 1, 2]], TrainConfig(max_iterations=3))
         assert floats.log_likelihoods == ints.log_likelihoods
