@@ -27,7 +27,11 @@ that frame's normalizer, so a frame whose densities are merely tiny never
 looks impossible. The terminal backward slice is 1 for left-to-right
 models and 1/N for circular models; reestimation ratios are invariant to
 that constant. Backward slice t is divided by forward slice t's
-normalizer (in the shifted domain).
+normalizer (in the shifted domain). On a frame far from the model that
+normalizer can be so small (even subnormal) that the division overflows;
+a lane whose backward table is then not finite is run again with each
+slice divided by its own maximum instead. Posteriors are per-frame
+ratios, so they do not depend on which divisor a slice had.
 
 Every pass fails an utterance with ImpossibleObservationError at the
 first frame whose forward normalizer is 0 (no state with incoming mass can
@@ -284,30 +288,31 @@ def _forward(stack, bsh, shifts, errors, lengths=None):
     return alpha, log_norms
 
 
-def _backward(stack, bsh, shifts, log_norms, lengths):
+def _backward(stack, bsh, lengths, norms=None):
     """Scaled (T, L, N...) backward tables of the L lanes of ``stack`` on
-    the time axis of their forward pass: its (T, L, N) shifted emissions
-    ``bsh`` and (T, L) ``shifts``, and (L, T) ``log_norms``. Lane k starts
-    from its terminal slice (stack.terminal) at its last frame
-    lengths[k]-1; its rows after that are padding, with normalizers of 1.
-    For order 2, slice 0 is 0.
+    the time axis of their forward pass, from its (T, L, N) shifted
+    emissions ``bsh``. Lane k starts from its terminal slice
+    (stack.terminal) at its last frame lengths[k]-1; its rows after that
+    are padding. Slice t is divided by the (T, L) ``norms`` at t or, when
+    ``norms`` is None, by its own maximum. For order 2, slice 0 is 0.
     """
     T, L, N = bsh.shape
     order = stack.order
-    norms = np.exp(log_norms.T - shifts)
-    norms[np.arange(T)[:, None] >= lengths] = 1.0
-    norms = norms.reshape((T, L) + (1,) * order)
+    axes = tuple(range(1, order + 1))
+    if norms is not None:
+        norms = norms.reshape((T, L) + (1,) * order)
     terminal = stack.terminal.reshape((L,) + (1,) * order)
     ends = {}   # frame -> the lanes whose last frame it is
     for k, n in enumerate(lengths):
         ends.setdefault(n - 1, []).append(k)
     beta = np.empty((T, L) + (N,) * order)
-    beta[T - 1] = terminal / norms[T - 1]
-    for t in range(T - 2, order - 2, -1):
-        np.divide(_back_step(stack, bsh[t + 1], beta[t + 1]), norms[t], beta[t])
-        if t in ends:
-            k = ends[t]
-            beta[t, k] = terminal[k] / norms[t, k]
+    u = np.broadcast_to(terminal, beta.shape[1:])
+    for t in range(T - 1, order - 2, -1):
+        if t < T - 1:
+            u = _back_step(stack, bsh[t + 1], beta[t + 1])
+            if t in ends:
+                u[ends[t]] = terminal[ends[t]]
+        np.divide(u, u.max(axes, keepdims=True) if norms is None else norms[t], beta[t])
     if order == 2:
         beta[0] = 0.0
     return beta
@@ -343,7 +348,16 @@ def _lanes(model, xs, names, backward=True):
     stack = model._stack if L == 1 else _ModelStack([model] * L)
     alpha, log_norms = _forward(stack, bsh, shifts, errors, lengths)
     _raise_first(errors, names)
-    beta = _backward(stack, bsh, shifts, log_norms, lengths) if backward else None
+    beta = None
+    if backward:
+        norms = np.exp(log_norms.T - shifts)
+        norms[np.arange(T)[:, None] >= lengths] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = _backward(stack, bsh, lengths, norms)
+        # a normalizer so small that dividing by it overflowed ("Numerical regime")
+        lost = np.flatnonzero(~np.isfinite(beta.reshape(T, L, -1)).all(axis=(0, 2)))
+        if lost.size:
+            beta[:, lost] = _backward(_ModelStack([model] * lost.size), bsh[:, lost], lengths[lost])
     lanes = []
     for k, (n, start) in enumerate(zip(lengths, starts)):
         lat = TrellisLattice(

@@ -123,3 +123,12 @@ def make_obs(rng, emission: str, t_count: int, n_dims: int = 2) -> np.ndarray:
     if emission == "discrete":
         return rng.integers(0, N_SYMBOLS, size=t_count)
     return rng.normal(0.0, 2.0, size=(t_count, n_dims))
+
+
+def far_off_case(seed: int, order: int):
+    """A random left-to-right GMM model and an utterance 40-100 times
+    farther out than make_obs draws, on which some forward normalizers (in
+    the shifted domain) fall to 1e-300 and below."""
+    rng = np.random.default_rng(seed)
+    model = make_random_model(rng, order, "ltr", "gmm")
+    return model, rng.uniform(40, 100) * make_obs(rng, "gmm", rng.integers(5, 40))

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import make_obs, make_random_model
+from conftest import far_off_case, make_obs, make_random_model
 
 from hmmsid.errors import ImpossibleObservationError
 from hmmsid.features import FeatureMatrix
@@ -107,6 +109,20 @@ class TestBackwardAndPosteriors:
             sums = (lat.alpha * lat.beta).sum(axis=1)
             norms = np.exp(lat.slice_log_norms - lat.emission_shifts)
             np.testing.assert_allclose(sums * norms, term_of(model.n_states), rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", [54, 85, 136])
+    def test_far_off_utterance_keeps_beta_finite(self, seed):
+        """Dividing beta by a subnormal forward normalizer overflowed to
+        inf and NaN; the lane is rescaled slice by slice instead."""
+        model, obs = far_off_case(seed, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lat = forward_backward1(model, obs)
+        assert np.isfinite(lat.beta).all()
+        post = lat.alpha * lat.beta
+        post /= post.sum(axis=1, keepdims=True)
+        want = oracles.enum_state_posteriors(model, obs)
+        np.testing.assert_allclose(post, want, rtol=1e-8, atol=1e-12)
 
 
 class TestViterbi:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import make_obs, make_random_model
+from conftest import far_off_case, make_obs, make_random_model
 
 from hmmsid.errors import ImpossibleObservationError
 from hmmsid.inference import (
@@ -82,6 +84,19 @@ class TestPairPosteriors:
         model = make_random_model(rng, 2, "circular", "gmm")
         obs = make_obs(rng, "gmm", 5)
         lat = forward_backward2(model, obs)
+        pair = lat.alpha[1:] * lat.beta[1:]
+        pair /= pair.sum(axis=(1, 2), keepdims=True)
+        want = oracles.enum_pair_posteriors(model, obs)
+        np.testing.assert_allclose(pair, want, rtol=1e-8, atol=1e-12)
+
+    def test_far_off_utterance_keeps_beta_finite(self):
+        """Dividing beta by a subnormal forward normalizer overflowed to
+        inf and NaN; the lane is rescaled slice by slice instead."""
+        model, obs = far_off_case(801, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lat = forward_backward2(model, obs)
+        assert np.isfinite(lat.beta).all()
         pair = lat.alpha[1:] * lat.beta[1:]
         pair /= pair.sum(axis=(1, 2), keepdims=True)
         want = oracles.enum_pair_posteriors(model, obs)

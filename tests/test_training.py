@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import ALL_CONFIGS, make_obs, make_random_model
+from conftest import ALL_CONFIGS, far_off_case, make_obs, make_random_model
 
 from hmmsid.errors import ImpossibleObservationError, UtteranceTooShortError
 from hmmsid.features import FeatureMatrix, FeatureMeta
@@ -53,6 +53,15 @@ class TestMonotonicity:
             assert len(lls) == 10
             for a, b in zip(lls, lls[1:]):
                 assert b - a >= -1e-8
+
+    @pytest.mark.parametrize("order,seed", [(1, 54), (2, 801)])
+    def test_far_off_utterance_trains(self, order, seed):
+        """Its backward table overflowed, so the second E-step read NaN
+        parameters and failed as "emission density is NaN"."""
+        model, x = far_off_case(seed, order)
+        lls = _welch(model, [x], TrainConfig(max_iterations=3)).log_likelihoods
+        assert np.isfinite(lls).all()
+        assert lls[0] < lls[1] < lls[2]
 
     @pytest.mark.parametrize("order,topology,emission", ALL_CONFIGS)
     def test_invariants_hold_after_every_iteration(self, order, topology, emission):
@@ -509,6 +518,19 @@ class TestLaneIndependence:
             assert len(stats) == len(want_stats) == len(model._emission_parameters)
             for got, want in zip(stats, want_stats):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order,seed", [(1, 54), (2, 801)])
+    def test_rescaled_lane_matches_its_one_lane_pass(self, order, seed):
+        """A lane whose backward table is rescaled gets the bits its own
+        pass gives, beside lanes that are not rescaled."""
+        model, far = far_off_case(seed, order)
+        rng = np.random.default_rng(seed)
+        obs_list = training._prepare_obs([make_obs(rng, "gmm", 9), far, make_obs(rng, "gmm", 6)], GmmEmission)
+        got = training._estep(model, obs_list)
+        want = self._one_by_one(model, obs_list)
+        assert got[0] == want[0]
+        for a, b in zip([*got[1], got[2], *got[3]], [*want[1], want[2], *want[3]]):
+            assert np.array_equal(a, b)
 
     @staticmethod
     def _failing_model():
