@@ -126,10 +126,14 @@ def _emission_terms(stack, obs):
     ``obs`` is converted and checked by _checked and scored by the emission
     kind's kernel in one call. Returns the (T, S, N) log emission densities,
     per model the error _bad_densities records, and the utterance's name.
-    Checks of ``obs`` itself raise at once.
+    Checks of ``obs`` itself raise at once, naming the utterance where it
+    has a name.
     """
     x, name = _checked(stack.emission, obs)
-    logb = stack.emission._kernel(x, *stack.emission_parameters)[0]
+    try:
+        logb = stack.emission._kernel(x, *stack.emission_parameters)[0]
+    except ValueError as err:   # the kernel's check of the frames (dimension, symbol range)
+        raise ValueError(_named(str(err), name)) from None
     logb = logb.reshape(x.shape[0], stack.n_models, stack.n_states)
     return logb, _bad_densities(logb), name
 
@@ -332,10 +336,11 @@ def _lanes(model, xs, names, backward=True):
     kind = type(model.emissions[0])
     try:
         logb, comp = kind._kernel(np.concatenate(xs), *model._emission_parameters)
-    except ValueError:   # the kernel's check of the frames (dimension, symbol range)
-        if len(xs) > 1:   # one by one, so that the first utterance that fails raises its own error
-            for x, name in zip(xs, names):
-                _lanes(model, [x], [name], backward=False)
+    except ValueError as err:   # the kernel's check of the frames (dimension, symbol range)
+        if len(xs) == 1:
+            raise ValueError(_named(str(err), names[0])) from None
+        for x, name in zip(xs, names):   # one by one: the first utterance that fails raises its own error
+            _lanes(model, [x], [name], backward=False)
         raise
     lengths = np.array([len(x) for x in xs])
     starts = np.cumsum(lengths) - lengths

@@ -128,6 +128,21 @@ def test_scoring_a_feature_matrix_names_its_source():
         ), name
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_kernel_frame_check_names_its_source(order):
+    """The emission kernel's dimension check names a FeatureMatrix's
+    source in every pass, as the observation rule's checks do."""
+    model = make_random_model(np.random.default_rng(37), order, "ltr", "gmm", n_states=3)
+    registry = SpeakerRegistry()
+    registry.add_model("s", "w", f"ltr{order}", model)
+    runs = dict(_passes(order), identify=lambda m, o: registry.identify("w", f"ltr{order}", o))
+    fm = FeatureMatrix(make_obs(np.random.default_rng(38), "gmm", 6, n_dims=3), FeatureMeta(source="bad.wav"))
+    for name, run in runs.items():
+        with pytest.raises(ValueError) as caught:
+            run(model, fm)
+        assert str(caught.value) == "utterance 'bad.wav': frames have dimension 3, emission has 2", name
+
+
 class TestNanDensity:
     """A zero variance makes a Gaussian's log-density NaN, never +inf."""
 

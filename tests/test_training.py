@@ -550,7 +550,7 @@ class TestLaneIndependence:
         ([[1, 2], [2, 1, 2, 1, 1, 0], [1, 5, 2, 2]], ImpossibleObservationError,
          "observation impossible under the model at utterance 1, frame 5"),
         ([[1, 2], [1, 5, 2, 2], [2, 1, 0, 1]], ValueError,
-         "symbol out of range [0, 4): min 1, max 5"),
+         "utterance 1: symbol out of range [0, 4): min 1, max 5"),
     ], ids=["impossible-then-infinite", "infinite-then-impossible",
             "impossible-then-out-of-range", "out-of-range-then-impossible"])
     def test_first_failing_utterance_wins(self, obs_set, error, message):
