@@ -83,7 +83,7 @@ def _defaults() -> dict:
     # Every key feeds config_hash; "emission" was never a default key, so
     # adding it would change the hash of every model file and report.
     del cfg["variant"]["emission"]
-    cfg["scoring"] = "forward"
+    cfg["scoring"] = SCORING_MODES[0]
     return cfg
 
 

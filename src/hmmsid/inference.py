@@ -439,10 +439,11 @@ def _single_path(model, obs) -> StatePath:
 # scoring many models
 # ---------------------------------------------------------------------------
 
+# Identification scores; the first is the default everywhere.
 SCORING_MODES = ("forward", "viterbi")
 
 
-def score_models(models, obs, scoring: str = "forward") -> list:
+def score_models(models, obs, scoring: str = SCORING_MODES[0]) -> list:
     """Score ``obs`` under each of ``models``: the forward log-likelihood
     (as forward1/forward2 give it) or the best-path log-probability (as
     viterbi1/viterbi2 give it), bit for bit.

@@ -111,7 +111,7 @@ class SpeakerRegistry:
         return tuple(s for s in self._speaker_order if s in have)
 
     def identify(self, word_id: str, variant_label: str, utterance: FeatureMatrix,
-                 scoring: str = "forward") -> IdentifyResult:
+                 scoring: str = SCORING_MODES[0]) -> IdentifyResult:
         """Score the utterance against every enrolled speaker for the key and
         return the best. The candidates are scored together (see
         inference.score_models). Raises LookupError when nobody is enrolled."""
@@ -185,7 +185,7 @@ class EvalResult:
 
 
 def evaluate(registry: SpeakerRegistry, pairs, variant_label: str,
-             scoring: str = "forward", split: str | None = "test") -> EvalResult:
+             scoring: str = SCORING_MODES[0], split: str | None = "test") -> EvalResult:
     """Run identification over (ManifestRow, FeatureMatrix) pairs.
 
     Only rows matching ``split`` are used (None means all rows). Rows whose
@@ -339,7 +339,7 @@ def comparison_report(results: dict, reference: str,
         if scoring is None:
             scoring = next(iter(modes))
     if scoring is None:
-        scoring = "forward"
+        scoring = SCORING_MODES[0]
 
     grids = {v: _grid_of(r) for v, r in results.items()}
     cond_seen: list[str] = []
