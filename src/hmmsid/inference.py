@@ -310,7 +310,7 @@ def _backward(stack, bsh, lengths, norms=None):
     for k, n in enumerate(lengths):
         ends.setdefault(n - 1, []).append(k)
     beta = np.empty((T, L) + (N,) * order)
-    u = np.broadcast_to(terminal, beta.shape[1:])
+    u = terminal
     for t in range(T - 1, order - 2, -1):
         if t < T - 1:
             u = _back_step(stack, bsh[t + 1], beta[t + 1])
