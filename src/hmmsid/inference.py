@@ -28,10 +28,11 @@ looks impossible. The terminal backward slice is 1 for left-to-right
 models and 1/N for circular models; reestimation ratios are invariant to
 that constant. Backward slice t is divided by forward slice t's
 normalizer (in the shifted domain). On a frame far from the model that
-normalizer can be so small (even subnormal) that the division overflows;
-a lane whose backward table is then not finite is run again with each
-slice divided by its own maximum instead. Posteriors are per-frame
-ratios, so they do not depend on which divisor a slice had.
+normalizer can be so small (even subnormal) that the division overflows.
+The inf or NaN reaches every earlier slice, so a lane whose first valid
+backward slice is not finite is run again with each slice divided by its
+own maximum instead. Posteriors are per-frame ratios, so they do not
+depend on which divisor a slice had.
 
 Every pass fails an utterance with ImpossibleObservationError at the
 first frame whose forward normalizer is 0 (no state with incoming mass can
@@ -359,9 +360,9 @@ def _lanes(model, xs, names, backward=True):
         norms[np.arange(T)[:, None] >= lengths] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             beta = _backward(stack, bsh, lengths, norms)
-        # a normalizer so small that dividing by it overflowed ("Numerical regime")
-        lost = np.flatnonzero(~np.isfinite(beta.reshape(T, L, -1)).all(axis=(0, 2)))
-        if lost.size:
+        first = beta[model.order - 1:model.order]   # see "Numerical regime"
+        if not np.isfinite(first).all():
+            lost = np.flatnonzero(~np.isfinite(first[0].reshape(L, -1)).all(axis=1))
             beta[:, lost] = _backward(_ModelStack([model] * lost.size), bsh[:, lost], lengths[lost])
     lanes = []
     for k, (n, start) in enumerate(zip(lengths, starts)):
