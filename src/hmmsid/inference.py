@@ -59,14 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleObservationError, _named
-from .models import (
-    _TRANSITION_FIELDS,
-    Hmm1Model,
-    Hmm2Model,
-    _ModelStack,
-    _stack_key,
-    custom_topology,
-)
+from .models import _TRANSITION_FIELDS, Hmm1Model, Hmm2Model, custom_topology
 
 __all__ = [
     "TrellisLattice",
@@ -104,7 +97,7 @@ def log_emission_matrix(model, obs) -> np.ndarray:
     A non-finite continuous frame would make every score NaN; it raises
     ValueError naming the frame and the utterance (when ``obs`` has one).
     """
-    logb, errors, name = _emission_terms(model._stack, obs)
+    logb, errors, name = _emission_terms(_ModelStack((model,)), obs)
     _raise_first(errors, [name])
     return logb[:, 0]
 
@@ -122,7 +115,7 @@ def _checked(kind, obs):
 
 def _emission_terms(stack, obs):
     """The checks and the arithmetic behind log_emission_matrix, for the
-    S models of ``stack`` (a models._ModelStack) at once.
+    S models of ``stack`` (a _ModelStack) at once.
 
     ``obs`` is converted and checked by _checked and scored by the emission
     kind's kernel in one call. Returns the (T, S, N) log emission densities,
@@ -190,8 +183,8 @@ def _raise_first(errors, names):
 # the scaled lattice engine
 # ---------------------------------------------------------------------------
 #
-# _forward and _viterbi run S models of one shape at once (a
-# models._ModelStack; S = 1 for a single model) over frame-major (T, S, N)
+# _forward and _viterbi run S models of one shape at once (a _ModelStack;
+# S = 1 for a single model) over frame-major (T, S, N)
 # emissions. Each model's numbers are computed as the one-model recursion
 # computes them, so its results are bitwise those of running it alone:
 # each slice's normalizer is summed over that model's own contiguous slice,
@@ -203,6 +196,38 @@ def _raise_first(errors, names):
 # _lanes runs one model's utterances the same way, as lanes in place of
 # models: one emission-kernel call on their concatenated frames, one
 # _forward and one _backward over lanes padded as "Numerical regime" says.
+# Its one-model stack's leading axis of 1 broadcasts over the L lanes.
+
+
+def _stack_key(model):
+    """What models must share to be stacked: the order, the emission kind
+    and the shapes of its stacked parameters (which hold the state count)."""
+    return model.order, type(model.emissions[0]), tuple(p.shape for p in model._emission_parameters)
+
+
+class _ModelStack:
+    """S models with one _stack_key, their parameters stacked along a
+    leading model axis: ``initial`` (S, N), each transition array of
+    _TRANSITION_FIELDS (S, N, ...), and ``emission_parameters``, each field
+    of the emission kind ``emission`` stacked over the S·N states model by
+    model ((S·N, M) weights, ...). A one-model stack views its model's
+    arrays; its leading axis of 1 also serves any number of lanes."""
+
+    def __init__(self, models):
+        first = models[0]
+        self.order = first.order
+        self.n_states = first.n_states
+        self.n_models = len(models)
+        self.emission = type(first.emissions[0])
+        for name in ("initial",) + _TRANSITION_FIELDS[self.order]:
+            setattr(self, name, _stacked([getattr(m, name)[None] for m in models]))
+        self.emission_parameters = tuple(map(_stacked, zip(*(m._emission_parameters for m in models))))
+
+
+def _stacked(arrays):
+    """The arrays joined along their first axis; one array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
 
 @dataclass
 class TrellisLattice:
@@ -293,20 +318,20 @@ def _forward(stack, bsh, shifts, errors, lengths=None):
     return alpha, log_norms
 
 
-def _backward(stack, bsh, lengths, norms=None):
-    """Scaled (T, L, N...) backward tables of the L lanes of ``stack`` on
-    the time axis of their forward pass, from its (T, L, N) shifted
-    emissions ``bsh``. Lane k starts from its terminal slice
-    (stack.terminal) at its last frame lengths[k]-1; its rows after that
-    are padding. Slice t is divided by the (T, L) ``norms`` at t or, when
-    ``norms`` is None, by its own maximum. For order 2, slice 0 is 0.
+def _backward(stack, bsh, lengths, terminal, norms=None):
+    """Scaled (T, L, N...) backward tables of L lanes of the one-model
+    ``stack`` on the time axis of their forward pass, from its (T, L, N)
+    shifted emissions ``bsh``. Lane k starts from the model's ``terminal``
+    value in every state at its last frame lengths[k]-1; its rows after
+    that are padding. Slice t is divided by the (T, L) ``norms`` at t or,
+    when ``norms`` is None, by its own maximum. For order 2, slice 0 is 0.
     """
     T, L, N = bsh.shape
     order = stack.order
     axes = tuple(range(1, order + 1))
     if norms is not None:
         norms = norms.reshape((T, L) + (1,) * order)
-    terminal = stack.terminal.reshape((L,) + (1,) * order)
+    terminal = np.full((1,) * (order + 1), terminal)   # an array: the rescale divides by u.max
     ends = {}   # frame -> the lanes whose last frame it is
     for k, n in enumerate(lengths):
         ends.setdefault(n - 1, []).append(k)
@@ -316,7 +341,7 @@ def _backward(stack, bsh, lengths, norms=None):
         if t < T - 1:
             u = _back_step(stack, bsh[t + 1], beta[t + 1])
             if t in ends:
-                u[ends[t]] = terminal[ends[t]]
+                u[ends[t]] = terminal
         np.divide(u, u.max(axes, keepdims=True) if norms is None else norms[t], beta[t])
     if order == 2:
         beta[0] = 0.0
@@ -351,19 +376,20 @@ def _lanes(model, xs, names, backward=True):
     padded[np.arange(len(logb)) - starts[lane], lane] = logb
     errors = _bad_densities(padded)
     bsh, shifts = _shifted_emissions(padded)
-    stack = model._stack if L == 1 else _ModelStack([model] * L)
+    stack = _ModelStack((model,))
     alpha, log_norms = _forward(stack, bsh, shifts, errors, lengths)
     _raise_first(errors, names)
     beta = None
     if backward:
         norms = np.exp(log_norms.T - shifts)
         norms[np.arange(T)[:, None] >= lengths] = 1.0
+        terminal = 1.0 / model.n_states if model.mask.kind == "circular" else 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            beta = _backward(stack, bsh, lengths, norms)
+            beta = _backward(stack, bsh, lengths, terminal, norms)
         first = beta[model.order - 1:model.order]   # see "Numerical regime"
         if not np.isfinite(first).all():
             lost = np.flatnonzero(~np.isfinite(first[0].reshape(L, -1)).all(axis=1))
-            beta[:, lost] = _backward(_ModelStack([model] * lost.size), bsh[:, lost], lengths[lost])
+            beta[:, lost] = _backward(stack, bsh[:, lost], lengths[lost], terminal)
     lanes = []
     for k, (n, start) in enumerate(zip(lengths, starts)):
         lat = TrellisLattice(
@@ -382,7 +408,7 @@ def _lanes(model, xs, names, backward=True):
 def _forward_backward(model, obs, backward=True):
     """One model's forward lattice, with its backward table when
     ``backward``: the one-lane case of _lanes."""
-    x, name = _checked(model._stack.emission, obs)
+    x, name = _checked(type(model.emissions[0]), obs)
     return _lanes(model, [x], [name], backward)[0][0]
 
 
@@ -430,8 +456,9 @@ def _viterbi(stack, logb, errors, paths=True):
 
 def _single_path(model, obs) -> StatePath:
     """Best path of one model (viterbi1, viterbi2)."""
-    logb, errors, name = _emission_terms(model._stack, obs)
-    states, log_probs = _viterbi(model._stack, logb, errors)
+    stack = _ModelStack((model,))
+    logb, errors, name = _emission_terms(stack, obs)
+    states, log_probs = _viterbi(stack, logb, errors)
     _raise_first(errors, [name])
     return StatePath(states[0], float(log_probs[0]))
 

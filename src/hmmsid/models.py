@@ -434,43 +434,6 @@ class _Chain:
             for name in _parameter_names(self.emissions[0])
         )
 
-    @cached_property
-    def _stack(self):
-        """This model as a one-model _ModelStack, built on first use."""
-        return _ModelStack((self,))
-
-
-def _stack_key(model):
-    """What models must share to be stacked: the order, the emission kind
-    and the shapes of its stacked parameters (which hold the state count)."""
-    return model.order, type(model.emissions[0]), tuple(p.shape for p in model._emission_parameters)
-
-
-class _ModelStack:
-    """S models with one _stack_key, their parameters stacked along a
-    leading model axis: ``initial`` (S, N), each transition array of
-    _TRANSITION_FIELDS (S, N, ...), and ``emission_parameters``, each field
-    of the emission kind ``emission`` stacked over the S·N states model by
-    model ((S·N, M) weights, ...), and the (S,) ``terminal`` backward
-    values: 1/N for a ring model, else 1."""
-
-    def __init__(self, models):
-        first = models[0]
-        self.order = first.order
-        self.n_states = first.n_states
-        self.n_models = len(models)
-        self.emission = type(first.emissions[0])
-        for name in ("initial",) + _TRANSITION_FIELDS[self.order]:
-            setattr(self, name, _stacked([getattr(m, name)[None] for m in models]))
-        self.emission_parameters = tuple(map(_stacked, zip(*(m._emission_parameters for m in models))))
-        self.terminal = np.array([1.0 / m.n_states if m.mask.kind == "circular" else 1.0 for m in models])
-
-
-def _stacked(arrays):
-    """The arrays joined along their first axis; one array is returned as
-    it is (a one-model stack views its model's arrays)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
 
 @dataclass(frozen=True)
 class Hmm1Model(_Chain):
