@@ -31,7 +31,7 @@ Models are immutable values: construct a new one instead of mutating.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -80,14 +80,14 @@ class TopologyMask:
 
     ``allowed1[i, j]`` is True when the one-step transition i -> j is
     permitted; ``allowed2[i, j, k] = allowed1[i, j] and allowed1[j, k]``
-    is the induced set of permitted state triples.
+    is the induced set of permitted state triples, built on first use:
+    only second-order chains read it, and it holds N**3 booleans.
     """
 
     n_states: int
     allowed1: np.ndarray
     kind: str                      # "ltr" | "circular" | "custom"
     skip_width: int | None = None
-    allowed2: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.n_states < 1:
@@ -101,9 +101,10 @@ class TopologyMask:
             dead = int(np.flatnonzero(~a1.any(axis=1))[0])
             raise ValueError(f"state {dead} has no allowed successor")
         object.__setattr__(self, "allowed1", a1)
-        object.__setattr__(
-            self, "allowed2", a1[:, :, None] & a1[None, :, :]
-        )
+
+    @cached_property
+    def allowed2(self) -> np.ndarray:
+        return self.allowed1[:, :, None] & self.allowed1[None, :, :]
 
 
 def ltr_topology(n_states: int, skip_width: int = 2) -> TopologyMask:
@@ -495,9 +496,8 @@ def _index(at) -> str:
 
 def _transitions(model):
     """(name, array, allowed mask) for each transition array of ``model``."""
-    masks = (model.mask.allowed1, model.mask.allowed2)
     return [
-        (name, getattr(model, name), masks[k])
+        (name, getattr(model, name), getattr(model.mask, f"allowed{k + 1}"))
         for k, name in enumerate(_TRANSITION_FIELDS[model.order])
     ]
 

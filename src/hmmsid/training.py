@@ -184,9 +184,10 @@ def _uniform_init(variant: VariantSpec, emissions):
         initial = np.zeros(n)
         initial[0] = 1.0
     counts = mask.allowed1.sum(axis=1)
-    trans = [mask.allowed1 / counts[:, None], mask.allowed2 / counts[None, :, None]]
-    cls = Hmm1Model if variant.order == 1 else Hmm2Model
-    return cls(mask, initial, *trans[:variant.order], emissions)
+    trans1 = mask.allowed1 / counts[:, None]
+    if variant.order == 1:
+        return Hmm1Model(mask, initial, trans1, emissions)
+    return Hmm2Model(mask, initial, trans1, mask.allowed2 / counts[None, :, None], emissions)
 
 
 def segmental_kmeans_init(

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -202,6 +203,21 @@ class TestPairStateEmbedding:
         model = make_random_model(rng, 2, "ltr", "gmm")
         with pytest.raises(ValueError):
             embed_pair_states(model, make_obs(rng, "gmm", 1))
+
+    def test_embedding_builds_no_triple_mask(self):
+        """The embedded chain of a 12-state model has 144 states, whose
+        triple mask (144**3 booleans, 2.99 MB) only order 2 reads."""
+        rng = np.random.default_rng(234)
+        model = make_random_model(rng, 2, "ltr", "gmm", n_states=12)
+        obs = make_obs(rng, "gmm", 4)
+        tracemalloc.start()
+        try:
+            embedded, _ = embed_pair_states(model, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert embedded.n_states == 144
+        assert peak < 1_000_000
 
     def test_decode_pair_path_layout(self):
         # composite index c = prev * N + cur; first composite state carries
