@@ -437,18 +437,21 @@ def cmd_inspect(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, model: bool = True) -> None:
+    """--config and --cms/--no-cms; with ``model``, also the model and
+    scoring options, which only train and evaluate read."""
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--variant", help="model variant label: ltr1, ltr2, circ1, circ2")
-    parser.add_argument("--states", type=int, help="number of states")
-    parser.add_argument("--mixtures", type=int, help="Gaussian mixtures per state")
     cms = parser.add_mutually_exclusive_group()
     cms.add_argument("--cms", dest="cms", action="store_true", default=None,
                      help="apply per-utterance cepstral mean subtraction")
     cms.add_argument("--no-cms", dest="cms", action="store_false", default=None,
                      help="disable cepstral mean subtraction")
-    parser.add_argument("--scoring", choices=SCORING_MODES, help="identification score")
-    parser.add_argument("--seed", type=int, help="random seed")
+    if model:
+        parser.add_argument("--variant", help="model variant label: ltr1, ltr2, circ1, circ2")
+        parser.add_argument("--states", type=int, help="number of states")
+        parser.add_argument("--mixtures", type=int, help="Gaussian mixtures per state")
+        parser.add_argument("--scoring", choices=SCORING_MODES, help="identification score")
+        parser.add_argument("--seed", type=int, help="random seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*", help="audio files (.wav or raw 16-bit PCM)")
     p.add_argument("--manifest", help="manifest whose paths point at audio files")
     p.add_argument("--out", required=True, help="output directory for caches")
-    _add_common(p)
+    _add_common(p, model=False)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train one model per (speaker, word)")
@@ -498,10 +501,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, LookupError) as exc:
+    except (CliError, OSError, ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -152,6 +152,16 @@ class TestFeaturesCommand:
         assert fm.meta.cms_applied
         np.testing.assert_allclose(fm.frames.mean(axis=0), 0.0, atol=1e-10)
 
+    def test_model_options_are_rejected(self, tmp_path):
+        """features reads only --config and --cms/--no-cms; a model option
+        such as --states is a usage error, not a silently checked value."""
+        rng = np.random.default_rng(62)
+        wav = tmp_path / "utt.wav"
+        write_wav(wav, 0.4 * rng.standard_normal(8000))
+        with pytest.raises(SystemExit) as caught:
+            main(["features", str(wav), "--out", str(tmp_path / "o"), "--states", "5"])
+        assert caught.value.code == 2
+
     def test_no_inputs_is_exit_2(self, tmp_path):
         assert main(["features", "--out", str(tmp_path / "o")]) == 2
 
