@@ -125,10 +125,12 @@ def make_obs(rng, emission: str, t_count: int, n_dims: int = 2) -> np.ndarray:
     return rng.normal(0.0, 2.0, size=(t_count, n_dims))
 
 
-def far_off_case(seed: int, order: int):
-    """A random left-to-right GMM model and an utterance 40-100 times
-    farther out than make_obs draws, on which some forward normalizers (in
-    the shifted domain) fall to 1e-300 and below."""
+def far_off_case(seed: int, order: int, topology: str = "ltr"):
+    """A random GMM model, left-to-right with 2-3 states or a 5-state ring,
+    and an utterance 40-100 times farther out than make_obs draws, on which
+    some forward normalizers (in the shifted domain) fall to 1e-300 and
+    below. Not on a 3-state ring: each of its states reaches every other in
+    one step, so no normalizer falls that far."""
     rng = np.random.default_rng(seed)
-    model = make_random_model(rng, order, "ltr", "gmm")
+    model = make_random_model(rng, order, topology, "gmm", 5 if topology == "circular" else None)
     return model, rng.uniform(40, 100) * make_obs(rng, "gmm", rng.integers(5, 40))

@@ -110,11 +110,13 @@ class TestBackwardAndPosteriors:
             norms = np.exp(lat.slice_log_norms - lat.emission_shifts)
             np.testing.assert_allclose(sums * norms, term_of(model.n_states), rtol=1e-9)
 
-    @pytest.mark.parametrize("seed", [54, 85, 136])
-    def test_far_off_utterance_keeps_beta_finite(self, seed):
+    @pytest.mark.parametrize("seed,topology", [
+        (54, "ltr"), (85, "ltr"), (136, "ltr"), (1234, "circular"), (840, "circular"),
+    ], ids=["54", "85", "136", "circular-1234", "circular-840"])
+    def test_far_off_utterance_keeps_beta_finite(self, seed, topology):
         """Dividing beta by a subnormal forward normalizer overflowed to
         inf and NaN; the lane is rescaled slice by slice instead."""
-        model, obs = far_off_case(seed, 1)
+        model, obs = far_off_case(seed, 1, topology)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lat = forward_backward1(model, obs)

@@ -90,10 +90,12 @@ class TestPairPosteriors:
         want = oracles.enum_pair_posteriors(model, obs)
         np.testing.assert_allclose(pair, want, rtol=1e-8, atol=1e-12)
 
-    def test_far_off_utterance_keeps_beta_finite(self):
+    @pytest.mark.parametrize("seed,topology", [(801, "ltr"), (1057, "circular")],
+                             ids=["801", "circular-1057"])
+    def test_far_off_utterance_keeps_beta_finite(self, seed, topology):
         """Dividing beta by a subnormal forward normalizer overflowed to
         inf and NaN; the lane is rescaled slice by slice instead."""
-        model, obs = far_off_case(801, 2)
+        model, obs = far_off_case(seed, 2, topology)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lat = forward_backward2(model, obs)

@@ -519,11 +519,13 @@ class TestLaneIndependence:
             for got, want in zip(stats, want_stats):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("order,seed", [(1, 54), (2, 801)])
-    def test_rescaled_lane_matches_its_one_lane_pass(self, order, seed):
+    @pytest.mark.parametrize("order,seed,topology", [
+        (1, 54, "ltr"), (2, 801, "ltr"), (1, 1234, "circular"), (2, 1057, "circular"),
+    ], ids=["1-54", "2-801", "1-circular-1234", "2-circular-1057"])
+    def test_rescaled_lane_matches_its_one_lane_pass(self, order, seed, topology):
         """A lane whose backward table is rescaled gets the bits its own
         pass gives, beside lanes that are not rescaled."""
-        model, far = far_off_case(seed, order)
+        model, far = far_off_case(seed, order, topology)
         rng = np.random.default_rng(seed)
         obs_list = training._prepare_obs([make_obs(rng, "gmm", 9), far, make_obs(rng, "gmm", 6)], GmmEmission)
         got = training._estep(model, obs_list)
