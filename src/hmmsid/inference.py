@@ -184,9 +184,9 @@ def _raise_first(errors, names):
 # ---------------------------------------------------------------------------
 #
 # _forward and _viterbi run S models of one shape at once (a _ModelStack;
-# S = 1 for a single model) over frame-major (T, S, N)
-# emissions. Each model's numbers are computed as the one-model recursion
-# computes them, so its results are bitwise those of running it alone:
+# S = 1 for a single model) over frame-major (T, S, N) emissions. Each
+# model's numbers are computed as the one-model recursion computes them,
+# so its results are bitwise those of running it alone:
 # each slice's normalizer is summed over that model's own contiguous slice,
 # log normalizers are summed along a contiguous T axis, and the order-1
 # step is a (S, 1, N) @ (S, N, N) matmul. A model that fails records its
