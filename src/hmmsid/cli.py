@@ -43,13 +43,14 @@ from .features import (
     load_audio,
     write_features,
 )
-from .fileio import atomic_write, read_json_object
+from .fileio import atomic_write, read_json_object, write_json
 from .models import load_model, save_model, validate
 from .speaker_id import (
     SCORING_MODES,
     SpeakerRegistry,
     comparison_report,
     evaluate,
+    format_rate,
 )
 from .training import TrainConfig, VariantSpec, train
 
@@ -326,10 +327,7 @@ def cmd_evaluate(args) -> int:
         )
         payload = report.to_dict()
         payload["config_hash"] = cfg_hash
-        atomic_write(
-            os.path.join(args.out, "comparison.json"),
-            json.dumps(payload, indent=1, sort_keys=True) + "\n",
-        )
+        write_json(os.path.join(args.out, "comparison.json"), payload)
         atomic_write(os.path.join(args.out, "comparison.txt"), report.text())
         print(report.text(), end="")
         return 0
@@ -370,7 +368,7 @@ def cmd_evaluate(args) -> int:
     for label, r in results.items():
         lines.append(f"variant {label}: {r.n_trials} trials, {len(r.skipped)} skipped")
         for row_name, row in r.accuracy_grid().items():
-            cells = "  ".join(f"{c}={pct:.1f}%" for c, pct in row.items())
+            cells = "  ".join(f"{c}={format_rate(pct)}" for c, pct in row.items())
             lines.append(f"  {row_name:<8} {cells}")
     text = "\n".join(lines) + "\n"
 
@@ -382,10 +380,7 @@ def cmd_evaluate(args) -> int:
         payload["comparison"] = comp.to_dict()
         text += "\n" + comp.text()
 
-    atomic_write(
-        os.path.join(args.out, "evaluation.json"),
-        json.dumps(payload, indent=1, sort_keys=True) + "\n",
-    )
+    write_json(os.path.join(args.out, "evaluation.json"), payload)
     atomic_write(os.path.join(args.out, "evaluation.txt"), text)
     print(text, end="")
     return 0

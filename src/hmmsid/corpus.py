@@ -29,14 +29,13 @@ fixed loop order, so a given spec always produces byte-identical output.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .features import FeatureMatrix, FeatureMeta, config_digest, read_features, write_features
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 
 __all__ = [
     "CorpusSpec",
@@ -266,10 +265,7 @@ def generate_synthetic_corpus(spec: CorpusSpec, out_dir) -> str:
         write_features(fm, os.path.join(out_dir, row.path))
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     write_manifest([row for row, _ in pairs], manifest_path)
-    atomic_write(
-        os.path.join(out_dir, "corpus.json"),
-        json.dumps(spec.to_dict(), indent=1, sort_keys=True) + "\n",
-    )
+    write_json(os.path.join(out_dir, "corpus.json"), spec.to_dict())
     return manifest_path
 
 

@@ -74,6 +74,7 @@ __all__ = [
 CACHE_MAGIC = b"LPCF"
 CACHE_VERSION = 1
 _FLAG_CMS = 1
+_HEADER = struct.Struct("<4sHHIIQ")
 
 
 @dataclass(frozen=True)
@@ -410,8 +411,7 @@ def write_features(features: FeatureMatrix, path) -> None:
     """Write the binary cache format documented in the module docstring."""
     x = np.ascontiguousarray(features.frames, dtype="<f8")
     flags = _FLAG_CMS if features.meta.cms_applied else 0
-    header = struct.pack(
-        "<4sHHIIQ",
+    header = _HEADER.pack(
         CACHE_MAGIC,
         CACHE_VERSION,
         flags,
@@ -426,17 +426,17 @@ def read_features(path) -> FeatureMatrix:
     """Read a binary cache. meta.source is the file stem."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 24 or blob[:4] != CACHE_MAGIC:
+    if len(blob) < _HEADER.size or blob[:4] != CACHE_MAGIC:
         raise ValueError(f"{path}: not a feature cache")
-    magic, version, flags, t, d, config_hash = struct.unpack("<4sHHIIQ", blob[:24])
+    magic, version, flags, t, d, config_hash = _HEADER.unpack_from(blob)
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
-    need = 24 + 8 * t * d
+    need = _HEADER.size + 8 * t * d
     if len(blob) < need:
         raise ValueError(f"{path}: truncated cache ({len(blob)} bytes, need {need})")
     if len(blob) > need:
         raise ValueError(f"{path}: {len(blob) - need} trailing bytes after the {need}-byte cache")
-    x = np.frombuffer(blob, dtype="<f8", offset=24).reshape(t, d).copy()
+    x = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(t, d).copy()
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return FeatureMatrix(
         x,

@@ -1,5 +1,5 @@
-"""File access shared by the package: atomic writes and the JSON-object
-reader behind every JSON input."""
+"""File access shared by the package: atomic writes, and the JSON writer
+and JSON-object reader behind every JSON artifact and input."""
 
 from __future__ import annotations
 
@@ -24,6 +24,12 @@ def atomic_write(path, data) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, value) -> None:
+    """Write ``value`` atomically as JSON with a one-space indent, sorted
+    keys and a final newline, so a value always gives the same bytes."""
+    atomic_write(path, json.dumps(value, indent=1, sort_keys=True) + "\n")
 
 
 def read_json_object(path) -> dict:

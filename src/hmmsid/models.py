@@ -30,14 +30,13 @@ Models are immutable values: construct a new one instead of mutating.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import _named, _where
-from .fileio import atomic_write, read_json_object
+from .fileio import read_json_object, write_json
 
 __all__ = [
     "TopologyMask",
@@ -675,8 +674,7 @@ def save_model(model, path, training: dict | None = None) -> None:
     The write is atomic (temp file + rename) and deterministic: the same
     model always produces the same bytes.
     """
-    text = json.dumps(model_to_dict(model, training), indent=1, sort_keys=True)
-    atomic_write(path, text + "\n")
+    write_json(path, model_to_dict(model, training))
 
 
 def load_model(path):

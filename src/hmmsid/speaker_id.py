@@ -124,6 +124,13 @@ class SpeakerRegistry:
         return IdentifyResult(predicted_speaker=ranked[0][0], scoring=scoring, ranked=ranked)
 
 
+def _ordered_conditions(conditions) -> tuple:
+    """The distinct ``conditions`` in CONDITIONS order or, when none of them
+    is a known condition, in the order first seen."""
+    seen = tuple(dict.fromkeys(conditions))
+    return tuple(c for c in CONDITIONS if c in seen) or seen
+
+
 @dataclass
 class EvalResult:
     """Per-trial identification records plus recomputable aggregates."""
@@ -152,11 +159,7 @@ class EvalResult:
         return 100.0 * hits / total
 
     def conditions(self) -> tuple:
-        seen = []
-        for t in self.trials:
-            if t.condition not in seen:
-                seen.append(t.condition)
-        return tuple(c for c in CONDITIONS if c in seen)
+        return _ordered_conditions(t.condition for t in self.trials)
 
     def accuracy_grid(self) -> dict:
         """{gender or "average": {condition: percent}}; the average row is the
@@ -276,7 +279,7 @@ class ComparisonReport:
                 if label not in grid:
                     continue
                 cells = "".join(
-                    f"  {grid[label].get(c, float('nan')):>8.1f}%" if c in grid[label] else f"  {'-':>9}"
+                    f"  {format_rate(grid[label][c]):>9}" if c in grid[label] else f"  {'-':>9}"
                     for c in conds
                 )
                 lines.append(f"{(v if first else ''):<{width}}  {label:<8}{cells}")
@@ -342,12 +345,7 @@ def comparison_report(results: dict, reference: str,
         scoring = SCORING_MODES[0]
 
     grids = {v: _grid_of(r) for v, r in results.items()}
-    cond_seen: list[str] = []
-    for grid in grids.values():
-        for c in grid.get("average", {}):
-            if c not in cond_seen:
-                cond_seen.append(c)
-    conditions = tuple(c for c in CONDITIONS if c in cond_seen) or tuple(cond_seen)
+    conditions = _ordered_conditions(c for grid in grids.values() for c in grid.get("average", {}))
 
     ref_avg = grids[reference].get("average", {})
     rates: dict[str, dict[str, float]] = {}

@@ -522,6 +522,23 @@ class TestEvaluate:
             r.utterance_id for r, _ in self._pairs() if r.split == "test"
         )
 
+    def test_condition_order(self):
+        """Known conditions come in CONDITIONS order and unknown ones are
+        dropped beside them; a result with only unknown conditions keeps
+        them in the order first seen, as comparison_report does."""
+        def trial(condition, i):
+            return TrialRecord(f"u{i}", "a", "a", "word0", condition, "male", ())
+
+        mixed = EvalResult("ltr1", "forward", [trial(c, i) for i, c in
+                                                enumerate(["loud", "shouted", "neutral", "shouted"])])
+        assert mixed.conditions() == ("neutral", "shouted")
+        unknown = EvalResult("ltr1", "forward", [trial(c, i) for i, c in enumerate(["loud", "soft", "loud"])])
+        assert unknown.conditions() == ("loud", "soft")
+        assert unknown.accuracy_grid() == {"male": {"loud": 100.0, "soft": 100.0},
+                                           "average": {"loud": 100.0, "soft": 100.0}}
+        report = comparison_report({"x": unknown, "y": unknown}, reference="x")
+        assert report.conditions == ("loud", "soft")
+
 
 class TestImprovementRate:
     def test_exact_rational_arithmetic(self):
