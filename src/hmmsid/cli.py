@@ -118,8 +118,8 @@ def _env_overrides(environ) -> dict:
     return out
 
 
-def build_config(args, environ=None) -> dict:
-    """Merge defaults <- config file <- environment <- flags."""
+def _merged_config(args, environ=None) -> dict:
+    """Merge defaults <- config file <- environment <- flags, unchecked."""
     cfg = _defaults()
     if getattr(args, "config", None):
         _deep_update(cfg, read_json_object(args.config))
@@ -141,8 +141,13 @@ def build_config(args, environ=None) -> dict:
         flag_cfg["scoring"] = args.scoring
     if getattr(args, "seed", None) is not None:
         flag_cfg.setdefault("train", {})["seed"] = args.seed
-    _deep_update(cfg, flag_cfg)
+    return _deep_update(cfg, flag_cfg)
 
+
+def build_config(args, environ=None) -> dict:
+    """Merge defaults <- config file <- environment <- flags, and check the
+    model and scoring settings."""
+    cfg = _merged_config(args, environ)
     v = cfg["variant"]
     if not 1 <= int(v["n_states"]) <= MAX_STATES:
         raise CliError(f"n_states must be in [1, {MAX_STATES}]")
@@ -167,8 +172,8 @@ def _section(cfg: dict, key: str):
 # ---------------------------------------------------------------------------
 
 def cmd_features(args) -> int:
-    cfg = build_config(args)
-    frontend = _section(cfg, "frontend")
+    # only the front-end section: features neither hashes nor reads the rest
+    frontend = _section(_merged_config(args), "frontend")
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 

@@ -86,21 +86,30 @@ def write_manifest(rows, path) -> None:
 
 
 def read_manifest(path) -> list[ManifestRow]:
+    """The rows of a manifest. A malformed file raises ValueError naming
+    it and, for a bad row, the row's line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln]
     if not lines:
         raise ValueError(f"{path}: empty manifest")
-    header = tuple(lines[0].split("\t"))
+    header = tuple(lines[0][1].split("\t"))
     if header != MANIFEST_COLUMNS:
         raise ValueError(
             f"{path}: bad header {header!r}, expected {MANIFEST_COLUMNS!r}"
         )
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != len(MANIFEST_COLUMNS):
             raise ValueError(f"{path}:{i}: expected {len(MANIFEST_COLUMNS)} fields")
-        rows.append(ManifestRow(*parts))
+        try:
+            rows.append(ManifestRow(*parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: {exc}") from None
     return rows
 
 

@@ -162,6 +162,26 @@ class TestFeaturesCommand:
             main(["features", str(wav), "--out", str(tmp_path / "o"), "--states", "5"])
         assert caught.value.code == 2
 
+    @pytest.mark.parametrize("env,config", [
+        ({"HMMSID_VARIANT__N_STATES": "99"}, None),
+        ({"HMMSID_SCORING": "magic"}, None),
+        ({}, {"variant": {"n_states": 99}}),
+    ], ids=["env-states", "env-scoring", "config-states"])
+    def test_model_settings_are_not_checked(self, tmp_path, monkeypatch, env, config):
+        """Model and scoring settings that train and evaluate would reject
+        do not stop features, which reads only the front-end section."""
+        rng = np.random.default_rng(64)
+        wav = tmp_path / "utt.wav"
+        write_wav(wav, 0.4 * rng.standard_normal(8000))
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = ["features", str(wav), "--out", str(tmp_path / "o")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 0
+        assert read_features(tmp_path / "o" / "utt.lpcf").frames.shape == (98, 12)
+
     def test_no_inputs_is_exit_2(self, tmp_path):
         assert main(["features", "--out", str(tmp_path / "o")]) == 2
 

@@ -90,6 +90,24 @@ class TestManifestRows:
         with pytest.raises(ValueError):
             read_manifest(p)
 
+    def test_bad_row_value_names_file_and_line(self, tmp_path):
+        p = tmp_path / "manifest.tsv"
+        write_manifest([_row(), _row(utterance_id="u2")], p)
+        lines = p.read_text(encoding="utf-8").split("\n")
+        lines[2] = lines[2].replace("\tneutral\t", "\tloud\t")
+        p.write_text("\n\n".join(lines), encoding="utf-8")   # blank lines still count
+        with pytest.raises(ValueError) as caught:
+            read_manifest(p)
+        assert str(caught.value).startswith(f"{p}:5: condition must be one of")
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "manifest.tsv"
+        write_manifest([_row(utterance_id="spk0-wörd")], p)
+        p.write_bytes(p.read_bytes().replace("ö".encode(), b"\xf6"))
+        with pytest.raises(ValueError) as caught:
+            read_manifest(p)
+        assert str(caught.value).startswith(f"{p}: not UTF-8 text")
+
 
 class TestCorpusSpec:
     def test_defaults_mirror_desk_scale(self):
