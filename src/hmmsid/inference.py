@@ -386,10 +386,10 @@ def _lanes(model, xs, names, backward=True):
         terminal = 1.0 / model.n_states if model.mask.kind == "circular" else 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             beta = _backward(stack, bsh, lengths, terminal, norms)
-        first = beta[model.order - 1:model.order]   # see "Numerical regime"
-        if not np.isfinite(first).all():
-            lost = np.flatnonzero(~np.isfinite(first[0].reshape(L, -1)).all(axis=1))
-            beta[:, lost] = _backward(stack, bsh[:, lost], lengths[lost], terminal)
+            first = beta[model.order - 1:model.order]   # see "Numerical regime"
+            if not np.isfinite(first).all():
+                lost = np.flatnonzero(~np.isfinite(first[0].reshape(L, -1)).all(axis=1))
+                beta[:, lost] = _backward(stack, bsh[:, lost], lengths[lost], terminal)
     lanes = []
     for k, (n, start) in enumerate(zip(lengths, starts)):
         lat = TrellisLattice(

@@ -501,14 +501,29 @@ def _transitions(model):
     ]
 
 
+def _check_finite(name, array, problems):
+    """The first non-finite entry of one parameter array, if any."""
+    bad = np.argwhere(~np.isfinite(array))
+    if len(bad):
+        at = tuple(bad[0])
+        problems.append(f"{name}[{_index(at)}] = {array[at]} is not finite")
+
+
 def validate(model) -> list[str]:
     """Return a list of constraint violations (empty means valid).
 
-    Checks probability normalization, nonnegativity, topology-mask
-    compliance and emission parameter sanity. Reported indices are 0-based.
+    Checks that every parameter is finite, probability normalization,
+    nonnegativity, topology-mask compliance and emission parameter sanity.
+    Reported indices are 0-based.
     """
     problems: list[str] = []
     init = model.initial
+    _check_finite("initial", init, problems)
+    for name, matrix, _ in _transitions(model):
+        _check_finite(name, matrix, problems)
+    for s, e in enumerate(model.emissions):
+        for name in _parameter_names(e):
+            _check_finite(f"state {s} {name}", getattr(e, name), problems)
 
     if (init < 0).any():
         problems.append("initial distribution has negative entries")

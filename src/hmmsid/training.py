@@ -378,6 +378,23 @@ def _triple_sum(trans2, alpha, beta, bsh):
 _POSTERIORS = {1: _posteriors1, 2: _posteriors2}
 
 
+def _lost_frame(model, alpha, beta, bsh):
+    """The first frame at which a posterior of one utterance has a sum that
+    is 0 or not finite: its state (order 2: pair) posterior there, or its
+    transition posterior ending there. Each product is taken as
+    _posteriors1/2 take it, so it is 0 exactly where theirs is."""
+    lost = np.zeros(len(bsh), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(model.order - 1, len(bsh)):
+            terms = [alpha[t] * beta[t]]
+            if t >= model.order and model.order == 1:
+                terms.append(alpha[t - 1][:, None] * model.trans * (bsh[t] * beta[t])[None, :])
+            elif t >= model.order:
+                terms.append(alpha[t - 1][:, :, None] * model.trans2 * bsh[t] * beta[t][None])
+            lost[t] = not all(0.0 < u.sum() < np.inf for u in terms)
+    return int(np.argmax(lost))
+
+
 def _estep(model, obs_list):
     """Total log-likelihood and the accumulated statistics: transition
     counts aligned with the model's transition arrays, first-frame state
@@ -389,9 +406,15 @@ def _estep(model, obs_list):
     stats = []
     lanes = _lanes(model, *zip(*obs_list))
     total_ll = 0.0
-    for (x, _), (lat, bsh, logb, comp) in zip(obs_list, lanes):
+    for (x, name), (lat, bsh, logb, comp) in zip(obs_list, lanes):
         total_ll += lat.log_likelihood
-        gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
+        if not (np.isfinite(gamma).all() and all(np.isfinite(c).all() for c in counts)):
+            frame = _lost_frame(model, lat.alpha, lat.beta, bsh)
+            raise ValueError(_named(
+                f"posteriors are not finite at frame {frame}: the forward and backward "
+                "passes share no path there (the utterance is far from the model)", name))
         first_sum += gamma[0]
         stats.append(kind._statistics(model._emission_parameters, x, gamma, logb, comp))
     return total_ll, counts, first_sum, tuple(map(sum, zip(*stats)))

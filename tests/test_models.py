@@ -228,6 +228,23 @@ class TestValidate:
             "trans2[2,2,0] = 0.25 but the topology forbids (2,2,0)",
         ]
 
+    def test_detects_non_finite_parameters(self):
+        model = make_random_model(np.random.default_rng(18), 2, "circular", "gmm")
+        t2 = model.trans2.copy()
+        t2[0, 1, 2] = np.nan
+        e = model.emissions[1]
+        means = e.means.copy()
+        means[1, 0] = np.inf
+        emissions = (model.emissions[0], GmmEmission(e.weights, means, e.variances), model.emissions[2])
+        from hmmsid.models import Hmm2Model
+
+        broken = Hmm2Model(model.mask, model.initial * np.nan, model.trans1, t2, emissions)
+        assert validate(broken)[:3] == [
+            "initial[0] = nan is not finite",
+            "trans2[0,1,2] = nan is not finite",
+            "state 1 means[1,0] = inf is not finite",
+        ]
+
     def test_detects_negative_variance(self):
         rng = np.random.default_rng(16)
         model = make_random_model(rng, 1, "ltr", "gmm", n_states=2)

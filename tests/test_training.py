@@ -63,6 +63,28 @@ class TestMonotonicity:
         assert np.isfinite(lls).all()
         assert lls[0] < lls[1] < lls[2]
 
+    @pytest.mark.parametrize("max_iterations", [1, 3])
+    @pytest.mark.parametrize("seed,order,topology,frame", [
+        (266, 1, "ltr", 0), (253, 2, "ltr", 1), (1339, 1, "circular", 0),
+        (673, 2, "circular", 1), (201, 1, "circular", 14), (53, 2, "circular", 16),
+    ])
+    def test_lost_posterior_mass_names_utterance_and_frame(self, seed, order, topology,
+                                                           frame, max_iterations):
+        """Where the forward and backward passes share no path at a frame,
+        its state posterior (the first four cases) or its transition
+        posterior (the last two) is 0/0. Baum-Welch raises, with no numpy
+        warning, instead of returning NaN parameters, failing later as
+        "emission density is NaN" or silently keeping transition rows."""
+        model, x = far_off_case(seed, order, topology)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                _welch(model, [FeatureMatrix(x, FeatureMeta(source="far"))],
+                       TrainConfig(max_iterations=max_iterations))
+        assert str(caught.value).startswith(
+            f"utterance 'far': posteriors are not finite at frame {frame}: "
+        )
+
     @pytest.mark.parametrize("order,topology,emission", ALL_CONFIGS)
     def test_invariants_hold_after_every_iteration(self, order, topology, emission):
         rng = np.random.default_rng(320 + order)
