@@ -502,7 +502,8 @@ def _transitions(model):
 
 
 def _check_finite(name, array, problems):
-    """The first non-finite entry of one parameter array, if any."""
+    """Add the first non-finite entry of one parameter array, if it has
+    one, to ``problems``."""
     bad = np.argwhere(~np.isfinite(array))
     if len(bad):
         at = tuple(bad[0])
