@@ -14,7 +14,12 @@ backward pass per iteration. The single-model, single-utterance functions
 are the one-model and one-lane cases of the same code. Viterbi scoring
 (score_models) runs the max-plus recursion without back-pointers, since
 it reads only the best score; viterbi1/viterbi2 keep them to decode the
-path.
+path. The order-2 max-plus step after the first frame visits only the
+predecessors each state is allowed (by some model of the stack): every
+candidate is the same single addition as over all N predecessors and the
+maximum is exact, so scores and paths keep their bits, and the allowed
+predecessors are taken in ascending order, so ties still break toward the
+lowest index.
 
 Numerical regime
 ----------------
@@ -417,29 +422,56 @@ def _log(p):
         return np.where(p > 0.0, np.log(p), -np.inf)
 
 
+def _predecessors(trans2):
+    """(N, K) table whose row j lists, in ascending order, the states i
+    from which some model of the (S, N, N, N) ``trans2`` allows a triple
+    (i, j, k); K is the longest such list. Shorter rows are padded with
+    states from which no model allows one, whose log-transitions are all
+    -inf."""
+    allowed = (trans2 > 0.0).any(axis=(0, 3))
+    width = allowed.sum(axis=0).max()
+    return np.argsort(~allowed, axis=0, kind="stable")[:width].T
+
+
 def _viterbi(stack, logb, errors, paths=True):
     """Max-plus twin of _forward with back-pointers from each full slice to
     the state it drops. Returns the (S, T) best paths and their (S,) joint
     log-probabilities. A model whose slice is all -inf at frame t gets
     ImpossibleObservationError(t) in ``errors``. Without ``paths`` it keeps
     no back-pointers and returns None for the paths; the scores are the
-    same."""
+    same.
+
+    The order-2 step after the first frame takes the maximum only over
+    each state's allowed predecessors (_predecessors). Every candidate is
+    the one addition the step over all N predecessors makes, and the
+    maximum is exact, so every score is bitwise that step's; the
+    predecessors are in ascending order, so ties still break toward the
+    lowest index."""
     T, S, N = logb.shape
     order = stack.order
     logtrans = [_log(getattr(stack, name)) for name in _TRANSITION_FIELDS[order]]
     frames = logb if order == 1 else logb[:, :, None, :]
+    if order == 2:
+        pred, cols = _predecessors(stack.trans2), np.arange(N)[:, None]
+        logtrans[1] = logtrans[1][:, pred, cols]        # (S, j, K, k)
     peaks = np.empty((S, T))
     if paths:
         ptr = np.empty((S, T) + (N,) * order, dtype=np.int64)
     dp = _log(stack.initial) + logb[0]
     peaks[:, 0] = dp.max(axis=1)
     for t in range(1, T):
-        cand = dp[..., None] + logtrans[min(t, order) - 1]
-        if dp.ndim > order:
+        if order == 2 and t == 1:
+            dp = dp[..., None] + logtrans[0]             # the first pair table
+        else:
+            if order == 1:
+                cand, axis = dp[..., None] + logtrans[0], 1
+            else:
+                cand, axis = dp[:, pred, cols][..., None] + logtrans[1], 2
             if paths:
-                ptr[:, t] = np.argmax(cand, axis=1)
-            cand = cand.max(axis=1)
-        dp = cand + frames[t]
+                best = np.argmax(cand, axis=axis)
+                ptr[:, t] = best if order == 1 else pred[cols, best]
+            dp = cand.max(axis=axis)
+        dp += frames[t]
         peaks[:, t] = dp.reshape(S, -1).max(axis=1)
     _fail_first(errors, np.isneginf(peaks))
     flat = dp.reshape(S, -1)

@@ -13,9 +13,11 @@ Posteriors and the emission kind's statistics (all states at once) are
 added in utterance order, so every total is bitwise what running the
 utterances one at a time gives. When utterances fail, the first of them
 raises the error it raises on its own, naming the utterance. The order-2
-triple posterior eta is built over chunks of frames of about 1 MB each,
-not as one (T-2, N, N, N) tensor, and its frames are summed in frame
-order, so its total is bitwise that of the whole tensor (_triple_sum).
+triple posterior eta is taken only at the triples trans2 allows, over
+chunks of frames, never as one (T-2, N, N, N) tensor. Each frame's
+normalizer is the sum of its terms scattered into a row of N**3 zeros, and
+the frames are summed in frame order over a C-contiguous array, so its
+total is bitwise that of the whole tensor (_triple_sum).
 
 Conventions applied here:
 
@@ -348,31 +350,64 @@ def _posteriors2(model, alpha, beta, bsh, counts):
 _ETA_CHUNK_BYTES = 2**20
 
 
+class _Triples:
+    """The allowed (nonzero) triples (i, j, k) of ``trans2``, K of them,
+    and buffers for the triple posterior's terms over up to ``frames``
+    frames at once."""
+
+    def __init__(self, trans2, frames):
+        n = trans2.shape[0]
+        self.flat = np.flatnonzero(trans2)
+        self.values = trans2.ravel()[self.flat]
+        self.pair_ij, self.pair_jk, self.last = self.flat // n, self.flat % (n * n), self.flat % n
+        self.terms_buffer = np.empty((frames, len(self.flat)))
+        self.scatter = np.zeros((frames, trans2.size))   # zero at every other triple
+
+    def terms(self, alpha, bsh, beta):
+        """The terms alpha(i, j) trans2(i, j, k) b(k) beta(j, k) of F frames
+        at the allowed triples, from the (F, N, N) pair tables ``alpha`` at
+        frames t, and the (F, N) shifted emissions ``bsh`` and (F, N, N)
+        ``beta`` at frames t + 1, and their per-frame sums.
+
+        The terms are taken in the order alpha * trans2 * bsh * beta, as
+        the whole (F, N, N, N) product takes them, into a C-contiguous
+        (F, K) array. Each frame's terms are scattered into its row of N**3
+        zeros before they are summed, so the sums are bitwise those of the
+        whole product's rows."""
+        f = len(bsh)
+        terms = self.terms_buffer[:f]
+        np.multiply(alpha.reshape(f, -1)[:, self.pair_ij], self.values, out=terms)
+        terms *= bsh[:, self.last]
+        terms *= beta.reshape(f, -1)[:, self.pair_jk]
+        rows = self.scatter[:f]
+        rows[:, self.flat] = terms
+        return terms, rows.sum(axis=1)
+
+
 def _triple_sum(trans2, alpha, beta, bsh):
     """Sum over frames t = 1..T-2 of the triple posterior eta_t(i, j, k),
-    built in one reused buffer over chunks of frames of about
-    _ETA_CHUNK_BYTES each, so that a chunk stays in cache. The product is
-    taken in the order alpha * trans2 * bsh * beta, as one expression
-    would take it. The sum of the chunks before is folded into each
-    chunk's first slice; numpy sums axis 0 of a C-contiguous array by
-    adding its slices one by one in order, so the frames' slices are added
-    in frame order, bitwise as in the sum of the whole (T-2, N, N, N)
-    tensor."""
+    taken only at the triples trans2 allows (_Triples), over chunks of
+    frames whose (F, N**3) scatter rows take about _ETA_CHUNK_BYTES each.
+    Each frame is divided by its sum, bitwise the sum of its whole
+    (N, N, N) slice. The sum of the chunks before is folded into each
+    chunk's first row; numpy sums axis 0 of a C-contiguous array by adding
+    its rows one by one in order, so the frames are added in frame order,
+    and each allowed entry is bitwise that of the sum of the whole
+    (T-2, N, N, N) tensor. Every other entry is 0, as it is there."""
     t_count = len(bsh)
     step = min(max(1, _ETA_CHUNK_BYTES // (8 * trans2.size)), t_count - 2)
-    buffer = np.empty((step,) + trans2.shape)
+    triples = _Triples(trans2, step)
     acc = None
     for lo in range(1, t_count - 1, step):
         hi = min(lo + step, t_count - 1)
-        eta = buffer[:hi - lo]
-        np.multiply(alpha[lo:hi][:, :, :, None], trans2, out=eta)
-        eta *= bsh[lo + 1:hi + 1][:, None, None, :]
-        eta *= beta[lo + 1:hi + 1][:, None, :, :]
-        eta /= eta.sum(axis=(1, 2, 3), keepdims=True)
+        eta, sums = triples.terms(alpha[lo:hi], bsh[lo + 1:hi + 1], beta[lo + 1:hi + 1])
+        eta /= sums[:, None]
         if acc is not None:
             eta[0] += acc
         acc = eta.sum(axis=0)
-    return acc
+    total = np.zeros(trans2.size)
+    total[triples.flat] = acc
+    return total.reshape(trans2.shape)
 
 
 _POSTERIORS = {1: _posteriors1, 2: _posteriors2}
@@ -381,17 +416,20 @@ _POSTERIORS = {1: _posteriors1, 2: _posteriors2}
 def _lost_frame(model, alpha, beta, bsh):
     """The first frame at which a posterior of one utterance has a sum that
     is 0 or not finite: its state (order 2: pair) posterior there, or its
-    transition posterior ending there. Each product is taken as
-    _posteriors1/2 take it, so it is 0 exactly where theirs is."""
+    transition posterior ending there. Each sum is taken as
+    _posteriors1/2 take it (order 2: by _Triples.terms), so it is 0
+    exactly where theirs is."""
     lost = np.zeros(len(bsh), dtype=bool)
+    if model.order == 2:
+        triples = _Triples(model.trans2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(model.order - 1, len(bsh)):
-            terms = [alpha[t] * beta[t]]
+            sums = [(alpha[t] * beta[t]).sum()]
             if t >= model.order and model.order == 1:
-                terms.append(alpha[t - 1][:, None] * model.trans * (bsh[t] * beta[t])[None, :])
+                sums.append((alpha[t - 1][:, None] * model.trans * (bsh[t] * beta[t])[None, :]).sum())
             elif t >= model.order:
-                terms.append(alpha[t - 1][:, :, None] * model.trans2 * bsh[t] * beta[t][None])
-            lost[t] = not all(0.0 < u.sum() < np.inf for u in terms)
+                sums.append(triples.terms(alpha[t - 1:t], bsh[t:t + 1], beta[t:t + 1])[1][0])
+            lost[t] = not all(0.0 < s < np.inf for s in sums)
     return int(np.argmax(lost))
 
 

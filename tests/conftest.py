@@ -19,6 +19,7 @@ from hmmsid.models import (
     Hmm1Model,
     Hmm2Model,
     circular_topology,
+    custom_topology,
     ltr_topology,
 )
 
@@ -40,10 +41,23 @@ def states_for(topology: str, rng) -> int:
     return int(rng.integers(2, 4))
 
 
-def make_mask(topology: str, n_states: int):
+def make_mask(topology: str, n_states: int, rng=None):
+    """A left-to-right (skip width 2) or ring mask, or for "custom" a
+    random one drawn from ``rng``."""
+    if topology == "custom":
+        return random_custom_mask(rng, n_states)
     if topology == "circular":
         return circular_topology(n_states)
     return ltr_topology(n_states, skip_width=2)
+
+
+def random_custom_mask(rng, n_states: int, density: float = 0.2):
+    """A custom mask allowing each transition with probability ``density``
+    and, so that every state has a successor, one drawn successor per
+    state."""
+    allowed = rng.random((n_states, n_states)) < density
+    allowed[np.arange(n_states), rng.integers(n_states, size=n_states)] = True
+    return custom_topology(allowed)
 
 
 def random_simplex(rng, size, floor=0.05):
@@ -101,7 +115,7 @@ def make_random_model(rng, order: int, topology: str, emission: str,
                       n_mixtures: int = 2):
     if n_states is None:
         n_states = states_for(topology, rng)
-    mask = make_mask(topology, n_states)
+    mask = make_mask(topology, n_states, rng)
     emissions = random_emissions(rng, emission, n_states, n_dims, n_mixtures)
     if order == 1:
         return Hmm1Model(

@@ -213,6 +213,48 @@ class CompositeChain:
         return gamma, xi
 
 
+# ---------------------------------------------------------------------------
+# dense max-plus recursion
+# ---------------------------------------------------------------------------
+
+def dense_viterbi(stack, logb, paths=True):
+    """The max-plus recursion of a model stack (inference._ModelStack) over
+    all N predecessors of every state, allowed or not, as the library ran
+    it before its order-2 step visited only allowed predecessors. Takes
+    the (T, S, N) log densities; returns the (S, T) best paths (None
+    without ``paths``), the (S,) scores and, per model, the first frame
+    whose best score is -inf (None when there is none)."""
+    T, S, N = logb.shape
+    order = stack.order
+    names = ("trans",) if order == 1 else ("trans1", "trans2")
+    with np.errstate(divide="ignore"):
+        logtrans = [np.log(getattr(stack, name)) for name in names]
+        dp = np.log(stack.initial) + logb[0]
+    frames = logb if order == 1 else logb[:, :, None, :]
+    peaks = np.empty((S, T))
+    ptr = np.empty((S, T) + (N,) * order, dtype=np.int64)
+    peaks[:, 0] = dp.max(axis=1)
+    for t in range(1, T):
+        cand = dp[..., None] + logtrans[min(t, order) - 1]
+        if dp.ndim > order:
+            ptr[:, t] = np.argmax(cand, axis=1)
+            cand = cand.max(axis=1)
+        dp = cand + frames[t]
+        peaks[:, t] = dp.reshape(S, -1).max(axis=1)
+    dead = np.isneginf(peaks)
+    first_dead = [int(np.argmax(row)) if row.any() else None for row in dead]
+    flat = dp.reshape(S, -1)
+    best = np.argmax(flat, axis=1)
+    rows = np.arange(S)
+    if not paths:
+        return None, flat[rows, best], first_dead
+    states = np.empty((S, T), dtype=np.int64)
+    states[:, T - (dp.ndim - 1):] = np.stack(np.unravel_index(best, dp.shape[1:]), axis=1)
+    for t in range(T - 1, order - 1, -1):
+        states[:, t - order] = ptr[(rows, t) + tuple(states[:, t - order + 1:t + 1].T)]
+    return states, flat[rows, best], first_dead
+
+
 def em_step2_reference(model, obs_list, variance_floor, weight_floor, transition_floor):
     """One exact Baum-Welch update of a second-order model, computed through
     the composite first-order chain. Returns a dict of updated arrays.

@@ -1,24 +1,29 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import far_off_case, make_obs, make_random_model
+from conftest import far_off_case, make_obs, make_random_model, random_trans1, random_trans2
 
 from hmmsid.errors import ImpossibleObservationError
 from hmmsid.inference import (
+    _emission_terms,
+    _ModelStack,
+    _viterbi,
     decode_pair_path,
     embed_pair_states,
     forward1,
     forward2,
     forward_backward2,
+    score_models,
     sequence_log_prob,
     viterbi1,
     viterbi2,
 )
-from hmmsid.models import DiscreteEmission, Hmm2Model, circular_topology
+from hmmsid.models import DiscreteEmission, Hmm2Model, circular_topology, custom_topology
 
 CONFIGS2 = [("ltr", "discrete"), ("ltr", "gmm"), ("circular", "discrete"), ("circular", "gmm")]
 
@@ -155,6 +160,104 @@ class TestViterbi2:
             viterbi2(model, np.array([0, 1, 0]))
         with pytest.raises(ImpossibleObservationError):
             forward2(model, np.array([0, 1, 0]))
+
+
+class TestAllowedPredecessors:
+    """The order-2 max-plus step visits only each state's allowed
+    predecessors; its scores, paths and failing frames are bitwise those
+    of the step over all N predecessors (oracles.dense_viterbi)."""
+
+    @staticmethod
+    def _check(models, obs, paths):
+        """Compare _viterbi with the dense recursion on the stack of
+        ``models``; return the scores."""
+        stack = _ModelStack(models)
+        logb, errors, _ = _emission_terms(stack, obs)
+        states, scores = _viterbi(stack, logb, errors, paths)
+        want_states, want_scores, want_dead = oracles.dense_viterbi(stack, logb, paths)
+        assert np.array_equal(scores, want_scores)
+        assert [None if e is None else e.frame for e in errors] == want_dead
+        if paths:   # a failing model's path is never read
+            live = np.isfinite(scores)
+            assert np.array_equal(states[live], want_states[live])
+        return scores
+
+    @staticmethod
+    def _uniform_model(mask, n_symbols=2):
+        """Every transition row and symbol table uniform: every path of
+        one length and one set of row widths ties."""
+        n = mask.n_states
+        trans1 = mask.allowed1 / mask.allowed1.sum(axis=1, keepdims=True)
+        allowed2 = mask.allowed2
+        rows = allowed2.sum(axis=2, keepdims=True)
+        trans2 = np.divide(allowed2, rows, out=np.zeros(allowed2.shape), where=rows > 0)
+        emissions = tuple(DiscreteEmission(np.full(n_symbols, 1.0 / n_symbols)) for _ in range(n))
+        return Hmm2Model(mask, np.full(n, 1.0 / n), trans1, trans2, emissions)
+
+    @pytest.mark.parametrize("n_states", [6, 24])
+    def test_scoring_a_stack_of_differing_zero_patterns(self, n_states):
+        rng = np.random.default_rng([230, n_states])
+        for _ in range(4):
+            models = [make_random_model(rng, 2, topology, "gmm", n_states=n_states)
+                      for topology in ("ltr", "circular", "custom", "custom", "ltr")]
+            for t_count in (1, 2, 3, 40):
+                obs = make_obs(rng, "gmm", t_count)
+                scores = self._check(models, obs, paths=False)
+                assert score_models(models, obs, "viterbi") == scores.tolist()
+                self._check(models, obs, paths=True)
+
+    @pytest.mark.parametrize("topology", ["ltr", "circular", "custom"])
+    def test_tie_heavy_paths(self, topology):
+        rng = np.random.default_rng([231, len(topology)])
+        for n_states in (3, 5, 8):
+            model = make_random_model(rng, 2, topology, "discrete", n_states=n_states)
+            model = self._uniform_model(model.mask)
+            for t_count in (1, 2, 3, 4, 9, 30):
+                obs = rng.integers(0, 2, size=t_count)
+                stack = _ModelStack((model,))
+                want_states, want_scores, _ = oracles.dense_viterbi(stack, _emission_terms(stack, obs)[0])
+                path = viterbi2(model, obs)
+                assert np.array_equal(path.states, want_states[0])
+                assert path.log_prob == want_scores[0]
+
+    def test_state_no_allowed_triple_reaches(self):
+        """No state moves to state 2, so it has no predecessor in any
+        triple: its row of the predecessor table is all padding."""
+        rng = np.random.default_rng(232)
+        n = 5
+        for _ in range(6):
+            allowed = rng.random((n, n)) < 0.5
+            allowed[:, 2] = False
+            allowed[np.arange(n), (np.arange(n) + 1) % n] = True
+            allowed[1, 2] = False
+            allowed[1, 3] = True
+            mask = custom_topology(allowed)
+            models = [self._uniform_model(mask, 4)]
+            models += [replace(models[0], trans1=random_trans1(rng, mask), trans2=random_trans2(rng, mask),
+                               emissions=tuple(DiscreteEmission(p) for p in rng.dirichlet(np.ones(4), size=n)))
+                       for _ in range(2)]
+            for t_count in (1, 2, 3, 12):
+                obs = rng.integers(0, 4, size=t_count)
+                self._check(models, obs, paths=False)
+                self._check(models, obs, paths=True)
+                for model in models:
+                    self._check([model], obs, paths=True)
+
+    def test_failing_models_fail_at_the_same_frame(self):
+        """Symbols some states cannot emit make some models' best scores
+        -inf: each fails at the frame the dense step fails it."""
+        rng = np.random.default_rng(233)
+        for _ in range(10):
+            models = []
+            for topology in ("ltr", "circular", "custom"):
+                model = make_random_model(rng, 2, topology, "discrete", n_states=4)
+                probs = rng.dirichlet(np.ones(4), size=4) * (rng.random((4, 4)) < 0.6)
+                probs[:, 0] = np.maximum(probs[:, 0], 0.1)
+                probs /= probs.sum(axis=1, keepdims=True)
+                models.append(replace(model, emissions=tuple(DiscreteEmission(p) for p in probs)))
+            obs = rng.integers(0, 4, size=15)
+            self._check(models, obs, paths=False)
+            self._check(models, obs, paths=True)
 
 
 class TestPairStateEmbedding:

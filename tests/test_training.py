@@ -1,8 +1,11 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import ALL_CONFIGS, far_off_case, make_obs, make_random_model
@@ -774,6 +777,32 @@ class TestChunkedTriplePosterior:
             assert np.array_equal(got[0], want[0]), t_count
             assert np.array_equal(got[1], want[1]), t_count
             assert got[1].any(), t_count
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(pattern=st.sampled_from(["ltr", "circular", "custom", "dense"]),
+           n_states=st.integers(3, 7), chunk=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_zero_pattern_across_chunk_boundaries(self, pattern, n_states, chunk, seed, data):
+        """Left-to-right, ring, random custom and fully dense trans2 zero
+        patterns, with chunks of 1-12 frames and lengths up to three
+        chunks past the first."""
+        rng = np.random.default_rng(seed)
+        model = make_random_model(rng, 2, "custom" if pattern == "dense" else pattern, "gmm",
+                                  n_states=n_states, n_mixtures=1)
+        if pattern == "dense":
+            trans2 = rng.uniform(0.05, 1.0, size=(n_states,) * 3)
+            model = replace(model, mask=custom_topology(np.ones((n_states, n_states))),
+                            trans2=trans2 / trans2.sum(axis=2, keepdims=True))
+        t_count = data.draw(st.integers(3, 3 * chunk + 4))
+        lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
+        got = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+        want = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+        with mock.patch.object(training, "_ETA_CHUNK_BYTES", chunk * 8 * n_states**3):
+            gamma = training._posteriors2(model, lat.alpha, lat.beta, bsh, got)
+        want_gamma = _whole_posteriors2(model, lat.alpha, lat.beta, bsh, want)
+        assert np.array_equal(gamma, want_gamma)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("topology", ["ltr", "circular"])
     def test_estep_equals_one_utterance_passes(self, topology):
