@@ -53,6 +53,11 @@ SPLITS = ("train", "test")
 GENDERS = ("male", "female")
 
 
+# A tab and every character at which read_manifest's str.splitlines breaks
+# a line.
+_FIELD_BREAKS = frozenset("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 @dataclass(frozen=True)
 class ManifestRow:
     utterance_id: str
@@ -72,8 +77,8 @@ class ManifestRow:
             raise ValueError(f"gender must be one of {GENDERS}, got {self.gender!r}")
         for name in ("utterance_id", "speaker_id", "word_id", "path"):
             value = getattr(self, name)
-            if not value or "\t" in value or "\n" in value:
-                raise ValueError(f"{name} must be non-empty and tab/newline free")
+            if not value or not _FIELD_BREAKS.isdisjoint(value):
+                raise ValueError(f"{name} must be non-empty and free of tabs and line breaks")
 
 
 MANIFEST_COLUMNS = tuple(f.name for f in fields(ManifestRow))

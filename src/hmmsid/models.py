@@ -617,7 +617,15 @@ def _topology_to_dict(mask: TopologyMask) -> dict:
     return d
 
 
-def _topology_from_dict(d: dict) -> TopologyMask:
+def _topology_from_dict(d: dict, n_initial: int) -> TopologyMask:
+    """The mask of a model file's ``topology`` object. Its state count is
+    checked against ``n_initial``, the length of the file's initial
+    distribution, before any (N, N) grid is built from it."""
+    n = d["n_states"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"topology n_states {n!r} is not a positive integer")
+    if n != n_initial:
+        raise ValueError(f"topology n_states {n} != {n_initial}, the length of initial")
     kind = d["kind"]
     if kind == "ltr":
         return ltr_topology(d["n_states"], d["skip_width"])
@@ -664,7 +672,7 @@ def model_from_dict(d: dict):
     if d.get("training") is not None:
         _json_object(d["training"], "training")
     try:
-        mask = _topology_from_dict(_json_object(d["topology"], "topology"))
+        topology = _json_object(d["topology"], "topology")
         kind = _EMISSION_KINDS.get(d["emission_type"])
         if kind is None:
             raise ValueError(f"unknown emission_type {d['emission_type']!r}")
@@ -677,6 +685,7 @@ def model_from_dict(d: dict):
             raise ValueError(f"unsupported order {order!r}")
         cls = Hmm1Model if order == 1 else Hmm2Model
         trans = [d[name] for name in _TRANSITION_FIELDS[order]]
+        mask = _topology_from_dict(topology, len(d["initial"]))
         return cls(mask, d["initial"], *trans, ems)
     except KeyError as exc:
         raise ValueError(f"model has no {exc.args[0]!r} key") from None
