@@ -19,7 +19,10 @@ each of the 8 (order, topology, emission) configurations, seeds 0-2 and
 and, for the order-2 configurations, 24-state models on utterances of
 150-250 frames (lattices, Viterbi paths and scores, score_models in both
 modes, and a 2-iteration baum_welch2), long enough that the E-step builds
-its triple posterior over several chunks of frames;
+its triple posterior over several chunks of frames; a model with a random
+custom mask joins the configuration's three, so that Viterbi scoring
+stacks differing zero patterns and the E-step and Viterbi visit allowed
+transitions that are neither left-to-right nor a ring;
 
 and 3-iteration baum_welch1/2 runs where one state and one mixture
 component (for symbol tables, one symbol) receive no posterior mass, so
@@ -225,10 +228,12 @@ def _long_order2(d, index, topology, emission):
     """Order-2 models of 24 states on utterances of 150-250 frames, long
     enough that the E-step builds the triple posterior over several chunks
     of frames: lattices, viterbi2 paths and scores, score_models in both
-    modes over 3 models, and a 2-iteration baum_welch2."""
+    modes over 3 models of the topology and one with a random custom mask,
+    and 2-iteration baum_welch2 runs of the first and the custom one."""
     rng = np.random.default_rng([index, 24])
     models = [make_random_model(rng, 2, topology, emission, n_states=24) for _ in range(3)]
     utterances = [make_obs(rng, emission, int(rng.integers(150, 251))) for _ in range(3)]
+    models.append(make_random_model(rng, 2, "custom", emission, n_states=24))
     for obs in utterances:
         for model in models:
             lat = d.call(inference.forward_backward2, model, obs)
@@ -240,11 +245,12 @@ def _long_order2(d, index, topology, emission):
                 d.value(path.log_prob)
         for mode in inference.SCORING_MODES:
             d.value(d.call(inference.score_models, models, obs, mode))
-    report = d.call(training.baum_welch2, models[0], utterances,
-                    training.TrainConfig(max_iterations=2))
-    if report is not None:
-        d.value(report.log_likelihoods)
-        d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+    for model in (models[0], models[-1]):
+        report = d.call(training.baum_welch2, model, utterances,
+                        training.TrainConfig(max_iterations=2))
+        if report is not None:
+            d.value(report.log_likelihoods)
+            d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
 
 
 def _no_mass(d, index, order, topology, emission):
