@@ -425,11 +425,11 @@ def _log(p):
 def _predecessors(trans2):
     """(N, K) table whose row j lists, in ascending order, the states i
     from which some model of the (S, N, N, N) ``trans2`` allows a triple
-    (i, j, k); K is the longest such list. Shorter rows are padded with
-    states from which no model allows one, whose log-transitions are all
-    -inf."""
+    (i, j, k); K is the longest such list, and at least 1. Shorter rows
+    are padded with states from which no model allows one, whose
+    log-transitions are all -inf."""
     allowed = (trans2 > 0.0).any(axis=(0, 3))
-    width = allowed.sum(axis=0).max()
+    width = max(allowed.sum(axis=0).max(), 1)
     return np.argsort(~allowed, axis=0, kind="stable")[:width].T
 
 

@@ -628,9 +628,9 @@ def _topology_from_dict(d: dict, n_initial: int) -> TopologyMask:
         raise ValueError(f"topology n_states {n} != {n_initial}, the length of initial")
     kind = d["kind"]
     if kind == "ltr":
-        return ltr_topology(d["n_states"], d["skip_width"])
+        return ltr_topology(n, d["skip_width"])
     if kind == "circular":
-        return circular_topology(d["n_states"])
+        return circular_topology(n)
     if kind == "custom":
         return custom_topology(np.array(d["allowed1"], dtype=bool))
     raise ValueError(f"unknown topology kind {kind!r}")

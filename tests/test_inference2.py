@@ -243,6 +243,16 @@ class TestAllowedPredecessors:
                 for model in models:
                     self._check([model], obs, paths=True)
 
+    def test_no_allowed_triple_at_all(self):
+        """A trans2 of zeros (a model file can hold one) fails at frame 2,
+        as the step over all predecessors fails it."""
+        model = self._uniform_model(circular_topology(3))
+        model = replace(model, trans2=np.zeros_like(model.trans2))
+        self._check([model], np.zeros(4, dtype=np.int64), paths=True)
+        with pytest.raises(ImpossibleObservationError) as caught:
+            viterbi2(model, np.zeros(4, dtype=np.int64))
+        assert caught.value.frame == 2
+
     def test_failing_models_fail_at_the_same_frame(self):
         """Symbols some states cannot emit make some models' best scores
         -inf: each fails at the frame the dense step fails it."""
