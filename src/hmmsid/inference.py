@@ -423,14 +423,14 @@ def _log(p):
 
 
 def _predecessors(trans2):
-    """(N, K) table whose row j lists, in ascending order, the states i
+    """(K, N) table whose column j lists, in ascending order, the states i
     from which some model of the (S, N, N, N) ``trans2`` allows a triple
-    (i, j, k); K is the longest such list, and at least 1. Shorter rows
+    (i, j, k); K is the longest such list, and at least 1. Shorter columns
     are padded with states from which no model allows one, whose
     log-transitions are all -inf."""
     allowed = (trans2 > 0.0).any(axis=(0, 3))
     width = max(allowed.sum(axis=0).max(), 1)
-    return np.argsort(~allowed, axis=0, kind="stable")[:width].T
+    return np.argsort(~allowed, axis=0, kind="stable")[:width]
 
 
 def _viterbi(stack, logb, errors, paths=True):
@@ -452,8 +452,9 @@ def _viterbi(stack, logb, errors, paths=True):
     logtrans = [_log(getattr(stack, name)) for name in _TRANSITION_FIELDS[order]]
     frames = logb if order == 1 else logb[:, :, None, :]
     if order == 2:
-        pred, cols = _predecessors(stack.trans2), np.arange(N)[:, None]
-        logtrans[1] = logtrans[1][:, pred, cols]        # (S, j, K, k)
+        pred, middle = _predecessors(stack.trans2), np.arange(N)
+        pairs = pred * N + middle                        # flat index of each (i, j) pair
+        logtrans[1] = np.ascontiguousarray(logtrans[1][:, pred, middle])   # (S, K, j, k)
     peaks = np.empty((S, T))
     if paths:
         ptr = np.empty((S, T) + (N,) * order, dtype=np.int64)
@@ -464,13 +465,12 @@ def _viterbi(stack, logb, errors, paths=True):
             dp = dp[..., None] + logtrans[0]             # the first pair table
         else:
             if order == 1:
-                cand, axis = dp[..., None] + logtrans[0], 1
+                cand = dp[..., None] + logtrans[0]
             else:
-                cand, axis = dp[:, pred, cols][..., None] + logtrans[1], 2
+                cand = dp.reshape(S, -1).take(pairs, axis=1)[..., None] + logtrans[1]
             if paths:
-                best = np.argmax(cand, axis=axis)
-                ptr[:, t] = best if order == 1 else pred[cols, best]
-            dp = cand.max(axis=axis)
+                ptr[:, t] = np.argmax(cand, axis=1)
+            dp = cand.max(axis=1)
         dp += frames[t]
         peaks[:, t] = dp.reshape(S, -1).max(axis=1)
     _fail_first(errors, np.isneginf(peaks))
@@ -479,6 +479,8 @@ def _viterbi(stack, logb, errors, paths=True):
     rows = np.arange(S)
     if not paths:
         return None, flat[rows, best]
+    if order == 2:   # from the place in the predecessor table to the state
+        ptr[:, 2:] = pred[ptr[:, 2:], middle[:, None]]
     states = np.empty((S, T), dtype=np.int64)
     states[:, T - (dp.ndim - 1):] = np.stack(np.unravel_index(best, dp.shape[1:]), axis=1)
     for t in range(T - 1, order - 1, -1):
