@@ -16,13 +16,14 @@ each of the 8 (order, topology, emission) configurations, seeds 0-2 and
   two utterances fail in different ways (non-finite frame, impossible
   frame, infinite density, symbol out of range, wrong dimension);
 
-and, for the order-2 configurations, 24-state models on utterances of
-150-250 frames (lattices, Viterbi paths and scores, score_models in both
-modes, and a 2-iteration baum_welch2), long enough that the E-step builds
-its triple posterior over several chunks of frames; a model with a random
-custom mask joins the configuration's three, so that Viterbi scoring
-stacks differing zero patterns and the E-step and Viterbi visit allowed
-transitions that are neither left-to-right nor a ring;
+and, for every configuration, 48-state (order 1) or 24-state (order 2)
+models on utterances of 150-250 frames (lattices, Viterbi paths and
+scores, score_models in both modes, and a 2-iteration baum_welch1/2),
+long enough that the E-step builds its transition posterior over several
+chunks of frames; a model with a random custom mask joins the
+configuration's three, so that Viterbi scoring stacks differing zero
+patterns and the E-step and Viterbi visit allowed transitions that are
+neither left-to-right nor a ring;
 
 and 3-iteration baum_welch1/2 runs where one state and one mixture
 component (for symbol tables, one symbol) receive no posterior mass, so
@@ -33,9 +34,9 @@ Inputs include zero-probability symbols, integral float symbols, frames
 scaled far from the models, and malformed observations. Prints one line
 per configuration: a sha256 over everything, then one hash per input
 family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
-Baum-Welch and train, failing lane sets, long order-2 utterances, which
-is the empty digest for order 1, and states and components without
-mass), so that a difference names the family that moved.
+Baum-Welch and train, failing lane sets, long utterances, and states and
+components without mass), so that a difference names the family that
+moved.
 
 A last line, ``stage=frontend``, does the same for the LPC-cepstrum front
 end: extract_features output (coefficients, degenerate frames, cms flag,
@@ -75,7 +76,7 @@ SEEDS = 3
 
 # The input families, each hashed on its own.
 FAMILIES = ("lattices", "viterbi", "emissions", "scoring", "training", "lane-sets",
-            "long-order2", "no-mass")
+            "long", "no-mass")
 FRONTEND_FAMILIES = ("ordinary", "silence", "degenerate", "too-short", "one-frame")
 FRONTEND_CONFIGS = (
     features.FrontendConfig(),
@@ -224,30 +225,39 @@ def _lane_sets(rng, order, emission):
     return sets
 
 
-def _long_order2(d, index, topology, emission):
-    """Order-2 models of 24 states on utterances of 150-250 frames, long
-    enough that the E-step builds the triple posterior over several chunks
-    of frames: lattices, viterbi2 paths and scores, score_models in both
-    modes over 3 models of the topology and one with a random custom mask,
-    and 2-iteration baum_welch2 runs of the first and the custom one."""
-    rng = np.random.default_rng([index, 24])
-    models = [make_random_model(rng, 2, topology, emission, n_states=24) for _ in range(3)]
+# state counts of the long family: its transition posterior spans several
+# chunks of frames (training._CHUNK_BYTES) on 150-250 frames
+LONG_STATES = {1: 48, 2: 24}
+
+
+def _long(d, index, order, topology, emission):
+    """Models of LONG_STATES[order] states on utterances of 150-250 frames,
+    long enough that the E-step builds the transition posterior over
+    several chunks of frames: lattices, Viterbi paths and scores,
+    score_models in both modes over 3 models of the topology and one with
+    a random custom mask, and 2-iteration baum_welch1/2 runs of the first
+    and the custom one."""
+    n_states = LONG_STATES[order]
+    rng = np.random.default_rng([index, n_states])
+    fb = getattr(inference, f"forward_backward{order}")
+    vit = getattr(inference, f"viterbi{order}")
+    bw = getattr(training, f"baum_welch{order}")
+    models = [make_random_model(rng, order, topology, emission, n_states=n_states) for _ in range(3)]
     utterances = [make_obs(rng, emission, int(rng.integers(150, 251))) for _ in range(3)]
-    models.append(make_random_model(rng, 2, "custom", emission, n_states=24))
+    models.append(make_random_model(rng, order, "custom", emission, n_states=n_states))
     for obs in utterances:
         for model in models:
-            lat = d.call(inference.forward_backward2, model, obs)
+            lat = d.call(fb, model, obs)
             if lat is not None:
                 _lattice(d, lat)
-            path = d.call(inference.viterbi2, model, obs)
+            path = d.call(vit, model, obs)
             if path is not None:
                 d.value(path.states)
                 d.value(path.log_prob)
         for mode in inference.SCORING_MODES:
             d.value(d.call(inference.score_models, models, obs, mode))
     for model in (models[0], models[-1]):
-        report = d.call(training.baum_welch2, model, utterances,
-                        training.TrainConfig(max_iterations=2))
+        report = d.call(bw, model, utterances, training.TrainConfig(max_iterations=2))
         if report is not None:
             d.value(report.log_likelihoods)
             d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
@@ -293,7 +303,7 @@ def sweep(index, seeds):
     """The hex digest of each of FAMILIES for configuration ``index``."""
     order, topology, emission = ALL_CONFIGS[index]
     digests = {family: Digest() for family in FAMILIES}
-    lattices, viterbi, emissions, scoring, trained, lane_sets, long_order2, no_mass = digests.values()
+    lattices, viterbi, emissions, scoring, trained, lane_sets, long, no_mass = digests.values()
     fb = getattr(inference, f"forward_backward{order}")
     fwd = getattr(inference, f"forward{order}")
     vit = getattr(inference, f"viterbi{order}")
@@ -337,8 +347,7 @@ def sweep(index, seeds):
                 if report is not None:
                     lane_sets.value(report.log_likelihoods)
                     lane_sets.text(json.dumps(model_to_dict(report.model), sort_keys=True))
-    if order == 2:
-        _long_order2(long_order2, index, topology, emission)
+    _long(long, index, order, topology, emission)
     _no_mass(no_mass, index, order, topology, emission)
     return {family: digest.hexdigest() for family, digest in digests.items()}
 

@@ -14,7 +14,8 @@ backward pass per iteration. The single-model, single-utterance functions
 are the one-model and one-lane cases of the same code. Viterbi scoring
 (score_models) runs the max-plus recursion without back-pointers, since
 it reads only the best score; viterbi1/viterbi2 keep them to decode the
-path. The order-2 max-plus step after the first frame visits only the
+path. For both orders, the max-plus step with the last transition array
+(``trans``; ``trans2`` after order 2's first step) visits only the
 predecessors each state is allowed (by some model of the stack): every
 candidate is the same single addition as over all N predecessors and the
 maximum is exact, so scores and paths keep their bits, and the allowed
@@ -422,13 +423,14 @@ def _log(p):
         return np.where(p > 0.0, np.log(p), -np.inf)
 
 
-def _predecessors(trans2):
+def _predecessors(last):
     """(K, N) table whose column j lists, in ascending order, the states i
-    from which some model of the (S, N, N, N) ``trans2`` allows a triple
-    (i, j, k); K is the longest such list, and at least 1. Shorter columns
-    are padded with states from which no model allows one, whose
-    log-transitions are all -inf."""
-    allowed = (trans2 > 0.0).any(axis=(0, 3))
+    from which some model of the (S, N, ..., N) last transition array
+    allows a transition into j (order 2: a triple (i, j, k)); K is the
+    longest such list, and at least 1. Shorter columns are padded with
+    states from which no model allows one, whose log-transitions are all
+    -inf."""
+    allowed = (last > 0.0).any(axis=(0,) + tuple(range(3, last.ndim)))
     width = max(allowed.sum(axis=0).max(), 1)
     return np.argsort(~allowed, axis=0, kind="stable")[:width]
 
@@ -441,33 +443,32 @@ def _viterbi(stack, logb, errors, paths=True):
     no back-pointers and returns None for the paths; the scores are the
     same.
 
-    The order-2 step after the first frame takes the maximum only over
-    each state's allowed predecessors (_predecessors). Every candidate is
-    the one addition the step over all N predecessors makes, and the
-    maximum is exact, so every score is bitwise that step's; the
-    predecessors are in ascending order, so ties still break toward the
-    lowest index."""
+    The step with the last transition array (every step for order 1, every
+    step after the first for order 2) takes the maximum only over each
+    state's allowed predecessors (_predecessors). Every candidate is the
+    one addition the step over all N predecessors makes, and the maximum
+    is exact, so every score is bitwise that step's; the predecessors are
+    in ascending order, so ties still break toward the lowest index."""
     T, S, N = logb.shape
     order = stack.order
-    logtrans = [_log(getattr(stack, name)) for name in _TRANSITION_FIELDS[order]]
-    frames = logb if order == 1 else logb[:, :, None, :]
-    if order == 2:
-        pred, middle = _predecessors(stack.trans2), np.arange(N)
-        pairs = pred * N + middle                        # flat index of each (i, j) pair
-        logtrans[1] = np.ascontiguousarray(logtrans[1][:, pred, middle])   # (S, K, j, k)
+    names = _TRANSITION_FIELDS[order]
+    logtrans = [_log(getattr(stack, name)) for name in names]
+    pred, middle = _predecessors(getattr(stack, names[-1])), np.arange(N)
+    pad = (None,) * (order - 1)   # a new axis where order 2's slices have one more
+    # the flat index in dp of each candidate's slice: i, or for order 2 the pair (i, j)
+    sources = np.ravel_multi_index((pred, middle)[:order], (N,) * order)[(...,) + pad]
+    logtrans[-1] = np.ascontiguousarray(logtrans[-1][:, pred, middle])   # (S, K, j, ...)
+    frames = logb[(slice(None),) * 2 + pad]
     peaks = np.empty((S, T))
     if paths:
         ptr = np.empty((S, T) + (N,) * order, dtype=np.int64)
     dp = _log(stack.initial) + logb[0]
     peaks[:, 0] = dp.max(axis=1)
     for t in range(1, T):
-        if order == 2 and t == 1:
-            dp = dp[..., None] + logtrans[0]             # the first pair table
+        if t < order:
+            dp = dp[..., None] + logtrans[0]             # order 2's first pair table
         else:
-            if order == 1:
-                cand = dp[..., None] + logtrans[0]
-            else:
-                cand = dp.reshape(S, -1).take(pairs, axis=1)[..., None] + logtrans[1]
+            cand = dp.reshape(S, -1).take(sources, axis=1) + logtrans[-1]
             if paths:
                 ptr[:, t] = np.argmax(cand, axis=1)
             dp = cand.max(axis=1)
@@ -479,8 +480,7 @@ def _viterbi(stack, logb, errors, paths=True):
     rows = np.arange(S)
     if not paths:
         return None, flat[rows, best]
-    if order == 2:   # from the place in the predecessor table to the state
-        ptr[:, 2:] = pred[ptr[:, 2:], middle[:, None]]
+    ptr[:, order:] = pred[ptr[:, order:], middle[(...,) + pad]]   # from the place in pred to the state
     states = np.empty((S, T), dtype=np.int64)
     states[:, T - (dp.ndim - 1):] = np.stack(np.unravel_index(best, dp.shape[1:]), axis=1)
     for t in range(T - 1, order - 1, -1):

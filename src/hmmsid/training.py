@@ -12,12 +12,16 @@ frames, one forward pass and one backward pass on one time axis.
 Posteriors and the emission kind's statistics (all states at once) are
 added in utterance order, so every total is bitwise what running the
 utterances one at a time gives. When utterances fail, the first of them
-raises the error it raises on its own, naming the utterance. The order-2
-triple posterior eta is taken only at the triples trans2 allows, over
-chunks of frames, never as one (T-2, N, N, N) tensor. Each frame's
-normalizer is the sum of its terms scattered into a row of N**3 zeros, and
-the frames are summed in frame order over a C-contiguous array, so its
-total is bitwise that of the whole tensor (_triple_sum).
+raises the error it raises on its own, naming the utterance.
+
+Both orders take one posterior path (_posteriors). The posterior of the
+last transition array (xi over ``trans``, eta over ``trans2``) is taken
+only at the transitions it allows, over chunks of frames, never as one
+(T-order, N, ..., N) tensor (_AllowedTransitions). Each frame's
+normalizer is the sum of its terms scattered into a row of zeros, and the
+frames are summed in frame order over a C-contiguous array, so its total
+is bitwise that of the whole tensor. A lost frame is named from the
+normalizers the posteriors keep.
 
 Conventions applied here:
 
@@ -320,136 +324,118 @@ def _prepared(obs_set, kind):
 # Baum-Welch
 # ---------------------------------------------------------------------------
 
-def _posteriors1(model, alpha, beta, bsh, counts):
-    """State posteriors gamma (T, N); adds the xi posteriors to counts[0]."""
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    if len(gamma) > 1:
-        w = bsh[1:] * beta[1:]
-        xi = alpha[:-1][:, :, None] * model.trans[None, :, :] * w[:, None, :]
-        xi /= xi.sum(axis=(1, 2), keepdims=True)
-        counts[0] += xi.sum(axis=0)
-    return gamma
+_CHUNK_BYTES = 2**20
 
 
-def _posteriors2(model, alpha, beta, bsh, counts):
-    """State posteriors gamma (T, N) from the pair posteriors; adds the first
-    pair posterior to counts[0] and the triple posteriors eta to counts[1]."""
-    t_count = len(bsh)
-    pair = alpha[1:] * beta[1:]                         # (T-1, N, N)
-    pair /= pair.sum(axis=(1, 2), keepdims=True)
-    gamma = np.empty((t_count, model.n_states))
-    gamma[0] = pair[0].sum(axis=1)
-    gamma[1:] = pair.sum(axis=1)
-    counts[0] += pair[0]
-    if t_count > 2:
-        counts[1] += _triple_sum(model.trans2, alpha, beta, bsh)
-    return gamma
+class _AllowedTransitions:
+    """The allowed (nonzero) entries of a model's last transition array A
+    (``trans``, or ``trans2`` for order 2), K of them, and buffers for the
+    transition posterior's terms over chunks of frames whose (F, A.size)
+    scatter rows take about _CHUNK_BYTES, for utterances of up to
+    ``t_max`` frames."""
 
-
-_ETA_CHUNK_BYTES = 2**20
-
-
-class _Triples:
-    """The allowed (nonzero) triples (i, j, k) of ``trans2``, K of them,
-    and buffers for the triple posterior's terms over up to ``frames``
-    frames at once."""
-
-    def __init__(self, trans2, frames):
-        n = trans2.shape[0]
-        self.flat = np.flatnonzero(trans2)
-        self.values = trans2.ravel()[self.flat]
-        self.pair_ij, self.pair_jk, self.last = self.flat // n, self.flat % (n * n), self.flat % n
-        self.terms_buffer = np.empty((frames, len(self.flat)))
-        self.scatter = np.zeros((frames, trans2.size))   # zero at every other triple
+    def __init__(self, model, t_max):
+        last = _transitions(model)[-1][1]
+        n, self.order, self.shape = model.n_states, model.order, last.shape
+        self.frames = max(1, min(_CHUNK_BYTES // (8 * last.size), t_max - self.order))
+        self.flat = np.flatnonzero(last)
+        self.values = last.ravel()[self.flat]
+        # per entry: the slice it leaves (of alpha), its last state, the slice it enters (of beta)
+        self.source, self.last, self.target = self.flat // n, self.flat % n, self.flat % n**self.order
+        self.terms_buffer = np.empty((self.frames, len(self.flat)))
+        self.scatter = np.zeros((self.frames, last.size))   # zero at every other entry
 
     def terms(self, alpha, bsh, beta):
-        """The terms alpha(i, j) trans2(i, j, k) b(k) beta(j, k) of F frames
-        at the allowed triples, from the (F, N, N) pair tables ``alpha`` at
-        frames t, and the (F, N) shifted emissions ``bsh`` and (F, N, N)
-        ``beta`` at frames t + 1, and their per-frame sums.
+        """The terms alpha(i...) A(i..., k) b(k) beta(...k) of F frames at
+        the allowed entries, from the (F, N...) ``alpha`` at frames t-1 and
+        the (F, N) shifted emissions ``bsh`` and (F, N...) ``beta`` at
+        frames t, and their per-frame sums.
 
-        The terms are taken in the order alpha * trans2 * bsh * beta, as
-        the whole (F, N, N, N) product takes them, into a C-contiguous
-        (F, K) array. Each frame's terms are scattered into its row of N**3
-        zeros before they are summed, so the sums are bitwise those of the
-        whole product's rows."""
+        The terms are taken in the order the whole product takes them,
+        (alpha * trans) * (b * beta) for order 1 and alpha * trans2 * b *
+        beta for order 2, into a C-contiguous (F, K) array. Each frame's
+        terms are scattered into its row of A.size zeros before they are
+        summed, so the sums are bitwise those of the whole product's rows."""
         f = len(bsh)
         terms = self.terms_buffer[:f]
-        np.multiply(alpha.reshape(f, -1)[:, self.pair_ij], self.values, out=terms)
-        terms *= bsh[:, self.last]
-        terms *= beta.reshape(f, -1)[:, self.pair_jk]
+        np.multiply(alpha.reshape(f, -1)[:, self.source], self.values, out=terms)
+        entering = beta.reshape(f, -1)[:, self.target]
+        if self.order == 1:
+            entering *= bsh[:, self.last]
+        else:
+            terms *= bsh[:, self.last]
+        terms *= entering
         rows = self.scatter[:f]
         rows[:, self.flat] = terms
         return terms, rows.sum(axis=1)
 
-
-def _triple_sum(trans2, alpha, beta, bsh):
-    """Sum over frames t = 1..T-2 of the triple posterior eta_t(i, j, k),
-    taken only at the triples trans2 allows (_Triples), over chunks of
-    frames whose (F, N**3) scatter rows take about _ETA_CHUNK_BYTES each.
-    Each frame is divided by its sum, bitwise the sum of its whole
-    (N, N, N) slice. The sum of the chunks before is folded into each
-    chunk's first row; numpy sums axis 0 of a C-contiguous array by adding
-    its rows one by one in order, so the frames are added in frame order,
-    and each allowed entry is bitwise that of the sum of the whole
-    (T-2, N, N, N) tensor. Every other entry is 0, as it is there."""
-    t_count = len(bsh)
-    step = min(max(1, _ETA_CHUNK_BYTES // (8 * trans2.size)), t_count - 2)
-    triples = _Triples(trans2, step)
-    acc = None
-    for lo in range(1, t_count - 1, step):
-        hi = min(lo + step, t_count - 1)
-        eta, sums = triples.terms(alpha[lo:hi], bsh[lo + 1:hi + 1], beta[lo + 1:hi + 1])
-        eta /= sums[:, None]
-        if acc is not None:
-            eta[0] += acc
-        acc = eta.sum(axis=0)
-    total = np.zeros(trans2.size)
-    total[triples.flat] = acc
-    return total.reshape(trans2.shape)
+    def posterior_sum(self, alpha, beta, bsh, norms):
+        """Sum over frames t = order..T-1 of the posterior of the transition
+        ending at t, taken chunk by chunk at the allowed entries. Each frame
+        is divided by its sum (bitwise the sum of its whole slice), which is
+        written to norms[t]. The sum of the chunks before is folded into
+        each chunk's first row; numpy sums axis 0 of a C-contiguous array
+        by adding its rows one by one in order, so the frames are added in
+        frame order, and each allowed entry is bitwise that of the sum of
+        the whole (T-order, N, ..., N) tensor. Every other entry is 0, as
+        it is there."""
+        acc = None
+        for lo in range(self.order - 1, len(bsh) - 1, self.frames):
+            hi = min(lo + self.frames, len(bsh) - 1)
+            xi, norms[lo + 1:hi + 1] = self.terms(alpha[lo:hi], bsh[lo + 1:hi + 1], beta[lo + 1:hi + 1])
+            xi /= norms[lo + 1:hi + 1, None]
+            if acc is not None:
+                xi[0] += acc
+            acc = xi.sum(axis=0)
+        total = np.zeros(self.scatter.shape[1])
+        total[self.flat] = acc
+        return total.reshape(self.shape)
 
 
-_POSTERIORS = {1: _posteriors1, 2: _posteriors2}
-
-
-def _lost_frame(model, alpha, beta, bsh):
-    """The first frame at which a posterior of one utterance has a sum that
-    is 0 or not finite: its state (order 2: pair) posterior there, or its
-    transition posterior ending there. Each sum is taken as
-    _posteriors1/2 take it (order 2: by _Triples.terms), so it is 0
-    exactly where theirs is."""
-    lost = np.zeros(len(bsh), dtype=bool)
-    if model.order == 2:
-        triples = _Triples(model.trans2, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(model.order - 1, len(bsh)):
-            sums = [(alpha[t] * beta[t]).sum()]
-            if t >= model.order and model.order == 1:
-                sums.append((alpha[t - 1][:, None] * model.trans * (bsh[t] * beta[t])[None, :]).sum())
-            elif t >= model.order:
-                sums.append(triples.terms(alpha[t - 1:t], bsh[t:t + 1], beta[t:t + 1])[1][0])
-            lost[t] = not all(0.0 < s < np.inf for s in sums)
-    return int(np.argmax(lost))
+def _posteriors(model, alpha, beta, bsh, counts, allowed, norms):
+    """State posteriors gamma (T, N) of one utterance. Adds the summed
+    posterior of the last transition array (via the _AllowedTransitions
+    ``allowed``) to counts[-1] and, for order 2, the first pair posterior
+    to counts[0]. The sum by which frame t's state (order 2: pair)
+    posterior is normalized goes to norms[0, t]; that of the transition
+    posterior ending at t to norms[1, t]."""
+    order, t_count = model.order, len(bsh)
+    post = alpha[order - 1:] * beta[order - 1:]
+    sums = post.sum(axis=tuple(range(1, order + 1)), keepdims=True)
+    norms[0, order - 1:t_count] = sums.ravel()
+    post /= sums
+    if order == 1:
+        gamma = post
+    else:
+        gamma = np.empty((t_count, model.n_states))
+        gamma[0] = post[0].sum(axis=1)
+        gamma[1:] = post.sum(axis=1)
+        counts[0] += post[0]
+    if t_count > order:
+        counts[-1] += allowed.posterior_sum(alpha, beta, bsh, norms[1])
+    return gamma
 
 
 def _estep(model, obs_list):
     """Total log-likelihood and the accumulated statistics: transition
     counts aligned with the model's transition arrays, first-frame state
     posteriors and the emission kind's statistics."""
-    posteriors = _POSTERIORS[model.order]
     kind = type(model.emissions[0])
     counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
     first_sum = np.zeros(model.n_states)
     stats = []
+    t_max = max(len(x) for x, _ in obs_list)
+    allowed = _AllowedTransitions(model, t_max)
+    norms = np.ones((2, t_max))   # per frame, the posteriors' sums (see _posteriors)
     lanes = _lanes(model, *zip(*obs_list))
     total_ll = 0.0
     for (x, name), (lat, bsh, logb, comp) in zip(obs_list, lanes):
         total_ll += lat.log_likelihood
         with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
+            gamma = _posteriors(model, lat.alpha, lat.beta, bsh, counts, allowed, norms)
         if not (np.isfinite(gamma).all() and all(np.isfinite(c).all() for c in counts)):
-            frame = _lost_frame(model, lat.alpha, lat.beta, bsh)
+            sums = norms[:, :len(x)]
+            frame = int(np.argmax(~((0.0 < sums) & (sums < np.inf)).all(axis=0)))
             raise ValueError(_named(
                 f"posteriors are not finite at frame {frame}: the forward and backward "
                 "passes share no path there (the utterance is far from the model)", name))

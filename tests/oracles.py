@@ -220,7 +220,7 @@ class CompositeChain:
 def dense_viterbi(stack, logb, paths=True):
     """The max-plus recursion of a model stack (inference._ModelStack) over
     all N predecessors of every state, allowed or not, as the library ran
-    it before its order-2 step visited only allowed predecessors. Takes
+    it before its steps visited only allowed predecessors. Takes
     the (T, S, N) log densities; returns the (S, T) best paths (None
     without ``paths``), the (S,) scores and, per model, the first frame
     whose best score is -inf (None when there is none)."""

@@ -23,7 +23,7 @@ from hmmsid.inference import (
     viterbi1,
     viterbi2,
 )
-from hmmsid.models import DiscreteEmission, Hmm2Model, circular_topology, custom_topology
+from hmmsid.models import DiscreteEmission, Hmm1Model, Hmm2Model, circular_topology, custom_topology
 
 CONFIGS2 = [("ltr", "discrete"), ("ltr", "gmm"), ("circular", "discrete"), ("circular", "gmm")]
 
@@ -163,9 +163,10 @@ class TestViterbi2:
 
 
 class TestAllowedPredecessors:
-    """The order-2 max-plus step visits only each state's allowed
-    predecessors; its scores, paths and failing frames are bitwise those
-    of the step over all N predecessors (oracles.dense_viterbi)."""
+    """The max-plus step with the last transition array (trans for order
+    1, trans2 for order 2) visits only each state's allowed predecessors;
+    its scores, paths and failing frames are bitwise those of the step
+    over all N predecessors (oracles.dense_viterbi)."""
 
     @staticmethod
     def _check(models, obs, paths):
@@ -183,22 +184,32 @@ class TestAllowedPredecessors:
         return scores
 
     @staticmethod
-    def _uniform_model(mask, n_symbols=2):
+    def _uniform_model(order, mask, n_symbols=2):
         """Every transition row and symbol table uniform: every path of
         one length and one set of row widths ties."""
         n = mask.n_states
         trans1 = mask.allowed1 / mask.allowed1.sum(axis=1, keepdims=True)
+        emissions = tuple(DiscreteEmission(np.full(n_symbols, 1.0 / n_symbols)) for _ in range(n))
+        if order == 1:
+            return Hmm1Model(mask, np.full(n, 1.0 / n), trans1, emissions)
         allowed2 = mask.allowed2
         rows = allowed2.sum(axis=2, keepdims=True)
         trans2 = np.divide(allowed2, rows, out=np.zeros(allowed2.shape), where=rows > 0)
-        emissions = tuple(DiscreteEmission(np.full(n_symbols, 1.0 / n_symbols)) for _ in range(n))
         return Hmm2Model(mask, np.full(n, 1.0 / n), trans1, trans2, emissions)
 
+    @staticmethod
+    def _random_transitions(rng, model):
+        """The transition arrays of ``model`` drawn afresh on its mask."""
+        if model.order == 1:
+            return {"trans": random_trans1(rng, model.mask)}
+        return {"trans1": random_trans1(rng, model.mask), "trans2": random_trans2(rng, model.mask)}
+
+    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("n_states", [6, 24])
-    def test_scoring_a_stack_of_differing_zero_patterns(self, n_states):
-        rng = np.random.default_rng([230, n_states])
+    def test_scoring_a_stack_of_differing_zero_patterns(self, order, n_states):
+        rng = np.random.default_rng([230, n_states, order])
         for _ in range(4):
-            models = [make_random_model(rng, 2, topology, "gmm", n_states=n_states)
+            models = [make_random_model(rng, order, topology, "gmm", n_states=n_states)
                       for topology in ("ltr", "circular", "custom", "custom", "ltr")]
             for t_count in (1, 2, 3, 40):
                 obs = make_obs(rng, "gmm", t_count)
@@ -206,24 +217,28 @@ class TestAllowedPredecessors:
                 assert score_models(models, obs, "viterbi") == scores.tolist()
                 self._check(models, obs, paths=True)
 
+    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("topology", ["ltr", "circular", "custom"])
-    def test_tie_heavy_paths(self, topology):
-        rng = np.random.default_rng([231, len(topology)])
+    def test_tie_heavy_paths(self, order, topology):
+        rng = np.random.default_rng([231, len(topology), order])
+        viterbi = viterbi1 if order == 1 else viterbi2
         for n_states in (3, 5, 8):
-            model = make_random_model(rng, 2, topology, "discrete", n_states=n_states)
-            model = self._uniform_model(model.mask)
+            model = make_random_model(rng, order, topology, "discrete", n_states=n_states)
+            model = self._uniform_model(order, model.mask)
             for t_count in (1, 2, 3, 4, 9, 30):
                 obs = rng.integers(0, 2, size=t_count)
                 stack = _ModelStack((model,))
                 want_states, want_scores, _ = oracles.dense_viterbi(stack, _emission_terms(stack, obs)[0])
-                path = viterbi2(model, obs)
+                path = viterbi(model, obs)
                 assert np.array_equal(path.states, want_states[0])
                 assert path.log_prob == want_scores[0]
 
-    def test_state_no_allowed_triple_reaches(self):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_state_no_allowed_transition_reaches(self, order):
         """No state moves to state 2, so it has no predecessor in any
-        triple: its row of the predecessor table is all padding."""
-        rng = np.random.default_rng(232)
+        transition of the last array: its row of the predecessor table is
+        all padding."""
+        rng = np.random.default_rng([232, order])
         n = 5
         for _ in range(6):
             allowed = rng.random((n, n)) < 0.5
@@ -232,8 +247,8 @@ class TestAllowedPredecessors:
             allowed[1, 2] = False
             allowed[1, 3] = True
             mask = custom_topology(allowed)
-            models = [self._uniform_model(mask, 4)]
-            models += [replace(models[0], trans1=random_trans1(rng, mask), trans2=random_trans2(rng, mask),
+            models = [self._uniform_model(order, mask, 4)]
+            models += [replace(models[0], **self._random_transitions(rng, models[0]),
                                emissions=tuple(DiscreteEmission(p) for p in rng.dirichlet(np.ones(4), size=n)))
                        for _ in range(2)]
             for t_count in (1, 2, 3, 12):
@@ -243,24 +258,28 @@ class TestAllowedPredecessors:
                 for model in models:
                     self._check([model], obs, paths=True)
 
-    def test_no_allowed_triple_at_all(self):
-        """A trans2 of zeros (a model file can hold one) fails at frame 2,
-        as the step over all predecessors fails it."""
-        model = self._uniform_model(circular_topology(3))
-        model = replace(model, trans2=np.zeros_like(model.trans2))
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_no_allowed_transition_at_all(self, order):
+        """A last transition array of zeros (a model file can hold one)
+        fails at frame ``order``, as the step over all predecessors fails
+        it."""
+        model = self._uniform_model(order, circular_topology(3))
+        name = "trans" if order == 1 else "trans2"
+        model = replace(model, **{name: np.zeros_like(getattr(model, name))})
         self._check([model], np.zeros(4, dtype=np.int64), paths=True)
         with pytest.raises(ImpossibleObservationError) as caught:
-            viterbi2(model, np.zeros(4, dtype=np.int64))
-        assert caught.value.frame == 2
+            (viterbi1 if order == 1 else viterbi2)(model, np.zeros(4, dtype=np.int64))
+        assert caught.value.frame == order
 
-    def test_failing_models_fail_at_the_same_frame(self):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_failing_models_fail_at_the_same_frame(self, order):
         """Symbols some states cannot emit make some models' best scores
         -inf: each fails at the frame the dense step fails it."""
-        rng = np.random.default_rng(233)
+        rng = np.random.default_rng([233, order])
         for _ in range(10):
             models = []
             for topology in ("ltr", "circular", "custom"):
-                model = make_random_model(rng, 2, topology, "discrete", n_states=4)
+                model = make_random_model(rng, order, topology, "discrete", n_states=4)
                 probs = rng.dirichlet(np.ones(4), size=4) * (rng.random((4, 4)) < 0.6)
                 probs[:, 0] = np.maximum(probs[:, 0], 0.1)
                 probs /= probs.sum(axis=1, keepdims=True)

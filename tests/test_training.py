@@ -509,7 +509,7 @@ class TestLaneIndependence:
     @staticmethod
     def _one_by_one(model, obs_list, posteriors=None):
         fb = forward_backward1 if model.order == 1 else forward_backward2
-        posteriors = posteriors or training._POSTERIORS[model.order]
+        posteriors = posteriors or _posteriors
         kind = type(model.emissions[0])
         counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
         first_sum = np.zeros(model.n_states)
@@ -720,9 +720,29 @@ class TestStackedEmissionStatistics:
         assert np.array_equal(updated[3].probs, probs[3])
 
 
+def _posteriors(model, alpha, beta, bsh, counts):
+    """training._posteriors on one utterance, with an _AllowedTransitions
+    and a normalizer table of its own."""
+    allowed = training._AllowedTransitions(model, len(bsh))
+    return training._posteriors(model, alpha, beta, bsh, counts, allowed, np.ones((2, len(bsh))))
+
+
+def _whole_posteriors1(model, alpha, beta, bsh, counts):
+    """The first-order posteriors with the transition posterior xi built
+    as one dense (T-1, N, N) tensor: the reference for the chunked build."""
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    if len(gamma) > 1:
+        w = bsh[1:] * beta[1:]
+        xi = alpha[:-1][:, :, None] * model.trans[None, :, :] * w[:, None, :]
+        xi /= xi.sum(axis=(1, 2), keepdims=True)
+        counts[0] += xi.sum(axis=0)
+    return gamma
+
+
 def _whole_posteriors2(model, alpha, beta, bsh, counts):
-    """_posteriors2 with the triple posterior eta built as one
-    (T-2, N, N, N) tensor: the reference for the chunked build."""
+    """The second-order posteriors with the triple posterior eta built as
+    one dense (T-2, N, N, N) tensor: the reference for the chunked build."""
     t_count = len(bsh)
     pair = alpha[1:] * beta[1:]
     pair /= pair.sum(axis=(1, 2), keepdims=True)
@@ -742,77 +762,95 @@ def _whole_posteriors2(model, alpha, beta, bsh, counts):
     return gamma
 
 
-class TestChunkedTriplePosterior:
-    """_posteriors2 builds eta over chunks of frames and sums them in frame
-    order; every total is bitwise that of the whole tensor."""
+_WHOLE_POSTERIORS = {1: _whole_posteriors1, 2: _whole_posteriors2}
 
-    N_STATES = 24
-    # frames per chunk at N = 24 (eta spans frames 1..T-2)
-    CHUNK = max(1, training._ETA_CHUNK_BYTES // (8 * N_STATES**3))
-    # one frame of eta, one full chunk, one frame past it, two full chunks
-    # and one past them, then long utterances spanning many chunks
-    LENGTHS = sorted({3, 4, CHUNK + 2, CHUNK + 3, 2 * CHUNK + 2, 2 * CHUNK + 3,
-                      76, 77, 78, 152, 200, 251})
 
-    def _model(self, topology, seed):
-        rng = np.random.default_rng([seed, len(topology)])
-        return make_random_model(rng, 2, topology, "gmm", n_states=self.N_STATES, n_mixtures=1), rng
+def _chunk_frames(order, n_states):
+    """Frames per chunk of the transition posterior at ``n_states``."""
+    return max(1, training._CHUNK_BYTES // (8 * n_states ** (order + 1)))
+
+
+class TestChunkedTransitionPosterior:
+    """_posteriors builds the posterior of the last transition array (xi
+    for order 1, eta for order 2) over chunks of frames and sums them in
+    frame order; every total is bitwise that of the whole tensor."""
+
+    # state counts at which long utterances span several chunks
+    N_STATES = {1: 48, 2: 24}
+
+    @classmethod
+    def _lengths(cls, order):
+        """Utterances with no transition posterior (order 1), one frame of
+        it, one full chunk, one frame past it, two full chunks and one past
+        them, then long utterances spanning many chunks."""
+        chunk = _chunk_frames(order, cls.N_STATES[order])
+        return sorted({2 * order - 1, order + 1, order + 2, chunk + order, chunk + order + 1,
+                       2 * chunk + order, 2 * chunk + order + 1, 76, 77, 78, 152, 200, 251})
+
+    def _model(self, order, topology, seed):
+        rng = np.random.default_rng([seed, order, len(topology)])
+        n_states = self.N_STATES[order]
+        return make_random_model(rng, order, topology, "gmm", n_states=n_states, n_mixtures=1), rng
 
     @staticmethod
     def _lattice(model, x):
-        lat = forward_backward2(model, x)
+        fb = forward_backward1 if model.order == 1 else forward_backward2
+        lat = fb(model, x)
         logb = type(model.emissions[0])._kernel(x, *model._emission_parameters)[0]
         return lat, np.exp(logb - lat.emission_shifts[:, None])
 
-    @pytest.mark.parametrize("topology", ["ltr", "circular"])
-    def test_posteriors_equal_the_whole_tensor(self, topology):
-        model, rng = self._model(topology, 501)
-        for t_count in self.LENGTHS:
-            lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
-            got = [np.zeros_like(a) for _, a, _ in _transitions(model)]
-            want = [np.zeros_like(a) for _, a, _ in _transitions(model)]
-            gamma = training._posteriors2(model, lat.alpha, lat.beta, bsh, got)
-            want_gamma = _whole_posteriors2(model, lat.alpha, lat.beta, bsh, want)
-            assert np.array_equal(gamma, want_gamma), t_count
-            assert np.array_equal(got[0], want[0]), t_count
-            assert np.array_equal(got[1], want[1]), t_count
-            assert got[1].any(), t_count
-
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
-    @given(pattern=st.sampled_from(["ltr", "circular", "custom", "dense"]),
-           n_states=st.integers(3, 7), chunk=st.integers(1, 12),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_any_zero_pattern_across_chunk_boundaries(self, pattern, n_states, chunk, seed, data):
-        """Left-to-right, ring, random custom and fully dense trans2 zero
-        patterns, with chunks of 1-12 frames and lengths up to three
-        chunks past the first."""
-        rng = np.random.default_rng(seed)
-        model = make_random_model(rng, 2, "custom" if pattern == "dense" else pattern, "gmm",
-                                  n_states=n_states, n_mixtures=1)
-        if pattern == "dense":
-            trans2 = rng.uniform(0.05, 1.0, size=(n_states,) * 3)
-            model = replace(model, mask=custom_topology(np.ones((n_states, n_states))),
-                            trans2=trans2 / trans2.sum(axis=2, keepdims=True))
-        t_count = data.draw(st.integers(3, 3 * chunk + 4))
-        lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
+    @staticmethod
+    def _compare(model, lat, bsh, what):
         got = [np.zeros_like(a) for _, a, _ in _transitions(model)]
         want = [np.zeros_like(a) for _, a, _ in _transitions(model)]
-        with mock.patch.object(training, "_ETA_CHUNK_BYTES", chunk * 8 * n_states**3):
-            gamma = training._posteriors2(model, lat.alpha, lat.beta, bsh, got)
-        want_gamma = _whole_posteriors2(model, lat.alpha, lat.beta, bsh, want)
-        assert np.array_equal(gamma, want_gamma)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        gamma = _posteriors(model, lat.alpha, lat.beta, bsh, got)
+        want_gamma = _WHOLE_POSTERIORS[model.order](model, lat.alpha, lat.beta, bsh, want)
+        assert np.array_equal(gamma, want_gamma), what
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), what
+        return got
 
+    @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("topology", ["ltr", "circular"])
-    def test_estep_equals_one_utterance_passes(self, topology):
-        model, rng = self._model(topology, 502)
-        lengths = [77, 3, 251, self.CHUNK + 2, 152, 76, 2 * self.CHUNK + 3, 200, 78]
+    def test_posteriors_equal_the_whole_tensor(self, order, topology):
+        model, rng = self._model(order, topology, 501)
+        for t_count in self._lengths(order):
+            lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
+            got = self._compare(model, lat, bsh, t_count)
+            assert got[-1].any() == (t_count > order), t_count
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(order=st.sampled_from([1, 2]), pattern=st.sampled_from(["ltr", "circular", "custom", "dense"]),
+           n_states=st.integers(3, 7), chunk=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_zero_pattern_across_chunk_boundaries(self, order, pattern, n_states, chunk, seed, data):
+        """Left-to-right, ring, random custom and fully dense zero patterns
+        of trans or trans2, with chunks of 1-12 frames and lengths up to
+        three chunks past the first."""
+        rng = np.random.default_rng(seed)
+        model = make_random_model(rng, order, "custom" if pattern == "dense" else pattern, "gmm",
+                                  n_states=n_states, n_mixtures=1)
+        if pattern == "dense":
+            last = rng.uniform(0.05, 1.0, size=(n_states,) * (order + 1))
+            last /= last.sum(axis=-1, keepdims=True)
+            model = replace(model, mask=custom_topology(np.ones((n_states, n_states))),
+                            **{_transitions(model)[-1][0]: last})
+        t_count = data.draw(st.integers(2 * order - 1, 3 * chunk + order + 2))
+        lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
+        with mock.patch.object(training, "_CHUNK_BYTES", chunk * 8 * n_states ** (order + 1)):
+            self._compare(model, lat, bsh, t_count)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("topology", ["ltr", "circular"])
+    def test_estep_equals_one_utterance_passes(self, order, topology):
+        model, rng = self._model(order, topology, 502)
+        chunk = _chunk_frames(order, self.N_STATES[order])
+        lengths = [77, order + 1, 251, chunk + order, 152, 76, 2 * chunk + order + 1, 200, 78]
         kind = type(model.emissions[0])
         obs_list = training._prepare_obs([make_obs(rng, "gmm", n) for n in lengths], kind)
         total, counts, first_sum, stats = training._estep(model, obs_list)
         want_total, want_counts, want_first, want_stats = TestLaneIndependence._one_by_one(
-            model, obs_list, _whole_posteriors2
+            model, obs_list, _WHOLE_POSTERIORS[order]
         )
         assert total == want_total
         for got, want in zip(counts, want_counts):
