@@ -269,7 +269,9 @@ def _load_model_store(models_dir: str) -> dict:
     """Scan a model store: {variant_label: [(speaker, word, model)]}.
 
     Layout is <models_dir>/<variant_label>/<speaker>__<word>.json; files are
-    read in sorted order so enrollment order (and tie-breaks) is stable.
+    read in sorted order so enrollment order (and tie-breaks) is stable. A
+    model that ``validate`` rejects raises CliError naming the file and
+    its first problem (``inspect`` lists them all).
     """
     store: dict[str, list] = {}
     if not os.path.isdir(models_dir):
@@ -284,6 +286,9 @@ def _load_model_store(models_dir: str) -> dict:
                 continue
             path = os.path.join(sub, fn)
             model, header = load_model(path)
+            problems = validate(model)
+            if problems:
+                raise CliError(f"{path}: invalid model: {problems[0]}")
             meta = header.get("training") or {}
             for key in ("speaker_id", "word_id"):
                 if meta.get(key) is not None and not isinstance(meta[key], str):

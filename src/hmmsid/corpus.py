@@ -79,6 +79,10 @@ class ManifestRow:
             value = getattr(self, name)
             if not value or not _FIELD_BREAKS.isdisjoint(value):
                 raise ValueError(f"{name} must be non-empty and free of tabs and line breaks")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:   # a lone surrogate, which write_manifest could not write
+                raise ValueError(f"{name} must be encodable as UTF-8, got {value!r}") from None
 
 
 MANIFEST_COLUMNS = tuple(f.name for f in fields(ManifestRow))

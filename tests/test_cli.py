@@ -8,7 +8,7 @@ import pytest
 
 from hmmsid.cli import _defaults, build_config, build_parser, main
 from hmmsid.features import config_digest, read_features
-from hmmsid.models import load_model
+from hmmsid.models import load_model, validate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "reference_grids.json")
 
@@ -565,3 +565,29 @@ class TestMalformedJsonInputs:
         ])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bad}: training is not a JSON object\n"
+
+    def test_store_model_that_validate_rejects_names_the_file(self, corpus_dir, trained_store,
+                                                              tmp_path, capsys):
+        """An all-zero trans2 scores every trial as impossible; evaluate
+        rejects the file before scoring, and inspect still lists every
+        problem."""
+        model = sorted((trained_store / "ltr1").glob("*.json"))[0]
+        header = json.loads(model.read_text())
+        n = len(header["initial"])
+        header.update(order=2, trans1=header.pop("trans"), trans2=np.zeros((n, n, n)).tolist())
+        bad = tmp_path / "store" / "ltr2" / model.name
+        bad.parent.mkdir(parents=True)
+        bad.write_text(json.dumps(header))
+        problems = validate(load_model(bad)[0])
+        assert len(problems) > 1
+        rc = main([
+            "evaluate", "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--models", str(tmp_path / "store"), "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: invalid model: {problems[0]}\n"
+        assert main(["inspect", str(bad)]) == 1
+        printed = capsys.readouterr().out
+        assert "valid: NO" in printed
+        for problem in problems:
+            assert f"  problem: {problem}" in printed

@@ -66,6 +66,13 @@ class TestManifestRows:
         with pytest.raises(ValueError):
             _row(**{field: value})
 
+    @pytest.mark.parametrize("field", ["utterance_id", "speaker_id", "word_id", "path"])
+    def test_lone_surrogate_rejected_naming_the_field(self, field):
+        """write_manifest could not encode the row as UTF-8."""
+        with pytest.raises(ValueError) as caught:
+            _row(**{field: "u\ud800"})
+        assert str(caught.value) == f"{field} must be encodable as UTF-8, got 'u\\ud800'"
+
     def test_round_trip(self, tmp_path):
         rows = [
             _row(),
