@@ -45,11 +45,9 @@ Conventions applied here:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from .errors import UtteranceTooShortError, _named
 from .inference import _lanes, _utterance
@@ -196,6 +194,67 @@ def _uniform_init(variant: VariantSpec, emissions):
     return Hmm2Model(mask, initial, trans1, mask.allowed2 / counts[None, :, None], emissions)
 
 
+def _squared_distances(data, centers):
+    """(n, k) squared distances, summed one dimension at a time in order."""
+    d2 = np.zeros((data.shape[0], centers.shape[0]))
+    for j in range(data.shape[1]):
+        diff = data[:, j, None] - centers[None, :, j]
+        d2 += diff * diff
+    return d2
+
+
+def _nearest(data, centers):
+    """Each row's nearest center, the first of equal distances.
+
+    The distances are those scipy 1.17's ``vq`` compares: below five
+    dimensions _squared_distances, from five on ``-2 x.c + |x|^2 + |c|^2``
+    added in that order, with the products from one matrix product (``vq``
+    calls BLAS ``dgemm``) and the squared norms summed in order.
+    """
+    if data.shape[1] < 5:
+        return _squared_distances(data, centers).argmin(axis=1)
+    origin = np.zeros((1, data.shape[1]))
+    d2 = -2.0 * (data @ centers.T) + _squared_distances(data, origin)
+    return (d2 + _squared_distances(centers, origin)[:, 0]).argmin(axis=1)
+
+
+@np.errstate(over="ignore", invalid="ignore")   # as quiet as scipy's C loops
+def _kmeans(data, k, rng):
+    """(centers, labels) of k-means on the (n, D) rows, n >= k >= 1.
+
+    The start is k-means++ (Arthur & Vassilvitskii, "k-means++: the
+    advantages of careful seeding", SODA 2007): the first center is a
+    uniformly drawn row, each later one a row drawn with probability
+    proportional to its squared distance to the nearest center so far.
+    Each of up to 20 iterations labels every row with its nearest center
+    (_nearest) and moves every center to the mean of its rows, summed in
+    row order; a center without rows stays. Once a labelling repeats, the
+    update gives the same centers again, so every later iteration is a
+    fixed point and the loop stops there. The draws, sums and order of
+    operations are those of scipy 1.17's ``kmeans2(data, k, iter=20,
+    minit="++")``, so the centers, the labels and the generator's state
+    afterwards are bitwise what that call gives.
+    """
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[rng.integers(data.shape[0])]
+    d2 = _squared_distances(data, centers[:1])[:, 0]
+    for i in range(1, k):
+        cumulative = np.cumsum(d2 / d2.sum())   # 0/0 when every row is a center
+        centers[i] = data[np.searchsorted(cumulative, rng.uniform())]
+        d2 = np.minimum(d2, _squared_distances(data, centers[i:i + 1])[:, 0])
+    labels = None
+    for _ in range(20):
+        new_labels = _nearest(data, centers)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        counts = np.bincount(labels, minlength=k)
+        filled = counts > 0
+        sums = np.stack([np.bincount(labels, data[:, j], k) for j in range(data.shape[1])], axis=1)
+        centers[filled] = sums[filled] / counts[filled, None]
+    return centers, labels
+
+
 def segmental_kmeans_init(
     obs_set,
     n_states: int,
@@ -208,11 +267,18 @@ def segmental_kmeans_init(
 
     Every utterance is cut into n_states contiguous segments of (near)
     equal length, remainder frames going to the later segments; segment i
-    pools across utterances and is clustered into n_mixtures centers
-    (seeded k-means++ assignment). Mixture weights are proportional to
-    cluster sizes, variances are per-dimension cluster variances; both are
-    floored. Returns a list of GmmEmission, one per state.
+    pools across utterances and is clustered into n_mixtures centers by
+    k-means from a k-means++ start (_kmeans), all segments drawing from
+    one generator seeded with ``seed``. k-means stops at the first
+    labelling that repeats, since every later iteration is a fixed point.
+    Mixture weights are proportional to cluster sizes, variances are
+    per-dimension cluster variances; both are floored. Returns a list of
+    GmmEmission, one per state.
     """
+    if n_states < 1:
+        raise ValueError("n_states must be >= 1")
+    if n_mixtures < 1:
+        raise ValueError("n_mixtures must be >= 1")
     obs_list = _prepared(obs_set, GmmEmission)
     for x, name in obs_list:
         if x.shape[0] < n_states:
@@ -245,9 +311,7 @@ def segmental_kmeans_init(
             counts[: data.shape[0]] = 1.0
             labels = np.arange(data.shape[0])
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                centers, labels = kmeans2(data, m, iter=20, minit="++", seed=rng)
+            centers, labels = _kmeans(data, m, rng)
             counts = np.bincount(labels, minlength=m).astype(np.float64)
         weights = _floored(counts, weight_floor)
         variances = np.empty((m, n_dims))

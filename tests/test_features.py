@@ -474,6 +474,32 @@ class TestFeatureCaches:
         assert back.meta.config_hash == 12345
         assert back.meta.source == "u1"
 
+    # Bit patterns of -0.0, the smallest and largest subnormals, and NaNs
+    # with payloads (quiet, signalling, negative).
+    SPECIAL_BITS = [0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+                    0x7FF8000000000001, 0x7FF0000000000001, 0xFFFABCDEF0123456]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        t=st.integers(0, 6),
+        d=st.integers(0, 5),
+        data=st.data(),
+        cms=st.booleans(),
+        config_hash=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    )
+    def test_round_trip_keeps_every_bit(self, tmp_path_factory, t, d, data, cms, config_hash):
+        words = data.draw(st.lists(
+            st.one_of(st.sampled_from(self.SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+            min_size=t * d, max_size=t * d))
+        frames = np.array(words, dtype=np.uint64).view(np.float64).reshape(t, d)
+        p = tmp_path_factory.mktemp("lpcf") / "u.lpcf"
+        write_features(FeatureMatrix(frames, FeatureMeta(cms_applied=cms, config_hash=config_hash)), p)
+        back = read_features(p)
+        assert back.frames.shape == (t, d)
+        assert back.frames.tobytes() == frames.tobytes()
+        assert back.meta.cms_applied is cms
+        assert back.meta.config_hash == config_hash
+
     def test_binary_header_layout(self, tmp_path):
         fm = self._sample()
         p = tmp_path / "u1.lpcf"

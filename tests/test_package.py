@@ -1,7 +1,10 @@
 """The package's public names are the union of its modules' __all__ lists."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -63,11 +66,27 @@ def _imported_modules(path):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_no_module_imports_scipy_special():
-    """Emission log-sum-exp stays on the plain-numpy kernel: scipy.special's
-    per-call array-API dispatch once took half of the desk workload."""
+def _is_scipy(name):
+    return name == "scipy" or name.startswith("scipy.")
+
+
+def test_no_module_imports_scipy():
+    """numpy is the only runtime dependency. k-means is training._kmeans,
+    and emission log-sum-exp is the plain-numpy kernel (scipy.special's
+    per-call array-API dispatch once took half of the desk workload)."""
     sources = sorted(pathlib.Path(hmmsid.__file__).parent.glob("*.py"))
     assert sources
     for path in sources:
-        found = [m for m in _imported_modules(path) if m.startswith("scipy.special")]
+        found = [m for m in _imported_modules(path) if _is_scipy(m)]
         assert found == [], f"{path.name} imports {found}"
+
+
+def test_import_loads_no_scipy_module():
+    """A fresh interpreter that imports the package and its command line
+    holds no scipy module, so no process pays scipy's import time."""
+    src = str(pathlib.Path(hmmsid.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, hmmsid, hmmsid.cli; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "hmmsid.cli" in done.stdout.split()
+    assert [m for m in done.stdout.split() if _is_scipy(m)] == []

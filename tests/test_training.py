@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.vq import kmeans2
 
 import oracles
 from conftest import ALL_CONFIGS, far_off_case, make_obs, make_random_model
@@ -318,6 +319,60 @@ class TestSegmentalKmeans:
         for e in emissions:
             assert e.weights.shape == (8,)
             assert np.isfinite(e.means).all()
+
+    @pytest.mark.parametrize("n_states, n_mixtures, message", [
+        (0, 2, "n_states must be >= 1"),
+        (3, 0, "n_mixtures must be >= 1"),
+    ])
+    def test_counts_below_one_rejected(self, n_states, n_mixtures, message):
+        obs_set = [make_obs(np.random.default_rng(375), "gmm", 12)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            segmental_kmeans_init(obs_set, n_states, n_mixtures)
+
+
+class TestKmeans:
+    """training._kmeans against scipy 1.17's kmeans2, the reference it
+    reproduces: the same centers and labels, bit for bit, with the
+    generator left in the same state. Only this test imports scipy's
+    k-means."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        n_dims=st.integers(1, 12),
+        extra=st.integers(0, 40),
+        rows=st.sampled_from(["distinct", "on a grid", "duplicated", "identical"]),
+    )
+    def test_matches_scipy_kmeans2(self, seed, k, n_dims, extra, rows):
+        draw = np.random.default_rng(seed)
+        n = k + extra
+        data = draw.standard_normal((n, n_dims))
+        if rows == "on a grid":          # ties between distances
+            data = np.round(2.0 * data) / 2.0
+        elif rows == "duplicated":       # empty clusters
+            data = data[draw.integers(0, max(1, n // 3), n)]
+        elif rows == "identical":        # every squared distance 0 at the start
+            data = np.repeat(data[:1], n, axis=0)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centers, labels = training._kmeans(data, k, ours)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # kmeans2 warns of each empty cluster
+            want_centers, want_labels = kmeans2(data, k, iter=20, minit="++", seed=theirs)
+        assert centers.tobytes() == want_centers.tobytes()
+        np.testing.assert_array_equal(labels, want_labels)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_far_off_rows_raise_no_warning(self):
+        """Squares that overflow are as quiet as in scipy's C loops, so
+        training on a far-off frame warns no more than before."""
+        data = np.random.default_rng(376).standard_normal((30, 6))
+        data[4] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            training._kmeans(data, 3, np.random.default_rng(0))
 
 
 def _uniform_discrete(order, topology, n_states, n_symbols):
