@@ -29,14 +29,22 @@ and 3-iteration baum_welch1/2 runs where one state and one mixture
 component (for symbol tables, one symbol) receive no posterior mass, so
 that the update keeps their parameters, with 1- and 3-component mixtures;
 
+and, for order 2, models of 5, 6 and 7 states (two of the topology, one
+with a random custom mask) on utterances of 30-60 frames and, for GMM
+models, one far off whose backward pass is run again rescaled (lattices,
+score_models in both modes, 2-iteration baum_welch2 on all of them as
+lanes): a left-to-right or ring model's forward and backward steps visit
+only allowed transitions from 6 states on, so this family has models on
+both sides of that choice and at it;
+
 and, for every call that raises, the exception type, text and frame.
 Inputs include zero-probability symbols, integral float symbols, frames
 scaled far from the models, and malformed observations. Prints one line
 per configuration: a sha256 over everything, then one hash per input
 family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
-Baum-Welch and train, failing lane sets, long utterances, and states and
-components without mass), so that a difference names the family that
-moved.
+Baum-Welch and train, failing lane sets, long utterances, states and
+components without mass, and the order-2 step boundary), so that a
+difference names the family that moved.
 
 A last line, ``stage=frontend``, does the same for the LPC-cepstrum front
 end: extract_features output (coefficients, degenerate frames, cms flag,
@@ -76,7 +84,7 @@ SEEDS = 3
 
 # The input families, each hashed on its own.
 FAMILIES = ("lattices", "viterbi", "emissions", "scoring", "training", "lane-sets",
-            "long", "no-mass")
+            "long", "no-mass", "boundary")
 FRONTEND_FAMILIES = ("ordinary", "silence", "degenerate", "too-short", "one-frame")
 FRONTEND_CONFIGS = (
     features.FrontendConfig(),
@@ -263,6 +271,50 @@ def _long(d, index, order, topology, emission):
             d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
 
 
+# state counts of the boundary family: order 2's steps with trans2 visit only
+# allowed entries when 2K <= N, and left-to-right and ring tables have K = 3
+BOUNDARY_STATES = (5, 6, 7)
+# per (topology, state count), a seed whose GMM model and far-off utterance,
+# drawn as _boundary draws them, take the backward pass's rescaled rerun
+FAR_OFF_SEEDS = {("ltr", 5): 80, ("ltr", 6): 101, ("ltr", 7): 81,
+                 ("circular", 5): 3, ("circular", 6): 34, ("circular", 7): 11}
+
+
+def _boundary(d, index, order, topology, emission):
+    """Order 2 only: at each of BOUNDARY_STATES, two models of the
+    topology and one with a random custom mask on three utterances of
+    30-60 frames and, for GMM models, one 40-100 times farther out, whose
+    backward pass the first model runs again rescaled: lattices,
+    score_models in both modes over the three, and 2-iteration
+    baum_welch2 runs of each on all the utterances as lanes of differing
+    lengths."""
+    if order != 2:
+        return
+    for n_states in BOUNDARY_STATES:
+        models, utterances = [], []
+        if emission == "gmm":
+            rng = np.random.default_rng([FAR_OFF_SEEDS[topology, n_states], n_states])
+            models.append(make_random_model(rng, order, topology, emission, n_states=n_states))
+            utterances.append(rng.uniform(40, 100) * make_obs(rng, emission, int(rng.integers(5, 40))))
+        rng = np.random.default_rng([index, n_states, 7])
+        while len(models) < 2:
+            models.append(make_random_model(rng, order, topology, emission, n_states=n_states))
+        models.append(make_random_model(rng, order, "custom", emission, n_states=n_states))
+        utterances += [make_obs(rng, emission, int(rng.integers(30, 61))) for _ in range(3)]
+        for obs in utterances:
+            for model in models:
+                lat = d.call(inference.forward_backward2, model, obs)
+                if lat is not None:
+                    _lattice(d, lat)
+            for mode in inference.SCORING_MODES:
+                d.value(d.call(inference.score_models, models, obs, mode))
+        for model in models:
+            report = d.call(training.baum_welch2, model, utterances, training.TrainConfig(max_iterations=2))
+            if report is not None:
+                d.value(report.log_likelihoods)
+                d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+
+
 def _no_mass(d, index, order, topology, emission):
     """baum_welch1/2 where one state and one mixture component receive no
     posterior mass, so that the update keeps their parameters. State 1 of
@@ -303,7 +355,7 @@ def sweep(index, seeds):
     """The hex digest of each of FAMILIES for configuration ``index``."""
     order, topology, emission = ALL_CONFIGS[index]
     digests = {family: Digest() for family in FAMILIES}
-    lattices, viterbi, emissions, scoring, trained, lane_sets, long, no_mass = digests.values()
+    lattices, viterbi, emissions, scoring, trained, lane_sets, long, no_mass, boundary = digests.values()
     fb = getattr(inference, f"forward_backward{order}")
     fwd = getattr(inference, f"forward{order}")
     vit = getattr(inference, f"viterbi{order}")
@@ -349,6 +401,7 @@ def sweep(index, seeds):
                     lane_sets.text(json.dumps(model_to_dict(report.model), sort_keys=True))
     _long(long, index, order, topology, emission)
     _no_mass(no_mass, index, order, topology, emission)
+    _boundary(boundary, index, order, topology, emission)
     return {family: digest.hexdigest() for family, digest in digests.items()}
 
 

@@ -5,7 +5,24 @@ over state pairs (see embed_pair_states), so each recursion runs once over
 a slice holding the last ``order`` states: an (N,) vector for order 1, an
 (N, N) pair matrix for order 2. Only the step that carries a slice one frame
 on depends on the order: ``prev @ trans``; or, for order 2, ``trans1`` at
-the first step and the dense O(N^3) contraction with ``trans2`` after it.
+the first step and a contraction with ``trans2`` after it.
+
+Order 2's forward step with ``trans2`` sums, for each pair (j, k), only
+over the predecessors i that some model of the stack allows into j: a
+(K, N) table built once per _ModelStack (``into``, the table Viterbi
+reads too), with the transition values gathered at its entries. The
+backward step sums each pair (i, j) over the successors k of the twin
+table of the transposed ``trans2`` (``out_of``), as (trans2 * b) * beta,
+the dense contraction's association. The skipped terms are exact zeros
+and the kept ones are added in ascending order, so every slice has the
+dense contraction's bits. A step takes this path when its table is narrow,
+2K <= N: a left-to-right or ring model has K = 3, so from N = 6 on; a
+wider table costs more to gather than it saves (measured crossover N = 6;
+at N = 24 the gathered steps are 4-6 times faster). Every step returns a
+C-contiguous slice: the next frame's normalizer sums it in memory order,
+and a slice gathered by fancy indexing in another layout moves the last
+bit of trained models.
+
 The forward and Viterbi recursions also run over a leading model axis, so
 score_models scores every candidate model of an utterance in one pass.
 Forward-backward runs that axis as "lanes", the utterances of one model,
@@ -16,11 +33,11 @@ are the one-model and one-lane cases of the same code. Viterbi scoring
 it reads only the best score; viterbi1/viterbi2 keep them to decode the
 path. For both orders, the max-plus step with the last transition array
 (``trans``; ``trans2`` after order 2's first step) visits only the
-predecessors each state is allowed (by some model of the stack): every
-candidate is the same single addition as over all N predecessors and the
-maximum is exact, so scores and paths keep their bits, and the allowed
-predecessors are taken in ascending order, so ties still break toward the
-lowest index.
+predecessors each state is allowed (by some model of the stack; the
+stack's ``into`` table at any width): every candidate is the same single
+addition as over all N predecessors and the maximum is exact, so scores
+and paths keep their bits, and the allowed predecessors are taken in
+ascending order, so ties still break toward the lowest index.
 
 Numerical regime
 ----------------
@@ -35,10 +52,13 @@ models and 1/N for circular models; reestimation ratios are invariant to
 that constant. Backward slice t is divided by forward slice t's
 normalizer (in the shifted domain). On a frame far from the model that
 normalizer can be so small (even subnormal) that the division overflows.
-The inf or NaN reaches every earlier slice, so a lane whose first valid
-backward slice is not finite is run again with each slice divided by its
-own maximum instead. Posteriors are per-frame ratios, so they do not
-depend on which divisor a slice had.
+A lane with an inf or NaN anywhere in its backward table is run again
+with each slice divided by its own maximum instead. The dense step carries
+an inf or NaN to every entry of every earlier slice; the step over allowed
+successors carries it only along allowed transitions, so the whole table
+is tested, not only the first slice. Either way the lanes run again are
+the same, and so are the bits of the others. Posteriors are per-frame
+ratios, so they do not depend on which divisor a slice had.
 
 Every pass fails an utterance with ImpossibleObservationError at the
 first frame whose forward normalizer is 0 (no state with incoming mass can
@@ -61,6 +81,8 @@ State indices are 0-based; frame indices are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,6 +251,42 @@ class _ModelStack:
             setattr(self, name, _stacked([getattr(m, name)[None] for m in models]))
         self.emission_parameters = tuple(map(_stacked, zip(*(m._emission_parameters for m in models))))
 
+    @cached_property
+    def into(self):
+        """The _Table of the last transition array (``trans``; ``trans2``
+        for order 2) whose column j lists the states i allowed into j:
+        the one table _forward's and _viterbi's steps read, built on first
+        use."""
+        last = getattr(self, _TRANSITION_FIELDS[self.order][-1])
+        pred, middle = _predecessors(last), np.arange(self.n_states)
+        flat = np.ravel_multi_index((pred, middle)[:self.order], (self.n_states,) * self.order)
+        return _Table(pred, flat, np.ascontiguousarray(last[:, pred, middle]), 2 * len(pred) <= self.n_states)
+
+    @cached_property
+    def out_of(self):
+        """Order 2's twin of ``into`` for _backward's step: the _Table of the
+        transposed ``trans2`` (column j lists the states k that some allowed
+        triple (i, j, k) moves to), its values trans2[s, i, j, k] at
+        [s, q, i, j]."""
+        succ, middle = _predecessors(self.trans2.transpose(0, 3, 2, 1)), np.arange(self.n_states)
+        values = np.ascontiguousarray(self.trans2[:, :, middle, succ].transpose(0, 2, 1, 3))
+        return _Table(succ, middle * self.n_states + succ, values, 2 * len(succ) <= self.n_states)
+
+
+class _Table(NamedTuple):
+    """The allowed entries of a stack's transition array, laid out for a
+    step: the (K, N) table ``states`` of _predecessors, the flat index in
+    a slice of each entry's source (or target), the array's (S, K, N, ...)
+    values there, C-contiguous, and whether the order-2 forward or
+    backward step visits only these entries: when the table is ``narrow``,
+    2K <= N. A wider table costs more to gather than the one dense
+    contraction saves (measured crossover: N = 6 at K = 3)."""
+
+    states: np.ndarray
+    flat: np.ndarray
+    values: np.ndarray
+    narrow: bool
+
 
 def _stacked(arrays):
     """The arrays joined along their first axis; one array as it is."""
@@ -271,21 +329,33 @@ class StatePath:
 def _step(stack, t, prev):
     """Carry the (S, R, N) slices at t-1 to frame t, before weighting by
     frame t's emissions. R is 1 for order 1 and for order 2's first-frame
-    vectors, N for pair tables."""
+    vectors, N for pair tables. Order 2's step with ``trans2`` sums over
+    each pair's allowed predecessors (``stack.into``) when that table is
+    narrow."""
     if stack.order == 1:
         return prev @ stack.trans
     if t == 1:
         return prev.transpose(0, 2, 1) * stack.trans1
-    return np.einsum("sij,sijk->sjk", prev, stack.trans2)
+    table = stack.into
+    if not table.narrow:
+        return np.einsum("sij,sijk->sjk", prev, stack.trans2)
+    # take() of the flat slice gives a C-contiguous (S, K, N), and so a C-contiguous result
+    return np.einsum("sqj,sqjk->sjk", prev.reshape(len(prev), -1).take(table.flat, axis=1), table.values)
 
 
 def _back_step(stack, b, beta):
     """Backward twin of _step: the (S, N...) slices at frame t from frame
     t+1's (S, N) shifted emissions ``b`` and (S, N...) backward slices
-    ``beta``, before normalization."""
+    ``beta``, before normalization. Order 2 sums over each pair's allowed
+    successors (``stack.out_of``) when that table is narrow, with the
+    association (trans2 * b) * beta of the dense contraction."""
     if stack.order == 1:
         return np.matmul(stack.trans, (b * beta)[..., None])[..., 0]
-    return np.einsum("sijk,sk,sjk->sij", stack.trans2, b, beta)
+    table = stack.out_of
+    if not table.narrow:
+        return np.einsum("sijk,sk,sjk->sij", stack.trans2, b, beta)
+    return np.einsum("sqij,sqj,sqj->sij", table.values, b.take(table.states, axis=1),
+                     beta.reshape(len(beta), -1).take(table.flat, axis=1))
 
 
 def _forward(stack, bsh, shifts, errors, lengths=None):
@@ -392,9 +462,8 @@ def _lanes(model, xs, names, backward=True):
         terminal = 1.0 / model.n_states if model.mask.kind == "circular" else 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             beta = _backward(stack, bsh, lengths, terminal, norms)
-            first = beta[model.order - 1:model.order]   # see "Numerical regime"
-            if not np.isfinite(first).all():
-                lost = np.flatnonzero(~np.isfinite(first[0].reshape(L, -1)).all(axis=1))
+            if not beta.max() < np.inf:   # an inf or NaN in some lane: see "Numerical regime"
+                lost = np.flatnonzero(~np.isfinite(beta.reshape(T, L, -1)).all(axis=(0, 2)))
                 beta[:, lost] = _backward(stack, bsh[:, lost], lengths[lost], terminal)
     lanes = []
     for k, (n, start) in enumerate(zip(lengths, starts)):
@@ -426,11 +495,12 @@ def _log(p):
 def _predecessors(last):
     """(K, N) table whose column j lists, in ascending order, the states i
     from which some model of the (S, N, ..., N) last transition array
-    allows a transition into j (order 2: a triple (i, j, k)); K is the
-    longest such list, and at least 1. Shorter columns are padded with
-    states from which no model allows one, whose log-transitions are all
-    -inf."""
-    allowed = (last > 0.0).any(axis=(0,) + tuple(range(3, last.ndim)))
+    allows a transition into j (order 2: a triple (i, j, k)); an entry
+    allows one when it is not 0. K is the longest such list, and at least
+    1. Shorter columns are padded with states from which no model allows
+    one, whose transitions are all 0 (log-transitions -inf)."""
+    allowed = (last != 0.0).any(axis=0)
+    allowed = allowed.reshape(allowed.shape[:2] + (-1,)).any(axis=2)
     width = max(allowed.sum(axis=0).max(), 1)
     return np.argsort(~allowed, axis=0, kind="stable")[:width]
 
@@ -445,19 +515,17 @@ def _viterbi(stack, logb, errors, paths=True):
 
     The step with the last transition array (every step for order 1, every
     step after the first for order 2) takes the maximum only over each
-    state's allowed predecessors (_predecessors). Every candidate is the
+    state's allowed predecessors (the stack's ``into``). Every candidate is the
     one addition the step over all N predecessors makes, and the maximum
     is exact, so every score is bitwise that step's; the predecessors are
     in ascending order, so ties still break toward the lowest index."""
     T, S, N = logb.shape
     order = stack.order
-    names = _TRANSITION_FIELDS[order]
-    logtrans = [_log(getattr(stack, name)) for name in names]
-    pred, middle = _predecessors(getattr(stack, names[-1])), np.arange(N)
+    pred, sources, values, _ = stack.into
+    logtrans = [_log(getattr(stack, name)) for name in _TRANSITION_FIELDS[order][:-1]]
+    logtrans.append(_log(values))   # (S, K, j, ...)
     pad = (None,) * (order - 1)   # a new axis where order 2's slices have one more
-    # the flat index in dp of each candidate's slice: i, or for order 2 the pair (i, j)
-    sources = np.ravel_multi_index((pred, middle)[:order], (N,) * order)[(...,) + pad]
-    logtrans[-1] = np.ascontiguousarray(logtrans[-1][:, pred, middle])   # (S, K, j, ...)
+    sources, middle = sources[(...,) + pad], np.arange(N)
     frames = logb[(slice(None),) * 2 + pad]
     peaks = np.empty((S, T))
     if paths:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UtteranceTooShortError, _named
+from .errors import UtteranceTooShortError, _named, _where
 from .inference import _lanes, _utterance
 from .models import (
     _EMISSION_KINDS,
@@ -286,7 +286,7 @@ def segmental_kmeans_init(
     frames_list = [x for x, _ in obs_list]
     n_dims = frames_list[0].shape[1]
     _check_dimensions(obs_list, n_dims, f"utterance {obs_list[0][1]!r}")
-    floor_d, gvar = _variance_floor(frames_list, variance_floor)
+    floor_d, gvar = _variance_floor(obs_list, variance_floor)
     fallback_var = np.maximum(gvar, floor_d)
 
     segments = [[] for _ in range(n_states)]
@@ -350,12 +350,27 @@ def _check_dimensions(obs_list, n_dims, what):
             raise ValueError(_named(f"frames have dimension {x.shape[1]}, {what} has {n_dims}", name))
 
 
-def _variance_floor(frames_list, factor):
+def _variance_floor(obs_list, factor):
     """Relative variance floor: ``factor`` times the per-dimension variance
     of all training frames pooled, with a 1e-12 absolute backstop.
-    Returns (floor, pooled variance)."""
-    with np.errstate(over="ignore"):   # a far-off frame overflows; the E-step then names it
-        pooled_var = np.concatenate(frames_list, axis=0).var(axis=0)
+    Returns (floor, pooled variance).
+
+    A pooled variance that overflows would make every floor, and so every
+    variance, infinite: it raises ValueError naming the utterance and the
+    frame that holds the dimension's largest magnitude."""
+    frames = np.concatenate([x for x, _ in obs_list], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled_var = frames.var(axis=0)
+    overflowing = np.flatnonzero(~np.isfinite(pooled_var))
+    if overflowing.size:
+        d = overflowing[0]
+        row = int(np.argmax(np.abs(frames[:, d])))
+        for x, name in obs_list:
+            if row < len(x):
+                raise ValueError(
+                    f"feature value {float(x[row, d])!r} in dimension {d} at {_where(row, name)} "
+                    "overflows the pooled variance of the training frames")
+            row -= len(x)
     return np.maximum(factor * pooled_var, 1e-12), pooled_var
 
 
@@ -528,10 +543,9 @@ def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:
     for x, name in obs_list:
         if x.shape[0] < min_frames:
             raise UtteranceTooShortError(x.shape[0], min_frames, utterance=name)
-    floor_d = None
     if kind is GmmEmission:
         _check_dimensions(obs_list, model.emissions[0].n_dims, "emission")
-        floor_d = _variance_floor([x for x, _ in obs_list], config.variance_floor)[0]
+    floor_d = None
     lls = []
     converged = False
     for _ in range(config.max_iterations):
@@ -542,6 +556,9 @@ def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:
             if rel < config.rel_tol:
                 converged = True
                 break
+        if kind is GmmEmission and floor_d is None:
+            # after the first E-step, so that a frame no state can emit fails there first, by name
+            floor_d = _variance_floor(obs_list, config.variance_floor)[0]
         model = _mstep(model, counts, first_sum, emstats, config, floor_d, len(obs_list))
     return TrainReport(model, lls, converged, len(obs_list))
 

@@ -214,7 +214,7 @@ class CompositeChain:
 
 
 # ---------------------------------------------------------------------------
-# dense max-plus recursion
+# dense recursions
 # ---------------------------------------------------------------------------
 
 def dense_viterbi(stack, logb, paths=True):
@@ -253,6 +253,76 @@ def dense_viterbi(stack, logb, paths=True):
     for t in range(T - 1, order - 1, -1):
         states[:, t - order] = ptr[(rows, t) + tuple(states[:, t - order + 1:t + 1].T)]
     return states, flat[rows, best], first_dead
+
+
+def _dense_step(stack, t, prev):
+    """One forward step over all N predecessors (see dense_forward)."""
+    if stack.order == 1:
+        return prev @ stack.trans
+    if t == 1:
+        return prev.transpose(0, 2, 1) * stack.trans1
+    return np.einsum("sij,sijk->sjk", prev, stack.trans2)
+
+
+def dense_forward(stack, bsh, shifts, lengths=None):
+    """The scaled forward pass of a model stack (inference._ModelStack) as
+    the library ran it before its order-2 steps visited only allowed
+    transitions: every step after the first contracts the whole trans2.
+    Takes the (T, S, N) shifted emissions and their (T, S) shifts (lane k
+    is padding from lengths[k] on); returns the (T, S, N...) alpha, the
+    (S, T) slice log normalizers and, per model, the first frame whose
+    normalizer is 0 (None when there is none)."""
+    T, S, N = bsh.shape
+    order = stack.order
+    alpha = np.zeros((T, S) + (N,) * order)
+    slices = alpha.reshape(T, S, -1, N)
+    norms = np.empty((T, S, 1, 1))
+    b = bsh[:, :, None, :]
+    a = stack.initial[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(T):
+            if t:
+                a = _dense_step(stack, t, a)
+            u = a * b[t]
+            s = np.add.reduce(u, (1, 2), None, norms[t], True)
+            a = np.divide(u, s, slices[t]) if t or order == 1 else u / s
+        norms = norms.reshape(T, S).T.copy()
+        log_norms = np.log(norms)
+    log_norms += shifts.T
+    dead = norms <= 0.0
+    if lengths is not None:
+        dead &= np.arange(T) < lengths[:, None]
+    first_dead = [int(np.argmax(row)) if row.any() else None for row in dead]
+    return alpha, log_norms, first_dead
+
+
+def dense_backward(stack, bsh, lengths, terminal, norms=None):
+    """The scaled backward pass of the lanes of a one-model stack as the
+    library ran it before its order-2 steps visited only allowed
+    transitions (einsum "sijk,sk,sjk->sij" over the whole trans2). Lane k
+    starts from ``terminal`` at its last frame lengths[k]-1; slice t is
+    divided by the (T, L) ``norms`` at t or, when ``norms`` is None, by its
+    own maximum. For order 2, slice 0 is 0."""
+    T, L, N = bsh.shape
+    order = stack.order
+    axes = tuple(range(1, order + 1))
+    if norms is not None:
+        norms = norms.reshape((T, L) + (1,) * order)
+    terminal = np.full((1,) * (order + 1), terminal)
+    beta = np.empty((T, L) + (N,) * order)
+    u = terminal
+    for t in range(T - 1, order - 2, -1):
+        if t < T - 1:
+            b, nxt = bsh[t + 1], beta[t + 1]
+            if order == 1:
+                u = np.matmul(stack.trans, (b * nxt)[..., None])[..., 0]
+            else:
+                u = np.einsum("sijk,sk,sjk->sij", stack.trans2, b, nxt)
+            u[lengths - 1 == t] = terminal
+        np.divide(u, u.max(axes, keepdims=True) if norms is None else norms[t], beta[t])
+    if order == 2:
+        beta[0] = 0.0
+    return beta
 
 
 def em_step2_reference(model, obs_list, variance_floor, weight_floor, transition_floor):

@@ -1,6 +1,8 @@
+import contextlib
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +11,14 @@ import oracles
 from conftest import far_off_case, make_obs, make_random_model, random_trans1, random_trans2
 
 from hmmsid.errors import ImpossibleObservationError
+from hmmsid import inference
 from hmmsid.inference import (
+    _backward,
     _emission_terms,
+    _forward,
+    _lanes,
     _ModelStack,
+    _shifted_emissions,
     _viterbi,
     decode_pair_path,
     embed_pair_states,
@@ -287,6 +294,148 @@ class TestAllowedPredecessors:
             obs = rng.integers(0, 4, size=15)
             self._check(models, obs, paths=False)
             self._check(models, obs, paths=True)
+
+
+class TestAllowedTransitionSteps:
+    """Order 2's forward and backward steps with trans2 sum over each pair's
+    allowed predecessors (successors) when that table is narrow (2K <= N),
+    and over all N states otherwise. Either way alpha, the slice log
+    normalizers, the failing frames and beta are bitwise those of the dense
+    steps (oracles.dense_forward, oracles.dense_backward), and every step
+    returns a C-contiguous array: the next frame's normalizer sums the
+    slice in memory order."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _contiguous_steps():
+        """Within the block, every _step and _back_step result is checked
+        to be C-contiguous."""
+        def checked(step):
+            def run(*args):
+                out = step(*args)
+                assert out.flags.c_contiguous
+                return out
+            return run
+        with mock.patch.object(inference, "_step", checked(inference._step)), \
+                mock.patch.object(inference, "_back_step", checked(inference._back_step)):
+            yield
+
+    @classmethod
+    def _check_stack(cls, models, obs):
+        """Forward over the stack of ``models``, then backward with each
+        model as one lane, by its forward normalizers and by each slice's
+        maximum; returns which tables were narrow."""
+        stack = _ModelStack(models)
+        bsh, shifts = _shifted_emissions(_emission_terms(stack, obs)[0])
+        errors = [None] * len(models)
+        with cls._contiguous_steps():
+            alpha, log_norms = _forward(stack, bsh, shifts, errors)
+        want_alpha, want_log_norms, want_dead = oracles.dense_forward(stack, bsh, shifts)
+        assert np.array_equal(alpha, want_alpha)
+        assert np.array_equal(log_norms, want_log_norms)
+        assert [None if e is None else e.frame for e in errors] == want_dead == [None] * len(models)
+        lengths = np.full(len(models), len(bsh))
+        for norms in (np.exp(log_norms.T - shifts), None):
+            with cls._contiguous_steps():
+                beta = _backward(stack, bsh, lengths, 1.0, norms)
+            assert np.array_equal(beta, oracles.dense_backward(stack, bsh, lengths, 1.0, norms))
+        return stack.into.narrow, stack.out_of.narrow
+
+    @staticmethod
+    def _check_lanes(model, xs):
+        """_lanes against the dense passes run as _lanes ran them: padded
+        lanes, backward by the forward normalizers, and every lane whose
+        first backward slice is not finite run again by each slice's
+        maximum. Returns the lanes run again."""
+        lanes = _lanes(model, xs, [None] * len(xs))
+        stack = _ModelStack((model,))
+        lengths = np.array([len(x) for x in xs])
+        T, L, N = lengths.max(), len(xs), model.n_states
+        bsh, shifts = np.ones((T, L, N)), np.zeros((T, L))
+        for k, (lat, b, _, _) in enumerate(lanes):
+            bsh[:lengths[k], k], shifts[:lengths[k], k] = b, lat.emission_shifts
+        alpha, log_norms, dead = oracles.dense_forward(stack, bsh, shifts, lengths)
+        assert dead == [None] * L
+        norms = np.exp(log_norms.T - shifts)
+        norms[np.arange(T)[:, None] >= lengths] = 1.0
+        terminal = 1.0 / N if model.mask.kind == "circular" else 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = oracles.dense_backward(stack, bsh, lengths, terminal, norms)
+        lost = np.flatnonzero(~np.isfinite(beta[1].reshape(L, -1)).all(axis=1))
+        beta[:, lost] = oracles.dense_backward(stack, bsh[:, lost], lengths[lost], terminal)
+        for k, (lat, _, _, _) in enumerate(lanes):
+            n = lengths[k]
+            assert np.array_equal(lat.alpha, alpha[:n, k])
+            assert np.array_equal(lat.slice_log_norms, log_norms[k, :n])
+            assert np.array_equal(lat.beta, beta[:n, k])
+            assert np.isfinite(lat.beta).all()
+        return lost
+
+    @pytest.mark.parametrize("n_states", [5, 6, 7, 24])
+    def test_stack_of_differing_zero_patterns(self, n_states):
+        """A left-to-right or ring model's tables have K = 3, narrow from
+        N = 6 on. A stack's tables hold every model's allowed entries, so
+        they are wider than each model's."""
+        rng = np.random.default_rng([240, n_states])
+        sides = []
+        for _ in range(3):
+            models = [make_random_model(rng, 2, topology, "gmm", n_states=n_states)
+                      for topology in ("ltr", "circular", "custom", "custom", "custom")]
+            for model in models:
+                narrow = self._check_stack([model], make_obs(rng, "gmm", 25))
+                if model.mask.kind != "custom":
+                    assert narrow == (n_states >= 6,) * 2
+                sides.append(narrow)
+            for t_count in (1, 2, 3, 40):
+                obs = make_obs(rng, "gmm", t_count)
+                assert self._check_stack(models[:2], obs) == (n_states >= 8,) * 2
+                sides.append(self._check_stack(models, obs))
+        assert {side[0] for side in sides} == {side[1] for side in sides} == {True, False}
+
+    @pytest.mark.parametrize("n_states", [5, 6, 24])
+    @pytest.mark.parametrize("topology", ["ltr", "circular", "custom"])
+    def test_lanes_of_differing_lengths(self, topology, n_states):
+        rng = np.random.default_rng([241, len(topology), n_states])
+        for _ in range(3):
+            model = make_random_model(rng, 2, topology, "gmm", n_states=n_states)
+            xs = [make_obs(rng, "gmm", n) for n in (3, int(rng.integers(4, 60)), 2, 31)]
+            assert len(self._check_lanes(model, xs)) == 0
+
+    @pytest.mark.parametrize("topology,n_states,seed", [
+        ("ltr", 6, 101), ("circular", 7, 11), ("custom", 6, 11), ("custom", 7, 104),
+    ])
+    def test_far_off_lane_takes_the_rescaled_rerun(self, topology, n_states, seed):
+        """An utterance 40-100 times farther out than make_obs draws, beside
+        ordinary ones: its backward pass by the forward normalizers
+        overflows, and it alone is run again by each slice's maximum."""
+        rng = np.random.default_rng([seed, n_states])
+        model = make_random_model(rng, 2, topology, "gmm", n_states=n_states)
+        far = rng.uniform(40, 100) * make_obs(rng, "gmm", int(rng.integers(5, 40)))
+        xs = [make_obs(rng, "gmm", 12), far, make_obs(rng, "gmm", 50)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._check_lanes(model, xs).tolist() == [1]
+
+    @pytest.mark.parametrize("n_states", [5, 6])
+    def test_no_allowed_transition_at_all(self, n_states):
+        """A trans2 of zeros (a model file can hold one) has a table of
+        width 1 padded with disallowed states; forward fails at frame 2, as
+        the dense step fails it."""
+        model = TestAllowedPredecessors._uniform_model(2, circular_topology(n_states))
+        model = replace(model, trans2=np.zeros_like(model.trans2))
+        stack = _ModelStack((model,))
+        assert stack.into.narrow and stack.out_of.narrow
+        obs = np.zeros(5, dtype=np.int64)
+        bsh, shifts = _shifted_emissions(_emission_terms(stack, obs)[0])
+        errors = [None]
+        alpha, log_norms = _forward(stack, bsh, shifts, errors)
+        want_alpha, want_log_norms, want_dead = oracles.dense_forward(stack, bsh, shifts)
+        assert np.array_equal(alpha, want_alpha, equal_nan=True)
+        assert np.array_equal(log_norms, want_log_norms, equal_nan=True)
+        assert errors[0].frame == want_dead[0] == 2
+        with pytest.raises(ImpossibleObservationError) as caught:
+            forward_backward2(model, obs)
+        assert caught.value.frame == 2
 
 
 class TestPairStateEmbedding:

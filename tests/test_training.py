@@ -267,6 +267,31 @@ class TestFloors:
         for e in report.model.emissions:
             assert (e.variances >= floor_d[None, :] * 0.999).all()
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_frame_overflowing_the_pooled_variance_is_named(self, order):
+        """One frame of 1e200 makes the pooled variance, and so every
+        variance floor, infinite. train and baum_welch1/2 raise ValueError
+        naming the utterance and the frame, with no numpy warning, instead
+        of failing later as "emission density is NaN (zero variance?)".
+        Where a mixture component sits at the frame, so that the E-step
+        passes (its second moments overflow, with numpy warnings),
+        Baum-Welch raises before its first update."""
+        rng = np.random.default_rng([363, order])
+        obs_set = [FeatureMatrix(make_obs(rng, "gmm", 12), FeatureMeta(source=f"u{u}")) for u in range(3)]
+        obs_set[1].frames[3, 1] = -1e200
+        message = r"^feature value -1e\+200 in dimension 1 at utterance 'u1', frame 3 overflows the pooled variance"
+        model = make_random_model(rng, order, "ltr", "gmm", n_states=3)
+        means = np.array([e.means for e in model.emissions])
+        means[:, 0, 1] = -1e200
+        model = replace(model, emissions=tuple(
+            GmmEmission(e.weights, m, e.variances) for e, m in zip(model.emissions, means)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                train(VariantSpec(order=order, n_states=3, n_mixtures=2), obs_set, TrainConfig(max_iterations=2))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            _welch(model, obs_set, TrainConfig(max_iterations=2))
+
     def test_mixture_weights_stay_positive(self):
         rng = np.random.default_rng(362)
         obs_set = [make_obs(rng, "gmm", 25) for _ in range(2)]
