@@ -10,8 +10,8 @@ import pytest
 import oracles
 from conftest import far_off_case, make_obs, make_random_model, random_trans1, random_trans2
 
-from hmmsid.errors import ImpossibleObservationError
 from hmmsid import inference
+from hmmsid.errors import ImpossibleObservationError
 from hmmsid.inference import (
     _backward,
     _emission_terms,
