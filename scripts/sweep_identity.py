@@ -37,13 +37,20 @@ lanes): a left-to-right or ring model's forward and backward steps visit
 only allowed transitions from 6 states on, so this family has models on
 both sides of that choice and at it;
 
+and, for order-1 GMM models of 12, 17 and 130 dimensions with 1, 2 and 9
+mixture components, log_emission_matrix on utterances near and far from
+the model and a 2-iteration baum_welch1 on the near ones: the emission
+kernel sums over dimensions and over components in numpy's pairwise
+order, whose branches part at 8 and 128 values;
+
 and, for every call that raises, the exception type, text and frame.
 Inputs include zero-probability symbols, integral float symbols, frames
 scaled far from the models, and malformed observations. Prints one line
 per configuration: a sha256 over everything, then one hash per input
 family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
 Baum-Welch and train, failing lane sets, long utterances, states and
-components without mass, and the order-2 step boundary), so that a
+components without mass, the order-2 step boundary, and the emission
+kernel's sums), so that a
 difference names the family that moved.
 
 A last line, ``stage=frontend``, does the same for the LPC-cepstrum front
@@ -84,7 +91,7 @@ SEEDS = 3
 
 # The input families, each hashed on its own.
 FAMILIES = ("lattices", "viterbi", "emissions", "scoring", "training", "lane-sets",
-            "long", "no-mass", "boundary")
+            "long", "no-mass", "boundary", "kernel")
 FRONTEND_FAMILIES = ("ordinary", "silence", "degenerate", "too-short", "one-frame")
 FRONTEND_CONFIGS = (
     features.FrontendConfig(),
@@ -315,6 +322,35 @@ def _boundary(d, index, order, topology, emission):
                 d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
 
 
+# frame dimensions and mixture sizes of the kernel family: the emission
+# kernel's sums over dimensions and over components follow numpy's pairwise
+# summation, whose branches part at 8 and 128 values
+KERNEL_DIMS = (12, 17, 130)
+KERNEL_MIXTURES = (1, 2, 9)
+
+
+def _kernel(d, index, order, topology, emission):
+    """Order-1 GMM only: at each of KERNEL_DIMS frame dimensions and
+    KERNEL_MIXTURES mixture sizes, one model of the topology on three
+    utterances of 20-40 frames and one 10 times farther out:
+    log_emission_matrix of each, and a 2-iteration baum_welch1 run on the
+    three (the far one is impossible under most of these models)."""
+    if order != 1 or emission != "gmm":
+        return
+    for n_dims in KERNEL_DIMS:
+        for n_mixtures in KERNEL_MIXTURES:
+            rng = np.random.default_rng([index, n_dims, n_mixtures])
+            model = make_random_model(rng, order, topology, emission, n_dims=n_dims, n_mixtures=n_mixtures)
+            utterances = [make_obs(rng, emission, int(rng.integers(20, 41)), n_dims) for _ in range(3)]
+            utterances.append(10.0 * make_obs(rng, emission, int(rng.integers(20, 41)), n_dims))
+            for obs in utterances:
+                d.value(d.call(inference.log_emission_matrix, model, obs))
+            report = d.call(training.baum_welch1, model, utterances[:3], training.TrainConfig(max_iterations=2))
+            if report is not None:
+                d.value(report.log_likelihoods)
+                d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
+
+
 def _no_mass(d, index, order, topology, emission):
     """baum_welch1/2 where one state and one mixture component receive no
     posterior mass, so that the update keeps their parameters. State 1 of
@@ -355,7 +391,7 @@ def sweep(index, seeds):
     """The hex digest of each of FAMILIES for configuration ``index``."""
     order, topology, emission = ALL_CONFIGS[index]
     digests = {family: Digest() for family in FAMILIES}
-    lattices, viterbi, emissions, scoring, trained, lane_sets, long, no_mass, boundary = digests.values()
+    lattices, viterbi, emissions, scoring, trained, lane_sets, long, no_mass, boundary, kernel = digests.values()
     fb = getattr(inference, f"forward_backward{order}")
     fwd = getattr(inference, f"forward{order}")
     vit = getattr(inference, f"viterbi{order}")
@@ -402,6 +438,7 @@ def sweep(index, seeds):
     _long(long, index, order, topology, emission)
     _no_mass(no_mass, index, order, topology, emission)
     _boundary(boundary, index, order, topology, emission)
+    _kernel(kernel, index, order, topology, emission)
     return {family: digest.hexdigest() for family, digest in digests.items()}
 
 

@@ -584,18 +584,32 @@ def score_models(models, obs, scoring: str = SCORING_MODES[0]) -> list:
     models fail, raises the error that the first of them, scored alone,
     raises.
     """
-    if scoring not in SCORING_MODES:
-        raise ValueError(f"scoring must be one of {SCORING_MODES}, got {scoring!r}")
-    name = _utterance(obs)[1]
+    return _score_groups(_stack_groups(models), obs, scoring)
+
+
+def _stack_groups(models) -> list:
+    """``models`` grouped by _stack_key in order of first appearance: per
+    group, its members' indices in ``models`` and their _ModelStack. A
+    caller that scores the same models often keeps the groups (see
+    SpeakerRegistry.identify), and with them each stack's tables."""
     groups: dict = {}
     for i, model in enumerate(models):
         groups.setdefault(_stack_key(model), []).append(i)
-    scores = [None] * len(models)
-    errors = [None] * len(models)
-    for members in groups.values():
+    return [(members, _ModelStack([models[i] for i in members])) for members in groups.values()]
+
+
+def _score_groups(groups, obs, scoring) -> list:
+    """score_models' scores of the models stacked in ``groups`` (see
+    _stack_groups), in model order."""
+    if scoring not in SCORING_MODES:
+        raise ValueError(f"scoring must be one of {SCORING_MODES}, got {scoring!r}")
+    name = _utterance(obs)[1]
+    n_models = sum(len(members) for members, _ in groups)
+    scores = [None] * n_models
+    errors = [None] * n_models
+    for members, stack in groups:
         if any(err is not None for err in errors[:members[0]]):
             break   # an earlier model fails: later groups would not be scored
-        stack = _ModelStack([models[i] for i in members])
         try:
             values, failed = _stack_scores(stack, obs, scoring)
         except ValueError as err:   # a check of obs, raised by the group's first model
@@ -603,7 +617,7 @@ def score_models(models, obs, scoring: str = SCORING_MODES[0]) -> list:
             continue
         for i, value, err in zip(members, values, failed):
             scores[i], errors[i] = value, err
-    _raise_first(errors, [name] * len(models))
+    _raise_first(errors, [name] * n_models)
     return scores
 
 

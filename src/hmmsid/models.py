@@ -13,6 +13,11 @@ per-state parameters, and it owns the rest of what the engine needs: its
 ``kind`` name in model files, the observation rule for one utterance, one
 kernel that scores an utterance under K states whose parameters are stacked
 field by field, and its Baum-Welch statistics and update over all states.
+The Gaussian-mixture kernel sums over dimensions and over mixture
+components slab by slab: its differences are laid out dimension-major,
+(D, T, K, M), and _pairwise_sum adds whole (T, K, M) slabs (and the
+log-sum-exp whole component slabs) in the order of numpy's pairwise
+summation, so every value has the bits of np.sum along a contiguous axis.
 
 Two modeling topologies are supported:
 
@@ -31,7 +36,7 @@ Models are immutable values: construct a new one instead of mutating.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -225,14 +230,18 @@ class GmmEmission:
         """One utterance's (N, M) component mass and (N, M, D) first and
         second moments for all states, from its (T, N) posteriors ``gamma``
         and the ``logb`` and ``comp`` that _kernel returned."""
-        ratio = np.zeros_like(comp)
-        alive = np.isfinite(logb)
-        ratio[alive] = np.exp(comp[alive] - logb[alive][:, None])
-        # Each state's (T, M) block is contiguous, as a state's alone would be:
-        # numpy sums a (T, 1) block pairwise, not frame by frame.
-        by_state = np.ascontiguousarray((gamma[:, :, None] * ratio).transpose(1, 0, 2))
-        resp = by_state.transpose(0, 2, 1)
-        return by_state.sum(axis=1), resp @ x, resp @ (x * x)
+        # A frame of about 1e154 or more that a component can still emit
+        # overflows x * x, and its inf meets a 0 in the moments;
+        # _variance_floor names the frame, so no warning here. A frame no
+        # state emits gives -inf - -inf in the ratio, which it does not keep.
+        with np.errstate(over="ignore", invalid="ignore"):
+            alive = np.isfinite(logb)[:, :, None]
+            ratio = np.where(alive, np.exp(comp - logb[:, :, None]), 0.0)
+            # Each state's (T, M) block is contiguous, as a state's alone would be:
+            # numpy sums a (T, 1) block pairwise, not frame by frame.
+            by_state = np.ascontiguousarray((gamma[:, :, None] * ratio).transpose(1, 0, 2))
+            resp = by_state.transpose(0, 2, 1)
+            return by_state.sum(axis=1), resp @ x, resp @ (x * x)
 
     @staticmethod
     def _updated(stacked, stats, weight_floor, variance_floor):
@@ -269,16 +278,63 @@ def _with_mass(table, r, floor):
 def _component_log_densities(frames, weights, means, variances) -> np.ndarray:
     """(T, N, M) tensor of log(weights[n, m]) + log N(x_t; means[n, m],
     diag(variances[n, m])) for (T, D) frames and the stacked parameters of
-    N states, in one broadcast."""
-    diff = frames[:, None, None, :] - means[None]
+    N states, in one broadcast.
+
+    The squared, scaled differences are laid out dimension-major,
+    (D, T, N, M), and summed as D contiguous (T, N, M) slabs by
+    _pairwise_sum: each value gets the bits np.sum gives it over a
+    contiguous last axis of D, in a few whole-slab additions rather than
+    one run of numpy's inner loop per D-value row."""
+    n_frames, n_dims = frames.shape
+    diff = np.empty((n_dims, n_frames) + weights.shape)
+    np.subtract(frames.T[:, :, None, None], means.transpose(2, 0, 1)[:, None], out=diff)
     with np.errstate(over="ignore"):   # a far-off frame's density is 0, not an error
         diff *= diff
-        diff /= variances[None]
-        quad = np.sum(diff, axis=3)
+        diff /= variances.transpose(2, 0, 1)[:, None]
+        quad = _pairwise_sum(diff)
     const = -0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=2)
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
     return logw[None] + const[None] - 0.5 * quad
+
+
+def _pairwise_sum(slabs, first=0.0) -> np.ndarray:
+    """The sum of the slabs along the leading axis of ``slabs``, each value
+    with the bits np.add.reduce gives it over a contiguous axis of n values.
+
+    That reduction is numpy's pairwise summation, here taken slab by slab:
+    below 8 slabs, one after another; up to 128, eight running sums over
+    every eighth slab, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the leftover slabs one after another; above 128, the
+    halves split at n/2 rounded down to a multiple of 8, each summed the
+    same way. numpy adds the result to the reduction's initial 0.0, which
+    only turns a sum of -0.0s into 0.0; ``first`` is added to the first
+    slab instead, with the same effect (the second half passes -0.0, which
+    adds nothing). A plain loop over the slabs, or a reduction over a
+    leading axis (numpy adds those row by row), changes the bits from 8
+    slabs on.
+    """
+    n = len(slabs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(slabs[:half], first) + _pairwise_sum(slabs[half:], -0.0)
+    if n < 8:
+        total = slabs[0] + first
+        for slab in slabs[1:]:
+            total += slab
+        return total
+    runs = slabs[:8] + slabs[8:16] if n >= 16 else slabs[:8]
+    for i in range(16, n - n % 8, 8):
+        runs += slabs[i:i + 8]
+    total = runs[0] + first
+    total += runs[1]
+    total += runs[2] + runs[3]
+    high = runs[4] + runs[5]
+    high += runs[6] + runs[7]
+    total += high
+    for slab in slabs[n - n % 8:]:
+        total += slab
+    return total
 
 
 def _logsumexp(a) -> np.ndarray:
@@ -289,13 +345,20 @@ def _logsumexp(a) -> np.ndarray:
     is split out of the sum and its ties counted, the rest is summed
     relative to it and added through log1p. Where that result is not finite
     (a row of -inf, a +inf or nan entry, overflow) the row takes
-    log(sum(exp(a))) instead.
+    log(sum(exp(a))) instead. The reductions over the last axis run over
+    its slabs a[..., m] at once, the maximum by np.maximum and the sums by
+    _pairwise_sum, with the bits of np.max and np.sum along that axis.
     """
+    # contiguous slabs; the kept last axis makes ``out`` an array for a 1-D a
+    slabs = np.ascontiguousarray(np.moveaxis(a, -1, 0))[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.max(a, axis=-1, keepdims=True)
-        at_top = a == top
-        ties = np.sum(at_top, axis=-1, keepdims=True, dtype=np.float64)
-        rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=-1, keepdims=True)
+        top = reduce(np.maximum, slabs)
+        at_top = slabs == top
+        ties = _pairwise_sum(at_top.astype(np.float64))
+        # the maximum's entries add 0, as exp(-inf) would, without the slow
+        # path numpy's exp takes on -inf; a row whose top is not finite
+        # takes the fallback either way
+        rest = _pairwise_sum(np.where(at_top, 0.0, np.exp(slabs - top)))
         rest = np.where(rest == 0, rest, rest / ties)
         out = (np.log1p(rest) + np.log(ties) + top)[..., 0]
         bad = ~np.isfinite(out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .corpus import CONDITIONS, GENDERS, ManifestRow
 from .features import FeatureMatrix
-from .inference import SCORING_MODES, score_models
+from .inference import SCORING_MODES, _score_groups, _stack_groups
 from .training import TrainConfig, TrainReport, VariantSpec, train
 
 __all__ = [
@@ -67,6 +67,9 @@ class SpeakerRegistry:
     def __init__(self):
         self._models: dict[tuple[str, str, str], object] = {}
         self._speaker_order: list[str] = []
+        # per (word, variant label): its candidates and their stacked groups,
+        # kept from the first identify until the key gains a model
+        self._stacks: dict[tuple[str, str], tuple] = {}
 
     def keys(self):
         return tuple(self._models.keys())
@@ -83,6 +86,7 @@ class SpeakerRegistry:
 
     def _register(self, key, model):
         self._models[key] = model
+        self._stacks.pop(key[1:], None)
         if key[0] not in self._speaker_order:
             self._speaker_order.append(key[0])
 
@@ -113,13 +117,18 @@ class SpeakerRegistry:
     def identify(self, word_id: str, variant_label: str, utterance: FeatureMatrix,
                  scoring: str = SCORING_MODES[0]) -> IdentifyResult:
         """Score the utterance against every enrolled speaker for the key and
-        return the best. The candidates are scored together (see
-        inference.score_models). Raises LookupError when nobody is enrolled."""
-        candidates = self.speakers_for(word_id, variant_label)
-        if not candidates:
-            raise LookupError(f"no models enrolled for word={word_id} variant={variant_label}")
-        models = [self._models[(speaker, word_id, variant_label)] for speaker in candidates]
-        scored = list(zip(candidates, score_models(models, utterance, scoring)))
+        return the best. The candidates are scored together, with the scores
+        of inference.score_models; the key's stacked models are built on its
+        first identify and kept. Raises LookupError when nobody is enrolled."""
+        key = (word_id, variant_label)
+        if key not in self._stacks:
+            candidates = self.speakers_for(word_id, variant_label)
+            if not candidates:
+                raise LookupError(f"no models enrolled for word={word_id} variant={variant_label}")
+            models = [self._models[(speaker, word_id, variant_label)] for speaker in candidates]
+            self._stacks[key] = candidates, _stack_groups(models)
+        candidates, groups = self._stacks[key]
+        scored = list(zip(candidates, _score_groups(groups, utterance, scoring)))
         ranked = tuple(sorted(scored, key=lambda sv: -sv[1]))   # stable: ties in enrollment order
         return IdentifyResult(predicted_speaker=ranked[0][0], scoring=scoring, ranked=ranked)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
@@ -23,6 +23,7 @@ from hmmsid.models import (
     model_to_dict,
     save_model,
     _logsumexp,
+    _pairwise_sum,
     symmetrize_ring_transitions,
     validate,
 )
@@ -78,6 +79,9 @@ class TestEmissionDensities:
 
 # Values that make ties, empty rows, overflow and the non-finite fallback.
 _SPECIAL = st.sampled_from([-np.inf, np.inf, np.nan, 0.0, 1.0, -1.0, -745.2, 709.8, 1e308])
+# Summands whose sums show the order of addition: signed zeros, cancellation,
+# overflow to inf and subnormals.
+_SPECIAL_SUMMANDS = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 1e16, -1e16, 1e308, -1e308, np.inf, 5e-324])
 
 
 class TestEmissionKernel:
@@ -97,6 +101,31 @@ class TestEmissionKernel:
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want, equal_nan=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda n: hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.just(n)),
+        elements=st.one_of(st.floats(allow_nan=False, allow_subnormal=True), _SPECIAL_SUMMANDS),
+    )))
+    @example(np.full((2, 7), -0.0))
+    @example(np.arange(8.0 * 3).reshape(3, 8))
+    @example(np.geomspace(1e-3, 1e3, 2 * 23).reshape(2, 23))
+    @example(np.linspace(-1.0, 1.0, 128)[None])
+    @example(np.geomspace(1e-5, 1e5, 129)[None])
+    @example(np.sin(np.arange(300.0))[None])
+    def test_pairwise_sum_matches_add_reduce(self, a):
+        """Summing the n columns of a C-contiguous (rows, n) array as n
+        slabs gives np.add.reduce's bits along its last axis: below 8,
+        from 8 to 128 (eight running sums and a leftover) and above 128
+        (split halves). Sums that come out NaN (inf - inf) are compared as
+        NaN, since which NaN payload survives depends on operand order."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.add.reduce(a, axis=-1)
+            got = _pairwise_sum(np.ascontiguousarray(a.T))
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
     def test_logsumexp_rows_of_minus_inf_ties_and_inf(self):
         a = np.array([
             [-np.inf, -np.inf, -np.inf],
@@ -110,18 +139,22 @@ class TestEmissionKernel:
             want = logsumexp(a, axis=-1)
         assert np.array_equal(_logsumexp(a), want, equal_nan=True)
 
-    @pytest.mark.parametrize("emission, n_mixtures", [
-        ("gmm", 1), ("gmm", 2), ("gmm", 5), ("discrete", N_SYMBOLS),
+    @pytest.mark.parametrize("emission, n_mixtures, n_dims", [
+        *(("gmm", m, d) for m in (1, 2, 5, 9) for d in (4, 12, 17)),
+        ("discrete", N_SYMBOLS, 4),
     ])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_log_emission_matrix_matches_per_state_formula(self, order, emission, n_mixtures):
+    def test_log_emission_matrix_matches_per_state_formula(self, order, emission, n_mixtures, n_dims):
         """The per-state reference is scipy's logsumexp over components for
         GMM and each state's own table lookup for discrete. State 0 has a
         zeroed last mixture weight or symbol probability; discrete symbols
-        are also given as integral floats."""
-        rng = np.random.default_rng(40 + 10 * order + n_mixtures)
+        are also given as integral floats. The reference sums along
+        contiguous axes, so its 4, 12 and 17 dimensions and 1, 2, 5 and 9
+        components take every branch of numpy's pairwise summation below
+        128 values that the kernel's slab sums must follow."""
+        rng = np.random.default_rng([40 + 10 * order + n_mixtures, n_dims])
         for _ in range(10):
-            model = make_random_model(rng, order, "circular", emission, n_dims=4,
+            model = make_random_model(rng, order, "circular", emission, n_dims=n_dims,
                                       n_mixtures=n_mixtures)
             if n_mixtures > 1:
                 e = model.emissions[0]
@@ -135,7 +168,7 @@ class TestEmissionKernel:
                     zeroed = DiscreteEmission(p / p.sum())
                 model = replace(model, emissions=(zeroed,) + model.emissions[1:])
             if emission == "gmm":
-                x = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 30)), 4))
+                x = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 30)), n_dims))
                 want = np.stack([_per_state_log_density(e, x) for e in model.emissions], axis=1)
                 inputs = [x]
             else:

@@ -19,7 +19,15 @@ from hmmsid.models import (
     circular_topology,
     ltr_topology,
 )
-from hmmsid.inference import forward1, forward2, log_emission_matrix, viterbi1, viterbi2
+from hmmsid.inference import (
+    SCORING_MODES,
+    forward1,
+    forward2,
+    log_emission_matrix,
+    score_models,
+    viterbi1,
+    viterbi2,
+)
 from hmmsid.speaker_id import (
     ComparisonReport,
     EvalResult,
@@ -392,6 +400,49 @@ class TestFailingCandidates:
         obs[4] = bad
         with pytest.raises(ValueError, match=rf"^non-integer symbol {shown} at frame 4$"):
             reg.identify("w", "v", obs)
+
+
+class TestRegistryCache:
+    """identify keeps each (word, variant) key's stacked candidates. A model
+    added to a key after it was identified must be scored with the rest,
+    and the other keys must keep their results."""
+
+    VARIANT = VariantSpec(order=1, topology="ltr", n_states=3, n_mixtures=1)
+
+    @pytest.mark.parametrize("how", ["add_model", "enroll"])
+    def test_speaker_added_after_identify_is_ranked(self, how):
+        rng = np.random.default_rng([397, len(how)])
+        label = self.VARIANT.label
+        keys = [("w", label), ("w2", label), ("w", "other")]
+        reg = SpeakerRegistry()
+        for word, variant_label in keys:
+            for k in range(3):
+                model = make_random_model(rng, 1, "ltr", "gmm", n_states=3, n_mixtures=1)
+                reg.add_model(f"s{k}", word, variant_label, model)
+        trials = [FeatureMatrix(make_obs(rng, "gmm", 20)) for _ in range(2)]
+
+        def identify_all():
+            return {(key, i, scoring): reg.identify(*key, obs, scoring=scoring)
+                    for key in keys for i, obs in enumerate(trials) for scoring in SCORING_MODES}
+
+        before = identify_all()
+        utterances = [FeatureMatrix(make_obs(rng, "gmm", 15)) for _ in range(3)]
+        if how == "add_model":
+            model = make_random_model(rng, 1, "ltr", "gmm", n_states=3, n_mixtures=1)
+            reg.add_model("late", "w", label, model)
+        else:
+            reg.enroll("late", "w", self.VARIANT, utterances, TrainConfig(max_iterations=3, seed=1))
+        after = identify_all()
+        for (key, i, scoring), res in after.items():
+            if key != ("w", label):
+                assert res == before[key, i, scoring]
+                continue
+            speakers = reg.speakers_for(*key)
+            assert speakers == ("s0", "s1", "s2", "late")
+            fresh = score_models([reg.model_for(s, *key) for s in speakers], trials[i], scoring)
+            assert dict(res.ranked) == dict(zip(speakers, fresh))
+            assert res.ranked == tuple(sorted(zip(speakers, fresh), key=lambda sv: -sv[1]))
+            assert res.ranked != before[key, i, scoring].ranked
 
 
 class TestArgmaxProperties:
