@@ -29,6 +29,11 @@
 # input families (lattices, viterbi, ..., silence, one-frame) whose
 # hashes moved. Exits 0 when everything is identical, 1 when anything
 # differs.
+#
+# It first prints the two host settings the bytes depend on: numpy's best
+# SIMD dispatch target (and the one its float64 exp and log run) and the
+# core (CPU kernel) the bundled OpenBLAS picked. Both trees run on this
+# host, so the check cannot see a byte that another setting would move.
 set -euo pipefail
 
 rev=${1:?usage: scripts/identity_check.sh <rev> [workdir]}
@@ -37,6 +42,23 @@ work=${2:-$(mktemp -d)}
 mkdir -p "$work/base/tree"
 git -C "$repo" archive "$rev" | tar -x -C "$work/base/tree"
 echo "$rev ($(git -C "$repo" rev-parse --short "$rev")) vs working tree, in $work"
+python3 - <<'PY'
+import ctypes, glob, os
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+
+features = umath.__cpu_features__
+supported = [t for t in umath.__cpu_dispatch__ if features[t]] or ["baseline"]
+exp_log = {umath.__cpu_targets_info__[f]["dd"]["current"] for f in ("exp", "log")}
+core = "unknown"
+for lib in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*"):
+    get = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    core = get().decode()
+print(f"numpy {np.__version__} SIMD: best target {supported[-1]}, "
+      f"AVX512_SKX {'on' if features['AVX512_SKX'] else 'off'}, "
+      f"float64 exp/log {'/'.join(sorted(exp_log))}; OpenBLAS core {core}")
+PY
 
 mkdir -p "$work/audio"
 python3 - "$work/audio" <<'PY'

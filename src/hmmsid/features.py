@@ -36,7 +36,7 @@ Binary feature cache (little-endian), extension ``.lpcf``:
           24   data    T*D float64, row-major
 
 A cache holds exactly 24 + 8*T*D bytes; read_features rejects a shorter
-(truncated) or longer (trailing bytes) file.
+(truncated) or longer (trailing bytes) file, and one with D = 0.
 """
 
 from __future__ import annotations
@@ -431,6 +431,8 @@ def read_features(path) -> FeatureMatrix:
     magic, version, flags, t, d, config_hash = _HEADER.unpack_from(blob)
     if version != CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
+    if d == 0:
+        raise ValueError(f"{path}: cache holds 0 coefficients per frame")
     need = _HEADER.size + 8 * t * d
     if len(blob) < need:
         raise ValueError(f"{path}: truncated cache ({len(blob)} bytes, need {need})")

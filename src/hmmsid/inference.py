@@ -1,4 +1,4 @@
-"""Scaled forward/backward, Viterbi and joint-probability evaluation.
+"""Scaled forward/backward and Viterbi passes, and state-path decoding.
 
 One engine serves both orders. A second-order chain is a first-order chain
 over state pairs (see embed_pair_states), so each recursion runs once over
@@ -96,11 +96,9 @@ __all__ = [
     "forward1",
     "forward_backward1",
     "viterbi1",
-    "likelihood_via_transition",
     "forward2",
     "forward_backward2",
     "viterbi2",
-    "sequence_log_prob",
     "score_models",
     "embed_pair_states",
     "decode_pair_path",
@@ -647,35 +645,6 @@ def forward_backward1(model: Hmm1Model, obs) -> TrellisLattice:
     return _forward_backward(model, obs)
 
 
-def likelihood_via_transition(model: Hmm1Model, obs, t: int) -> float:
-    """Total observation probability, summed over the transition t -> t+1.
-
-    Computes P(obs) = sum_ij alpha_t(i) a_ij b_j(O_{t+1}) beta_{t+1}(j)
-    with unscaled tables, so it is meant for short sequences; the value is
-    independent of t and equals exp(forward1 log-likelihood), which makes
-    it a cross-check on the scaled pass. The terminal backward value is 1
-    here for every topology (that is the convention under which the sum
-    equals the total probability). ``t`` is a 0-based frame index with
-    0 <= t <= T-2.
-    """
-    logb = log_emission_matrix(model, obs)
-    T, N = logb.shape
-    if not 0 <= t <= T - 2:
-        raise IndexError(f"t = {t} outside [0, {T - 2}]")
-    b = np.exp(logb)
-    alpha = np.empty((T, N))
-    alpha[0] = model.initial * b[0]
-    for s in range(1, T):
-        alpha[s] = (alpha[s - 1] @ model.trans) * b[s]
-    beta = np.empty((T, N))
-    beta[T - 1] = 1.0
-    for s in range(T - 2, -1, -1):
-        beta[s] = model.trans @ (b[s + 1] * beta[s + 1])
-    return float(
-        np.sum(alpha[t][:, None] * model.trans * (b[t + 1] * beta[t + 1])[None, :])
-    )
-
-
 def viterbi1(model: Hmm1Model, obs) -> StatePath:
     """Most probable state path (log-domain dynamic programming).
 
@@ -713,33 +682,6 @@ def viterbi2(model: Hmm2Model, obs) -> StatePath:
     second-to-last state, then lowest last state).
     """
     return _single_path(model, obs)
-
-
-def sequence_log_prob(model, obs, states) -> float:
-    """Joint log-probability of ``states`` and ``obs`` under the model.
-
-    For order 1 this is log of initial * prod(trans) * prod(emissions);
-    for order 2 the first transition uses trans1 and later ones trans2.
-    A topology-forbidden transition yields -inf (not an error).
-    """
-    logb = log_emission_matrix(model, obs)
-    T = logb.shape[0]
-    q = np.asarray(states, dtype=np.int64)
-    if q.shape != (T,):
-        raise ValueError(f"state path length {q.shape} != number of frames ({T},)")
-    if q.size and (q.min() < 0 or q.max() >= model.n_states):
-        raise ValueError("state index out of range")
-    with np.errstate(divide="ignore"):
-        total = float(np.log(model.initial[q[0]])) + float(logb[np.arange(T), q].sum())
-        if isinstance(model, Hmm1Model):
-            if T > 1:
-                total += float(np.log(model.trans[q[:-1], q[1:]]).sum())
-        else:
-            if T > 1:
-                total += float(np.log(model.trans1[q[0], q[1]]))
-            if T > 2:
-                total += float(np.log(model.trans2[q[:-2], q[1:-1], q[2:]]).sum())
-    return total
 
 
 # ---------------------------------------------------------------------------

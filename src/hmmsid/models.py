@@ -200,12 +200,17 @@ class GmmEmission:
 
     @staticmethod
     def _observations(x, utterance=None) -> np.ndarray:
-        """``x`` as a (T, D) float64 matrix. A non-finite value raises
-        ValueError naming its frame, and the utterance when one is given."""
+        """``x`` as a (T, D) float64 matrix with D >= 1. A non-finite value
+        raises ValueError naming its frame, and the utterance when one is
+        given."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(_named(
                 f"continuous observations must be (T, D), got shape {x.shape}", utterance
+            ))
+        if x.shape[1] == 0:
+            raise ValueError(_named(
+                "continuous observations have 0 coefficients per frame", utterance
             ))
         finite = np.isfinite(x)
         if not finite.all():

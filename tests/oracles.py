@@ -48,13 +48,14 @@ def emission_log_matrix(model, frames) -> np.ndarray:
 # exhaustive enumeration over state sequences
 # ---------------------------------------------------------------------------
 
-def _path_scores(model, frames) -> tuple[np.ndarray, np.ndarray]:
-    """(paths, log-scores) over every state sequence of length T."""
-    n = model.n_states
-    frames = np.asarray(frames)
-    t_count = frames.shape[0]
+def path_log_probs(model, frames, paths) -> np.ndarray:
+    """(P,) joint log-probabilities of the frames and each row of the
+    (P, T) state ``paths``: log initial, transition and emission terms
+    summed along the path. For order 2 the first transition uses trans1
+    and later ones trans2. A forbidden transition gives -inf."""
+    paths = np.asarray(paths, dtype=np.int64)
     logb = emission_log_matrix(model, frames)
-    paths = np.array(list(itertools.product(range(n), repeat=t_count)), dtype=np.int64)
+    t_count = logb.shape[0]
     with np.errstate(divide="ignore"):
         logpi = np.log(model.initial)
         if model.order == 1:
@@ -71,7 +72,14 @@ def _path_scores(model, frames) -> tuple[np.ndarray, np.ndarray]:
             scores = scores + loga1[paths[:, 0], paths[:, 1]] + logb[1, paths[:, 1]]
         for t in range(2, t_count):
             scores = scores + loga2[paths[:, t - 2], paths[:, t - 1], paths[:, t]] + logb[t, paths[:, t]]
-    return paths, scores
+    return scores
+
+
+def _path_scores(model, frames) -> tuple[np.ndarray, np.ndarray]:
+    """(paths, log-scores) over every state sequence of length T."""
+    t_count = np.asarray(frames).shape[0]
+    paths = np.array(list(itertools.product(range(model.n_states), repeat=t_count)), dtype=np.int64)
+    return paths, path_log_probs(model, frames, paths)
 
 
 def enum_log_likelihood(model, frames) -> float:
@@ -130,12 +138,6 @@ def enum_pair_posteriors(model, frames) -> np.ndarray:
             for j in range(n):
                 xi[t, i, j] = w[(paths[:, t] == i) & (paths[:, t + 1] == j)].sum()
     return xi
-
-
-def enum_sequence_probability(model, frames) -> float:
-    """Total joint probability of the frames (linear domain)."""
-    _, scores = _path_scores(model, frames)
-    return float(np.exp(logsumexp(scores)))
 
 
 # ---------------------------------------------------------------------------

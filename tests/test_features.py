@@ -482,7 +482,7 @@ class TestFeatureCaches:
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(
         t=st.integers(0, 6),
-        d=st.integers(0, 5),
+        d=st.integers(1, 5),
         data=st.data(),
         cms=st.booleans(),
         config_hash=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
@@ -539,6 +539,13 @@ class TestFeatureCaches:
         with pytest.raises(ValueError, match=f"7 trailing bytes after the {size}-byte cache") as info:
             read_features(p)
         assert "truncated" not in str(info.value)
+
+    def test_zero_coefficient_cache_rejected(self, tmp_path):
+        p = tmp_path / "u1.lpcf"
+        write_features(FeatureMatrix(np.zeros((4, 0))), p)
+        with pytest.raises(ValueError) as info:
+            read_features(p)
+        assert str(info.value) == f"{p}: cache holds 0 coefficients per frame"
 
     def test_foreign_file_rejected(self, tmp_path):
         p = tmp_path / "x.lpcf"

@@ -11,8 +11,6 @@ from hmmsid.features import FeatureMatrix
 from hmmsid.inference import (
     forward1,
     forward_backward1,
-    likelihood_via_transition,
-    sequence_log_prob,
     viterbi1,
 )
 from hmmsid.models import DiscreteEmission, Hmm1Model, circular_topology, ltr_topology
@@ -162,49 +160,19 @@ class TestViterbi:
         states = viterbi1(model, obs).states
         assert (np.diff(states) >= 0).all()
 
-    def test_path_score_consistent_with_sequence_log_prob(self):
+    def test_path_score_matches_path_log_prob(self):
         rng = np.random.default_rng(132)
         model = make_random_model(rng, 1, "circular", "gmm")
         obs = make_obs(rng, "gmm", 9)
         path = viterbi1(model, obs)
-        assert sequence_log_prob(model, obs, path.states) == pytest.approx(
+        assert oracles.path_log_probs(model, obs, path.states[None])[0] == pytest.approx(
             path.log_prob, rel=1e-12
         )
 
 
-class TestTransitionSumIdentity:
-    @pytest.mark.parametrize("topology,emission", CONFIGS1)
-    def test_value_equals_total_probability_for_every_t(self, topology, emission):
-        rng = np.random.default_rng(140)
-        for _ in range(10):
-            model = make_random_model(rng, 1, topology, emission)
-            obs = make_obs(rng, emission, 5)
-            want = oracles.enum_sequence_probability(model, obs)
-            for t in range(4):
-                assert likelihood_via_transition(model, obs, t) == pytest.approx(
-                    want, rel=1e-10
-                )
+class TestPathLogProbs:
+    """The oracle's path score, which the Viterbi tests compare against."""
 
-    def test_matches_forward_log_likelihood(self):
-        rng = np.random.default_rng(141)
-        model = make_random_model(rng, 1, "circular", "gmm")
-        obs = make_obs(rng, "gmm", 6)
-        ll = forward1(model, obs).log_likelihood
-        assert np.log(likelihood_via_transition(model, obs, 2)) == pytest.approx(
-            ll, rel=1e-10
-        )
-
-    def test_t_out_of_range_rejected(self):
-        rng = np.random.default_rng(142)
-        model = make_random_model(rng, 1, "ltr", "gmm")
-        obs = make_obs(rng, "gmm", 4)
-        with pytest.raises(IndexError):
-            likelihood_via_transition(model, obs, 3)
-        with pytest.raises(IndexError):
-            likelihood_via_transition(model, obs, -1)
-
-
-class TestSequenceLogProb:
     def test_hand_computed_value(self):
         mask = ltr_topology(2, skip_width=1)
         model = Hmm1Model(
@@ -218,21 +186,14 @@ class TestSequenceLogProb:
         )
         obs = np.array([0, 1, 1])
         want = np.log(1.0) + np.log(0.9) + np.log(0.4) + np.log(0.8) + np.log(1.0) + np.log(0.8)
-        got = sequence_log_prob(model, obs, np.array([0, 1, 1]))
+        got = oracles.path_log_probs(model, obs, np.array([[0, 1, 1]]))[0]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_forbidden_transition_gives_minus_inf(self):
         rng = np.random.default_rng(150)
         model = make_random_model(rng, 1, "ltr", "gmm", n_states=3)
         obs = make_obs(rng, "gmm", 3)
-        assert np.isneginf(sequence_log_prob(model, obs, np.array([2, 1, 0])))
-
-    def test_wrong_length_rejected(self):
-        rng = np.random.default_rng(151)
-        model = make_random_model(rng, 1, "ltr", "gmm")
-        obs = make_obs(rng, "gmm", 4)
-        with pytest.raises(ValueError):
-            sequence_log_prob(model, obs, np.array([0, 0]))
+        assert np.isneginf(oracles.path_log_probs(model, obs, np.array([[2, 1, 0]]))[0])
 
 
 class TestImpossibleObservations:

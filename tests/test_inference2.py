@@ -26,7 +26,6 @@ from hmmsid.inference import (
     forward2,
     forward_backward2,
     score_models,
-    sequence_log_prob,
     viterbi1,
     viterbi2,
 )
@@ -145,12 +144,12 @@ class TestViterbi2:
         assert got.log_prob == pytest.approx(want_score, rel=1e-12)
         np.testing.assert_array_equal(got.states, want_path)
 
-    def test_path_score_consistent_with_sequence_log_prob(self):
+    def test_path_score_matches_path_log_prob(self):
         rng = np.random.default_rng(221)
         model = make_random_model(rng, 2, "ltr", "gmm")
         obs = make_obs(rng, "gmm", 8)
         path = viterbi2(model, obs)
-        assert sequence_log_prob(model, obs, path.states) == pytest.approx(
+        assert oracles.path_log_probs(model, obs, path.states[None])[0] == pytest.approx(
             path.log_prob, rel=1e-12
         )
 

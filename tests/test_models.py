@@ -314,10 +314,14 @@ class TestShapeChecks:
 _LTR1 = '{"kind": "ltr", "n_states": 1, "skip_width": 1}'
 
 
+# Every ALL_CONFIGS case, and a custom topology, whose file carries allowed1.
+ROUND_TRIP_CONFIGS = [*ALL_CONFIGS, (2, "custom", "gmm")]
+
+
 class TestSerialization:
-    @pytest.mark.parametrize("order,topology,emission", ALL_CONFIGS)
+    @pytest.mark.parametrize("order,topology,emission", ROUND_TRIP_CONFIGS)
     def test_round_trip_is_exact(self, tmp_path, order, topology, emission):
-        rng = np.random.default_rng(hash((order, topology, emission)) % (2**32))
+        rng = np.random.default_rng(300 + ROUND_TRIP_CONFIGS.index((order, topology, emission)))
         model = make_random_model(rng, order, topology, emission)
         path = tmp_path / "model.json"
         save_model(model, path, training={"note": "x", "seed": 5})
@@ -325,6 +329,7 @@ class TestSerialization:
         assert header["training"] == {"note": "x", "seed": 5}
         assert type(back) is type(model)
         assert back.mask.kind == model.mask.kind
+        np.testing.assert_array_equal(back.mask.allowed1, model.mask.allowed1)
         np.testing.assert_array_equal(back.initial, model.initial)
         if order == 1:
             np.testing.assert_array_equal(back.trans, model.trans)

@@ -17,9 +17,12 @@ MODULES = (errors, models, inference, training, features, corpus, speaker_id)
 # module lists; the derivation added MANIFEST_COLUMNS and nothing else.
 # score_models (stacked candidate scoring) was added to inference later;
 # write_features_text and read_features_text were removed with their format,
-# backward1 and backward2, which no caller used, were removed; and
+# backward1 and backward2, which no caller used, were removed;
 # init_ltr, init_circular1 and init_circular2, which only tests called, were
-# removed once train built every starting chain itself.
+# removed once train built every starting chain itself; and inference's
+# unscaled order-1 likelihood summed over one transition and its single-path
+# joint log-probability, which only tests called, were removed (tests score
+# a path with oracles.path_log_probs).
 HAND_LISTED_EXPORTS = {
     "ComparisonReport", "CorpusSpec", "DegenerateFrameError", "DiscreteEmission",
     "EvalResult", "FeatureMatrix", "FeatureMeta", "FrontendConfig", "GmmEmission",
@@ -33,12 +36,11 @@ HAND_LISTED_EXPORTS = {
     "extract_features", "format_rate", "forward1", "forward2",
     "forward_backward1", "forward_backward2", "frame_and_window",
     "generate_synthetic_corpus", "improvement_rate",
-    "likelihood_via_transition", "load_audio",
-    "load_corpus", "load_model", "load_raw", "load_wav", "log_emission_matrix",
+    "load_audio", "load_corpus", "load_model", "load_raw", "load_wav", "log_emission_matrix",
     "lpc_levinson_durbin", "lpc_to_cepstrum", "ltr_topology", "model_from_dict",
     "model_to_dict", "pre_emphasize", "read_features",
     "read_manifest", "sample_corpus", "save_model", "segmental_kmeans_init",
-    "sequence_log_prob", "symmetrize_ring_transitions", "train", "validate",
+    "symmetrize_ring_transitions", "train", "validate",
     "viterbi1", "viterbi2", "write_features", "write_manifest",
 }
 
@@ -53,7 +55,7 @@ def test_package_exports_are_the_module_union():
     names = hmmsid.__all__
     assert len(names) == len(set(names))
     assert set(names) == HAND_LISTED_EXPORTS | {"MANIFEST_COLUMNS", "score_models"}
-    assert len(HAND_LISTED_EXPORTS) == 70
+    assert len(HAND_LISTED_EXPORTS) == 68
 
 
 def _imported_modules(path):

@@ -533,6 +533,12 @@ class TestObservationRule:
                                              r"must be \(T, D\), got shape \(12,\)$"):
             train(VariantSpec(n_states=3, n_mixtures=1), obs_set)
 
+    def test_continuous_utterances_without_coefficients(self):
+        obs_set = [np.zeros((12, 0)), np.zeros((9, 0))]
+        with pytest.raises(ValueError, match=r"^utterance 0: continuous observations "
+                                             r"have 0 coefficients per frame$"):
+            train(VariantSpec(n_states=3, n_mixtures=1), obs_set)
+
     def test_named_symbol_utterance_that_is_not_a_sequence(self):
         obs_set = [FeatureMatrix(np.zeros((6, 2)), FeatureMeta(source="u0"))]
         with pytest.raises(ValueError, match=r"^utterance 'u0': discrete observations "
