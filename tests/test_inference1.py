@@ -108,6 +108,23 @@ class TestBackwardAndPosteriors:
             norms = np.exp(lat.slice_log_norms - lat.emission_shifts)
             np.testing.assert_allclose(sums * norms, term_of(model.n_states), rtol=1e-9)
 
+    @pytest.mark.parametrize("topology,emission", CONFIGS1)
+    def test_transition_sum_matches_enumeration_at_every_t(self, topology, emission):
+        # sum_ij alpha[t,i] a[i,j] b[t+1,j] beta[t+1,j] is the same value at
+        # every t (the total probability, here under the lattice's scaling),
+        # and its summands over that value are the pair posteriors
+        rng = np.random.default_rng(140)
+        for _ in range(10):
+            model = make_random_model(rng, 1, topology, emission)
+            obs = make_obs(rng, emission, int(rng.integers(2, 7)))
+            lat = forward_backward1(model, obs)
+            b = np.exp(oracles.emission_log_matrix(model, obs) - lat.emission_shifts[:, None])
+            terms = lat.alpha[:-1, :, None] * model.trans * (b[1:] * lat.beta[1:])[:, None, :]
+            sums = terms.sum(axis=(1, 2))
+            np.testing.assert_allclose(sums, sums[0], rtol=1e-10)
+            want = oracles.enum_pair_posteriors(model, obs)
+            np.testing.assert_allclose(terms / sums[:, None, None], want, rtol=1e-8, atol=1e-12)
+
     @pytest.mark.parametrize("seed,topology", [
         (54, "ltr"), (85, "ltr"), (136, "ltr"), (1234, "circular"), (840, "circular"),
     ], ids=["54", "85", "136", "circular-1234", "circular-840"])

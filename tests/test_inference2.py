@@ -29,7 +29,14 @@ from hmmsid.inference import (
     viterbi1,
     viterbi2,
 )
-from hmmsid.models import DiscreteEmission, Hmm1Model, Hmm2Model, circular_topology, custom_topology
+from hmmsid.models import (
+    DiscreteEmission,
+    Hmm1Model,
+    Hmm2Model,
+    circular_topology,
+    custom_topology,
+    ltr_topology,
+)
 
 CONFIGS2 = [("ltr", "discrete"), ("ltr", "gmm"), ("circular", "discrete"), ("circular", "gmm")]
 
@@ -152,6 +159,29 @@ class TestViterbi2:
         assert oracles.path_log_probs(model, obs, path.states[None])[0] == pytest.approx(
             path.log_prob, rel=1e-12
         )
+
+    def test_hand_computed_path_log_prob(self):
+        # the first transition is scored with trans1, later ones with trans2
+        mask = ltr_topology(2, skip_width=1)
+        trans2 = np.zeros((2, 2, 2))
+        trans2[0, 0] = [0.7, 0.3]
+        trans2[0, 1] = [0.0, 1.0]
+        trans2[1, 1] = [0.0, 1.0]
+        model = Hmm2Model(
+            mask=mask,
+            initial=np.array([1.0, 0.0]),
+            trans1=np.array([[0.6, 0.4], [0.0, 1.0]]),
+            trans2=trans2,
+            emissions=(
+                DiscreteEmission(np.array([0.9, 0.1])),
+                DiscreteEmission(np.array([0.2, 0.8])),
+            ),
+        )
+        obs = np.array([0, 0, 1, 1])
+        want = (np.log(1.0) + np.log(0.9) + np.log(0.6) + np.log(0.9)
+                + np.log(0.3) + np.log(0.8) + np.log(1.0) + np.log(0.8))
+        got = oracles.path_log_probs(model, obs, np.array([[0, 0, 1, 1]]))[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_impossible_frame_raises(self):
         mask = circular_topology(3)
