@@ -33,7 +33,12 @@
 # It first prints the two host settings the bytes depend on: numpy's best
 # SIMD dispatch target (and the one its float64 exp and log run) and the
 # core (CPU kernel) the bundled OpenBLAS picked. Both trees run on this
-# host, so the check cannot see a byte that another setting would move.
+# host, so the comparison cannot see a byte that another setting would
+# move. So after it, the working tree's sweep runs twice more, under
+# OPENBLAS_CORETYPE=Haswell and under NPY_DISABLE_CPU_FEATURES set to the
+# AVX-512 targets, and the script names the families each setting moves
+# against the native run. That part is informational: it does not change
+# the exit status.
 set -euo pipefail
 
 rev=${1:?usage: scripts/identity_check.sh <rev> [workdir]}
@@ -152,12 +157,32 @@ for part in data models report inspect scores sweep features log; do
         status=1
     fi
 done
-# each sweep line: <label key=value fields> <overall hash> family=<hash> ...
-paste -d' ' "$work/base/run/sweep/hashes.txt" "$work/head/run/sweep/hashes.txt" | awk '{
-    n = NF / 2
-    label = ""
-    for (i = 1; $i ~ /=/; i++) label = label " " $i
-    for (i++; i <= n; i++)
-        if ($i != $(i + n)) { split($i, family, "="); print "  sweep moved:" label " " family[1] }
-}'
+sweep_moved() {  # <hashes> <hashes>: name each line's input families whose hashes differ
+    # each sweep line: <label key=value fields> <overall hash> family=<hash> ...
+    paste -d' ' "$1" "$2" | awk '{
+        n = NF / 2
+        label = ""
+        for (i = 1; $i ~ /=/; i++) label = label " " $i
+        moved = ""
+        for (i++; i <= n; i++)
+            if ($i != $(i + n)) { split($i, family, "="); moved = moved " " family[1] }
+        if (moved != "") print "  sweep moved:" label ":" moved
+    }'
+}
+sweep_moved "$work/base/run/sweep/hashes.txt" "$work/head/run/sweep/hashes.txt"
+
+# Informational, and the exit status ignores it: the working tree's sweep
+# again under the BLAS kernel and the numpy SIMD target an AVX2-only host
+# would take (set in these child processes only), against the native run.
+native="$work/head/run/sweep/hashes.txt"
+for setting in OPENBLAS_CORETYPE=Haswell "NPY_DISABLE_CPU_FEATURES=X86_V4 AVX512_SKX AVX512_ICL AVX512_SPR"; do
+    other="$work/sweep-${setting%%=*}.txt"
+    echo "working tree's sweep under $setting, against the native run:"
+    if env "$setting" PYTHONPATH="$repo/src" python3 "$repo/scripts/sweep_identity.py" > "$other" 2> "$other.err"; then
+        moved=$(sweep_moved "$native" "$other")
+        echo "${moved:-  no family moved}"
+    else
+        echo "  the sweep failed (see $other.err)"
+    fi
+done
 exit $status

@@ -19,8 +19,8 @@ each of the 8 (order, topology, emission) configurations, seeds 0-2 and
 and, for every configuration, 48-state (order 1) or 24-state (order 2)
 models on utterances of 150-250 frames (lattices, Viterbi paths and
 scores, score_models in both modes, and a 2-iteration baum_welch1/2),
-long enough that the E-step builds its transition posterior over several
-chunks of frames; a model with a random custom mask joins the
+large enough that the E-step sums each frame's transition posterior by a
+planned pairwise sum; a model with a random custom mask joins the
 configuration's three, so that Viterbi scoring stacks differing zero
 patterns and the E-step and Viterbi visit allowed transitions that are
 neither left-to-right nor a ring;
@@ -240,15 +240,16 @@ def _lane_sets(rng, order, emission):
     return sets
 
 
-# state counts of the long family: its transition posterior spans several
-# chunks of frames (training._CHUNK_BYTES) on 150-250 frames
+# state counts of the long family: its last transition array has more than
+# 128 entries, so each frame's normalizer follows training._RowSums' plan,
+# over utterances of 150-250 frames
 LONG_STATES = {1: 48, 2: 24}
 
 
 def _long(d, index, order, topology, emission):
     """Models of LONG_STATES[order] states on utterances of 150-250 frames,
-    long enough that the E-step builds the transition posterior over
-    several chunks of frames: lattices, Viterbi paths and scores,
+    where the E-step sums each frame's transition posterior by a planned
+    pairwise sum (training._RowSums): lattices, Viterbi paths and scores,
     score_models in both modes over 3 models of the topology and one with
     a random custom mask, and 2-iteration baum_welch1/2 runs of the first
     and the custom one."""

@@ -408,8 +408,13 @@ def load_audio(path, config: FrontendConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_features(features: FeatureMatrix, path) -> None:
-    """Write the binary cache format documented in the module docstring."""
+    """Write the binary cache format documented in the module docstring.
+
+    Frames of 0 coefficients raise ValueError naming ``path`` before
+    anything is written: read_features refuses such a cache."""
     x = np.ascontiguousarray(features.frames, dtype="<f8")
+    if x.shape[1] == 0:
+        raise ValueError(f"{path}: cannot write a cache of 0 coefficients per frame")
     flags = _FLAG_CMS if features.meta.cms_applied else 0
     header = _HEADER.pack(
         CACHE_MAGIC,

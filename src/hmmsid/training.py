@@ -16,10 +16,12 @@ raises the error it raises on its own, naming the utterance.
 
 Both orders take one posterior path (_posteriors). The posterior of the
 last transition array (xi over ``trans``, eta over ``trans2``) is taken
-only at the transitions it allows, over chunks of frames, never as one
-(T-order, N, ..., N) tensor (_AllowedTransitions). Each frame's
-normalizer is the sum of its terms scattered into a row of zeros, and the
-frames are summed in frame order over a C-contiguous array, so its total
+only at the transitions it allows, never as one (T-order, N, ..., N)
+tensor (_AllowedTransitions). Each frame's normalizer is bitwise the sum
+of its whole slice: up to 128 entries, its terms scattered into a row of
+zeros and summed; beyond, numpy's pairwise additions of the row without
+those of all-zero parts, planned once per zero pattern (_RowSums). The
+frames are summed in frame order over a C-contiguous array, so the total
 is bitwise that of the whole tensor. A lost frame is named from the
 normalizers the posteriors keep.
 
@@ -45,6 +47,9 @@ Conventions applied here:
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -403,26 +408,104 @@ def _prepared(obs_set, kind):
 # Baum-Welch
 # ---------------------------------------------------------------------------
 
-_CHUNK_BYTES = 2**20
+class _RowSums:
+    """Sums of rows of ``n`` values that are zero except at the sorted
+    positions ``flat``, from the (F, K) C-contiguous values at those
+    positions; each is bitwise the np.sum of its whole row.
+
+    np.sum adds a contiguous row pairwise, the order models._pairwise_sum
+    follows, and adds the result to an initial 0.0. A row of up to 128
+    values is one pairwise block, and is summed that way, scattered into a
+    row of zeros. A longer row follows a plan of the same additions in the
+    same order, with every addition of an all-zero part left out: adding
+    a zero changes at most the sign of a zero sum, and the closing
+    addition of 0.0 makes every zero +0.0, as np.sum's initial 0.0 does.
+    The plan takes its additions a level (of depth in the tree) at a time
+    over all frames, on a (width, F) buffer: the values in the first K
+    rows, each partial sum in a row of its own after them.
+    """
+
+    def __init__(self, n, flat):
+        self.n, self.flat, self.levels = n, flat, None
+        if n <= 128 or not len(flat):
+            return
+        positions = flat.tolist()
+        k = len(positions)
+        leaf = dict(zip(positions, range(k)))
+        pairs = []   # the operands of the additions; addition i gives node k + i
+
+        def add(a, b):
+            if a is None or b is None:
+                return b if a is None else a
+            pairs.append((a, b))
+            return k + len(pairs) - 1
+
+        def run(total, span):
+            for p in span:
+                total = add(total, leaf.get(p))
+            return total
+
+        def block(lo, m):
+            """The node of numpy's pairwise sum of the m > 64 values from
+            position lo (None when all of them are zero)."""
+            i = bisect.bisect_left(positions, lo)
+            if i == k or positions[i] >= lo + m:
+                return None
+            if m > 128:
+                half = m // 2 - m // 2 % 8
+                return add(block(lo, half), block(lo + half, m - half))
+            end = lo + m - m % 8
+            r = [run(None, range(lo + j, end, 8)) for j in range(8)]
+            total = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+            return run(total, range(end, lo + m))
+
+        root = block(0, n)
+        depth = [0] * k
+        for a, b in pairs:
+            depth.append(1 + max(depth[a], depth[b]))
+        nodes = sorted(range(k, len(depth)), key=depth.__getitem__)
+        row = list(range(k)) + [0] * len(pairs)
+        for r, v in enumerate(nodes, k):
+            row[v] = r
+        self.levels, self.width, self.root = [], len(depth), row[root]
+        start = k
+        for _, level in itertools.groupby(nodes, depth.__getitem__):
+            operands = np.array([[row[v] for v in pairs[u - k]] for u in level]).T
+            self.levels.append((slice(start, start + operands.shape[1]), *operands))
+            start += operands.shape[1]
+
+    def __call__(self, terms):
+        if self.levels is None:
+            rows = np.zeros((len(terms), self.n))
+            rows[:, self.flat] = terms
+            return rows.sum(axis=1)
+        buf = np.empty((self.width, len(terms)))
+        buf[:len(self.flat)] = terms.T
+        for out, left, right in self.levels:
+            np.add(buf[left], buf[right], out=buf[out])
+        return buf[self.root] + 0.0
+
+
+@functools.lru_cache(maxsize=16)
+def _row_sums(n, flat_bytes):
+    """The _RowSums of one zero pattern (positions as np.intp bytes),
+    planned once."""
+    return _RowSums(n, np.frombuffer(flat_bytes, dtype=np.intp))
 
 
 class _AllowedTransitions:
     """The allowed (nonzero) entries of a model's last transition array A
-    (``trans``, or ``trans2`` for order 2), K of them, and buffers for the
-    transition posterior's terms over chunks of frames whose (F, A.size)
-    scatter rows take about _CHUNK_BYTES, for utterances of up to
-    ``t_max`` frames."""
+    (``trans``, or ``trans2`` for order 2), K of them, and the _RowSums
+    that sums rows of A.size values zero off them."""
 
-    def __init__(self, model, t_max):
+    def __init__(self, model):
         last = _transitions(model)[-1][1]
         n, self.order, self.shape = model.n_states, model.order, last.shape
-        self.frames = max(1, min(_CHUNK_BYTES // (8 * last.size), t_max - self.order))
         self.flat = np.flatnonzero(last)
         self.values = last.ravel()[self.flat]
         # per entry: the slice it leaves (of alpha), its last state, the slice it enters (of beta)
         self.source, self.last, self.target = self.flat // n, self.flat % n, self.flat % n**self.order
-        self.terms_buffer = np.empty((self.frames, len(self.flat)))
-        self.scatter = np.zeros((self.frames, last.size))   # zero at every other entry
+        self.row_sums = _row_sums(last.size, self.flat.tobytes())
 
     def terms(self, alpha, bsh, beta):
         """The terms alpha(i...) A(i..., k) b(k) beta(...k) of F frames at
@@ -432,42 +515,35 @@ class _AllowedTransitions:
 
         The terms are taken in the order the whole product takes them,
         (alpha * trans) * (b * beta) for order 1 and alpha * trans2 * b *
-        beta for order 2, into a C-contiguous (F, K) array. Each frame's
-        terms are scattered into its row of A.size zeros before they are
-        summed, so the sums are bitwise those of the whole product's rows."""
+        beta for order 2, into a C-contiguous (F, K) array (``take`` keeps
+        that order; a fancy-indexed gather comes out Fortran-ordered).
+        The sums are bitwise those of the whole product's rows
+        (_RowSums)."""
         f = len(bsh)
-        terms = self.terms_buffer[:f]
-        np.multiply(alpha.reshape(f, -1)[:, self.source], self.values, out=terms)
+        terms = np.take(alpha.reshape(f, -1), self.source, axis=1)
+        terms *= self.values
         entering = beta.reshape(f, -1)[:, self.target]
         if self.order == 1:
             entering *= bsh[:, self.last]
         else:
             terms *= bsh[:, self.last]
         terms *= entering
-        rows = self.scatter[:f]
-        rows[:, self.flat] = terms
-        return terms, rows.sum(axis=1)
+        return terms, self.row_sums(terms)
 
     def posterior_sum(self, alpha, beta, bsh, norms):
         """Sum over frames t = order..T-1 of the posterior of the transition
-        ending at t, taken chunk by chunk at the allowed entries. Each frame
-        is divided by its sum (bitwise the sum of its whole slice), which is
-        written to norms[t]. The sum of the chunks before is folded into
-        each chunk's first row; numpy sums axis 0 of a C-contiguous array
-        by adding its rows one by one in order, so the frames are added in
-        frame order, and each allowed entry is bitwise that of the sum of
-        the whole (T-order, N, ..., N) tensor. Every other entry is 0, as
-        it is there."""
-        acc = None
-        for lo in range(self.order - 1, len(bsh) - 1, self.frames):
-            hi = min(lo + self.frames, len(bsh) - 1)
-            xi, norms[lo + 1:hi + 1] = self.terms(alpha[lo:hi], bsh[lo + 1:hi + 1], beta[lo + 1:hi + 1])
-            xi /= norms[lo + 1:hi + 1, None]
-            if acc is not None:
-                xi[0] += acc
-            acc = xi.sum(axis=0)
-        total = np.zeros(self.scatter.shape[1])
-        total[self.flat] = acc
+        ending at t, taken at the allowed entries. Each frame is divided
+        by its sum (bitwise the sum of its whole slice), which is written
+        to norms[t]. numpy sums axis 0 of a C-contiguous array by adding
+        its rows one by one in order, so the frames are added in frame
+        order, and each allowed entry is bitwise that of the sum of the
+        whole (T-order, N, ..., N) tensor. Every other entry is 0, as it
+        is there."""
+        o, t_count = self.order, len(bsh)
+        xi, norms[o:t_count] = self.terms(alpha[o - 1:t_count - 1], bsh[o:], beta[o:t_count])
+        xi /= norms[o:t_count, None]
+        total = np.zeros(self.row_sums.n)
+        total[self.flat] = xi.sum(axis=0)
         return total.reshape(self.shape)
 
 
@@ -504,7 +580,7 @@ def _estep(model, obs_list):
     first_sum = np.zeros(model.n_states)
     stats = []
     t_max = max(len(x) for x, _ in obs_list)
-    allowed = _AllowedTransitions(model, t_max)
+    allowed = _AllowedTransitions(model)
     norms = np.ones((2, t_max))   # per frame, the posteriors' sums (see _posteriors)
     lanes = _lanes(model, *zip(*obs_list))
     total_ll = 0.0

@@ -540,9 +540,16 @@ class TestFeatureCaches:
             read_features(p)
         assert "truncated" not in str(info.value)
 
+    def test_zero_coefficient_frames_not_written(self, tmp_path):
+        p = tmp_path / "u1.lpcf"
+        with pytest.raises(ValueError) as info:
+            write_features(FeatureMatrix(np.zeros((4, 0))), p)
+        assert str(info.value) == f"{p}: cannot write a cache of 0 coefficients per frame"
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_coefficient_cache_rejected(self, tmp_path):
         p = tmp_path / "u1.lpcf"
-        write_features(FeatureMatrix(np.zeros((4, 0))), p)
+        p.write_bytes(struct.pack("<4sHHIIQ", b"LPCF", 1, 0, 4, 0, 0))   # T = 4, D = 0
         with pytest.raises(ValueError) as info:
             read_features(p)
         assert str(info.value) == f"{p}: cache holds 0 coefficients per frame"

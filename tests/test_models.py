@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,9 @@ from hmmsid.models import (
     DiscreteEmission,
     GmmEmission,
     Hmm1Model,
+    Hmm2Model,
     circular_topology,
+    custom_topology,
     load_model,
     ltr_topology,
     model_from_dict,
@@ -343,6 +345,50 @@ class TestSerialization:
                 np.testing.assert_array_equal(a.weights, b.weights)
                 np.testing.assert_array_equal(a.means, b.means)
                 np.testing.assert_array_equal(a.variances, b.variances)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(order=st.sampled_from([1, 2]), topology=st.sampled_from(["ltr", "circular", "custom"]),
+           emission=st.sampled_from(["gmm", "discrete"]), data=st.data())
+    def test_any_finite_model_round_trips_bitwise(self, tmp_path_factory, order, topology, emission, data):
+        """Every parameter any finite double (subnormals, -0.0 and the
+        largest included), over all 8 configurations and custom masks,
+        with a random JSON training header."""
+        n = data.draw(st.integers(3 if topology == "circular" else 1, 4))
+        if topology == "custom":
+            allowed = data.draw(hnp.arrays(bool, (n, n)))
+            allowed[np.arange(n), data.draw(hnp.arrays(int, n, elements=st.integers(0, n - 1)))] = True
+            mask = custom_topology(allowed)
+        else:
+            mask = circular_topology(n) if topology == "circular" else ltr_topology(n, data.draw(st.integers(1, 3)))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+
+        def array(*shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=finite))
+
+        if emission == "gmm":
+            m, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+            emissions = [GmmEmission(array(m), array(m, d), array(m, d)) for _ in range(n)]
+        else:
+            symbols = data.draw(st.integers(1, 5))
+            emissions = [DiscreteEmission(array(symbols)) for _ in range(n)]
+        if order == 1:
+            model = Hmm1Model(mask, array(n), array(n, n), emissions)
+        else:
+            model = Hmm2Model(mask, array(n), array(n, n), array(n, n, n), emissions)
+        training = data.draw(st.dictionaries(st.text(), st.one_of(
+            st.none(), st.booleans(), st.integers(), finite, st.text(), st.lists(finite))))
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path, training=training)
+        back, header = load_model(path)
+        assert repr(sorted(header["training"].items())) == repr(sorted(training.items()))   # -0.0 kept
+        assert type(back) is type(model)
+        assert (back.mask.kind, back.mask.skip_width) == (model.mask.kind, model.mask.skip_width)
+        assert np.array_equal(back.mask.allowed1, model.mask.allowed1)
+        names = ["initial", *(["trans"] if order == 1 else ["trans1", "trans2"])]
+        def arrays(m):
+            return [getattr(m, name) for name in names] + [getattr(e, f.name) for e in m.emissions for f in fields(e)]
+
+        assert [(a.shape, a.tobytes()) for a in arrays(back)] == [(a.shape, a.tobytes()) for a in arrays(model)]
 
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(20)

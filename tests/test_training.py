@@ -1,6 +1,5 @@
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -809,13 +808,14 @@ class TestStackedEmissionStatistics:
 def _posteriors(model, alpha, beta, bsh, counts):
     """training._posteriors on one utterance, with an _AllowedTransitions
     and a normalizer table of its own."""
-    allowed = training._AllowedTransitions(model, len(bsh))
+    allowed = training._AllowedTransitions(model)
     return training._posteriors(model, alpha, beta, bsh, counts, allowed, np.ones((2, len(bsh))))
 
 
 def _whole_posteriors1(model, alpha, beta, bsh, counts):
     """The first-order posteriors with the transition posterior xi built
-    as one dense (T-1, N, N) tensor: the reference for the chunked build."""
+    as one dense (T-1, N, N) tensor: the reference for the build at the
+    allowed entries."""
     gamma = alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
     if len(gamma) > 1:
@@ -828,7 +828,8 @@ def _whole_posteriors1(model, alpha, beta, bsh, counts):
 
 def _whole_posteriors2(model, alpha, beta, bsh, counts):
     """The second-order posteriors with the triple posterior eta built as
-    one dense (T-2, N, N, N) tensor: the reference for the chunked build."""
+    one dense (T-2, N, N, N) tensor: the reference for the build at the
+    allowed entries."""
     t_count = len(bsh)
     pair = alpha[1:] * beta[1:]
     pair /= pair.sum(axis=(1, 2), keepdims=True)
@@ -851,27 +852,54 @@ def _whole_posteriors2(model, alpha, beta, bsh, counts):
 _WHOLE_POSTERIORS = {1: _whole_posteriors1, 2: _whole_posteriors2}
 
 
-def _chunk_frames(order, n_states):
-    """Frames per chunk of the transition posterior at ``n_states``."""
-    return max(1, training._CHUNK_BYTES // (8 * n_states ** (order + 1)))
+class TestRowSums:
+    """_RowSums gives each row the bits np.sum gives the whole row: zeros
+    with the values at their positions."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(n=st.one_of(st.sampled_from([7, 8, 128, 129, 2304, 13824]), st.integers(1, 20_000)),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_sums_equal_the_dense_row_sums(self, n, seed, data):
+        """Random positions, scattered or in runs, with values of
+        either sign and magnitudes within 1, 20 or 600 decades of 1e-300
+        to 1e300 (sums that overflow to inf and inf - inf included), a few
+        of them 0.0 or -0.0, and at times a row of -0.0 only."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(min(n, 3000) + 1))
+        if data.draw(st.booleans()):
+            flat = np.sort(rng.choice(n, size=k, replace=False))
+        else:   # runs of up to 20 positions, one of them at the row's end
+            starts = np.append(rng.choice(n, size=k // 20, replace=False), n - 20)
+            flat = np.unique(np.clip(starts[:, None] + np.arange(20), 0, n - 1))
+        f = int(rng.integers(1, 13))
+        spread = rng.choice([1.0, 20.0, 600.0])   # in decades; narrow ones round at every addition
+        low = rng.uniform(-300.0, 300.0 - spread)
+        values = rng.choice([-1.0, 1.0], size=(f, len(flat))) * 10.0 ** rng.uniform(low, low + spread, (f, len(flat)))
+        values[rng.random(values.shape) < 0.03] = 0.0
+        values[rng.random(values.shape) < 0.03] = -0.0
+        if data.draw(st.booleans()):
+            values[0] = -0.0   # np.sum makes it +0.0
+        rows = np.zeros((f, n))
+        rows[:, flat] = values
+        got = training._RowSums(n, flat)(values)
+        assert got.tobytes() == rows.sum(axis=1).tobytes()
 
 
-class TestChunkedTransitionPosterior:
+class TestTransitionPosterior:
     """_posteriors builds the posterior of the last transition array (xi
-    for order 1, eta for order 2) over chunks of frames and sums them in
-    frame order; every total is bitwise that of the whole tensor."""
+    for order 1, eta for order 2) at its allowed entries only and sums the
+    frames in frame order; every total is bitwise that of the whole
+    tensor."""
 
-    # state counts at which long utterances span several chunks
+    # state counts at which the last transition array has more than 128
+    # entries, so that _RowSums plans each frame's normalizer
     N_STATES = {1: 48, 2: 24}
 
-    @classmethod
-    def _lengths(cls, order):
+    @staticmethod
+    def _lengths(order):
         """Utterances with no transition posterior (order 1), one frame of
-        it, one full chunk, one frame past it, two full chunks and one past
-        them, then long utterances spanning many chunks."""
-        chunk = _chunk_frames(order, cls.N_STATES[order])
-        return sorted({2 * order - 1, order + 1, order + 2, chunk + order, chunk + order + 1,
-                       2 * chunk + order, 2 * chunk + order + 1, 76, 77, 78, 152, 200, 251})
+        it and two, then lengths up to 260 frames."""
+        return sorted({2 * order - 1, order + 1, order + 2, order + 9, 76, 77, 78, 129, 152, 200, 251, 260})
 
     def _model(self, order, topology, seed):
         rng = np.random.default_rng([seed, order, len(topology)])
@@ -907,12 +935,12 @@ class TestChunkedTransitionPosterior:
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(order=st.sampled_from([1, 2]), pattern=st.sampled_from(["ltr", "circular", "custom", "dense"]),
-           n_states=st.integers(3, 7), chunk=st.integers(1, 12),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_any_zero_pattern_across_chunk_boundaries(self, order, pattern, n_states, chunk, seed, data):
+    def test_any_zero_pattern_and_length(self, order, pattern, seed, data):
         """Left-to-right, ring, random custom and fully dense zero patterns
-        of trans or trans2, with chunks of 1-12 frames and lengths up to
-        three chunks past the first."""
+        of trans (3-14 states) or trans2 (3-7 states), with up to 128
+        entries or more, at lengths up to 260 frames."""
+        n_states = data.draw(st.integers(3, 14 if order == 1 else 7))
         rng = np.random.default_rng(seed)
         model = make_random_model(rng, order, "custom" if pattern == "dense" else pattern, "gmm",
                                   n_states=n_states, n_mixtures=1)
@@ -921,17 +949,15 @@ class TestChunkedTransitionPosterior:
             last /= last.sum(axis=-1, keepdims=True)
             model = replace(model, mask=custom_topology(np.ones((n_states, n_states))),
                             **{_transitions(model)[-1][0]: last})
-        t_count = data.draw(st.integers(2 * order - 1, 3 * chunk + order + 2))
+        t_count = data.draw(st.integers(2 * order - 1, 260))
         lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
-        with mock.patch.object(training, "_CHUNK_BYTES", chunk * 8 * n_states ** (order + 1)):
-            self._compare(model, lat, bsh, t_count)
+        self._compare(model, lat, bsh, t_count)
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("topology", ["ltr", "circular"])
     def test_estep_equals_one_utterance_passes(self, order, topology):
         model, rng = self._model(order, topology, 502)
-        chunk = _chunk_frames(order, self.N_STATES[order])
-        lengths = [77, order + 1, 251, chunk + order, 152, 76, 2 * chunk + order + 1, 200, 78]
+        lengths = [77, order + 1, 251, 260, 152, 76, 129, 200, 78]
         kind = type(model.emissions[0])
         obs_list = training._prepare_obs([make_obs(rng, "gmm", n) for n in lengths], kind)
         total, counts, first_sum, stats = training._estep(model, obs_list)
