@@ -47,7 +47,6 @@ Conventions applied here:
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from dataclasses import dataclass, replace
@@ -429,9 +428,8 @@ class _RowSums:
         self.n, self.flat, self.levels = n, flat, None
         if n <= 128 or not len(flat):
             return
-        positions = flat.tolist()
-        k = len(positions)
-        leaf = dict(zip(positions, range(k)))
+        k = len(flat)
+        leaf = dict(zip(flat.tolist(), range(k)))
         pairs = []   # the operands of the additions; addition i gives node k + i
 
         def add(a, b):
@@ -448,9 +446,6 @@ class _RowSums:
         def block(lo, m):
             """The node of numpy's pairwise sum of the m > 64 values from
             position lo (None when all of them are zero)."""
-            i = bisect.bisect_left(positions, lo)
-            if i == k or positions[i] >= lo + m:
-                return None
             if m > 128:
                 half = m // 2 - m // 2 % 8
                 return add(block(lo, half), block(lo + half, m - half))
