@@ -20,10 +20,10 @@ and, for every configuration, 48-state (order 1) or 24-state (order 2)
 models on utterances of 150-250 frames (lattices, Viterbi paths and
 scores, score_models in both modes, and a 2-iteration baum_welch1/2),
 large enough that the E-step sums each frame's transition posterior by a
-planned pairwise sum; a model with a random custom mask joins the
-configuration's three, so that Viterbi scoring stacks differing zero
-patterns and the E-step and Viterbi visit allowed transitions that are
-neither left-to-right nor a ring;
+planned pairwise sum, over several chunks of frames; a model with a
+random custom mask joins the configuration's three, so that Viterbi
+scoring stacks differing zero patterns and the E-step and Viterbi visit
+allowed transitions that are neither left-to-right nor a ring;
 
 and 3-iteration baum_welch1/2 runs where one state and one mixture
 component (for symbol tables, one symbol) receive no posterior mass, so
@@ -242,17 +242,18 @@ def _lane_sets(rng, order, emission):
 
 # state counts of the long family: its last transition array has more than
 # 128 entries, so each frame's normalizer follows training._RowSums' plan,
-# over utterances of 150-250 frames
+# and its transition posterior spans several chunks of frames
+# (training._TERMS_BYTES) on 150-250 frames
 LONG_STATES = {1: 48, 2: 24}
 
 
 def _long(d, index, order, topology, emission):
     """Models of LONG_STATES[order] states on utterances of 150-250 frames,
     where the E-step sums each frame's transition posterior by a planned
-    pairwise sum (training._RowSums): lattices, Viterbi paths and scores,
-    score_models in both modes over 3 models of the topology and one with
-    a random custom mask, and 2-iteration baum_welch1/2 runs of the first
-    and the custom one."""
+    pairwise sum (training._RowSums), over several chunks of frames:
+    lattices, Viterbi paths and scores, score_models in both modes over 3
+    models of the topology and one with a random custom mask, and
+    2-iteration baum_welch1/2 runs of the first and the custom one."""
     n_states = LONG_STATES[order]
     rng = np.random.default_rng([index, n_states])
     fb = getattr(inference, f"forward_backward{order}")

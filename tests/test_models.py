@@ -385,6 +385,7 @@ class TestSerialization:
         assert (back.mask.kind, back.mask.skip_width) == (model.mask.kind, model.mask.skip_width)
         assert np.array_equal(back.mask.allowed1, model.mask.allowed1)
         names = ["initial", *(["trans"] if order == 1 else ["trans1", "trans2"])]
+
         def arrays(m):
             return [getattr(m, name) for name in names] + [getattr(e, f.name) for e in m.emissions for f in fields(e)]
 

@@ -805,10 +805,12 @@ class TestStackedEmissionStatistics:
         assert np.array_equal(updated[3].probs, probs[3])
 
 
-def _posteriors(model, alpha, beta, bsh, counts):
+def _posteriors(model, alpha, beta, bsh, counts, chunk=None):
     """training._posteriors on one utterance, with an _AllowedTransitions
-    and a normalizer table of its own."""
+    (taking ``chunk`` frames per chunk when given) and a normalizer table
+    of its own."""
     allowed = training._AllowedTransitions(model)
+    allowed.frames = chunk or allowed.frames
     return training._posteriors(model, alpha, beta, bsh, counts, allowed, np.ones((2, len(bsh))))
 
 
@@ -887,19 +889,23 @@ class TestRowSums:
 
 class TestTransitionPosterior:
     """_posteriors builds the posterior of the last transition array (xi
-    for order 1, eta for order 2) at its allowed entries only and sums the
-    frames in frame order; every total is bitwise that of the whole
-    tensor."""
+    for order 1, eta for order 2) at its allowed entries only, over chunks
+    of frames, and sums the frames in frame order; every total is bitwise
+    that of the whole tensor."""
 
     # state counts at which the last transition array has more than 128
-    # entries, so that _RowSums plans each frame's normalizer
+    # entries, so that _RowSums plans each frame's normalizer, and
+    # utterances of up to 260 frames span several chunks
     N_STATES = {1: 48, 2: 24}
 
     @staticmethod
-    def _lengths(order):
+    def _lengths(model):
         """Utterances with no transition posterior (order 1), one frame of
-        it and two, then lengths up to 260 frames."""
-        return sorted({2 * order - 1, order + 1, order + 2, order + 9, 76, 77, 78, 129, 152, 200, 251, 260})
+        it, one full chunk, one frame past it, two full chunks and one past
+        them, then lengths up to 260 frames."""
+        order, chunk = model.order, training._AllowedTransitions(model).frames
+        return sorted({2 * order - 1, order + 1, order + 2, chunk + order, chunk + order + 1,
+                       2 * chunk + order, 2 * chunk + order + 1, 77, 129, 152, 200, 251, 260})
 
     def _model(self, order, topology, seed):
         rng = np.random.default_rng([seed, order, len(topology)])
@@ -914,10 +920,10 @@ class TestTransitionPosterior:
         return lat, np.exp(logb - lat.emission_shifts[:, None])
 
     @staticmethod
-    def _compare(model, lat, bsh, what):
+    def _compare(model, lat, bsh, what, chunk=None):
         got = [np.zeros_like(a) for _, a, _ in _transitions(model)]
         want = [np.zeros_like(a) for _, a, _ in _transitions(model)]
-        gamma = _posteriors(model, lat.alpha, lat.beta, bsh, got)
+        gamma = _posteriors(model, lat.alpha, lat.beta, bsh, got, chunk)
         want_gamma = _WHOLE_POSTERIORS[model.order](model, lat.alpha, lat.beta, bsh, want)
         assert np.array_equal(gamma, want_gamma), what
         for g, w in zip(got, want):
@@ -928,18 +934,19 @@ class TestTransitionPosterior:
     @pytest.mark.parametrize("topology", ["ltr", "circular"])
     def test_posteriors_equal_the_whole_tensor(self, order, topology):
         model, rng = self._model(order, topology, 501)
-        for t_count in self._lengths(order):
+        for t_count in self._lengths(model):
             lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
             got = self._compare(model, lat, bsh, t_count)
             assert got[-1].any() == (t_count > order), t_count
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
     @given(order=st.sampled_from([1, 2]), pattern=st.sampled_from(["ltr", "circular", "custom", "dense"]),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_any_zero_pattern_and_length(self, order, pattern, seed, data):
+           chunk=st.integers(1, 100), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_any_zero_pattern_length_and_chunk(self, order, pattern, chunk, seed, data):
         """Left-to-right, ring, random custom and fully dense zero patterns
         of trans (3-14 states) or trans2 (3-7 states), with up to 128
-        entries or more, at lengths up to 260 frames."""
+        entries or more, at lengths up to 260 frames, in chunks of 1-100
+        frames."""
         n_states = data.draw(st.integers(3, 14 if order == 1 else 7))
         rng = np.random.default_rng(seed)
         model = make_random_model(rng, order, "custom" if pattern == "dense" else pattern, "gmm",
@@ -951,13 +958,14 @@ class TestTransitionPosterior:
                             **{_transitions(model)[-1][0]: last})
         t_count = data.draw(st.integers(2 * order - 1, 260))
         lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
-        self._compare(model, lat, bsh, t_count)
+        self._compare(model, lat, bsh, t_count, chunk)
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("topology", ["ltr", "circular"])
     def test_estep_equals_one_utterance_passes(self, order, topology):
         model, rng = self._model(order, topology, 502)
-        lengths = [77, order + 1, 251, 260, 152, 76, 129, 200, 78]
+        chunk = training._AllowedTransitions(model).frames
+        lengths = [77, order + 1, 251, 260, chunk + order, 152, 2 * chunk + order + 1, 200, 129]
         kind = type(model.emissions[0])
         obs_list = training._prepare_obs([make_obs(rng, "gmm", n) for n in lengths], kind)
         total, counts, first_sum, stats = training._estep(model, obs_list)
