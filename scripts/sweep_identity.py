@@ -32,10 +32,12 @@ that the update keeps their parameters, with 1- and 3-component mixtures;
 and, for order 2, models of 5, 6 and 7 states (two of the topology, one
 with a random custom mask) on utterances of 30-60 frames and, for GMM
 models, one far off whose backward pass is run again rescaled (lattices,
-score_models in both modes, 2-iteration baum_welch2 on all of them as
-lanes): a left-to-right or ring model's forward and backward steps visit
-only allowed transitions from 6 states on, so this family has models on
-both sides of that choice and at it;
+viterbi2 paths and scores, score_models in both modes, 2-iteration
+baum_welch2 on all of them as lanes): a left-to-right or ring model's
+forward and backward steps visit only allowed transitions from 6 states
+on, so this family has models on both sides of that choice and at it,
+and Viterbi's reachable pairs are a larger share of the N^2 at these
+sizes than at 24 states;
 
 and, for order-1 GMM models of 12, 17 and 130 dimensions with 1, 2 and 9
 mixture components, log_emission_matrix on utterances near and far from
@@ -293,10 +295,10 @@ def _boundary(d, index, order, topology, emission):
     """Order 2 only: at each of BOUNDARY_STATES, two models of the
     topology and one with a random custom mask on three utterances of
     30-60 frames and, for GMM models, one 40-100 times farther out, whose
-    backward pass the first model runs again rescaled: lattices,
-    score_models in both modes over the three, and 2-iteration
-    baum_welch2 runs of each on all the utterances as lanes of differing
-    lengths."""
+    backward pass the first model runs again rescaled: lattices, viterbi2
+    paths and scores, score_models in both modes over the three, and
+    2-iteration baum_welch2 runs of each on all the utterances as lanes
+    of differing lengths."""
     if order != 2:
         return
     for n_states in BOUNDARY_STATES:
@@ -315,6 +317,10 @@ def _boundary(d, index, order, topology, emission):
                 lat = d.call(inference.forward_backward2, model, obs)
                 if lat is not None:
                     _lattice(d, lat)
+                path = d.call(inference.viterbi2, model, obs)
+                if path is not None:
+                    d.value(path.states)
+                    d.value(path.log_prob)
             for mode in inference.SCORING_MODES:
                 d.value(d.call(inference.score_models, models, obs, mode))
         for model in models:

@@ -9,16 +9,16 @@ the first step and a contraction with ``trans2`` after it.
 
 Order 2's forward step with ``trans2`` sums, for each pair (j, k), only
 over the predecessors i that some model of the stack allows into j: a
-(K, N) table built once per _ModelStack (``into``, the table Viterbi
-reads too), with the transition values gathered at its entries. The
-backward step sums each pair (i, j) over the successors k of the twin
-table of the transposed ``trans2`` (``out_of``), as (trans2 * b) * beta,
-the dense contraction's association. The skipped terms are exact zeros
-and the kept ones are added in ascending order, so every slice has the
-dense contraction's bits. A step takes this path when its table is narrow,
-2K <= N: a left-to-right or ring model has K = 3, so from N = 6 on; a
-wider table costs more to gather than it saves (measured crossover N = 6;
-at N = 24 the gathered steps are 4-6 times faster). Every step returns a
+(K, N) table built once per _ModelStack (``into``), with the transition
+values gathered at its entries. The backward step sums each pair (i, j)
+over the successors k of the twin table of the transposed ``trans2``
+(``out_of``), as (trans2 * b) * beta, the dense contraction's
+association. The skipped terms are exact zeros and the kept ones are
+added in ascending order, so every slice has the dense contraction's
+bits. A step takes this path when its table is narrow, 2K <= N: a
+left-to-right or ring model has K = 3, so from N = 6 on; a wider table
+costs more to gather than it saves (measured crossover N = 6; at N = 24
+the gathered steps are 4-6 times faster). Every step returns a
 C-contiguous slice: the next frame's normalizer sums it in memory order,
 and a slice gathered by fancy indexing in another layout moves the last
 bit of trained models.
@@ -31,13 +31,18 @@ backward pass per iteration. The single-model, single-utterance functions
 are the one-model and one-lane cases of the same code. Viterbi scoring
 (score_models) runs the max-plus recursion without back-pointers, since
 it reads only the best score; viterbi1/viterbi2 keep them to decode the
-path. For both orders, the max-plus step with the last transition array
-(``trans``; ``trans2`` after order 2's first step) visits only the
-predecessors each state is allowed (by some model of the stack; the
-stack's ``into`` table at any width): every candidate is the same single
-addition as over all N predecessors and the maximum is exact, so scores
-and paths keep their bits, and the allowed predecessors are taken in
-ascending order, so ties still break toward the lowest index.
+path. Viterbi runs one recursion for both orders, over the P entries of
+the slice that can hold a finite best score (``entries``, built once per
+_ModelStack): the N states for order 1; for order 2 the pairs that
+``trans1`` allows or that an allowed triple enters, in some model of the
+stack (69 of 576 for a 24-state left-to-right model, 72 for a ring).
+Each step takes every entry's maximum over its allowed predecessors
+only, from a (K, P) table of their places with the log-transitions
+taken once. Every candidate is the same single addition as over all N
+predecessors, the maximum is exact and every pair left out is -inf at
+every frame, so scores, paths and failing frames keep their bits; the
+predecessors are in ascending order and the entries row-major, so ties
+still break toward the lowest index.
 
 Numerical regime
 ----------------
@@ -251,14 +256,12 @@ class _ModelStack:
 
     @cached_property
     def into(self):
-        """The _Table of the last transition array (``trans``; ``trans2``
-        for order 2) whose column j lists the states i allowed into j:
-        the one table _forward's and _viterbi's steps read, built on first
+        """Order 2's _Table of ``trans2`` whose column j lists the states i
+        allowed into j: the table _forward's step reads, built on first
         use."""
-        last = getattr(self, _TRANSITION_FIELDS[self.order][-1])
-        pred, middle = _predecessors(last), np.arange(self.n_states)
-        flat = np.ravel_multi_index((pred, middle)[:self.order], (self.n_states,) * self.order)
-        return _Table(pred, flat, np.ascontiguousarray(last[:, pred, middle]), 2 * len(pred) <= self.n_states)
+        pred, middle = _predecessors(self.trans2), np.arange(self.n_states)
+        flat = pred * self.n_states + middle
+        return _Table(pred, flat, np.ascontiguousarray(self.trans2[:, pred, middle]), 2 * len(pred) <= self.n_states)
 
     @cached_property
     def out_of(self):
@@ -269,6 +272,12 @@ class _ModelStack:
         succ, middle = _predecessors(self.trans2.transpose(0, 3, 2, 1)), np.arange(self.n_states)
         values = np.ascontiguousarray(self.trans2[:, :, middle, succ].transpose(0, 2, 1, 3))
         return _Table(succ, middle * self.n_states + succ, values, 2 * len(succ) <= self.n_states)
+
+    @cached_property
+    def entries(self):
+        """The _Entries _viterbi's recursion runs over, built on first
+        use."""
+        return _slice_entries(self)
 
 
 class _Table(NamedTuple):
@@ -284,6 +293,19 @@ class _Table(NamedTuple):
     flat: np.ndarray
     values: np.ndarray
     narrow: bool
+
+
+class _Entries(NamedTuple):
+    """The P entries of a stack's Viterbi slice (states for order 1, pairs
+    for order 2) that can hold a finite best score, in ascending flat
+    order, laid out for _viterbi's steps (see _slice_entries). ``steps``
+    holds, per kind of step (order 2: the step with ``trans1``, then the
+    steps with ``trans2``), the (K, P) places in the previous slice of each
+    entry's predecessors, in ascending source state, and the (S, K, P) log
+    transitions from them; ``last`` is the state each entry ends in."""
+
+    steps: tuple
+    last: np.ndarray
 
 
 def _stacked(arrays):
@@ -503,55 +525,86 @@ def _predecessors(last):
     return np.argsort(~allowed, axis=0, kind="stable")[:width]
 
 
-def _viterbi(stack, logb, errors, paths=True):
-    """Max-plus twin of _forward with back-pointers from each full slice to
-    the state it drops. Returns the (S, T) best paths and their (S,) joint
-    log-probabilities. A model whose slice is all -inf at frame t gets
-    ImpossibleObservationError(t) in ``errors``. Without ``paths`` it keeps
-    no back-pointers and returns None for the paths; the scores are the
-    same.
+def _slice_entries(stack):
+    """The _Entries of ``stack``: for order 1 all N states; for order 2 the
+    pairs (j, k) that ``trans1`` allows or that some allowed triple
+    (i, j, k) enters, in some model of the stack (an entry allows one when
+    it is not 0), or pair (0, 0) when there is none. Every other pair's
+    best score is -inf at every frame. An entry's predecessors under the
+    last transition array are the states i of its allowed transitions whose
+    own entry is one of these; K is the longest such list, and at least 1.
+    Shorter lists are padded with place 0 and log-transitions of -inf."""
+    N, order = stack.n_states, stack.order
+    last = getattr(stack, _TRANSITION_FIELDS[order][-1])
+    last = last.reshape(len(last), N, -1)   # [s, i, the flat entry i moves to]
+    allowed = (last != 0.0).any(axis=0)
+    if order == 1:
+        kept = np.ones(N, dtype=bool)
+    else:
+        kept = (stack.trans1 != 0.0).any(axis=0).ravel() | allowed.any(axis=0)
+    flat = np.flatnonzero(kept) if kept.any() else np.zeros(1, dtype=np.int64)
+    place = np.cumsum(kept) - 1   # of each kept flat entry among the P
+    # [i, p]: the flat entry a move from state i into entry p leaves (order 2: pair (i, j) of (j, k))
+    source = np.arange(N)[:, None] * N ** (order - 1) + flat // N
+    ok = allowed[:, flat] & kept[source]
+    states = np.argsort(~ok, axis=0, kind="stable")[:max(ok.sum(axis=0).max(), 1)]
+    ok = np.take_along_axis(ok, states, axis=0)
+    steps = ((np.where(ok, place[np.take_along_axis(source, states, axis=0)], 0),
+              np.where(ok, _log(last[:, states, flat]), -np.inf)),)
+    if order == 2:
+        first = _log(stack.trans1.reshape(len(last), -1)[:, None, flat])
+        steps = ((flat[None] // N, first),) + steps
+    return _Entries(steps, flat % N)
 
-    The step with the last transition array (every step for order 1, every
-    step after the first for order 2) takes the maximum only over each
-    state's allowed predecessors (the stack's ``into``). Every candidate is the
-    one addition the step over all N predecessors makes, and the maximum
-    is exact, so every score is bitwise that step's; the predecessors are
-    in ascending order, so ties still break toward the lowest index."""
+
+def _viterbi(stack, logb, errors, paths=True):
+    """Max-plus twin of _forward over the stack's _Entries, with a
+    back-pointer from each entry to its best predecessor's row in the
+    step's table. Returns
+    the (S, T) best paths and their (S,) joint log-probabilities. A model
+    whose best score is -inf at frame t gets ImpossibleObservationError(t)
+    in ``errors``. Without ``paths`` it keeps no back-pointers and returns
+    None for the paths; the scores are the same.
+
+    Frame 0's slice is the N states for both orders. Each later frame takes
+    every entry's best over its allowed predecessors (order 2's frame 1:
+    its one first-step source), then adds the log-density of the state the
+    entry ends in. Every candidate is the one addition the step over all
+    N predecessors (or all N^2 pairs) makes, the maximum is exact, and
+    every entry left out is -inf at every frame, so every score and
+    failing frame is bitwise that step's. Predecessors are in ascending
+    order and the entries in row-major order, so ties still break toward
+    the lowest index, at every step and at the final pair."""
     T, S, N = logb.shape
     order = stack.order
-    pred, sources, values, _ = stack.into
-    logtrans = [_log(getattr(stack, name)) for name in _TRANSITION_FIELDS[order][:-1]]
-    logtrans.append(_log(values))   # (S, K, j, ...)
-    pad = (None,) * (order - 1)   # a new axis where order 2's slices have one more
-    sources, middle = sources[(...,) + pad], np.arange(N)
-    frames = logb[(slice(None),) * 2 + pad]
+    steps, last = stack.entries
+    frames = logb.take(last, axis=2)
     peaks = np.empty((S, T))
     if paths:
-        ptr = np.empty((S, T) + (N,) * order, dtype=np.int64)
+        ptr = np.empty((S, T, len(last)), dtype=np.int64)   # the best predecessor's row of its step's table
     dp = _log(stack.initial) + logb[0]
     peaks[:, 0] = dp.max(axis=1)
     for t in range(1, T):
-        if t < order:
-            dp = dp[..., None] + logtrans[0]             # order 2's first pair table
-        else:
-            cand = dp.reshape(S, -1).take(sources, axis=1) + logtrans[-1]
-            if paths:
-                ptr[:, t] = np.argmax(cand, axis=1)
-            dp = cand.max(axis=1)
+        places, logv = steps[min(t, order) - 1]
+        cand = dp.take(places, axis=1)
+        cand += logv
+        if paths:
+            np.argmax(cand, 1, ptr[:, t])
+        dp = cand.max(axis=1)
         dp += frames[t]
-        peaks[:, t] = dp.reshape(S, -1).max(axis=1)
+        np.maximum.reduce(dp, 1, None, peaks[:, t])   # positional out=: this loop runs once per frame
     _fail_first(errors, np.isneginf(peaks))
-    flat = dp.reshape(S, -1)
-    best = np.argmax(flat, axis=1)
     rows = np.arange(S)
+    best = np.argmax(dp, axis=1)
     if not paths:
-        return None, flat[rows, best]
-    ptr[:, order:] = pred[ptr[:, order:], middle[(...,) + pad]]   # from the place in pred to the state
+        return None, dp[rows, best]
     states = np.empty((S, T), dtype=np.int64)
-    states[:, T - (dp.ndim - 1):] = np.stack(np.unravel_index(best, dp.shape[1:]), axis=1)
-    for t in range(T - 1, order - 1, -1):
-        states[:, t - order] = ptr[(rows, t) + tuple(states[:, t - order + 1:t + 1].T)]
-    return states, flat[rows, best]
+    place = best
+    for t in range(T - 1, 0, -1):
+        states[:, t] = last[place]
+        place = steps[min(t, order) - 1][0][ptr[rows, t, place], place]
+    states[:, 0] = place   # frame 0's slice is the states
+    return states, dp[rows, best]
 
 
 def _single_path(model, obs) -> StatePath:

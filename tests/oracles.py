@@ -221,8 +221,10 @@ class CompositeChain:
 
 def dense_viterbi(stack, logb, paths=True):
     """The max-plus recursion of a model stack (inference._ModelStack) over
-    all N predecessors of every state, allowed or not, as the library ran
-    it before its steps visited only allowed predecessors. Takes
+    the whole slice (all N states; for order 2 all N^2 pairs, reachable or
+    not) and all N predecessors of every entry, allowed or not, as the
+    library ran it before its steps visited only the reachable entries and
+    their allowed predecessors. Takes
     the (T, S, N) log densities; returns the (S, T) best paths (None
     without ``paths``), the (S,) scores and, per model, the first frame
     whose best score is -inf (None when there is none)."""

@@ -6,12 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import far_off_case, make_obs, make_random_model, random_trans1, random_trans2
 
 from hmmsid import inference
 from hmmsid.errors import ImpossibleObservationError
+from hmmsid.features import FeatureMatrix
 from hmmsid.inference import (
     _backward,
     _emission_terms,
@@ -37,6 +40,7 @@ from hmmsid.models import (
     custom_topology,
     ltr_topology,
 )
+from hmmsid.speaker_id import SpeakerRegistry
 
 CONFIGS2 = [("ltr", "discrete"), ("ltr", "gmm"), ("circular", "discrete"), ("circular", "gmm")]
 
@@ -198,6 +202,38 @@ class TestViterbi2:
             forward2(model, np.array([0, 1, 0]))
 
 
+@st.composite
+def _finite_models(draw):
+    """A random finite model of one of the 8 (order, topology, emission)
+    configurations or a custom mask, with 2-4 states, and an utterance of
+    1-5 frames."""
+    order = draw(st.sampled_from((1, 2)))
+    topology = draw(st.sampled_from(("ltr", "circular", "custom")))
+    emission = draw(st.sampled_from(("discrete", "gmm")))
+    n_states = draw(st.integers(3 if topology == "circular" else 2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = make_random_model(rng, order, topology, emission, n_states=n_states)
+    return model, make_obs(rng, emission, draw(st.integers(1, 5)))
+
+
+class TestRandomModelsAgainstEnumeration:
+    """Random finite models of every configuration keep passing the
+    enumeration oracles: forward1/2 against the log-sum-exp over every
+    state path, viterbi1/2 against the best of them."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_finite_models())
+    def test_forward_and_viterbi_match_enumeration(self, case):
+        model, obs = case
+        forward, viterbi = (forward1, viterbi1) if model.order == 1 else (forward2, viterbi2)
+        assert forward(model, obs).log_likelihood == pytest.approx(
+            oracles.enum_log_likelihood(model, obs), rel=1e-10)
+        want_path, want_score = oracles.enum_best_path(model, obs)
+        got = viterbi(model, obs)
+        assert got.log_prob == pytest.approx(want_score, rel=1e-10)
+        np.testing.assert_array_equal(got.states, want_path)
+
+
 class TestAllowedPredecessors:
     """The max-plus step with the last transition array (trans for order
     1, trans2 for order 2) visits only each state's allowed predecessors;
@@ -323,6 +359,101 @@ class TestAllowedPredecessors:
             obs = rng.integers(0, 4, size=15)
             self._check(models, obs, paths=False)
             self._check(models, obs, paths=True)
+
+    @staticmethod
+    def _pair_stack(rng, pair, trans1_allows):
+        """Three 4-state order-2 models with random transition arrays in
+        which pair (j, k) is allowed by ``trans1`` and entered by no
+        allowed triple or (``trans1_allows`` False) entered by triples
+        only, with trans1 0 there in every model. The models favour the
+        state path (j, k), or (j - 1, j, k): state j (j - 1) is the likely
+        first state, the pair (j - 1, j) and the triple (j - 1, j, k) the
+        likely moves, and each state s emits symbol s with probability
+        0.7."""
+        n = 4
+        j, k = pair
+        start = j if trans1_allows else j - 1
+        models = []
+        for _ in range(3):
+            trans1 = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.7)
+            trans2 = rng.dirichlet(np.ones(n), size=(n, n)) * (rng.random((n, n, n)) < 0.6)
+            if trans1_allows:
+                trans1[j, k] = 2.0
+                trans2[:, j, k] = 0.0
+            else:
+                trans1[j, k] = 0.0
+                trans1[start, j] = 2.0
+                trans2[start, j, k] = 2.0
+            for table in (trans1, trans2):
+                sums = table.sum(axis=-1, keepdims=True)
+                np.divide(table, sums, out=table, where=sums > 0)
+            initial = (rng.dirichlet(np.ones(n)) + np.eye(n)[start]) / 2
+            probs = np.full((n, n), 0.1) + 0.6 * np.eye(n)
+            models.append(Hmm2Model(custom_topology(trans1 > 0), initial, trans1, trans2,
+                                    tuple(DiscreteEmission(p) for p in probs)))
+        return models
+
+    @staticmethod
+    def _entry_flat(stack):
+        """The flat index in the pair matrix of each of an order-2 stack's
+        entries."""
+        steps, last = stack.entries
+        return steps[0][0][0] * stack.n_states + last
+
+    def _check_pair_stack(self, rng, models, prefix):
+        """Each model, and the stack, against the dense recursion on
+        utterances of 1, 2, 3 and 12 frames that start with ``prefix``;
+        returns the first model's path on ``prefix`` itself."""
+        for t_count in (1, 2, 3, 12):
+            obs = rng.integers(0, 4, size=t_count)
+            obs[:len(prefix)] = prefix[:t_count]
+            for paths in (False, True):
+                self._check(models, obs, paths)
+                for model in models:
+                    self._check([model], obs, paths)
+        return viterbi2(models[0], np.array(prefix)).states.tolist()
+
+    def test_pair_allowed_by_trans1_that_no_triple_enters(self):
+        """The pair is an entry, with only padding for predecessors: it
+        can hold the best score at frame 1 alone."""
+        rng = np.random.default_rng(234)
+        pair = (0, 3)
+        for _ in range(6):
+            models = self._pair_stack(rng, pair, trans1_allows=True)
+            stack = _ModelStack(models)
+            places, logv = stack.entries.steps[1]
+            at = np.flatnonzero(self._entry_flat(stack) == 4 * pair[0] + pair[1])
+            assert len(at) == 1 and np.isneginf(logv[:, :, at]).all()
+            assert self._check_pair_stack(rng, models, list(pair)) == list(pair)
+
+    def test_pair_entered_only_by_triples(self):
+        """The pair is an entry whose first step's log-transition is -inf
+        in every model: it holds finite scores from frame 2 on."""
+        rng = np.random.default_rng(235)
+        pair = (1, 2)
+        for _ in range(6):
+            models = self._pair_stack(rng, pair, trans1_allows=False)
+            assert all(model.trans1[pair] == 0.0 for model in models)
+            stack = _ModelStack(models)
+            at = np.flatnonzero(self._entry_flat(stack) == 4 * pair[0] + pair[1])
+            assert len(at) == 1 and np.isneginf(stack.entries.steps[0][1][:, :, at]).all()
+            assert self._check_pair_stack(rng, models, [0, 1, 2]) == [0, 1, 2]
+
+    def test_registry_key_builds_its_entries_once(self):
+        """A SpeakerRegistry key keeps its stacks, so repeated Viterbi
+        identification builds each stack's entries once; forward scoring
+        builds none."""
+        rng = np.random.default_rng(236)
+        reg = SpeakerRegistry()
+        for k in range(3):
+            reg.add_model(f"s{k}", "w", "ltr2", make_random_model(rng, 2, "ltr", "gmm", n_states=6))
+        trials = [FeatureMatrix(make_obs(rng, "gmm", n)) for n in (1, 20, 35)]
+        with mock.patch.object(inference, "_slice_entries", wraps=inference._slice_entries) as build:
+            reg.identify("w", "ltr2", trials[0])
+            assert build.call_count == 0
+            for obs in trials * 2:
+                reg.identify("w", "ltr2", obs, scoring="viterbi")
+            assert build.call_count == 1
 
 
 class TestAllowedTransitionSteps:
