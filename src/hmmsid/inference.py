@@ -560,11 +560,11 @@ def _slice_entries(stack):
 def _viterbi(stack, logb, errors, paths=True):
     """Max-plus twin of _forward over the stack's _Entries, with a
     back-pointer from each entry to its best predecessor's row in the
-    step's table. Returns
-    the (S, T) best paths and their (S,) joint log-probabilities. A model
-    whose best score is -inf at frame t gets ImpossibleObservationError(t)
-    in ``errors``. Without ``paths`` it keeps no back-pointers and returns
-    None for the paths; the scores are the same.
+    step's table. Returns the (S, T) best paths and their (S,) joint
+    log-probabilities. A model whose best score is -inf at frame t gets
+    ImpossibleObservationError(t) in ``errors``. Without ``paths`` it
+    keeps no back-pointers and returns None for the paths; the scores are
+    the same.
 
     Frame 0's slice is the N states for both orders. Each later frame takes
     every entry's best over its allowed predecessors (order 2's frame 1:
@@ -575,7 +575,7 @@ def _viterbi(stack, logb, errors, paths=True):
     failing frame is bitwise that step's. Predecessors are in ascending
     order and the entries in row-major order, so ties still break toward
     the lowest index, at every step and at the final pair."""
-    T, S, N = logb.shape
+    T, S, _ = logb.shape
     order = stack.order
     steps, last = stack.entries
     frames = logb.take(last, axis=2)

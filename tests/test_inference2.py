@@ -421,9 +421,8 @@ class TestAllowedPredecessors:
         for _ in range(6):
             models = self._pair_stack(rng, pair, trans1_allows=True)
             stack = _ModelStack(models)
-            places, logv = stack.entries.steps[1]
             at = np.flatnonzero(self._entry_flat(stack) == 4 * pair[0] + pair[1])
-            assert len(at) == 1 and np.isneginf(logv[:, :, at]).all()
+            assert len(at) == 1 and np.isneginf(stack.entries.steps[1][1][:, :, at]).all()
             assert self._check_pair_stack(rng, models, list(pair)) == list(pair)
 
     def test_pair_entered_only_by_triples(self):
