@@ -30,14 +30,14 @@ component (for symbol tables, one symbol) receive no posterior mass, so
 that the update keeps their parameters, with 1- and 3-component mixtures;
 
 and, for order 2, models of 5, 6 and 7 states (two of the topology, one
-with a random custom mask) on utterances of 30-60 frames and, for GMM
-models, one far off whose backward pass is run again rescaled (lattices,
-viterbi2 paths and scores, score_models in both modes, 2-iteration
-baum_welch2 on all of them as lanes): a left-to-right or ring model's
-forward and backward steps visit only allowed transitions from 6 states
-on, so this family has models on both sides of that choice and at it,
-and Viterbi's reachable pairs are a larger share of the N^2 at these
-sizes than at 24 states;
+with a random custom mask, and one with a random custom mask and a pair
+that only triples leave, which the backward pass gives nonzero values
+while the forward pass leaves it 0) on utterances of 30-60 frames and,
+for GMM models, one far off whose backward pass is run again rescaled
+(lattices, viterbi2 paths and scores, score_models in both modes,
+2-iteration baum_welch2 on all of them as lanes): the recursions run over
+the slice entries only, and at these sizes the entries are a larger
+share of the N^2 pairs than at 24 states;
 
 and, for order-1 GMM models of 12, 17 and 130 dimensions with 1, 2 and 9
 mixture components, log_emission_matrix on utterances near and far from
@@ -51,7 +51,7 @@ scaled far from the models, and malformed observations. Prints one line
 per configuration: a sha256 over everything, then one hash per input
 family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
 Baum-Welch and train, failing lane sets, long utterances, states and
-components without mass, the order-2 step boundary, and the emission
+components without mass, order 2 at 5-7 states, and the emission
 kernel's sums), so that a
 difference names the family that moved.
 
@@ -83,7 +83,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from conftest import ALL_CONFIGS, N_SYMBOLS, make_obs, make_random_model  # noqa: E402
+from conftest import ALL_CONFIGS, N_SYMBOLS, leaving_only_pair, make_obs, make_random_model  # noqa: E402
 from oracles import predictor_from_reflection, sample_ar_signal  # noqa: E402
 
 from hmmsid import features, inference, training  # noqa: E402
@@ -282,8 +282,9 @@ def _long(d, index, order, topology, emission):
             d.text(json.dumps(model_to_dict(report.model), sort_keys=True))
 
 
-# state counts of the boundary family: order 2's steps with trans2 visit only
-# allowed entries when 2K <= N, and left-to-right and ring tables have K = 3
+# state counts of the boundary family: order 2's slice entries are a larger
+# share of the N^2 pairs at these sizes than at 24 states (12 of 25 for a
+# 5-state left-to-right model)
 BOUNDARY_STATES = (5, 6, 7)
 # per (topology, state count), a seed whose GMM model and far-off utterance,
 # drawn as _boundary draws them, take the backward pass's rescaled rerun
@@ -293,12 +294,14 @@ FAR_OFF_SEEDS = {("ltr", 5): 80, ("ltr", 6): 101, ("ltr", 7): 81,
 
 def _boundary(d, index, order, topology, emission):
     """Order 2 only: at each of BOUNDARY_STATES, two models of the
-    topology and one with a random custom mask on three utterances of
-    30-60 frames and, for GMM models, one 40-100 times farther out, whose
-    backward pass the first model runs again rescaled: lattices, viterbi2
-    paths and scores, score_models in both modes over the three, and
-    2-iteration baum_welch2 runs of each on all the utterances as lanes
-    of differing lengths."""
+    topology, one with a random custom mask and one with a random custom
+    mask and a pair that only triples leave (conftest.leaving_only_pair:
+    an entry whose forward values are 0 and whose backward values are
+    not), on three utterances of 30-60 frames and, for GMM models, one
+    40-100 times farther out, whose backward pass the first model runs
+    again rescaled: lattices, viterbi2 paths and scores, score_models in
+    both modes over the four, and 2-iteration baum_welch2 runs of each on
+    all the utterances as lanes of differing lengths."""
     if order != 2:
         return
     for n_states in BOUNDARY_STATES:
@@ -312,6 +315,8 @@ def _boundary(d, index, order, topology, emission):
             models.append(make_random_model(rng, order, topology, emission, n_states=n_states))
         models.append(make_random_model(rng, order, "custom", emission, n_states=n_states))
         utterances += [make_obs(rng, emission, int(rng.integers(30, 61))) for _ in range(3)]
+        rng = np.random.default_rng([index, n_states, 8])
+        models.append(leaving_only_pair(make_random_model(rng, order, "custom", emission, n_states=n_states), rng)[0])
         for obs in utterances:
             for model in models:
                 lat = d.call(inference.forward_backward2, model, obs)

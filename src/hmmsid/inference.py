@@ -2,26 +2,32 @@
 
 One engine serves both orders. A second-order chain is a first-order chain
 over state pairs (see embed_pair_states), so each recursion runs once over
-a slice holding the last ``order`` states: an (N,) vector for order 1, an
-(N, N) pair matrix for order 2. Only the step that carries a slice one frame
-on depends on the order: ``prev @ trans``; or, for order 2, ``trans1`` at
-the first step and a contraction with ``trans2`` after it.
+a slice holding the last ``order`` states. It is laid out over the P
+entries of that slice that can ever hold a nonzero forward or backward
+value or a finite best score (``entries``, built once per _ModelStack):
+for order 1 the N states, whose (N,) vector is the slice itself; for
+order 2 the pairs that ``trans1`` allows, that an allowed triple enters,
+or that an allowed triple leaves, in some model of the stack (69 of 576
+for a 24-state left-to-right model, 72 for a ring: a left-to-right or
+ring model's entries are its ``allowed1`` pairs). A pair that only
+triples leave has forward values of 0 but backward values that are not.
+Every other pair is 0 in every forward and backward slice, but the last
+backward slice of a lane, and -inf in every Viterbi slice.
 
-Order 2's forward step with ``trans2`` sums, for each pair (j, k), only
-over the predecessors i that some model of the stack allows into j: a
-(K, N) table built once per _ModelStack (``into``), with the transition
-values gathered at its entries. The backward step sums each pair (i, j)
-over the successors k of the twin table of the transposed ``trans2``
-(``out_of``), as (trans2 * b) * beta, the dense contraction's
-association. The skipped terms are exact zeros and the kept ones are
-added in ascending order, so every slice has the dense contraction's
-bits. A step takes this path when its table is narrow, 2K <= N: a
-left-to-right or ring model has K = 3, so from N = 6 on; a wider table
-costs more to gather than it saves (measured crossover N = 6; at N = 24
-the gathered steps are 4-6 times faster). Every step returns a
-C-contiguous slice: the next frame's normalizer sums it in memory order,
-and a slice gathered by fancy indexing in another layout moves the last
-bit of trained models.
+Only the step that carries a slice one frame on depends on the order.
+Order 1's forward and backward steps are ``prev @ trans`` and its twin.
+Order 2's take each entry's terms over its allowed predecessors (the
+forward step: ``trans1`` at the first step, ``trans2`` after it) or
+successors (the backward step, as (trans2 * b) * beta, the dense
+contraction's association), from (K, P) tables of their places in the
+previous (next) slice with the transition values gathered there once per
+stack. The skipped terms are exact zeros and the kept ones are added in
+ascending order, so every entry has the bits of the contraction over all
+N^2 pairs. Each forward normalizer is the sum of the whole slice: the
+slice is scattered into a row of N^2 zeros kept for the pass, and that
+row is summed, so it has the bits of the sum over all pairs.
+forward2 and forward_backward2 scatter the (T, P) tables into (T, N, N)
+pair tables of zeros; the E-step reads them as they are.
 
 The forward and Viterbi recursions also run over a leading model axis, so
 score_models scores every candidate model of an utterance in one pass.
@@ -31,18 +37,13 @@ backward pass per iteration. The single-model, single-utterance functions
 are the one-model and one-lane cases of the same code. Viterbi scoring
 (score_models) runs the max-plus recursion without back-pointers, since
 it reads only the best score; viterbi1/viterbi2 keep them to decode the
-path. Viterbi runs one recursion for both orders, over the P entries of
-the slice that can hold a finite best score (``entries``, built once per
-_ModelStack): the N states for order 1; for order 2 the pairs that
-``trans1`` allows or that an allowed triple enters, in some model of the
-stack (69 of 576 for a 24-state left-to-right model, 72 for a ring).
-Each step takes every entry's maximum over its allowed predecessors
-only, from a (K, P) table of their places with the log-transitions
-taken once. Every candidate is the same single addition as over all N
-predecessors, the maximum is exact and every pair left out is -inf at
-every frame, so scores, paths and failing frames keep their bits; the
-predecessors are in ascending order and the entries row-major, so ties
-still break toward the lowest index.
+path. Each Viterbi step takes every entry's maximum over its allowed
+predecessors only, with the log-transitions taken once per stack. Every
+candidate is the same single addition as over all N predecessors, the
+maximum is exact and every pair left out is -inf at every frame, so
+scores, paths and failing frames keep their bits; the predecessors are
+in ascending order and the entries row-major, so ties still break toward
+the lowest index.
 
 Numerical regime
 ----------------
@@ -57,13 +58,14 @@ models and 1/N for circular models; reestimation ratios are invariant to
 that constant. Backward slice t is divided by forward slice t's
 normalizer (in the shifted domain). On a frame far from the model that
 normalizer can be so small (even subnormal) that the division overflows.
-A lane with an inf or NaN anywhere in its backward table is run again
-with each slice divided by its own maximum instead. The dense step carries
-an inf or NaN to every entry of every earlier slice; the step over allowed
-successors carries it only along allowed transitions, so the whole table
-is tested, not only the first slice. Either way the lanes run again are
-the same, and so are the bits of the others. Posteriors are per-frame
-ratios, so they do not depend on which divisor a slice had.
+A lane with an inf or NaN at any entry of its backward table is run
+again with each slice divided by its own maximum instead. The step over
+allowed successors carries an inf or NaN only along allowed transitions,
+so the whole table is tested; the first inf or NaN of a lane is at an
+entry (0 divided by a normalizer of 0 is NaN at every pair), so the lanes
+run again are those the steps over all pairs would run again, and the
+bits of the others are theirs too. Posteriors are per-frame ratios, so
+they do not depend on which divisor a slice had.
 
 Every pass fails an utterance with ImpossibleObservationError at the
 first frame whose forward normalizer is 0 (no state with incoming mass can
@@ -85,7 +87,7 @@ State indices are 0-based; frame indices are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -217,12 +219,12 @@ def _raise_first(errors, names):
 # _forward and _viterbi run S models of one shape at once (a _ModelStack;
 # S = 1 for a single model) over frame-major (T, S, N) emissions. Each
 # model's numbers are computed as the one-model recursion computes them,
-# so its results are bitwise those of running it alone:
-# each slice's normalizer is summed over that model's own contiguous slice,
-# log normalizers are summed along a contiguous T axis, and the order-1
-# step is a (S, 1, N) @ (S, N, N) matmul. A model that fails records its
-# error in ``errors``; the NaN (forward) or -inf (Viterbi) it carries from
-# then on stays in its own slices.
+# so its results are bitwise those of running it alone: each slice's
+# normalizer is summed over that model's own contiguous slice (order 2:
+# its own row of N^2 pairs), log normalizers are summed along a contiguous
+# T axis, and the order-1 step is a (S, 1, N) @ (S, N, N) matmul. A model
+# that fails records its error in ``errors``; the NaN (forward) or -inf
+# (Viterbi) it carries from then on stays in its own slices.
 #
 # _lanes runs one model's utterances the same way, as lanes in place of
 # models: one emission-kernel call on their concatenated frames, one
@@ -255,57 +257,38 @@ class _ModelStack:
         self.emission_parameters = tuple(map(_stacked, zip(*(m._emission_parameters for m in models))))
 
     @cached_property
-    def into(self):
-        """Order 2's _Table of ``trans2`` whose column j lists the states i
-        allowed into j: the table _forward's step reads, built on first
-        use."""
-        pred, middle = _predecessors(self.trans2), np.arange(self.n_states)
-        flat = pred * self.n_states + middle
-        return _Table(pred, flat, np.ascontiguousarray(self.trans2[:, pred, middle]), 2 * len(pred) <= self.n_states)
-
-    @cached_property
-    def out_of(self):
-        """Order 2's twin of ``into`` for _backward's step: the _Table of the
-        transposed ``trans2`` (column j lists the states k that some allowed
-        triple (i, j, k) moves to), its values trans2[s, i, j, k] at
-        [s, q, i, j]."""
-        succ, middle = _predecessors(self.trans2.transpose(0, 3, 2, 1)), np.arange(self.n_states)
-        values = np.ascontiguousarray(self.trans2[:, :, middle, succ].transpose(0, 2, 1, 3))
-        return _Table(succ, middle * self.n_states + succ, values, 2 * len(succ) <= self.n_states)
-
-    @cached_property
     def entries(self):
-        """The _Entries _viterbi's recursion runs over, built on first
+        """The _Entries the recursions over the stack run over (order 1's
+        forward and backward steps read only ``trans``), built on first
         use."""
         return _slice_entries(self)
 
-
-class _Table(NamedTuple):
-    """The allowed entries of a stack's transition array, laid out for a
-    step: the (K, N) table ``states`` of _predecessors, the flat index in
-    a slice of each entry's source (or target), the array's (S, K, N, ...)
-    values there, C-contiguous, and whether the order-2 forward or
-    backward step visits only these entries: when the table is ``narrow``,
-    2K <= N. A wider table costs more to gather than the one dense
-    contraction saves (measured crossover: N = 6 at K = 3)."""
-
-    states: np.ndarray
-    flat: np.ndarray
-    values: np.ndarray
-    narrow: bool
+    @property
+    def flat(self):
+        """The flat index in the slice of each entry of the stack's
+        tables: for order 1 the N states, without building the _Entries
+        that only Viterbi reads there."""
+        return np.arange(self.n_states) if self.order == 1 else self.entries.flat
 
 
 class _Entries(NamedTuple):
-    """The P entries of a stack's Viterbi slice (states for order 1, pairs
-    for order 2) that can hold a finite best score, in ascending flat
-    order, laid out for _viterbi's steps (see _slice_entries). ``steps``
-    holds, per kind of step (order 2: the step with ``trans1``, then the
-    steps with ``trans2``), the (K, P) places in the previous slice of each
-    entry's predecessors, in ascending source state, and the (S, K, P) log
-    transitions from them; ``last`` is the state each entry ends in."""
+    """The P entries of a stack's slice (states for order 1, pairs for
+    order 2) that can ever hold a nonzero forward or backward value or a
+    finite best score, in ascending flat order, laid out for the steps
+    (see _slice_entries): ``flat``, each entry's flat index in the slice,
+    and ``last``, the state it ends in. ``steps`` holds, per kind of
+    forward step (order 2: the step with ``trans1``, then the steps with
+    ``trans2``), the (K, P) places in the previous slice of each entry's
+    predecessors, in ascending source state, the (S, K, P) transition
+    values from them and their logs. ``back`` holds, for order 2's
+    backward step, the (K', P) places in the next slice of each entry's
+    successors, in ascending state, those states and the (S, K', P)
+    transition values into them; None for order 1."""
 
-    steps: tuple
+    flat: np.ndarray
     last: np.ndarray
+    steps: tuple
+    back: tuple | None
 
 
 def _stacked(arrays):
@@ -347,63 +330,71 @@ class StatePath:
 
 
 def _step(stack, t, prev):
-    """Carry the (S, R, N) slices at t-1 to frame t, before weighting by
-    frame t's emissions. R is 1 for order 1 and for order 2's first-frame
-    vectors, N for pair tables. Order 2's step with ``trans2`` sums over
-    each pair's allowed predecessors (``stack.into``) when that table is
-    narrow."""
+    """Carry the (S, P) slices at t-1 (order 2's frame 1: the (S, N)
+    first-frame vectors) to frame t, before weighting by frame t's
+    emissions. Order 1 is the (S, 1, N) @ (S, N, N) matmul. Order 2 sums
+    each entry's terms prev * trans over its allowed predecessors, in
+    ascending order: the contraction over all N predecessors adds the
+    same terms in that order, and exact zeros for the others."""
     if stack.order == 1:
-        return prev @ stack.trans
-    if t == 1:
-        return prev.transpose(0, 2, 1) * stack.trans1
-    table = stack.into
-    if not table.narrow:
-        return np.einsum("sij,sijk->sjk", prev, stack.trans2)
-    # take() of the flat slice gives a C-contiguous (S, K, N), and so a C-contiguous result
-    return np.einsum("sqj,sqjk->sjk", prev.reshape(len(prev), -1).take(table.flat, axis=1), table.values)
+        return (prev[:, None] @ stack.trans)[:, 0]
+    places, values, _ = stack.entries.steps[min(t, 2) - 1]
+    terms = prev.take(places, axis=1)
+    terms *= values
+    return np.add.reduce(terms, 1)
 
 
-def _back_step(stack, b, beta):
-    """Backward twin of _step: the (S, N...) slices at frame t from frame
-    t+1's (S, N) shifted emissions ``b`` and (S, N...) backward slices
-    ``beta``, before normalization. Order 2 sums over each pair's allowed
-    successors (``stack.out_of``) when that table is narrow, with the
-    association (trans2 * b) * beta of the dense contraction."""
+def _back_step(stack, weights, beta):
+    """Backward twin of _step: the (L, P) slices at frame t from frame
+    t+1's (L, P) backward slices ``beta``, before normalization. For
+    order 1 ``weights`` are frame t+1's (L, N) shifted emissions b and the
+    step is trans @ (b * beta). For order 2 they are the (L, K', P)
+    products trans2 * b at each entry's allowed successors (see
+    _backward), and each entry sums (trans2 * b) * beta over them in
+    ascending order, as the contraction over all N successors does."""
     if stack.order == 1:
-        return np.matmul(stack.trans, (b * beta)[..., None])[..., 0]
-    table = stack.out_of
-    if not table.narrow:
-        return np.einsum("sijk,sk,sjk->sij", stack.trans2, b, beta)
-    return np.einsum("sqij,sqj,sqj->sij", table.values, b.take(table.states, axis=1),
-                     beta.reshape(len(beta), -1).take(table.flat, axis=1))
+        return np.matmul(stack.trans, (weights * beta)[..., None])[..., 0]
+    terms = beta.take(stack.entries.back[0], axis=1)
+    terms *= weights
+    return np.add.reduce(terms, 1)
 
 
 def _forward(stack, bsh, shifts, errors, lengths=None):
     """Scaled forward pass of every model (or lane) of ``stack`` over the
     (T, S, N) shifted emissions ``bsh`` and their (T, S) ``shifts``.
 
-    Returns (alpha, log_norms): the (T, S, N...) tables and the (S, T)
-    slice log normalizers. A model whose slice sums to 0 at frame t gets
-    ImpossibleObservationError(t) in ``errors``; its later values are NaN.
-    With ``lengths``, lane k's frames from lengths[k] on are padding and
-    record no error.
+    Returns (alpha, log_norms): the (T, S, P) tables over the stack's
+    entries (order 2's slice 0 is 0: the first-frame vectors have no
+    place among the pairs) and the (S, T) slice log normalizers. Each
+    normalizer is the sum of the whole slice: order 2 scatters the slice
+    into a row of N^2 zeros kept for the pass and sums that row. A model
+    whose slice sums to 0 at frame t gets ImpossibleObservationError(t) in
+    ``errors``; its later values are NaN. With ``lengths``, lane k's
+    frames from lengths[k] on are padding and record no error.
     """
     T, S, N = bsh.shape
-    order = stack.order
-    alpha = np.zeros((T, S) + (N,) * order)
-    slices = alpha.reshape(T, S, -1, N)
-    norms = np.empty((T, S, 1, 1))
-    b = bsh[:, :, None, :]
-    a = stack.initial[:, None, :]
+    flat = stack.flat
+    pairs = stack.order == 2
+    if pairs:
+        b = bsh.take(stack.entries.last, axis=2)
+        row = np.zeros((S, N * N))
+        at = (np.arange(S)[:, None] * N * N + flat).ravel()   # of each entry in the flattened rows
+    else:
+        b = bsh
+    alpha = np.zeros((T, S, len(flat)))
+    norms = np.empty((T, S, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(T):
-            if t:
-                a = _step(stack, t, a)
-            u = a * b[t]
-            # positional out= arguments: this loop runs once per frame
-            s = np.add.reduce(u, (1, 2), None, norms[t], True)
-            # order 2's first-frame vectors have no slot in the pair tables
-            a = np.divide(u, s, slices[t]) if t or order == 1 else u / s
+        u = stack.initial * bsh[0]
+        # positional out= arguments: the loop below runs once per frame
+        s = np.add.reduce(u, 1, None, norms[0], True)
+        a = u / s if pairs else np.divide(u, s, alpha[0])
+        for t in range(1, T):
+            u = _step(stack, t, a)
+            u *= b[t]
+            if pairs:
+                row.put(at, u)
+            s = np.add.reduce(row if pairs else u, 1, None, norms[t], True)
+            a = np.divide(u, s, alpha[t])
         norms = norms.reshape(T, S).T.copy()
         log_norms = np.log(norms)
     log_norms += shifts.T
@@ -415,30 +406,34 @@ def _forward(stack, bsh, shifts, errors, lengths=None):
 
 
 def _backward(stack, bsh, lengths, terminal, norms=None):
-    """Scaled (T, L, N...) backward tables of L lanes of the one-model
-    ``stack`` on the time axis of their forward pass, from its (T, L, N)
-    shifted emissions ``bsh``. Lane k starts from the model's ``terminal``
-    value in every state at its last frame lengths[k]-1; its rows after
-    that are padding. Slice t is divided by the (T, L) ``norms`` at t or,
-    when ``norms`` is None, by its own maximum. For order 2, slice 0 is 0.
+    """Scaled (T, L, P) backward tables, over the stack's entries, of L
+    lanes of the one-model ``stack`` on the time axis of their forward
+    pass, from its (T, L, N) shifted emissions ``bsh``. Lane k starts from
+    the model's ``terminal`` value at every entry at its last frame
+    lengths[k]-1; its rows after that are padding. Slice t is divided by
+    the (T, L) ``norms`` at t or, when ``norms`` is None, by its own
+    maximum. For order 2, slice 0 is 0.
     """
-    T, L, N = bsh.shape
+    T, L = bsh.shape[:2]
     order = stack.order
-    axes = tuple(range(1, order + 1))
+    weights = bsh
+    if order == 2:   # trans2 * b at each entry's successors, every frame at once
+        _, states, values = stack.entries.back
+        weights = values * bsh.take(states, axis=2)
     if norms is not None:
-        norms = norms.reshape((T, L) + (1,) * order)
-    terminal = np.full((1,) * (order + 1), terminal)   # an array: the rescale divides by u.max
+        norms = norms[..., None]
+    terminal = np.full((1, 1), terminal)   # an array: the rescale divides by u.max
     ends = {}   # frame -> the lanes whose last frame it is
     for k, n in enumerate(lengths):
         ends.setdefault(n - 1, []).append(k)
-    beta = np.empty((T, L) + (N,) * order)
+    beta = np.empty((T, L, len(stack.flat)))
     u = terminal
     for t in range(T - 1, order - 2, -1):
         if t < T - 1:
-            u = _back_step(stack, bsh[t + 1], beta[t + 1])
+            u = _back_step(stack, weights[t + 1], beta[t + 1])
             if t in ends:
                 u[ends[t]] = terminal
-        np.divide(u, u.max(axes, keepdims=True) if norms is None else norms[t], beta[t])
+        np.divide(u, u.max(1, keepdims=True) if norms is None else norms[t], beta[t])
     if order == 2:
         beta[0] = 0.0
     return beta
@@ -450,10 +445,12 @@ def _lanes(model, xs, names, backward=True):
     Each utterance is non-empty and already converted by the emission kind's
     observation rule; ``names`` are their names for errors (None: unnamed).
 
-    Returns, per utterance, its lattice and its (T_k, N...) shifted
-    emissions, log emission densities and component log-densities (None
-    for symbol tables). When utterances fail, raises the error the first of
-    them raises on its own.
+    Returns the flat index in the slice of each entry of the model's
+    one-model stack (see _ModelStack.flat) and, per utterance, its lattice,
+    whose alpha and beta are the (T_k, P) tables over those entries, and
+    its (T_k, N) shifted emissions, log emission densities and component
+    log-densities (None for symbol tables). When utterances fail, raises
+    the error the first of them raises on its own.
     """
     kind = type(model.emissions[0])
     try:
@@ -483,7 +480,7 @@ def _lanes(model, xs, names, backward=True):
         with np.errstate(over="ignore", invalid="ignore"):
             beta = _backward(stack, bsh, lengths, terminal, norms)
             if not beta.max() < np.inf:   # an inf or NaN in some lane: see "Numerical regime"
-                lost = np.flatnonzero(~np.isfinite(beta.reshape(T, L, -1)).all(axis=(0, 2)))
+                lost = np.flatnonzero(~np.isfinite(beta).all(axis=(0, 2)))
                 beta[:, lost] = _backward(stack, bsh[:, lost], lengths[lost], terminal)
     lanes = []
     for k, (n, start) in enumerate(zip(lengths, starts)):
@@ -497,14 +494,35 @@ def _lanes(model, xs, names, backward=True):
         )
         rows = slice(start, start + n)
         lanes.append((lat, bsh[:n, k], logb[rows], None if comp is None else comp[rows]))
-    return lanes
+    return stack.flat, lanes
 
 
 def _forward_backward(model, obs, backward=True):
     """One model's forward lattice, with its backward table when
-    ``backward``: the one-lane case of _lanes."""
+    ``backward``: the one-lane case of _lanes. Order 2's tables are
+    scattered into (T, N, N) pair tables, zero off the entries, as the
+    steps over all pairs leave them, but in two backward slices: the last
+    holds the terminal value, divided as the others, at every pair; and a
+    slice that is NaN at every entry (a rescaled rerun whose slice
+    maximum underflowed to 0, and every slice before it) is NaN at every
+    pair."""
     x, name = _checked(type(model.emissions[0]), obs)
-    return _lanes(model, [x], [name], backward)[0][0]
+    flat, lanes = _lanes(model, [x], [name], backward)
+    lat = lanes[0][0]
+    if model.order == 1:
+        return lat
+    n = model.n_states
+    alpha = np.zeros((len(x), n * n))
+    alpha[:, flat] = lat.alpha
+    beta = None
+    if backward:
+        full = np.isnan(lat.beta).all(axis=1)
+        full[-1] = len(x) > 1
+        beta = np.zeros_like(alpha)
+        beta[:, flat] = lat.beta
+        beta[full] = lat.beta[full, :1]   # a NaN keeps its bits
+        beta = beta.reshape(-1, n, n)
+    return replace(lat, alpha=alpha.reshape(-1, n, n), beta=beta)
 
 
 def _log(p):
@@ -512,49 +530,85 @@ def _log(p):
         return np.where(p > 0.0, np.log(p), -np.inf)
 
 
-def _predecessors(last):
-    """(K, N) table whose column j lists, in ascending order, the states i
-    from which some model of the (S, N, ..., N) last transition array
-    allows a transition into j (order 2: a triple (i, j, k)); an entry
-    allows one when it is not 0. K is the longest such list, and at least
-    1. Shorter columns are padded with states from which no model allows
-    one, whose transitions are all 0 (log-transitions -inf)."""
-    allowed = (last != 0.0).any(axis=0)
-    allowed = allowed.reshape(allowed.shape[:2] + (-1,)).any(axis=2)
-    width = max(allowed.sum(axis=0).max(), 1)
-    return np.argsort(~allowed, axis=0, kind="stable")[:width]
+def _allowed_first(ok):
+    """The (K, C) table whose column c lists, in ascending order, the rows
+    at which column c of the (R, C) boolean ``ok`` is True, padded after
+    them with rows at which it is not, and ``ok`` at those places. K is
+    the longest list, and at least 1."""
+    rows = np.argsort(~ok, axis=0, kind="stable")[:max(ok.sum(axis=0).max(), 1)]
+    return rows, np.take_along_axis(ok, rows, axis=0)
 
 
 def _slice_entries(stack):
     """The _Entries of ``stack``: for order 1 all N states; for order 2 the
-    pairs (j, k) that ``trans1`` allows or that some allowed triple
-    (i, j, k) enters, in some model of the stack (an entry allows one when
-    it is not 0), or pair (0, 0) when there is none. Every other pair's
-    best score is -inf at every frame. An entry's predecessors under the
-    last transition array are the states i of its allowed transitions whose
-    own entry is one of these; K is the longest such list, and at least 1.
-    Shorter lists are padded with place 0 and log-transitions of -inf."""
+    pairs (j, k) that ``trans1`` allows, that some allowed triple (i, j, k)
+    enters or that some allowed triple (j, k, l) leaves, in some model of
+    the stack (an entry allows one when it is not 0), or pair (0, 0) when
+    there is none. A left-to-right or ring model's entries are its
+    ``allowed1`` pairs. Every other pair's forward and backward values are
+    0 at every frame but a lane's last backward slice, which holds the
+    terminal value at every pair, and its best score is -inf. An entry's
+    predecessors (successors) are the states of the allowed transitions
+    into (out of) it, whose own entries are among these; K is the longest
+    such list, and at least 1. Shorter lists are padded with place 0 and
+    transition values 0 (log-transitions -inf)."""
     N, order = stack.n_states, stack.order
     last = getattr(stack, _TRANSITION_FIELDS[order][-1])
-    last = last.reshape(len(last), N, -1)   # [s, i, the flat entry i moves to]
-    allowed = (last != 0.0).any(axis=0)
+    S = len(last)
+    allowed = (last != 0.0).any(axis=0).reshape(N, -1)   # [i, the flat entry i moves to]
     if order == 1:
         kept = np.ones(N, dtype=bool)
     else:
-        kept = (stack.trans1 != 0.0).any(axis=0).ravel() | allowed.any(axis=0)
+        leaving = allowed.reshape(N * N, N)   # [the pair a triple leaves, the state it moves to]
+        kept = (stack.trans1 != 0.0).any(axis=0).ravel() | allowed.any(axis=0) | leaving.any(axis=1)
     flat = np.flatnonzero(kept) if kept.any() else np.zeros(1, dtype=np.int64)
     place = np.cumsum(kept) - 1   # of each kept flat entry among the P
     # [i, p]: the flat entry a move from state i into entry p leaves (order 2: pair (i, j) of (j, k))
     source = np.arange(N)[:, None] * N ** (order - 1) + flat // N
-    ok = allowed[:, flat] & kept[source]
-    states = np.argsort(~ok, axis=0, kind="stable")[:max(ok.sum(axis=0).max(), 1)]
-    ok = np.take_along_axis(ok, states, axis=0)
-    steps = ((np.where(ok, place[np.take_along_axis(source, states, axis=0)], 0),
-              np.where(ok, _log(last[:, states, flat]), -np.inf)),)
+    states, ok = _allowed_first(allowed[:, flat])
+    values = np.where(ok, last.reshape(S, N, -1)[:, states, flat], 0.0)
+    steps = ((np.where(ok, place[np.take_along_axis(source, states, axis=0)], 0), values, _log(values)),)
+    back = None
     if order == 2:
-        first = _log(stack.trans1.reshape(len(last), -1)[:, None, flat])
-        steps = ((flat[None] // N, first),) + steps
-    return _Entries(steps, flat % N)
+        first = stack.trans1.reshape(S, 1, -1)[:, :, flat]
+        steps = ((flat[None] // N, first, _log(first)),) + steps
+        states, ok = _allowed_first(leaving[flat].T)
+        values = np.where(ok, last.reshape(S, N * N, N)[:, flat, states], 0.0)
+        back = (np.where(ok, place[flat % N * N + states], 0), states, values)
+    return _Entries(flat, flat % N, steps, back)
+
+
+def _first_max(cand, best, out):
+    """Write to the (S, P) ``out`` the first index along axis 1 of the
+    (S, K, P) ``cand`` at which it equals ``best``, its maximum over that
+    axis: np.argmax's index, found by comparing the K rows with the
+    maximum in ascending order."""
+    missed = cand[:, 0] != best
+    out[...] = missed
+    for q in range(1, cand.shape[1] - 1):
+        missed &= cand[:, q] != best
+        out += missed
+
+
+def _max_plus(order, steps, dp, frames, ptr=None, peaks=None):
+    """The max-plus recursion from frame 0's (S, N) scores ``dp`` over the
+    (T, S, P) log-densities ``frames`` at each entry's last state, with
+    ``steps`` (places, log-transitions) per kind of step. Writes each
+    frame's back-pointers to the (T, S, P) ``ptr`` and each slice's
+    maximum to the (S, T) ``peaks`` when given; returns the last slice."""
+    if peaks is not None:
+        peaks[:, 0] = dp.max(axis=1)
+    for t in range(1, len(frames)):
+        places, logv = steps[min(t, order) - 1]
+        cand = dp.take(places, axis=1)
+        cand += logv
+        dp = cand.max(axis=1)
+        if ptr is not None:
+            _first_max(cand, dp, ptr[t])
+        dp += frames[t]
+        if peaks is not None:
+            peaks[:, t] = dp.max(axis=1)
+    return dp
 
 
 def _viterbi(stack, logb, errors, paths=True):
@@ -574,37 +628,39 @@ def _viterbi(stack, logb, errors, paths=True):
     every entry left out is -inf at every frame, so every score and
     failing frame is bitwise that step's. Predecessors are in ascending
     order and the entries in row-major order, so ties still break toward
-    the lowest index, at every step and at the final pair."""
+    the lowest index, at every step and at the final pair.
+
+    A slice that is all -inf stays so, so a model whose final score is
+    finite never had one: the recursion runs again, keeping each slice's
+    maximum, only for the models whose score is -inf, to find their first
+    such frame."""
     T, S, _ = logb.shape
     order = stack.order
-    steps, last = stack.entries
-    frames = logb.take(last, axis=2)
-    peaks = np.empty((S, T))
-    if paths:
-        ptr = np.empty((S, T, len(last)), dtype=np.int64)   # the best predecessor's row of its step's table
-    dp = _log(stack.initial) + logb[0]
-    peaks[:, 0] = dp.max(axis=1)
-    for t in range(1, T):
-        places, logv = steps[min(t, order) - 1]
-        cand = dp.take(places, axis=1)
-        cand += logv
-        if paths:
-            np.argmax(cand, 1, ptr[:, t])
-        dp = cand.max(axis=1)
-        dp += frames[t]
-        np.maximum.reduce(dp, 1, None, peaks[:, t])   # positional out=: this loop runs once per frame
-    _fail_first(errors, np.isneginf(peaks))
+    entries = stack.entries
+    frames = logb.take(entries.last, axis=2)
+    start = _log(stack.initial) + logb[0]
+    ptr = np.empty((T, S, len(entries.last)), dtype=np.int64) if paths else None
+    dp = _max_plus(order, [(places, logs) for places, _, logs in entries.steps], start, frames, ptr)
     rows = np.arange(S)
     best = np.argmax(dp, axis=1)
+    scores = dp[rows, best]
+    dead = np.flatnonzero(np.isneginf(scores))
+    if dead.size:
+        peaks = np.empty((len(dead), T))
+        _max_plus(order, [(places, logs[dead]) for places, _, logs in entries.steps],
+                  start[dead], frames[:, dead], peaks=peaks)
+        hits = np.zeros((S, T), dtype=bool)
+        hits[dead] = np.isneginf(peaks)
+        _fail_first(errors, hits)
     if not paths:
-        return None, dp[rows, best]
+        return None, scores
     states = np.empty((S, T), dtype=np.int64)
     place = best
     for t in range(T - 1, 0, -1):
-        states[:, t] = last[place]
-        place = steps[min(t, order) - 1][0][ptr[rows, t, place], place]
+        states[:, t] = entries.last[place]
+        place = entries.steps[min(t, order) - 1][0][ptr[t, rows, place], place]
     states[:, 0] = place   # frame 0's slice is the states
-    return states, dp[rows, best]
+    return states, scores
 
 
 def _single_path(model, obs) -> StatePath:

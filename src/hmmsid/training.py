@@ -8,22 +8,30 @@ contributes an exact zero to every accumulator and stays zero forever.
 
 Each E-step runs the model's utterances as the lanes of one stacked pass
 (inference._lanes): one emission-kernel call on their concatenated
-frames, one forward pass and one backward pass on one time axis.
-Posteriors and the emission kind's statistics (all states at once) are
-added in utterance order, so every total is bitwise what running the
-utterances one at a time gives. When utterances fail, the first of them
-raises the error it raises on its own, naming the utterance.
+frames, one forward pass and one backward pass on one time axis. For
+order 2 the passes keep only the slice entries, the pairs that can ever
+hold a nonzero value (69 of 576 for a 24-state left-to-right model), and
+the E-step reads those compact (T, P) tables as they are. Posteriors and
+the emission kind's statistics (all states at once) are added in
+utterance order, so every total is bitwise what running the utterances
+one at a time on the whole (T, N, N) tables gives. When utterances fail,
+the first of them raises the error it raises on its own, naming the
+utterance.
 
 Both orders take one posterior path (_posteriors). The posterior of the
 last transition array (xi over ``trans``, eta over ``trans2``) is taken
 only at the transitions it allows, over chunks of frames, never as one
-(T-order, N, ..., N) tensor (_AllowedTransitions). Each frame's
-normalizer is bitwise the sum of its whole slice: up to 128 entries, its
-terms scattered into a row of zeros and summed; beyond, numpy's pairwise
+(T-order, N, ..., N) tensor (_AllowedTransitions). Order 2's pair
+posterior is taken at the slice entries only: each state's posterior
+adds, in ascending order, the pairs that end in it, from a (K', N) table
+of their places, as the sum over a whole (N, N) slice's first axis does.
+Each frame's normalizer, of the pair or the transition posterior, is
+bitwise the sum of its whole slice: up to 128 entries, its terms
+scattered into a row of zeros and summed; beyond, numpy's pairwise
 additions of the row without those of all-zero parts, planned once per
 zero pattern (_RowSums). The frames are summed in frame order over a
-C-contiguous array, so the total is bitwise that of the whole tensor. A lost frame is named from the
-normalizers the posteriors keep.
+C-contiguous array, so the total is bitwise that of the whole tensor. A
+lost frame is named from the normalizers the posteriors keep.
 
 Conventions applied here:
 
@@ -54,7 +62,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UtteranceTooShortError, _named, _where
-from .inference import _lanes, _utterance
+from .inference import _allowed_first, _lanes, _utterance
 from .models import (
     _EMISSION_KINDS,
     GmmEmission,
@@ -501,23 +509,35 @@ class _AllowedTransitions:
     (``trans``, or ``trans2`` for order 2), K of them, the _RowSums that
     sums rows of A.size values zero off them, and the frames per chunk of
     the transition posterior, whose _RowSums buffer takes about
-    _TERMS_BYTES."""
+    _TERMS_BYTES; and the layout of the state (order 2: pair) posterior
+    over the slice entries of the lane pass's compact tables, whose flat
+    indices in the slice are ``flat`` (see inference._lanes)."""
 
-    def __init__(self, model):
+    def __init__(self, model, flat):
         last = _transitions(model)[-1][1]
         n, self.order, self.shape = model.n_states, model.order, last.shape
         self.flat = np.flatnonzero(last)
         self.values = last.ravel()[self.flat]
-        # per entry: the slice it leaves (of alpha), its last state, the slice it enters (of beta)
-        self.source, self.last, self.target = self.flat // n, self.flat % n, self.flat % n**self.order
+        place = np.zeros(n**self.order, dtype=np.intp)   # of each slice entry in the compact tables
+        place[flat] = np.arange(len(flat))
+        # per entry: the slice entry it leaves (of alpha), its last state, the one it enters (of beta)
+        self.source, self.last = place[self.flat // n], self.flat % n
+        self.target = place[self.flat % n**self.order]
         self.row_sums = _row_sums(last.size, self.flat.tobytes())
         self.frames = max(1, _TERMS_BYTES // (8 * self.row_sums.width))
+        if self.order == 2:
+            self.pairs = flat
+            self.pair_sums = _row_sums(n * n, flat.tobytes())
+            # (K', N): the places of the entries (j, k) that end in state k, in ascending j,
+            # padded with place P, a column of zeros after the pair posterior's P
+            places, ok = _allowed_first(flat[:, None] % n == np.arange(n))
+            self.entering = np.where(ok, places, len(flat))
 
     def terms(self, alpha, bsh, beta):
         """The terms alpha(i...) A(i..., k) b(k) beta(...k) of F frames at
-        the allowed entries, from the (F, N...) ``alpha`` at frames t-1 and
-        the (F, N) shifted emissions ``bsh`` and (F, N...) ``beta`` at
-        frames t, and their per-frame sums.
+        the allowed entries, from the (F, P) compact ``alpha`` at frames
+        t-1 and the (F, N) shifted emissions ``bsh`` and (F, P) compact
+        ``beta`` at frames t, and their per-frame sums.
 
         The terms are taken in the order the whole product takes them,
         (alpha * trans) * (b * beta) for order 1 and alpha * trans2 * b *
@@ -525,10 +545,9 @@ class _AllowedTransitions:
         that order; a fancy-indexed gather comes out Fortran-ordered).
         The sums are bitwise those of the whole product's rows
         (_RowSums)."""
-        f = len(bsh)
-        terms = np.take(alpha.reshape(f, -1), self.source, axis=1)
+        terms = np.take(alpha, self.source, axis=1)
         terms *= self.values
-        entering = beta.reshape(f, -1)[:, self.target]
+        entering = beta[:, self.target]
         if self.order == 1:
             entering *= bsh[:, self.last]
         else:
@@ -560,24 +579,37 @@ class _AllowedTransitions:
 
 
 def _posteriors(model, alpha, beta, bsh, counts, allowed, norms):
-    """State posteriors gamma (T, N) of one utterance. Adds the summed
-    posterior of the last transition array (via the _AllowedTransitions
-    ``allowed``) to counts[-1] and, for order 2, the first pair posterior
-    to counts[0]. The sum by which frame t's state (order 2: pair)
-    posterior is normalized goes to norms[0, t]; that of the transition
-    posterior ending at t to norms[1, t]."""
+    """State posteriors gamma (T, N) of one utterance from its compact
+    lane tables (see inference._lanes). Adds the summed posterior of the
+    last transition array (via the _AllowedTransitions ``allowed``) to
+    counts[-1] and, for order 2, the first pair posterior to counts[0].
+    The sum by which frame t's state (order 2: pair) posterior is
+    normalized goes to norms[0, t]; that of the transition posterior
+    ending at t to norms[1, t].
+
+    Order 2 takes the pair posterior at the entries only. Its per-frame
+    sums are bitwise those of the whole N^2 slices (_RowSums), and each
+    state's posterior adds the pairs that end in it in ascending order,
+    as the sum over the first axis of the (N, N) slice does; the first
+    frame's (N, N) slice is scattered whole."""
     order, t_count = model.order, len(bsh)
-    post = alpha[order - 1:] * beta[order - 1:]
-    sums = post.sum(axis=tuple(range(1, order + 1)), keepdims=True)
-    norms[0, order - 1:t_count] = sums.ravel()
-    post /= sums
     if order == 1:
-        gamma = post
+        gamma = alpha * beta
+        norms[0, :t_count] = sums = gamma.sum(axis=1)
+        gamma /= sums[:, None]
     else:
-        gamma = np.empty((t_count, model.n_states))
-        gamma[0] = post[0].sum(axis=1)
-        gamma[1:] = post.sum(axis=1)
-        counts[0] += post[0]
+        n, p = model.n_states, len(allowed.pairs)
+        post = np.zeros((t_count - 1, p + 1))   # its last column: the padding of allowed.entering
+        pairs = np.multiply(alpha[1:], beta[1:], out=post[:, :p])
+        norms[0, 1:t_count] = sums = allowed.pair_sums(pairs)
+        pairs /= sums[:, None]
+        first = np.zeros(n * n)
+        first[allowed.pairs] = pairs[0]
+        first = first.reshape(n, n)
+        gamma = np.empty((t_count, n))
+        gamma[0] = first.sum(axis=1)
+        gamma[1:] = post.take(allowed.entering, axis=1).sum(axis=1)
+        counts[0] += first
     if t_count > order:
         counts[-1] += allowed.posterior_sum(alpha, beta, bsh, norms[1])
     return gamma
@@ -592,9 +624,9 @@ def _estep(model, obs_list):
     first_sum = np.zeros(model.n_states)
     stats = []
     t_max = max(len(x) for x, _ in obs_list)
-    allowed = _AllowedTransitions(model)
     norms = np.ones((2, t_max))   # per frame, the posteriors' sums (see _posteriors)
-    lanes = _lanes(model, *zip(*obs_list))
+    flat, lanes = _lanes(model, *zip(*obs_list))
+    allowed = _AllowedTransitions(model, flat)
     total_ll = 0.0
     for (x, name), (lat, bsh, logb, comp) in zip(obs_list, lanes):
         total_ll += lat.log_likelihood

@@ -7,6 +7,7 @@ nothing here keeps global state.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,27 @@ def make_random_model(rng, order: int, topology: str, emission: str,
         trans2=random_trans2(rng, mask),
         emissions=emissions,
     )
+
+
+def leaving_only_pair(model, rng):
+    """The order-2 ``model`` with one pair (i, j), i != j, drawn among
+    those that triples leave, made one that only triples leave: trans1 is
+    0 there and no triple enters it, while its own row of trans2 is kept,
+    so its forward values are 0 at every frame and its backward values
+    are not. Returns the model and the pair's flat index i*N + j, or
+    ``model`` and None when no pair qualifies."""
+    n = model.n_states
+    pairs = np.argwhere(model.trans2.any(axis=2) & ~np.eye(n, dtype=bool))
+    if not len(pairs):
+        return model, None
+    i, j = pairs[rng.integers(len(pairs))]
+    trans1, trans2 = model.trans1.copy(), model.trans2.copy()
+    trans1[i, j] = 0.0
+    trans2[:, i, j] = 0.0
+    for table in (trans1, trans2):
+        sums = table.sum(axis=-1, keepdims=True)
+        np.divide(table, sums, out=table, where=sums > 0)
+    return replace(model, trans1=trans1, trans2=trans2), int(i * n + j)
 
 
 def make_obs(rng, emission: str, t_count: int, n_dims: int = 2) -> np.ndarray:

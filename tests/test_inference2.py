@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import far_off_case, make_obs, make_random_model, random_trans1, random_trans2
+from conftest import far_off_case, leaving_only_pair, make_obs, make_random_model, random_trans1, random_trans2
 
 from hmmsid import inference
 from hmmsid.errors import ImpossibleObservationError
@@ -360,6 +360,33 @@ class TestAllowedPredecessors:
             self._check(models, obs, paths=False)
             self._check(models, obs, paths=True)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_failing_frames_found_for_failing_models_only(self, order):
+        """The recursion keeps no per-frame maxima: it runs once over the
+        stack, and once more, keeping them, over only the models whose
+        score is -inf; these fail at the frame the dense recursion fails
+        them."""
+        rng = np.random.default_rng([237, order])
+        reruns = 0
+        for _ in range(10):
+            models = []
+            for topology in ("ltr", "circular", "custom", "ltr"):
+                model = make_random_model(rng, order, topology, "discrete", n_states=4)
+                probs = rng.dirichlet(np.ones(4), size=4) * (rng.random((4, 4)) < 0.7)
+                probs[:, 0] = np.maximum(probs[:, 0], 0.1)
+                probs /= probs.sum(axis=1, keepdims=True)
+                models.append(replace(model, emissions=tuple(DiscreteEmission(p) for p in probs)))
+            obs = rng.integers(0, 4, size=12)
+            for paths in (False, True):
+                with mock.patch.object(inference, "_max_plus", wraps=inference._max_plus) as run:
+                    scores = self._check(models, obs, paths)
+                dead = np.flatnonzero(np.isneginf(scores))
+                assert run.call_count == 1 + (len(dead) > 0)
+                if len(dead):
+                    assert run.call_args.args[2].shape[0] == len(dead) < len(models)
+                    reruns += 1
+        assert reruns > 0
+
     @staticmethod
     def _pair_stack(rng, pair, trans1_allows):
         """Three 4-state order-2 models with random transition arrays in
@@ -393,13 +420,6 @@ class TestAllowedPredecessors:
                                     tuple(DiscreteEmission(p) for p in probs)))
         return models
 
-    @staticmethod
-    def _entry_flat(stack):
-        """The flat index in the pair matrix of each of an order-2 stack's
-        entries."""
-        steps, last = stack.entries
-        return steps[0][0][0] * stack.n_states + last
-
     def _check_pair_stack(self, rng, models, prefix):
         """Each model, and the stack, against the dense recursion on
         utterances of 1, 2, 3 and 12 frames that start with ``prefix``;
@@ -421,8 +441,8 @@ class TestAllowedPredecessors:
         for _ in range(6):
             models = self._pair_stack(rng, pair, trans1_allows=True)
             stack = _ModelStack(models)
-            at = np.flatnonzero(self._entry_flat(stack) == 4 * pair[0] + pair[1])
-            assert len(at) == 1 and np.isneginf(stack.entries.steps[1][1][:, :, at]).all()
+            at = np.flatnonzero(stack.entries.flat == 4 * pair[0] + pair[1])
+            assert len(at) == 1 and np.isneginf(stack.entries.steps[1][2][:, :, at]).all()
             assert self._check_pair_stack(rng, models, list(pair)) == list(pair)
 
     def test_pair_entered_only_by_triples(self):
@@ -434,35 +454,82 @@ class TestAllowedPredecessors:
             models = self._pair_stack(rng, pair, trans1_allows=False)
             assert all(model.trans1[pair] == 0.0 for model in models)
             stack = _ModelStack(models)
-            at = np.flatnonzero(self._entry_flat(stack) == 4 * pair[0] + pair[1])
-            assert len(at) == 1 and np.isneginf(stack.entries.steps[0][1][:, :, at]).all()
+            at = np.flatnonzero(stack.entries.flat == 4 * pair[0] + pair[1])
+            assert len(at) == 1 and np.isneginf(stack.entries.steps[0][2][:, :, at]).all()
             assert self._check_pair_stack(rng, models, [0, 1, 2]) == [0, 1, 2]
 
     def test_registry_key_builds_its_entries_once(self):
-        """A SpeakerRegistry key keeps its stacks, so repeated Viterbi
-        identification builds each stack's entries once; forward scoring
-        builds none."""
+        """A SpeakerRegistry key keeps its stacks, so repeated
+        identification builds each stack's entries once, in either scoring
+        mode: order 2's forward pass runs over them too."""
         rng = np.random.default_rng(236)
-        reg = SpeakerRegistry()
-        for k in range(3):
-            reg.add_model(f"s{k}", "w", "ltr2", make_random_model(rng, 2, "ltr", "gmm", n_states=6))
-        trials = [FeatureMatrix(make_obs(rng, "gmm", n)) for n in (1, 20, 35)]
-        with mock.patch.object(inference, "_slice_entries", wraps=inference._slice_entries) as build:
-            reg.identify("w", "ltr2", trials[0])
-            assert build.call_count == 0
-            for obs in trials * 2:
-                reg.identify("w", "ltr2", obs, scoring="viterbi")
-            assert build.call_count == 1
+        for first, then in (("forward", "viterbi"), ("viterbi", "forward")):
+            reg = SpeakerRegistry()
+            for k in range(3):
+                reg.add_model(f"s{k}", "w", "ltr2", make_random_model(rng, 2, "ltr", "gmm", n_states=6))
+            trials = [FeatureMatrix(make_obs(rng, "gmm", n)) for n in (1, 20, 35)]
+            with mock.patch.object(inference, "_slice_entries", wraps=inference._slice_entries) as build:
+                for obs in trials * 2:
+                    reg.identify("w", "ltr2", obs, scoring=first)
+                assert build.call_count == 1
+                for obs in trials * 2:
+                    reg.identify("w", "ltr2", obs, scoring=then)
+                assert build.call_count == 1
+
+
+# (topology, state count, seed) of GMM models and utterances 40-100 times
+# farther out than make_obs draws, drawn as _far_off_lane draws them, whose
+# backward pass is run again rescaled; in the second of each topology that
+# rerun's slice maximum underflows to 0, so its beta is NaN from there back
+RERUN_CASES = (("ltr", 2, 40), ("ltr", 2, 384), ("ltr", 5, 80), ("ltr", 5, 83),
+               ("circular", 4, 3), ("circular", 6, 104), ("circular", 7, 11),
+               ("custom", 6, 11), ("custom", 5, 173), ("custom", 7, 104))
+
+
+def _far_off_lane(topology, n_states, seed):
+    """A random order-2 GMM model and an utterance of 5-39 frames 40-100
+    times farther out than make_obs draws, and the generator that drew
+    them."""
+    rng = np.random.default_rng([seed, n_states])
+    model = make_random_model(rng, 2, topology, "gmm", n_states=n_states)
+    return model, rng.uniform(40, 100) * make_obs(rng, "gmm", int(rng.integers(5, 40))), rng
+
+
+@st.composite
+def _lane_sets(draw):
+    """A random order-2 GMM model of 2-7 states, left-to-right, ring or
+    with a random custom mask, and 1-4 utterances of 1-40 frames, at times
+    one of them 40-100 times farther out than make_obs draws; or a model
+    and far-off utterance of RERUN_CASES among 0-3 ordinary ones. At times
+    the model has a pair that only triples leave (its flat index, else
+    None)."""
+    if draw(st.booleans()):
+        model, far, rng = _far_off_lane(*draw(st.sampled_from(RERUN_CASES)))
+    else:
+        n_states = draw(st.integers(2, 7))
+        topology = draw(st.sampled_from(("ltr", "circular", "custom") if n_states >= 3 else ("ltr", "custom")))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        model = make_random_model(rng, 2, topology, "gmm", n_states=n_states)
+        far = rng.uniform(40, 100) * make_obs(rng, "gmm", draw(st.integers(1, 40)))
+    xs = [make_obs(rng, "gmm", n) for n in draw(st.lists(st.integers(1, 40), max_size=3))]
+    if not xs or draw(st.booleans()):
+        xs.insert(draw(st.integers(0, len(xs))), far)
+    pair = None
+    if draw(st.booleans()):
+        model, pair = leaving_only_pair(model, rng)
+    return model, xs, pair
 
 
 class TestAllowedTransitionSteps:
-    """Order 2's forward and backward steps with trans2 sum over each pair's
-    allowed predecessors (successors) when that table is narrow (2K <= N),
-    and over all N states otherwise. Either way alpha, the slice log
-    normalizers, the failing frames and beta are bitwise those of the dense
-    steps (oracles.dense_forward, oracles.dense_backward), and every step
-    returns a C-contiguous array: the next frame's normalizer sums the
-    slice in memory order."""
+    """Order 2's forward and backward passes run over the stack's slice
+    entries only (_ModelStack.entries), each step summing over an entry's
+    allowed predecessors (successors). At every entry, alpha, beta, the
+    slice log normalizers, the failing frames and the lanes whose backward
+    pass runs again are bitwise those of the steps over all N^2 pairs
+    (oracles.dense_forward, oracles.dense_backward); there, every other
+    pair is exactly 0 but in a lane's last backward slice, which holds the
+    terminal value at every pair; and forward_backward2's (T, N, N) tables
+    are bitwise theirs. Every step returns a C-contiguous array."""
 
     @staticmethod
     @contextlib.contextmanager
@@ -479,77 +546,105 @@ class TestAllowedTransitionSteps:
                 mock.patch.object(inference, "_back_step", checked(inference._back_step)):
             yield
 
+    @staticmethod
+    def _assert_on_entries(table, dense, flat, last=None):
+        """The (T, S, P) ``table`` is the (T, S, N, N) ``dense`` table at
+        the entries ``flat``, bitwise, and ``dense`` is 0 at every other
+        pair, but at frame last[k] of lane k, where it holds the lane's
+        value there at every pair."""
+        dense = dense.reshape(dense.shape[:2] + (-1,)).copy()
+        assert np.array_equal(dense[..., flat], table)
+        if last is not None:
+            for k, t in enumerate(last):
+                assert (dense[t, k] == table[t, k, 0]).all()
+                dense[t, k] = 0.0
+        dense[..., flat] = 0.0
+        assert not dense.any()
+
     @classmethod
     def _check_stack(cls, models, obs):
         """Forward over the stack of ``models``, then backward with each
         model as one lane, by its forward normalizers and by each slice's
-        maximum; returns which tables were narrow."""
+        maximum; returns the stack."""
         stack = _ModelStack(models)
         bsh, shifts = _shifted_emissions(_emission_terms(stack, obs)[0])
         errors = [None] * len(models)
         with cls._contiguous_steps():
             alpha, log_norms = _forward(stack, bsh, shifts, errors)
         want_alpha, want_log_norms, want_dead = oracles.dense_forward(stack, bsh, shifts)
-        assert np.array_equal(alpha, want_alpha)
+        cls._assert_on_entries(alpha, want_alpha, stack.entries.flat)
         assert np.array_equal(log_norms, want_log_norms)
         assert [None if e is None else e.frame for e in errors] == want_dead == [None] * len(models)
         lengths = np.full(len(models), len(bsh))
         for norms in (np.exp(log_norms.T - shifts), None):
             with cls._contiguous_steps():
                 beta = _backward(stack, bsh, lengths, 1.0, norms)
-            assert np.array_equal(beta, oracles.dense_backward(stack, bsh, lengths, 1.0, norms))
-        return stack.into.narrow, stack.out_of.narrow
+            want_beta = oracles.dense_backward(stack, bsh, lengths, 1.0, norms)
+            cls._assert_on_entries(beta, want_beta, stack.entries.flat, lengths - 1 if len(bsh) > 1 else None)
+        return stack
 
-    @staticmethod
-    def _check_lanes(model, xs):
-        """_lanes against the dense passes run as _lanes ran them: padded
-        lanes, backward by the forward normalizers, and every lane whose
-        first backward slice is not finite run again by each slice's
-        maximum. Returns the lanes run again."""
-        lanes = _lanes(model, xs, [None] * len(xs))
-        stack = _ModelStack((model,))
+    @classmethod
+    def _check_lanes(cls, model, xs):
+        """_lanes and forward_backward2 against the dense passes run as
+        _lanes runs them: padded lanes, backward by the forward normalizers,
+        and every lane with a backward value that is not finite run again
+        by each slice's maximum. Returns the lanes run again."""
         lengths = np.array([len(x) for x in xs])
         T, L, N = lengths.max(), len(xs), model.n_states
+        stack = _ModelStack((model,))
         bsh, shifts = np.ones((T, L, N)), np.zeros((T, L))
-        for k, (lat, b, _, _) in enumerate(lanes):
-            bsh[:lengths[k], k], shifts[:lengths[k], k] = b, lat.emission_shifts
+        for k, x in enumerate(xs):
+            b, shift = _shifted_emissions(_emission_terms(stack, x)[0])
+            bsh[:lengths[k], k], shifts[:lengths[k], k] = b[:, 0], shift[:, 0]
         alpha, log_norms, dead = oracles.dense_forward(stack, bsh, shifts, lengths)
-        assert dead == [None] * L
+        if dead != [None] * L:
+            k = next(k for k, frame in enumerate(dead) if frame is not None)
+            with pytest.raises(ImpossibleObservationError) as caught:
+                _lanes(model, xs, [None] * L)
+            assert caught.value.frame == dead[k]
+            return None
+        with cls._contiguous_steps():
+            flat, lanes = _lanes(model, xs, [None] * L)
+        assert np.array_equal(flat, stack.entries.flat)
         norms = np.exp(log_norms.T - shifts)
         norms[np.arange(T)[:, None] >= lengths] = 1.0
         terminal = 1.0 / N if model.mask.kind == "circular" else 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             beta = oracles.dense_backward(stack, bsh, lengths, terminal, norms)
-        lost = np.flatnonzero(~np.isfinite(beta[1].reshape(L, -1)).all(axis=1))
-        beta[:, lost] = oracles.dense_backward(stack, bsh[:, lost], lengths[lost], terminal)
+            lost = np.flatnonzero(~np.isfinite(beta.reshape(T, L, -1)).all(axis=(0, 2)))
+            beta[:, lost] = oracles.dense_backward(stack, bsh[:, lost], lengths[lost], terminal)
         for k, (lat, _, _, _) in enumerate(lanes):
             n = lengths[k]
-            assert np.array_equal(lat.alpha, alpha[:n, k])
+            cls._assert_on_entries(lat.alpha[:, None], alpha[:n, k:k + 1], flat)
             assert np.array_equal(lat.slice_log_norms, log_norms[k, :n])
-            assert np.array_equal(lat.beta, beta[:n, k])
-            assert np.isfinite(lat.beta).all()
+            if np.isfinite(beta[:n, k]).all():
+                cls._assert_on_entries(lat.beta[:, None], beta[:n, k:k + 1], flat, [n - 1] if n > 1 else None)
+            else:   # the rescaled rerun is NaN from some slice back, at every pair
+                assert np.array_equal(lat.beta, beta[:n, k].reshape(n, -1)[:, flat], equal_nan=True)
+            public = forward_backward2(model, xs[k])
+            for got, want in ((public.alpha, alpha[:n, k]), (public.beta, beta[:n, k])):
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()   # NaN payloads too
         return lost
 
     @pytest.mark.parametrize("n_states", [5, 6, 7, 24])
     def test_stack_of_differing_zero_patterns(self, n_states):
-        """A left-to-right or ring model's tables have K = 3, narrow from
-        N = 6 on. A stack's tables hold every model's allowed entries, so
-        they are wider than each model's."""
+        """A left-to-right or ring model's entries are its allowed1 pairs.
+        A stack's entries hold every model's, so each step reads more
+        predecessors and successors than one model allows."""
         rng = np.random.default_rng([240, n_states])
-        sides = []
         for _ in range(3):
             models = [make_random_model(rng, 2, topology, "gmm", n_states=n_states)
                       for topology in ("ltr", "circular", "custom", "custom", "custom")]
             for model in models:
-                narrow = self._check_stack([model], make_obs(rng, "gmm", 25))
+                flat = self._check_stack([model], make_obs(rng, "gmm", 25)).entries.flat
                 if model.mask.kind != "custom":
-                    assert narrow == (n_states >= 6,) * 2
-                sides.append(narrow)
+                    assert np.array_equal(flat, np.flatnonzero(model.mask.allowed1))
             for t_count in (1, 2, 3, 40):
                 obs = make_obs(rng, "gmm", t_count)
-                assert self._check_stack(models[:2], obs) == (n_states >= 8,) * 2
-                sides.append(self._check_stack(models, obs))
-        assert {side[0] for side in sides} == {side[1] for side in sides} == {True, False}
+                self._check_stack(models[:2], obs)
+                stack = self._check_stack(models, obs)
+                union = np.flatnonzero(np.any([m.mask.allowed1 for m in models], axis=0))
+                assert np.array_equal(stack.entries.flat, union)
 
     @pytest.mark.parametrize("n_states", [5, 6, 24])
     @pytest.mark.parametrize("topology", ["ltr", "circular", "custom"])
@@ -567,29 +662,48 @@ class TestAllowedTransitionSteps:
         """An utterance 40-100 times farther out than make_obs draws, beside
         ordinary ones: its backward pass by the forward normalizers
         overflows, and it alone is run again by each slice's maximum."""
-        rng = np.random.default_rng([seed, n_states])
-        model = make_random_model(rng, 2, topology, "gmm", n_states=n_states)
-        far = rng.uniform(40, 100) * make_obs(rng, "gmm", int(rng.integers(5, 40)))
+        model, far, rng = _far_off_lane(topology, n_states, seed)
         xs = [make_obs(rng, "gmm", 12), far, make_obs(rng, "gmm", 50)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert self._check_lanes(model, xs).tolist() == [1]
 
+    def test_pair_that_only_triples_leave(self):
+        """Such a pair is an entry: its alpha is 0 at every frame, but its
+        beta is not, and forward_backward2 keeps it."""
+        rng = np.random.default_rng(242)
+        for n_states in (3, 5, 6):
+            model, pair = leaving_only_pair(make_random_model(rng, 2, "ltr", "gmm", n_states=n_states), rng)
+            assert pair in _ModelStack((model,)).entries.flat
+            xs = [make_obs(rng, "gmm", n) for n in (9, 4, 17)]
+            assert len(self._check_lanes(model, xs)) == 0
+            lat = forward_backward2(model, xs[0])
+            assert not lat.alpha.reshape(9, -1)[:, pair].any()
+            assert lat.beta.reshape(9, -1)[1:8, pair].all()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_lane_sets())
+    def test_random_lane_sets(self, case):
+        model, xs, pair = case
+        if pair is not None:
+            assert pair in _ModelStack((model,)).entries.flat
+        self._check_lanes(model, xs)
+
     @pytest.mark.parametrize("n_states", [5, 6])
     def test_no_allowed_transition_at_all(self, n_states):
-        """A trans2 of zeros (a model file can hold one) has a table of
-        width 1 padded with disallowed states; forward fails at frame 2, as
-        the dense step fails it."""
+        """A trans2 of zeros (a model file can hold one): every entry has
+        padding for predecessors; forward fails at frame 2, as the dense
+        step fails it, and from there on every pair is NaN."""
         model = TestAllowedPredecessors._uniform_model(2, circular_topology(n_states))
         model = replace(model, trans2=np.zeros_like(model.trans2))
         stack = _ModelStack((model,))
-        assert stack.into.narrow and stack.out_of.narrow
         obs = np.zeros(5, dtype=np.int64)
         bsh, shifts = _shifted_emissions(_emission_terms(stack, obs)[0])
         errors = [None]
         alpha, log_norms = _forward(stack, bsh, shifts, errors)
         want_alpha, want_log_norms, want_dead = oracles.dense_forward(stack, bsh, shifts)
-        assert np.array_equal(alpha, want_alpha, equal_nan=True)
+        self._assert_on_entries(alpha[:2], want_alpha[:2], stack.entries.flat)
+        assert np.isnan(alpha[2:]).all() and np.isnan(want_alpha[2:]).all()
         assert np.array_equal(log_norms, want_log_norms, equal_nan=True)
         assert errors[0].frame == want_dead[0] == 2
         with pytest.raises(ImpossibleObservationError) as caught:

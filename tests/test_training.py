@@ -12,7 +12,7 @@ from conftest import ALL_CONFIGS, far_off_case, make_obs, make_random_model
 
 from hmmsid.errors import ImpossibleObservationError, UtteranceTooShortError
 from hmmsid.features import FeatureMatrix, FeatureMeta
-from hmmsid.inference import forward1, forward2, forward_backward1, forward_backward2
+from hmmsid.inference import _ModelStack, forward1, forward2, forward_backward1, forward_backward2
 from hmmsid.models import (
     DiscreteEmission,
     GmmEmission,
@@ -806,11 +806,14 @@ class TestStackedEmissionStatistics:
 
 
 def _posteriors(model, alpha, beta, bsh, counts, chunk=None):
-    """training._posteriors on one utterance, with an _AllowedTransitions
-    (taking ``chunk`` frames per chunk when given) and a normalizer table
-    of its own."""
-    allowed = training._AllowedTransitions(model)
+    """training._posteriors on one utterance's (T, N...) ``alpha`` and
+    ``beta`` taken at the entries of the model's compact lane tables, with
+    an _AllowedTransitions (taking ``chunk`` frames per chunk when given)
+    and a normalizer table of its own."""
+    flat = _ModelStack((model,)).flat
+    allowed = training._AllowedTransitions(model, flat)
     allowed.frames = chunk or allowed.frames
+    alpha, beta = (table.reshape(len(bsh), -1).take(flat, axis=1) for table in (alpha, beta))
     return training._posteriors(model, alpha, beta, bsh, counts, allowed, np.ones((2, len(bsh))))
 
 
@@ -903,7 +906,7 @@ class TestTransitionPosterior:
         """Utterances with no transition posterior (order 1), one frame of
         it, one full chunk, one frame past it, two full chunks and one past
         them, then lengths up to 260 frames."""
-        order, chunk = model.order, training._AllowedTransitions(model).frames
+        order, chunk = model.order, training._AllowedTransitions(model, _ModelStack((model,)).flat).frames
         return sorted({2 * order - 1, order + 1, order + 2, chunk + order, chunk + order + 1,
                        2 * chunk + order, 2 * chunk + order + 1, 77, 129, 152, 200, 251, 260})
 
@@ -964,7 +967,7 @@ class TestTransitionPosterior:
     @pytest.mark.parametrize("topology", ["ltr", "circular"])
     def test_estep_equals_one_utterance_passes(self, order, topology):
         model, rng = self._model(order, topology, 502)
-        chunk = training._AllowedTransitions(model).frames
+        chunk = training._AllowedTransitions(model, _ModelStack((model,)).flat).frames
         lengths = [77, order + 1, 251, 260, chunk + order, 152, 2 * chunk + order + 1, 200, 129]
         kind = type(model.emissions[0])
         obs_list = training._prepare_obs([make_obs(rng, "gmm", n) for n in lengths], kind)
