@@ -479,8 +479,9 @@ class TestAllowedPredecessors:
 
 # (topology, state count, seed) of GMM models and utterances 40-100 times
 # farther out than make_obs draws, drawn as _far_off_lane draws them, whose
-# backward pass is run again rescaled; in the second of each topology that
-# rerun's slice maximum underflows to 0, so its beta is NaN from there back
+# backward pass is run again rescaled; in ("ltr", 2, 384), ("ltr", 5, 83),
+# ("circular", 6, 104) and ("custom", 5, 173) that rerun's slice maximum
+# underflows to 0, so their beta is NaN from there back
 RERUN_CASES = (("ltr", 2, 40), ("ltr", 2, 384), ("ltr", 5, 80), ("ltr", 5, 83),
                ("circular", 4, 3), ("circular", 6, 104), ("circular", 7, 11),
                ("custom", 6, 11), ("custom", 5, 173), ("custom", 7, 104))
