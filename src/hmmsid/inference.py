@@ -87,7 +87,7 @@ State indices are 0-based; frame indices are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -276,7 +276,10 @@ class _Entries(NamedTuple):
     order 2) that can ever hold a nonzero forward or backward value or a
     finite best score, in ascending flat order, laid out for the steps
     (see _slice_entries): ``flat``, each entry's flat index in the slice,
-    and ``last``, the state it ends in. ``steps`` holds, per kind of
+    ``last``, the state it ends in, ``place``, the place among the P of
+    each of the N^order slice entries (0 off them), and ``ending``, the
+    (K', N) places of the entries that end in each state, in ascending
+    order, padded with place P. ``steps`` holds, per kind of
     forward step (order 2: the step with ``trans1``, then the steps with
     ``trans2``), the (K, P) places in the previous slice of each entry's
     predecessors, in ascending source state, the (S, K, P) transition
@@ -287,6 +290,8 @@ class _Entries(NamedTuple):
 
     flat: np.ndarray
     last: np.ndarray
+    place: np.ndarray
+    ending: np.ndarray
     steps: tuple
     back: tuple | None
 
@@ -439,18 +444,32 @@ def _backward(stack, bsh, lengths, terminal, norms=None):
     return beta
 
 
+class _Lane(NamedTuple):
+    """One utterance's share of a _lanes pass: its (T, P) forward and
+    backward tables over the pass's entries (``beta`` None without the
+    backward pass), its (T,) slice log normalizers and emission shifts, and
+    its (T, N) shifted emissions, log emission densities and component
+    log-densities (None for symbol tables)."""
+
+    alpha: np.ndarray
+    beta: np.ndarray | None
+    log_norms: np.ndarray
+    shifts: np.ndarray
+    bsh: np.ndarray
+    logb: np.ndarray
+    comp: np.ndarray | None
+
+
 def _lanes(model, xs, names, backward=True):
-    """Forward lattices, with backward tables when ``backward``, of the
+    """Forward tables, with backward tables when ``backward``, of the
     utterances ``xs`` under ``model``, run as the lanes of one stacked pass.
     Each utterance is non-empty and already converted by the emission kind's
     observation rule; ``names`` are their names for errors (None: unnamed).
 
-    Returns the flat index in the slice of each entry of the model's
-    one-model stack (see _ModelStack.flat) and, per utterance, its lattice,
-    whose alpha and beta are the (T_k, P) tables over those entries, and
-    its (T_k, N) shifted emissions, log emission densities and component
-    log-densities (None for symbol tables). When utterances fail, raises
-    the error the first of them raises on its own.
+    Returns the _Entries of the model's one-model stack that order 2's
+    tables are over (None for order 1, whose tables are over the N states)
+    and a _Lane per utterance. When utterances fail, raises the error the
+    first of them raises on its own.
     """
     kind = type(model.emissions[0])
     try:
@@ -484,17 +503,10 @@ def _lanes(model, xs, names, backward=True):
                 beta[:, lost] = _backward(stack, bsh[:, lost], lengths[lost], terminal)
     lanes = []
     for k, (n, start) in enumerate(zip(lengths, starts)):
-        lat = TrellisLattice(
-            order=model.order,
-            alpha=alpha[:n, k],
-            slice_log_norms=log_norms[k, :n],
-            log_likelihood=float(log_norms[k, :n].sum()),
-            beta=None if beta is None else beta[:n, k],
-            emission_shifts=shifts[:n, k],
-        )
         rows = slice(start, start + n)
-        lanes.append((lat, bsh[:n, k], logb[rows], None if comp is None else comp[rows]))
-    return stack.flat, lanes
+        lanes.append(_Lane(alpha[:n, k], None if beta is None else beta[:n, k], log_norms[k, :n],
+                           shifts[:n, k], bsh[:n, k], logb[rows], None if comp is None else comp[rows]))
+    return (stack.entries if model.order == 2 else None), lanes
 
 
 def _forward_backward(model, obs, backward=True):
@@ -507,22 +519,28 @@ def _forward_backward(model, obs, backward=True):
     maximum underflowed to 0, and every slice before it) is NaN at every
     pair."""
     x, name = _checked(type(model.emissions[0]), obs)
-    flat, lanes = _lanes(model, [x], [name], backward)
-    lat = lanes[0][0]
-    if model.order == 1:
-        return lat
-    n = model.n_states
-    alpha = np.zeros((len(x), n * n))
-    alpha[:, flat] = lat.alpha
-    beta = None
-    if backward:
-        full = np.isnan(lat.beta).all(axis=1)
-        full[-1] = len(x) > 1
-        beta = np.zeros_like(alpha)
-        beta[:, flat] = lat.beta
-        beta[full] = lat.beta[full, :1]   # a NaN keeps its bits
-        beta = beta.reshape(-1, n, n)
-    return replace(lat, alpha=alpha.reshape(-1, n, n), beta=beta)
+    entries, (lane,) = _lanes(model, [x], [name], backward)
+    alpha, beta = lane.alpha, lane.beta
+    if model.order == 2:
+        n, flat = model.n_states, entries.flat
+        alpha = np.zeros((len(x), n * n))
+        alpha[:, flat] = lane.alpha
+        alpha = alpha.reshape(-1, n, n)
+        if backward:
+            full = np.isnan(lane.beta).all(axis=1)
+            full[-1] = len(x) > 1
+            beta = np.zeros((len(x), n * n))
+            beta[:, flat] = lane.beta
+            beta[full] = lane.beta[full, :1]   # a NaN keeps its bits
+            beta = beta.reshape(-1, n, n)
+    return TrellisLattice(
+        order=model.order,
+        alpha=alpha,
+        slice_log_norms=lane.log_norms,
+        log_likelihood=float(lane.log_norms.sum()),
+        beta=beta,
+        emission_shifts=lane.shifts,
+    )
 
 
 def _log(p):
@@ -562,7 +580,8 @@ def _slice_entries(stack):
         leaving = allowed.reshape(N * N, N)   # [the pair a triple leaves, the state it moves to]
         kept = (stack.trans1 != 0.0).any(axis=0).ravel() | allowed.any(axis=0) | leaving.any(axis=1)
     flat = np.flatnonzero(kept) if kept.any() else np.zeros(1, dtype=np.int64)
-    place = np.cumsum(kept) - 1   # of each kept flat entry among the P
+    place = np.zeros(N**order, dtype=np.intp)
+    place[flat] = np.arange(len(flat))
     # [i, p]: the flat entry a move from state i into entry p leaves (order 2: pair (i, j) of (j, k))
     source = np.arange(N)[:, None] * N ** (order - 1) + flat // N
     states, ok = _allowed_first(allowed[:, flat])
@@ -575,19 +594,8 @@ def _slice_entries(stack):
         states, ok = _allowed_first(leaving[flat].T)
         values = np.where(ok, last.reshape(S, N * N, N)[:, flat, states], 0.0)
         back = (np.where(ok, place[flat % N * N + states], 0), states, values)
-    return _Entries(flat, flat % N, steps, back)
-
-
-def _first_max(cand, best, out):
-    """Write to the (S, P) ``out`` the first index along axis 1 of the
-    (S, K, P) ``cand`` at which it equals ``best``, its maximum over that
-    axis: np.argmax's index, found by comparing the K rows with the
-    maximum in ascending order."""
-    missed = cand[:, 0] != best
-    out[...] = missed
-    for q in range(1, cand.shape[1] - 1):
-        missed &= cand[:, q] != best
-        out += missed
+    ending, ok = _allowed_first(flat[:, None] % N == np.arange(N))
+    return _Entries(flat, flat % N, place, np.where(ok, ending, len(flat)), steps, back)
 
 
 def _max_plus(order, steps, dp, frames, ptr=None, peaks=None):
@@ -602,9 +610,9 @@ def _max_plus(order, steps, dp, frames, ptr=None, peaks=None):
         places, logv = steps[min(t, order) - 1]
         cand = dp.take(places, axis=1)
         cand += logv
-        dp = cand.max(axis=1)
         if ptr is not None:
-            _first_max(cand, dp, ptr[t])
+            np.argmax(cand, 1, ptr[t])   # positional out=: this loop runs once per frame
+        dp = cand.max(axis=1)
         dp += frames[t]
         if peaks is not None:
             peaks[:, t] = dp.max(axis=1)

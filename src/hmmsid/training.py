@@ -62,7 +62,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UtteranceTooShortError, _named, _where
-from .inference import _allowed_first, _lanes, _utterance
+from .inference import _lanes, _utterance
 from .models import (
     _EMISSION_KINDS,
     GmmEmission,
@@ -424,8 +424,9 @@ _TERMS_BYTES = 2**18
 
 class _RowSums:
     """Sums of rows of ``n`` values that are zero except at the sorted
-    positions ``flat``, from the (F, K) C-contiguous values at those
-    positions; each is bitwise the np.sum of its whole row.
+    positions ``flat``, from the (F, K) values at those positions (of any
+    layout: they are copied into the sum's own rows or buffer); each is
+    bitwise the np.sum of its whole row.
 
     np.sum adds a contiguous row pairwise, the order models._pairwise_sum
     follows, and adds the result to an initial 0.0. A row of up to 128
@@ -509,29 +510,23 @@ class _AllowedTransitions:
     (``trans``, or ``trans2`` for order 2), K of them, the _RowSums that
     sums rows of A.size values zero off them, and the frames per chunk of
     the transition posterior, whose _RowSums buffer takes about
-    _TERMS_BYTES; and the layout of the state (order 2: pair) posterior
-    over the slice entries of the lane pass's compact tables, whose flat
-    indices in the slice are ``flat`` (see inference._lanes)."""
+    _TERMS_BYTES. For order 2 it keeps the inference._Entries that the
+    lane pass's compact tables are over, and the _RowSums of the pair
+    posterior over them."""
 
-    def __init__(self, model, flat):
+    def __init__(self, model, entries):
         last = _transitions(model)[-1][1]
         n, self.order, self.shape = model.n_states, model.order, last.shape
         self.flat = np.flatnonzero(last)
         self.values = last.ravel()[self.flat]
-        place = np.zeros(n**self.order, dtype=np.intp)   # of each slice entry in the compact tables
-        place[flat] = np.arange(len(flat))
         # per entry: the slice entry it leaves (of alpha), its last state, the one it enters (of beta)
-        self.source, self.last = place[self.flat // n], self.flat % n
-        self.target = place[self.flat % n**self.order]
+        self.source, self.last, self.target = self.flat // n, self.flat % n, self.flat % n**self.order
         self.row_sums = _row_sums(last.size, self.flat.tobytes())
         self.frames = max(1, _TERMS_BYTES // (8 * self.row_sums.width))
-        if self.order == 2:
-            self.pairs = flat
-            self.pair_sums = _row_sums(n * n, flat.tobytes())
-            # (K', N): the places of the entries (j, k) that end in state k, in ascending j,
-            # padded with place P, a column of zeros after the pair posterior's P
-            places, ok = _allowed_first(flat[:, None] % n == np.arange(n))
-            self.entering = np.where(ok, places, len(flat))
+        if self.order == 2:   # the tables hold the entries at their places
+            self.entries = entries
+            self.source, self.target = entries.place[self.source], entries.place[self.target]
+            self.pair_sums = _row_sums(n * n, entries.flat.tobytes())
 
     def terms(self, alpha, bsh, beta):
         """The terms alpha(i...) A(i..., k) b(k) beta(...k) of F frames at
@@ -598,17 +593,18 @@ def _posteriors(model, alpha, beta, bsh, counts, allowed, norms):
         norms[0, :t_count] = sums = gamma.sum(axis=1)
         gamma /= sums[:, None]
     else:
-        n, p = model.n_states, len(allowed.pairs)
-        post = np.zeros((t_count - 1, p + 1))   # its last column: the padding of allowed.entering
+        n, entries = model.n_states, allowed.entries
+        p = len(entries.flat)
+        post = np.zeros((t_count - 1, p + 1))   # its last column: the padding of entries.ending
         pairs = np.multiply(alpha[1:], beta[1:], out=post[:, :p])
         norms[0, 1:t_count] = sums = allowed.pair_sums(pairs)
         pairs /= sums[:, None]
         first = np.zeros(n * n)
-        first[allowed.pairs] = pairs[0]
+        first[entries.flat] = pairs[0]
         first = first.reshape(n, n)
         gamma = np.empty((t_count, n))
         gamma[0] = first.sum(axis=1)
-        gamma[1:] = post.take(allowed.entering, axis=1).sum(axis=1)
+        gamma[1:] = post.take(entries.ending, axis=1).sum(axis=1)
         counts[0] += first
     if t_count > order:
         counts[-1] += allowed.posterior_sum(alpha, beta, bsh, norms[1])
@@ -625,13 +621,13 @@ def _estep(model, obs_list):
     stats = []
     t_max = max(len(x) for x, _ in obs_list)
     norms = np.ones((2, t_max))   # per frame, the posteriors' sums (see _posteriors)
-    flat, lanes = _lanes(model, *zip(*obs_list))
-    allowed = _AllowedTransitions(model, flat)
+    entries, lanes = _lanes(model, *zip(*obs_list))
+    allowed = _AllowedTransitions(model, entries)
     total_ll = 0.0
-    for (x, name), (lat, bsh, logb, comp) in zip(obs_list, lanes):
-        total_ll += lat.log_likelihood
+    for (x, name), lane in zip(obs_list, lanes):
+        total_ll += float(lane.log_norms.sum())
         with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = _posteriors(model, lat.alpha, lat.beta, bsh, counts, allowed, norms)
+            gamma = _posteriors(model, lane.alpha, lane.beta, lane.bsh, counts, allowed, norms)
         if not (np.isfinite(gamma).all() and all(np.isfinite(c).all() for c in counts)):
             sums = norms[:, :len(x)]
             frame = int(np.argmax(~((0.0 < sums) & (sums < np.inf)).all(axis=0)))
@@ -639,7 +635,7 @@ def _estep(model, obs_list):
                 f"posteriors are not finite at frame {frame}: the forward and backward "
                 "passes share no path there (the utterance is far from the model)", name))
         first_sum += gamma[0]
-        stats.append(kind._statistics(model._emission_parameters, x, gamma, logb, comp))
+        stats.append(kind._statistics(model._emission_parameters, x, gamma, lane.logb, lane.comp))
     return total_ll, counts, first_sum, tuple(map(sum, zip(*stats)))
 
 

@@ -605,7 +605,8 @@ class TestAllowedTransitionSteps:
             assert caught.value.frame == dead[k]
             return None
         with cls._contiguous_steps():
-            flat, lanes = _lanes(model, xs, [None] * L)
+            entries, lanes = _lanes(model, xs, [None] * L)
+        flat = entries.flat
         assert np.array_equal(flat, stack.entries.flat)
         norms = np.exp(log_norms.T - shifts)
         norms[np.arange(T)[:, None] >= lengths] = 1.0
@@ -614,14 +615,14 @@ class TestAllowedTransitionSteps:
             beta = oracles.dense_backward(stack, bsh, lengths, terminal, norms)
             lost = np.flatnonzero(~np.isfinite(beta.reshape(T, L, -1)).all(axis=(0, 2)))
             beta[:, lost] = oracles.dense_backward(stack, bsh[:, lost], lengths[lost], terminal)
-        for k, (lat, _, _, _) in enumerate(lanes):
+        for k, lane in enumerate(lanes):
             n = lengths[k]
-            cls._assert_on_entries(lat.alpha[:, None], alpha[:n, k:k + 1], flat)
-            assert np.array_equal(lat.slice_log_norms, log_norms[k, :n])
+            cls._assert_on_entries(lane.alpha[:, None], alpha[:n, k:k + 1], flat)
+            assert np.array_equal(lane.log_norms, log_norms[k, :n])
             if np.isfinite(beta[:n, k]).all():
-                cls._assert_on_entries(lat.beta[:, None], beta[:n, k:k + 1], flat, [n - 1] if n > 1 else None)
+                cls._assert_on_entries(lane.beta[:, None], beta[:n, k:k + 1], flat, [n - 1] if n > 1 else None)
             else:   # the rescaled rerun is NaN from some slice back, at every pair
-                assert np.array_equal(lat.beta, beta[:n, k].reshape(n, -1)[:, flat], equal_nan=True)
+                assert np.array_equal(lane.beta, beta[:n, k].reshape(n, -1)[:, flat], equal_nan=True)
             public = forward_backward2(model, xs[k])
             for got, want in ((public.alpha, alpha[:n, k]), (public.beta, beta[:n, k])):
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes()   # NaN payloads too

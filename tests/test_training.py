@@ -805,13 +805,20 @@ class TestStackedEmissionStatistics:
         assert np.array_equal(updated[3].probs, probs[3])
 
 
+def _allowed(model):
+    """The _AllowedTransitions of ``model`` over the tables its lane pass
+    keeps (order 2: over its one-model stack's entries)."""
+    stack = _ModelStack((model,))
+    return training._AllowedTransitions(model, stack.entries if model.order == 2 else None)
+
+
 def _posteriors(model, alpha, beta, bsh, counts, chunk=None):
     """training._posteriors on one utterance's (T, N...) ``alpha`` and
     ``beta`` taken at the entries of the model's compact lane tables, with
     an _AllowedTransitions (taking ``chunk`` frames per chunk when given)
     and a normalizer table of its own."""
     flat = _ModelStack((model,)).flat
-    allowed = training._AllowedTransitions(model, flat)
+    allowed = _allowed(model)
     allowed.frames = chunk or allowed.frames
     alpha, beta = (table.reshape(len(bsh), -1).take(flat, axis=1) for table in (alpha, beta))
     return training._posteriors(model, alpha, beta, bsh, counts, allowed, np.ones((2, len(bsh))))
@@ -906,7 +913,7 @@ class TestTransitionPosterior:
         """Utterances with no transition posterior (order 1), one frame of
         it, one full chunk, one frame past it, two full chunks and one past
         them, then lengths up to 260 frames."""
-        order, chunk = model.order, training._AllowedTransitions(model, _ModelStack((model,)).flat).frames
+        order, chunk = model.order, _allowed(model).frames
         return sorted({2 * order - 1, order + 1, order + 2, chunk + order, chunk + order + 1,
                        2 * chunk + order, 2 * chunk + order + 1, 77, 129, 152, 200, 251, 260})
 
@@ -967,7 +974,7 @@ class TestTransitionPosterior:
     @pytest.mark.parametrize("topology", ["ltr", "circular"])
     def test_estep_equals_one_utterance_passes(self, order, topology):
         model, rng = self._model(order, topology, 502)
-        chunk = training._AllowedTransitions(model, _ModelStack((model,)).flat).frames
+        chunk = _allowed(model).frames
         lengths = [77, order + 1, 251, 260, chunk + order, 152, 2 * chunk + order + 1, 200, 129]
         kind = type(model.emissions[0])
         obs_list = training._prepare_obs([make_obs(rng, "gmm", n) for n in lengths], kind)
