@@ -29,14 +29,15 @@ and 3-iteration baum_welch1/2 runs where one state and one mixture
 component (for symbol tables, one symbol) receive no posterior mass, so
 that the update keeps their parameters, with 1- and 3-component mixtures;
 
-and, for order 2, models of 5, 6 and 7 states (two of the topology, one
-with a random custom mask, and one with a random custom mask and a pair
-that only triples leave, which the backward pass gives nonzero values
-while the forward pass leaves it 0) on utterances of 30-60 frames and,
-for GMM models, one far off whose backward pass is run again rescaled
-(lattices, viterbi2 paths and scores, score_models in both modes,
-2-iteration baum_welch2 on all of them as lanes): the recursions run over
-the slice entries only, and at these sizes the entries are a larger
+and, for both orders, models of 5, 6 and 7 states (two of the topology,
+one with a random custom mask and, for order 2, one with a random custom
+mask and a pair that only triples leave, which the backward pass gives
+nonzero values while the forward pass leaves it 0) on utterances of
+30-60 frames and, for GMM models, one far off whose backward pass is run
+again rescaled (lattices, viterbi1/2 paths and scores, score_models in
+both modes, 2-iteration baum_welch1/2 on all of them as lanes of
+differing lengths): the recursions run over the slice entries only (for
+order 1 the N states), and at these sizes order 2's entries are a larger
 share of the N^2 pairs than at 24 states;
 
 and, for order-1 GMM models of 12, 17 and 130 dimensions with 1, 2 and 9
@@ -51,7 +52,7 @@ scaled far from the models, and malformed observations. Prints one line
 per configuration: a sha256 over everything, then one hash per input
 family (FAMILIES: lattices, Viterbi paths, emission matrices, scoring,
 Baum-Welch and train, failing lane sets, long utterances, states and
-components without mass, order 2 at 5-7 states, and the emission
+components without mass, 5-7 states, and the emission
 kernel's sums), so that a
 difference names the family that moved.
 
@@ -243,7 +244,7 @@ def _lane_sets(rng, order, emission):
 
 
 # state counts of the long family: its last transition array has more than
-# 128 entries, so each frame's normalizer follows training._RowSums' plan,
+# 128 entries, so each frame's normalizer follows inference._RowSums' plan,
 # and its transition posterior spans several chunks of frames
 # (training._TERMS_BYTES) on 150-250 frames
 LONG_STATES = {1: 48, 2: 24}
@@ -252,7 +253,7 @@ LONG_STATES = {1: 48, 2: 24}
 def _long(d, index, order, topology, emission):
     """Models of LONG_STATES[order] states on utterances of 150-250 frames,
     where the E-step sums each frame's transition posterior by a planned
-    pairwise sum (training._RowSums), over several chunks of frames:
+    pairwise sum (inference._RowSums), over several chunks of frames:
     lattices, Viterbi paths and scores, score_models in both modes over 3
     models of the topology and one with a random custom mask, and
     2-iteration baum_welch1/2 runs of the first and the custom one."""
@@ -286,28 +287,32 @@ def _long(d, index, order, topology, emission):
 # share of the N^2 pairs at these sizes than at 24 states (12 of 25 for a
 # 5-state left-to-right model)
 BOUNDARY_STATES = (5, 6, 7)
-# per (topology, state count), a seed whose GMM model and far-off utterance,
-# drawn as _boundary draws them, take the backward pass's rescaled rerun
-FAR_OFF_SEEDS = {("ltr", 5): 80, ("ltr", 6): 101, ("ltr", 7): 81,
-                 ("circular", 5): 3, ("circular", 6): 34, ("circular", 7): 11}
+# per (order, topology, state count), a seed whose GMM model and far-off
+# utterance, drawn as _boundary draws them, take the backward pass's
+# rescaled rerun
+FAR_OFF_SEEDS = {(2, "ltr", 5): 80, (2, "ltr", 6): 101, (2, "ltr", 7): 81,
+                 (2, "circular", 5): 3, (2, "circular", 6): 34, (2, "circular", 7): 11,
+                 (1, "ltr", 5): 58, (1, "ltr", 6): 96, (1, "ltr", 7): 7,
+                 (1, "circular", 5): 19, (1, "circular", 6): 104, (1, "circular", 7): 19}
 
 
 def _boundary(d, index, order, topology, emission):
-    """Order 2 only: at each of BOUNDARY_STATES, two models of the
-    topology, one with a random custom mask and one with a random custom
-    mask and a pair that only triples leave (conftest.leaving_only_pair:
-    an entry whose forward values are 0 and whose backward values are
-    not), on three utterances of 30-60 frames and, for GMM models, one
-    40-100 times farther out, whose backward pass the first model runs
-    again rescaled: lattices, viterbi2 paths and scores, score_models in
-    both modes over the four, and 2-iteration baum_welch2 runs of each on
-    all the utterances as lanes of differing lengths."""
-    if order != 2:
-        return
+    """At each of BOUNDARY_STATES, two models of the topology, one with a
+    random custom mask and, for order 2, one with a random custom mask and
+    a pair that only triples leave (conftest.leaving_only_pair: an entry
+    whose forward values are 0 and whose backward values are not), on
+    three utterances of 30-60 frames and, for GMM models, one 40-100 times
+    farther out, whose backward pass the first model runs again rescaled:
+    lattices, viterbi1/2 paths and scores, score_models in both modes over
+    the models, and 2-iteration baum_welch1/2 runs of each on all the
+    utterances as lanes of differing lengths."""
+    fb = getattr(inference, f"forward_backward{order}")
+    vit = getattr(inference, f"viterbi{order}")
+    bw = getattr(training, f"baum_welch{order}")
     for n_states in BOUNDARY_STATES:
         models, utterances = [], []
         if emission == "gmm":
-            rng = np.random.default_rng([FAR_OFF_SEEDS[topology, n_states], n_states])
+            rng = np.random.default_rng([FAR_OFF_SEEDS[order, topology, n_states], n_states])
             models.append(make_random_model(rng, order, topology, emission, n_states=n_states))
             utterances.append(rng.uniform(40, 100) * make_obs(rng, emission, int(rng.integers(5, 40))))
         rng = np.random.default_rng([index, n_states, 7])
@@ -315,21 +320,22 @@ def _boundary(d, index, order, topology, emission):
             models.append(make_random_model(rng, order, topology, emission, n_states=n_states))
         models.append(make_random_model(rng, order, "custom", emission, n_states=n_states))
         utterances += [make_obs(rng, emission, int(rng.integers(30, 61))) for _ in range(3)]
-        rng = np.random.default_rng([index, n_states, 8])
-        models.append(leaving_only_pair(make_random_model(rng, order, "custom", emission, n_states=n_states), rng)[0])
+        if order == 2:
+            rng = np.random.default_rng([index, n_states, 8])
+            models.append(leaving_only_pair(make_random_model(rng, order, "custom", emission, n_states=n_states), rng)[0])
         for obs in utterances:
             for model in models:
-                lat = d.call(inference.forward_backward2, model, obs)
+                lat = d.call(fb, model, obs)
                 if lat is not None:
                     _lattice(d, lat)
-                path = d.call(inference.viterbi2, model, obs)
+                path = d.call(vit, model, obs)
                 if path is not None:
                     d.value(path.states)
                     d.value(path.log_prob)
             for mode in inference.SCORING_MODES:
                 d.value(d.call(inference.score_models, models, obs, mode))
         for model in models:
-            report = d.call(training.baum_welch2, model, utterances, training.TrainConfig(max_iterations=2))
+            report = d.call(bw, model, utterances, training.TrainConfig(max_iterations=2))
             if report is not None:
                 d.value(report.log_likelihoods)
                 d.text(json.dumps(model_to_dict(report.model), sort_keys=True))

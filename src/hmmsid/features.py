@@ -37,6 +37,10 @@ Binary feature cache (little-endian), extension ``.lpcf``:
 
 A cache holds exactly 24 + 8*T*D bytes; read_features rejects a shorter
 (truncated) or longer (trailing bytes) file, and one with D = 0.
+
+The hash is the digest of what made the frames: extract_features writes
+its FrontendConfig.digest(), corpus.sample_corpus its CorpusSpec.digest().
+corpus.load_corpus only checks that the caches of one manifest agree.
 """
 
 from __future__ import annotations

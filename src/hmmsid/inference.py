@@ -4,15 +4,18 @@ One engine serves both orders. A second-order chain is a first-order chain
 over state pairs (see embed_pair_states), so each recursion runs once over
 a slice holding the last ``order`` states. It is laid out over the P
 entries of that slice that can ever hold a nonzero forward or backward
-value or a finite best score (``entries``, built once per _ModelStack):
-for order 1 the N states, whose (N,) vector is the slice itself; for
-order 2 the pairs that ``trans1`` allows, that an allowed triple enters,
-or that an allowed triple leaves, in some model of the stack (69 of 576
-for a 24-state left-to-right model, 72 for a ring: a left-to-right or
-ring model's entries are its ``allowed1`` pairs). A pair that only
-triples leave has forward values of 0 but backward values that are not.
-Every other pair is 0 in every forward and backward slice, but the last
-backward slice of a lane, and -inf in every Viterbi slice.
+value or a finite best score (_Entries): for order 1 the N states, so P =
+N and the (N,) vector is the slice itself; for order 2 the pairs that
+``trans1`` allows, that an allowed triple enters, or that an allowed
+triple leaves, in some model of the stack (69 of 576 for a 24-state
+left-to-right model, 72 for a ring: a left-to-right or ring model's
+entries are its ``allowed1`` pairs). A pair that only triples leave has
+forward values of 0 but backward values that are not. Every other pair
+is 0 in every forward and backward slice, but the last backward slice of
+a lane, and -inf in every Viterbi slice. The layout depends only on the
+zero pattern of the transition arrays, so it is built once per pattern,
+with the E-step's tables, and shared read-only by every stack of that
+pattern (_slice_entries); a stack only gathers its transition values.
 
 Only the step that carries a slice one frame on depends on the order.
 Order 1's forward and backward steps are ``prev @ trans`` and its twin.
@@ -23,11 +26,12 @@ contraction's association), from (K, P) tables of their places in the
 previous (next) slice with the transition values gathered there once per
 stack. The skipped terms are exact zeros and the kept ones are added in
 ascending order, so every entry has the bits of the contraction over all
-N^2 pairs. Each forward normalizer is the sum of the whole slice: the
-slice is scattered into a row of N^2 zeros kept for the pass, and that
-row is summed, so it has the bits of the sum over all pairs.
-forward2 and forward_backward2 scatter the (T, P) tables into (T, N, N)
-pair tables of zeros; the E-step reads them as they are.
+N^2 pairs. Each forward normalizer is the sum of the whole slice: where
+the entries do not fill it, the slice is scattered into a row of N^2
+zeros kept for the pass, and that row is summed, so it has the bits of
+the sum over all pairs; order 1's slice is summed as it is. forward2 and
+forward_backward2 scatter the (T, P) tables into (T, N, N) pair tables
+of zeros; the E-step reads them as they are.
 
 The forward and Viterbi recursions also run over a leading model axis, so
 score_models scores every candidate model of an utterance in one pass.
@@ -87,8 +91,9 @@ State indices are 0-based; frame indices are 0-based.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -258,35 +263,43 @@ class _ModelStack:
 
     @cached_property
     def entries(self):
-        """The _Entries the recursions over the stack run over (order 1's
-        forward and backward steps read only ``trans``), built on first
-        use."""
-        return _slice_entries(self)
+        """The _Entries of the zero pattern of the stack's last transition
+        array and, for order 2, of ``trans1``, over all its models (a
+        transition is allowed where it is not 0)."""
+        patterns = ((getattr(self, name) != 0.0).any(axis=0) for name in _TRANSITION_FIELDS[self.order])
+        return _slice_entries(self.order, self.n_states, *(p.tobytes() for p in patterns))
 
-    @property
-    def flat(self):
-        """The flat index in the slice of each entry of the stack's
-        tables: for order 1 the N states, without building the _Entries
-        that only Viterbi reads there."""
-        return np.arange(self.n_states) if self.order == 1 else self.entries.flat
+    @cached_property
+    def steps(self):
+        """Per kind of step of ``entries.steps``: its (K, P) places, the
+        (S, K, P) transition values from each entry's predecessors (0 at
+        padding) and their logs."""
+        steps = []
+        for name, (places, at, ok) in zip(_TRANSITION_FIELDS[self.order], self.entries.steps):
+            values = _gathered(getattr(self, name), at, ok)
+            steps.append((places, values, _log(values)))
+        return tuple(steps)
 
 
 class _Entries(NamedTuple):
-    """The P entries of a stack's slice (states for order 1, pairs for
-    order 2) that can ever hold a nonzero forward or backward value or a
-    finite best score, in ascending flat order, laid out for the steps
-    (see _slice_entries): ``flat``, each entry's flat index in the slice,
-    ``last``, the state it ends in, ``place``, the place among the P of
-    each of the N^order slice entries (0 off them), and ``ending``, the
-    (K', N) places of the entries that end in each state, in ascending
-    order, padded with place P. ``steps`` holds, per kind of
-    forward step (order 2: the step with ``trans1``, then the steps with
-    ``trans2``), the (K, P) places in the previous slice of each entry's
-    predecessors, in ascending source state, the (S, K, P) transition
-    values from them and their logs. ``back`` holds, for order 2's
-    backward step, the (K', P) places in the next slice of each entry's
-    successors, in ascending state, those states and the (S, K', P)
-    transition values into them; None for order 1."""
+    """The layout of one zero pattern (see _slice_entries), read-only since
+    stacks share it: the P entries of the slice (states for order 1, pairs
+    for order 2) that can ever hold a nonzero forward or backward value or
+    a finite best score, in ascending flat order. ``flat`` is each entry's
+    flat index in the slice, ``last`` the state it ends in, ``place`` the
+    place among the P of each of the N^order slice entries (0 off them),
+    and ``ending`` the (K', N) places of the entries that end in each
+    state, in ascending order, padded with place P (order 1: arange(N),
+    arange(N) and arange(N)[None]). ``steps`` holds, per kind of forward
+    step (order 2: with ``trans1``, then with ``trans2``), the (K, P)
+    places in the previous slice of each entry's predecessors, in
+    ascending state, the flat index of each move in the step's transition
+    array and whether the pattern allows it (not at padding); ``back`` the
+    same for order 2's backward step over successors, with their states
+    after the places (None for order 1). ``moves`` is the E-step's table
+    of the allowed moves of the last transition array (flat indices in it,
+    places of the entries they leave and enter, last states); ``row_sums``
+    and ``pair_sums`` are the _RowSums of that array's rows and of slices."""
 
     flat: np.ndarray
     last: np.ndarray
@@ -294,6 +307,15 @@ class _Entries(NamedTuple):
     ending: np.ndarray
     steps: tuple
     back: tuple | None
+    moves: tuple
+    row_sums: _RowSums
+    pair_sums: _RowSums
+
+
+def _gathered(array, at, ok):
+    """The (S, K, P) values of the stacked (S, ...) transition ``array`` at
+    the flat indices ``at``, 0 where ``ok`` is False."""
+    return np.where(ok, array.reshape(len(array), -1)[:, at], 0.0)
 
 
 def _stacked(arrays):
@@ -343,7 +365,7 @@ def _step(stack, t, prev):
     same terms in that order, and exact zeros for the others."""
     if stack.order == 1:
         return (prev[:, None] @ stack.trans)[:, 0]
-    places, values, _ = stack.entries.steps[min(t, 2) - 1]
+    places, values, _ = stack.steps[min(t, 2) - 1]
     terms = prev.take(places, axis=1)
     terms *= values
     return np.add.reduce(terms, 1)
@@ -371,34 +393,33 @@ def _forward(stack, bsh, shifts, errors, lengths=None):
     Returns (alpha, log_norms): the (T, S, P) tables over the stack's
     entries (order 2's slice 0 is 0: the first-frame vectors have no
     place among the pairs) and the (S, T) slice log normalizers. Each
-    normalizer is the sum of the whole slice: order 2 scatters the slice
-    into a row of N^2 zeros kept for the pass and sums that row. A model
+    normalizer is the sum of the whole slice: where the entries do not
+    fill it, the slice is scattered into a row of N^order zeros kept for
+    the pass, and that row is summed. A model
     whose slice sums to 0 at frame t gets ImpossibleObservationError(t) in
     ``errors``; its later values are NaN. With ``lengths``, lane k's
     frames from lengths[k] on are padding and record no error.
     """
     T, S, N = bsh.shape
-    flat = stack.flat
-    pairs = stack.order == 2
-    if pairs:
-        b = bsh.take(stack.entries.last, axis=2)
-        row = np.zeros((S, N * N))
-        at = (np.arange(S)[:, None] * N * N + flat).ravel()   # of each entry in the flattened rows
-    else:
-        b = bsh
+    order, flat = stack.order, stack.entries.flat
+    b = bsh.take(stack.entries.last, axis=2)
+    row = None
+    if len(flat) < N**order:   # else the slice is whole, and summed as it is
+        row = np.zeros((S, N**order))
+        at = (np.arange(S)[:, None] * N**order + flat).ravel()   # of each entry in the flattened rows
     alpha = np.zeros((T, S, len(flat)))
     norms = np.empty((T, S, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = stack.initial * bsh[0]
         # positional out= arguments: the loop below runs once per frame
         s = np.add.reduce(u, 1, None, norms[0], True)
-        a = u / s if pairs else np.divide(u, s, alpha[0])
+        a = u / s if order == 2 else np.divide(u, s, alpha[0])   # order 2: the first-frame vectors
         for t in range(1, T):
             u = _step(stack, t, a)
             u *= b[t]
-            if pairs:
+            if row is not None:
                 row.put(at, u)
-            s = np.add.reduce(row if pairs else u, 1, None, norms[t], True)
+            s = np.add.reduce(u if row is None else row, 1, None, norms[t], True)
             a = np.divide(u, s, alpha[t])
         norms = norms.reshape(T, S).T.copy()
         log_norms = np.log(norms)
@@ -423,15 +444,15 @@ def _backward(stack, bsh, lengths, terminal, norms=None):
     order = stack.order
     weights = bsh
     if order == 2:   # trans2 * b at each entry's successors, every frame at once
-        _, states, values = stack.entries.back
-        weights = values * bsh.take(states, axis=2)
+        _, states, at, ok = stack.entries.back
+        weights = _gathered(stack.trans2, at, ok) * bsh.take(states, axis=2)
     if norms is not None:
         norms = norms[..., None]
     terminal = np.full((1, 1), terminal)   # an array: the rescale divides by u.max
     ends = {}   # frame -> the lanes whose last frame it is
     for k, n in enumerate(lengths):
         ends.setdefault(n - 1, []).append(k)
-    beta = np.empty((T, L, len(stack.flat)))
+    beta = np.empty((T, L, len(stack.entries.flat)))
     u = terminal
     for t in range(T - 1, order - 2, -1):
         if t < T - 1:
@@ -466,10 +487,9 @@ def _lanes(model, xs, names, backward=True):
     Each utterance is non-empty and already converted by the emission kind's
     observation rule; ``names`` are their names for errors (None: unnamed).
 
-    Returns the _Entries of the model's one-model stack that order 2's
-    tables are over (None for order 1, whose tables are over the N states)
-    and a _Lane per utterance. When utterances fail, raises the error the
-    first of them raises on its own.
+    Returns the _Entries that the tables are over (see
+    _ModelStack.entries) and a _Lane per utterance. When utterances fail,
+    raises the error the first of them raises on its own.
     """
     kind = type(model.emissions[0])
     try:
@@ -506,39 +526,38 @@ def _lanes(model, xs, names, backward=True):
         rows = slice(start, start + n)
         lanes.append(_Lane(alpha[:n, k], None if beta is None else beta[:n, k], log_norms[k, :n],
                            shifts[:n, k], bsh[:n, k], logb[rows], None if comp is None else comp[rows]))
-    return (stack.entries if model.order == 2 else None), lanes
+    return stack.entries, lanes
 
 
 def _forward_backward(model, obs, backward=True):
     """One model's forward lattice, with its backward table when
-    ``backward``: the one-lane case of _lanes. Order 2's tables are
-    scattered into (T, N, N) pair tables, zero off the entries, as the
-    steps over all pairs leave them, but in two backward slices: the last
-    holds the terminal value, divided as the others, at every pair; and a
-    slice that is NaN at every entry (a rescaled rerun whose slice
-    maximum underflowed to 0, and every slice before it) is NaN at every
-    pair."""
+    ``backward``: the one-lane case of _lanes, its (T, P) tables laid out
+    as (T, N...) slices. Where the entries do not fill the slice, they are
+    scattered into slices of zeros, as the steps over all pairs leave
+    them, but in two backward slices: the last holds the terminal value,
+    divided as the others, at every pair; and a slice that is NaN at every
+    entry (a rescaled rerun whose slice maximum underflowed to 0, and
+    every slice before it) is NaN at every pair."""
     x, name = _checked(type(model.emissions[0]), obs)
     entries, (lane,) = _lanes(model, [x], [name], backward)
     alpha, beta = lane.alpha, lane.beta
-    if model.order == 2:
-        n, flat = model.n_states, entries.flat
-        alpha = np.zeros((len(x), n * n))
+    n, flat = model.n_states**model.order, entries.flat
+    if len(flat) < n:
+        alpha = np.zeros((len(x), n))
         alpha[:, flat] = lane.alpha
-        alpha = alpha.reshape(-1, n, n)
         if backward:
             full = np.isnan(lane.beta).all(axis=1)
             full[-1] = len(x) > 1
-            beta = np.zeros((len(x), n * n))
+            beta = np.zeros((len(x), n))
             beta[:, flat] = lane.beta
             beta[full] = lane.beta[full, :1]   # a NaN keeps its bits
-            beta = beta.reshape(-1, n, n)
+    shape = (len(x),) + (model.n_states,) * model.order
     return TrellisLattice(
         order=model.order,
-        alpha=alpha,
+        alpha=alpha.reshape(shape),
         slice_log_norms=lane.log_norms,
         log_likelihood=float(lane.log_norms.sum()),
-        beta=beta,
+        beta=None if beta is None else beta.reshape(shape),
         emission_shifts=lane.shifts,
     )
 
@@ -557,45 +576,124 @@ def _allowed_first(ok):
     return rows, np.take_along_axis(ok, rows, axis=0)
 
 
-def _slice_entries(stack):
-    """The _Entries of ``stack``: for order 1 all N states; for order 2 the
-    pairs (j, k) that ``trans1`` allows, that some allowed triple (i, j, k)
-    enters or that some allowed triple (j, k, l) leaves, in some model of
-    the stack (an entry allows one when it is not 0), or pair (0, 0) when
-    there is none. A left-to-right or ring model's entries are its
+@lru_cache(maxsize=32)
+def _slice_entries(order, N, *patterns):
+    """The _Entries of one zero pattern, given as the bytes of boolean
+    arrays (order 2: of trans1, then of trans2), built once per pattern.
+
+    The entries are, for order 1, all N states; for order 2 the pairs
+    (j, k) that ``trans1`` allows, that some allowed triple (i, j, k)
+    enters or that some allowed triple (j, k, l) leaves, or pair (0, 0)
+    when there is none. A left-to-right or ring model's entries are its
     ``allowed1`` pairs. Every other pair's forward and backward values are
     0 at every frame but a lane's last backward slice, which holds the
     terminal value at every pair, and its best score is -inf. An entry's
     predecessors (successors) are the states of the allowed transitions
     into (out of) it, whose own entries are among these; K is the longest
     such list, and at least 1. Shorter lists are padded with place 0 and
-    transition values 0 (log-transitions -inf)."""
-    N, order = stack.n_states, stack.order
-    last = getattr(stack, _TRANSITION_FIELDS[order][-1])
-    S = len(last)
-    allowed = (last != 0.0).any(axis=0).reshape(N, -1)   # [i, the flat entry i moves to]
-    if order == 1:
+    moves the pattern does not allow."""
+    allowed = np.frombuffer(patterns[-1], dtype=bool).reshape(N, -1)   # [i, the flat entry i moves to]
+    if order == 1:   # order 1's steps are products over all N states
         kept = np.ones(N, dtype=bool)
     else:
         leaving = allowed.reshape(N * N, N)   # [the pair a triple leaves, the state it moves to]
-        kept = (stack.trans1 != 0.0).any(axis=0).ravel() | allowed.any(axis=0) | leaving.any(axis=1)
+        kept = np.frombuffer(patterns[0], dtype=bool) | allowed.any(axis=0) | leaving.any(axis=1)
     flat = np.flatnonzero(kept) if kept.any() else np.zeros(1, dtype=np.int64)
     place = np.zeros(N**order, dtype=np.intp)
     place[flat] = np.arange(len(flat))
     # [i, p]: the flat entry a move from state i into entry p leaves (order 2: pair (i, j) of (j, k))
     source = np.arange(N)[:, None] * N ** (order - 1) + flat // N
     states, ok = _allowed_first(allowed[:, flat])
-    values = np.where(ok, last.reshape(S, N, -1)[:, states, flat], 0.0)
-    steps = ((np.where(ok, place[np.take_along_axis(source, states, axis=0)], 0), values, _log(values)),)
+    steps = ((np.where(ok, place[np.take_along_axis(source, states, axis=0)], 0), states * N**order + flat, ok),)
     back = None
     if order == 2:
-        first = stack.trans1.reshape(S, 1, -1)[:, :, flat]
-        steps = ((flat[None] // N, first, _log(first)),) + steps
+        steps = ((flat[None] // N, flat[None], np.ones((1, len(flat)), dtype=bool)),) + steps
         states, ok = _allowed_first(leaving[flat].T)
-        values = np.where(ok, last.reshape(S, N * N, N)[:, flat, states], 0.0)
-        back = (np.where(ok, place[flat % N * N + states], 0), states, values)
+        back = (np.where(ok, place[flat % N * N + states], 0), states, flat * N + states, ok)
     ending, ok = _allowed_first(flat[:, None] % N == np.arange(N))
-    return _Entries(flat, flat % N, place, np.where(ok, ending, len(flat)), steps, back)
+    at = np.flatnonzero(allowed)   # the allowed moves, in the last transition array
+    moves = (at, place[at // N], place[at % N**order], at % N)
+    entries = _Entries(flat, flat % N, place, np.where(ok, ending, len(flat)), steps, back, moves,
+                       _RowSums(allowed.size, at), _RowSums(N**order, flat))
+    for array in itertools.chain(entries[:4], *steps, back or (), moves):
+        array.setflags(write=False)
+    return entries
+
+
+class _RowSums:
+    """Sums of rows of ``n`` values that are zero except at the sorted
+    positions ``flat``, from the (F, K) values at those positions (of any
+    layout: they are copied into the sum's own rows or buffer); each is
+    bitwise the np.sum of its whole row.
+
+    np.sum adds a contiguous row pairwise, the order models._pairwise_sum
+    follows, and adds the result to an initial 0.0. A row of up to 128
+    values is one pairwise block, and is summed that way, scattered into a
+    row of zeros. A longer row follows a plan of the same additions in the
+    same order, with every addition of an all-zero part left out: adding
+    a zero changes at most the sign of a zero sum, and the closing
+    addition of 0.0 makes every zero +0.0, as np.sum's initial 0.0 does.
+    The plan takes its additions a level (of depth in the tree) at a time
+    over all frames, on a (width, F) buffer: the values in the first K
+    rows, each partial sum in a row of its own after them. Either way a
+    frame takes ``width`` values of buffer.
+    """
+
+    def __init__(self, n, flat):
+        self.n, self.flat, self.levels, self.width = n, flat, None, n
+        if n <= 128 or not len(flat):
+            return
+        k = len(flat)
+        leaf = dict(zip(flat.tolist(), range(k)))
+        pairs = []   # the operands of the additions; addition i gives node k + i
+
+        def add(a, b):
+            if a is None or b is None:
+                return b if a is None else a
+            pairs.append((a, b))
+            return k + len(pairs) - 1
+
+        def run(total, span):
+            for p in span:
+                total = add(total, leaf.get(p))
+            return total
+
+        def block(lo, m):
+            """The node of numpy's pairwise sum of the m > 64 values from
+            position lo (None when all of them are zero)."""
+            if m > 128:
+                half = m // 2 - m // 2 % 8
+                return add(block(lo, half), block(lo + half, m - half))
+            end = lo + m - m % 8
+            r = [run(None, range(lo + j, end, 8)) for j in range(8)]
+            total = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+            return run(total, range(end, lo + m))
+
+        root = block(0, n)
+        depth = [0] * k
+        for a, b in pairs:
+            depth.append(1 + max(depth[a], depth[b]))
+        nodes = sorted(range(k, len(depth)), key=depth.__getitem__)
+        row = list(range(k)) + [0] * len(pairs)
+        for r, v in enumerate(nodes, k):
+            row[v] = r
+        self.levels, self.width, self.root = [], len(depth), row[root]
+        start = k
+        for _, level in itertools.groupby(nodes, depth.__getitem__):
+            operands = np.array([[row[v] for v in pairs[u - k]] for u in level]).T
+            self.levels.append((slice(start, start + operands.shape[1]), *operands))
+            start += operands.shape[1]
+
+    def __call__(self, terms):
+        if self.levels is None:
+            rows = np.zeros((len(terms), self.n))
+            rows[:, self.flat] = terms
+            return rows.sum(axis=1)
+        buf = np.empty((self.width, len(terms)))
+        buf[:len(self.flat)] = terms.T
+        for out, left, right in self.levels:
+            np.add(buf[left], buf[right], out=buf[out])
+        return buf[self.root] + 0.0
 
 
 def _max_plus(order, steps, dp, frames, ptr=None, peaks=None):
@@ -648,14 +746,14 @@ def _viterbi(stack, logb, errors, paths=True):
     frames = logb.take(entries.last, axis=2)
     start = _log(stack.initial) + logb[0]
     ptr = np.empty((T, S, len(entries.last)), dtype=np.int64) if paths else None
-    dp = _max_plus(order, [(places, logs) for places, _, logs in entries.steps], start, frames, ptr)
+    dp = _max_plus(order, [(places, logs) for places, _, logs in stack.steps], start, frames, ptr)
     rows = np.arange(S)
     best = np.argmax(dp, axis=1)
     scores = dp[rows, best]
     dead = np.flatnonzero(np.isneginf(scores))
     if dead.size:
         peaks = np.empty((len(dead), T))
-        _max_plus(order, [(places, logs[dead]) for places, _, logs in entries.steps],
+        _max_plus(order, [(places, logs[dead]) for places, _, logs in stack.steps],
                   start[dead], frames[:, dead], peaks=peaks)
         hits = np.zeros((S, T), dtype=bool)
         hits[dead] = np.isneginf(peaks)

@@ -8,10 +8,11 @@ contributes an exact zero to every accumulator and stays zero forever.
 
 Each E-step runs the model's utterances as the lanes of one stacked pass
 (inference._lanes): one emission-kernel call on their concatenated
-frames, one forward pass and one backward pass on one time axis. For
-order 2 the passes keep only the slice entries, the pairs that can ever
-hold a nonzero value (69 of 576 for a 24-state left-to-right model), and
-the E-step reads those compact (T, P) tables as they are. Posteriors and
+frames, one forward pass and one backward pass on one time axis. The
+passes keep only the slice entries (inference._Entries), the N states
+for order 1 (P = N) and for order 2 the pairs that can ever hold a
+nonzero value (69 of 576 for a 24-state left-to-right model), and the
+E-step reads those compact (T, P) tables as they are. Posteriors and
 the emission kind's statistics (all states at once) are added in
 utterance order, so every total is bitwise what running the utterances
 one at a time on the whole (T, N, N) tables gives. When utterances fail,
@@ -21,17 +22,19 @@ utterance.
 Both orders take one posterior path (_posteriors). The posterior of the
 last transition array (xi over ``trans``, eta over ``trans2``) is taken
 only at the transitions it allows, over chunks of frames, never as one
-(T-order, N, ..., N) tensor (_AllowedTransitions). Order 2's pair
-posterior is taken at the slice entries only: each state's posterior
-adds, in ascending order, the pairs that end in it, from a (K', N) table
-of their places, as the sum over a whole (N, N) slice's first axis does.
-Each frame's normalizer, of the pair or the transition posterior, is
-bitwise the sum of its whole slice: up to 128 entries, its terms
-scattered into a row of zeros and summed; beyond, numpy's pairwise
-additions of the row without those of all-zero parts, planned once per
-zero pattern (_RowSums). The frames are summed in frame order over a
-C-contiguous array, so the total is bitwise that of the whole tensor. A
-lost frame is named from the normalizers the posteriors keep.
+(T-order, N, ..., N) tensor (_AllowedTransitions). The slice (state or
+pair) posterior is taken at the slice entries only: each state's
+posterior adds, in ascending order, the entries that end in it, from a
+(K', N) table of their places, as the sum over a whole (N, N) slice's
+first axis does (order 1: its own entry). Each frame's normalizer, of
+the slice or the transition posterior, is bitwise the sum of its whole
+slice: up to 128 entries, its terms scattered into a row of zeros and
+summed; beyond, numpy's pairwise additions of the row without those of
+all-zero parts (inference._RowSums). The frames are summed in frame
+order over a C-contiguous array, so the total is bitwise that of the
+whole tensor. A lost frame is named from the normalizers the posteriors
+keep. The tables and plans are built once per zero pattern, with the
+slice entries; the M-step keeps the pattern from its first update on.
 
 Conventions applied here:
 
@@ -55,8 +58,6 @@ Conventions applied here:
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -422,153 +423,53 @@ def _prepared(obs_set, kind):
 _TERMS_BYTES = 2**18
 
 
-class _RowSums:
-    """Sums of rows of ``n`` values that are zero except at the sorted
-    positions ``flat``, from the (F, K) values at those positions (of any
-    layout: they are copied into the sum's own rows or buffer); each is
-    bitwise the np.sum of its whole row.
-
-    np.sum adds a contiguous row pairwise, the order models._pairwise_sum
-    follows, and adds the result to an initial 0.0. A row of up to 128
-    values is one pairwise block, and is summed that way, scattered into a
-    row of zeros. A longer row follows a plan of the same additions in the
-    same order, with every addition of an all-zero part left out: adding
-    a zero changes at most the sign of a zero sum, and the closing
-    addition of 0.0 makes every zero +0.0, as np.sum's initial 0.0 does.
-    The plan takes its additions a level (of depth in the tree) at a time
-    over all frames, on a (width, F) buffer: the values in the first K
-    rows, each partial sum in a row of its own after them. Either way a
-    frame takes ``width`` values of buffer.
-    """
-
-    def __init__(self, n, flat):
-        self.n, self.flat, self.levels, self.width = n, flat, None, n
-        if n <= 128 or not len(flat):
-            return
-        k = len(flat)
-        leaf = dict(zip(flat.tolist(), range(k)))
-        pairs = []   # the operands of the additions; addition i gives node k + i
-
-        def add(a, b):
-            if a is None or b is None:
-                return b if a is None else a
-            pairs.append((a, b))
-            return k + len(pairs) - 1
-
-        def run(total, span):
-            for p in span:
-                total = add(total, leaf.get(p))
-            return total
-
-        def block(lo, m):
-            """The node of numpy's pairwise sum of the m > 64 values from
-            position lo (None when all of them are zero)."""
-            if m > 128:
-                half = m // 2 - m // 2 % 8
-                return add(block(lo, half), block(lo + half, m - half))
-            end = lo + m - m % 8
-            r = [run(None, range(lo + j, end, 8)) for j in range(8)]
-            total = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
-            return run(total, range(end, lo + m))
-
-        root = block(0, n)
-        depth = [0] * k
-        for a, b in pairs:
-            depth.append(1 + max(depth[a], depth[b]))
-        nodes = sorted(range(k, len(depth)), key=depth.__getitem__)
-        row = list(range(k)) + [0] * len(pairs)
-        for r, v in enumerate(nodes, k):
-            row[v] = r
-        self.levels, self.width, self.root = [], len(depth), row[root]
-        start = k
-        for _, level in itertools.groupby(nodes, depth.__getitem__):
-            operands = np.array([[row[v] for v in pairs[u - k]] for u in level]).T
-            self.levels.append((slice(start, start + operands.shape[1]), *operands))
-            start += operands.shape[1]
-
-    def __call__(self, terms):
-        if self.levels is None:
-            rows = np.zeros((len(terms), self.n))
-            rows[:, self.flat] = terms
-            return rows.sum(axis=1)
-        buf = np.empty((self.width, len(terms)))
-        buf[:len(self.flat)] = terms.T
-        for out, left, right in self.levels:
-            np.add(buf[left], buf[right], out=buf[out])
-        return buf[self.root] + 0.0
-
-
-@functools.lru_cache(maxsize=16)
-def _row_sums(n, flat_bytes):
-    """The _RowSums of one zero pattern (positions as np.intp bytes),
-    planned once."""
-    return _RowSums(n, np.frombuffer(flat_bytes, dtype=np.intp))
-
-
 class _AllowedTransitions:
-    """The allowed (nonzero) entries of a model's last transition array A
-    (``trans``, or ``trans2`` for order 2), K of them, the _RowSums that
-    sums rows of A.size values zero off them, and the frames per chunk of
-    the transition posterior, whose _RowSums buffer takes about
-    _TERMS_BYTES. For order 2 it keeps the inference._Entries that the
-    lane pass's compact tables are over, and the _RowSums of the pair
-    posterior over them."""
+    """A model's last transition array A (``trans``, or ``trans2`` for
+    order 2) at its K allowed (nonzero) entries, listed by ``moves`` of
+    ``entries``, the inference._Entries of its zero pattern that the lane
+    pass's compact tables are over, and the frames per chunk of the
+    transition posterior, whose _RowSums buffer takes about _TERMS_BYTES."""
 
     def __init__(self, model, entries):
         last = _transitions(model)[-1][1]
-        n, self.order, self.shape = model.n_states, model.order, last.shape
-        self.flat = np.flatnonzero(last)
+        self.order, self.shape, self.entries = model.order, last.shape, entries
+        self.flat, self.source, self.target, self.last = entries.moves
         self.values = last.ravel()[self.flat]
-        # per entry: the slice entry it leaves (of alpha), its last state, the one it enters (of beta)
-        self.source, self.last, self.target = self.flat // n, self.flat % n, self.flat % n**self.order
-        self.row_sums = _row_sums(last.size, self.flat.tobytes())
-        self.frames = max(1, _TERMS_BYTES // (8 * self.row_sums.width))
-        if self.order == 2:   # the tables hold the entries at their places
-            self.entries = entries
-            self.source, self.target = entries.place[self.source], entries.place[self.target]
-            self.pair_sums = _row_sums(n * n, entries.flat.tobytes())
-
-    def terms(self, alpha, bsh, beta):
-        """The terms alpha(i...) A(i..., k) b(k) beta(...k) of F frames at
-        the allowed entries, from the (F, P) compact ``alpha`` at frames
-        t-1 and the (F, N) shifted emissions ``bsh`` and (F, P) compact
-        ``beta`` at frames t, and their per-frame sums.
-
-        The terms are taken in the order the whole product takes them,
-        (alpha * trans) * (b * beta) for order 1 and alpha * trans2 * b *
-        beta for order 2, into a C-contiguous (F, K) array (``take`` keeps
-        that order; a fancy-indexed gather comes out Fortran-ordered).
-        The sums are bitwise those of the whole product's rows
-        (_RowSums)."""
-        terms = np.take(alpha, self.source, axis=1)
-        terms *= self.values
-        entering = beta[:, self.target]
-        if self.order == 1:
-            entering *= bsh[:, self.last]
-        else:
-            terms *= bsh[:, self.last]
-        terms *= entering
-        return terms, self.row_sums(terms)
+        self.frames = max(1, _TERMS_BYTES // (8 * entries.row_sums.width))
 
     def posterior_sum(self, alpha, beta, bsh, norms):
         """Sum over frames t = order..T-1 of the posterior of the transition
-        ending at t, taken chunk by chunk at the allowed entries. Each frame
-        is divided by its sum (bitwise the sum of its whole slice), which is
-        written to norms[t]. The sum of the chunks before is folded into
-        each chunk's first row; numpy sums axis 0 of a C-contiguous array
-        by adding its rows one by one in order, so the frames are added in
-        frame order, and each allowed entry is bitwise that of the sum of
-        the whole (T-order, N, ..., N) tensor. Every other entry is 0, as
-        it is there."""
+        ending at t, taken chunk by chunk at the allowed entries, from the
+        compact (T, P) ``alpha`` and ``beta`` and the (T, N) shifted
+        emissions ``bsh``. The terms alpha(i...) A(i..., k) b(k) beta(...k)
+        are taken in the order the whole product takes them, (alpha *
+        trans) * (b * beta) for order 1 and alpha * trans2 * b * beta for
+        order 2, into a C-contiguous (F, K) array (``take`` keeps that
+        order; a fancy-indexed gather comes out Fortran-ordered). Each
+        frame is divided by its sum, bitwise that of the whole product's
+        row (inference._RowSums), which is written to norms[t]. The sum of
+        the chunks before is folded into each chunk's first row; numpy sums
+        axis 0 of a C-contiguous array by adding its rows one by one in
+        order, so the frames are added in frame order, and each allowed
+        entry is bitwise that of the sum of the whole (T-order, N, ..., N)
+        tensor. Every other entry is 0, as it is there."""
         acc = None
         for lo in range(self.order - 1, len(bsh) - 1, self.frames):
             hi = min(lo + self.frames, len(bsh) - 1)
-            xi, norms[lo + 1:hi + 1] = self.terms(alpha[lo:hi], bsh[lo + 1:hi + 1], beta[lo + 1:hi + 1])
+            xi = np.take(alpha[lo:hi], self.source, axis=1)
+            xi *= self.values
+            entering = beta[lo + 1:hi + 1, self.target]
+            if self.order == 1:
+                entering *= bsh[lo + 1:hi + 1, self.last]
+            else:
+                xi *= bsh[lo + 1:hi + 1, self.last]
+            xi *= entering
+            norms[lo + 1:hi + 1] = self.entries.row_sums(xi)
             xi /= norms[lo + 1:hi + 1, None]
             if acc is not None:
                 xi[0] += acc
             acc = xi.sum(axis=0)
-        total = np.zeros(self.row_sums.n)
+        total = np.zeros(self.entries.row_sums.n)
         total[self.flat] = acc
         return total.reshape(self.shape)
 
@@ -578,33 +479,29 @@ def _posteriors(model, alpha, beta, bsh, counts, allowed, norms):
     lane tables (see inference._lanes). Adds the summed posterior of the
     last transition array (via the _AllowedTransitions ``allowed``) to
     counts[-1] and, for order 2, the first pair posterior to counts[0].
-    The sum by which frame t's state (order 2: pair) posterior is
+    The sum by which frame t's slice (state or pair) posterior is
     normalized goes to norms[0, t]; that of the transition posterior
     ending at t to norms[1, t].
 
-    Order 2 takes the pair posterior at the entries only. Its per-frame
-    sums are bitwise those of the whole N^2 slices (_RowSums), and each
-    state's posterior adds the pairs that end in it in ascending order,
-    as the sum over the first axis of the (N, N) slice does; the first
-    frame's (N, N) slice is scattered whole."""
-    order, t_count = model.order, len(bsh)
-    if order == 1:
-        gamma = alpha * beta
-        norms[0, :t_count] = sums = gamma.sum(axis=1)
-        gamma /= sums[:, None]
-    else:
-        n, entries = model.n_states, allowed.entries
-        p = len(entries.flat)
-        post = np.zeros((t_count - 1, p + 1))   # its last column: the padding of entries.ending
-        pairs = np.multiply(alpha[1:], beta[1:], out=post[:, :p])
-        norms[0, 1:t_count] = sums = allowed.pair_sums(pairs)
-        pairs /= sums[:, None]
+    The slice posterior is taken at the entries only. Its per-frame sums
+    are bitwise those of the whole slices (inference._RowSums), and each
+    state's posterior adds the entries that end in it in ascending order,
+    as the sum over the first axis of an (N, N) slice does (order 1: the
+    state's own entry). Order 2's first frame's (N, N) slice is scattered
+    whole."""
+    order, t_count, n, entries = model.order, len(bsh), model.n_states, allowed.entries
+    p = len(entries.flat)
+    post = np.zeros((t_count - order + 1, p + 1))   # its last column: the padding of entries.ending
+    slices = np.multiply(alpha[order - 1:], beta[order - 1:], out=post[:, :p])
+    norms[0, order - 1:t_count] = sums = entries.pair_sums(slices)
+    slices /= sums[:, None]
+    gamma = np.empty((t_count, n))
+    gamma[order - 1:] = post.take(entries.ending, axis=1).sum(axis=1)
+    if order == 2:   # order 2's slice 0 holds no pairs: the first pair slice gives it
         first = np.zeros(n * n)
-        first[entries.flat] = pairs[0]
+        first[entries.flat] = slices[0]
         first = first.reshape(n, n)
-        gamma = np.empty((t_count, n))
         gamma[0] = first.sum(axis=1)
-        gamma[1:] = post.take(entries.ending, axis=1).sum(axis=1)
         counts[0] += first
     if t_count > order:
         counts[-1] += allowed.posterior_sum(alpha, beta, bsh, norms[1])

@@ -442,7 +442,7 @@ class TestAllowedPredecessors:
             models = self._pair_stack(rng, pair, trans1_allows=True)
             stack = _ModelStack(models)
             at = np.flatnonzero(stack.entries.flat == 4 * pair[0] + pair[1])
-            assert len(at) == 1 and np.isneginf(stack.entries.steps[1][2][:, :, at]).all()
+            assert len(at) == 1 and np.isneginf(stack.steps[1][2][:, :, at]).all()
             assert self._check_pair_stack(rng, models, list(pair)) == list(pair)
 
     def test_pair_entered_only_by_triples(self):
@@ -455,7 +455,7 @@ class TestAllowedPredecessors:
             assert all(model.trans1[pair] == 0.0 for model in models)
             stack = _ModelStack(models)
             at = np.flatnonzero(stack.entries.flat == 4 * pair[0] + pair[1])
-            assert len(at) == 1 and np.isneginf(stack.entries.steps[0][2][:, :, at]).all()
+            assert len(at) == 1 and np.isneginf(stack.steps[0][2][:, :, at]).all()
             assert self._check_pair_stack(rng, models, [0, 1, 2]) == [0, 1, 2]
 
     def test_registry_key_builds_its_entries_once(self):

@@ -1,5 +1,7 @@
+import itertools
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from hmmsid.models import (
     custom_topology,
     validate,
 )
-from hmmsid import training
+from hmmsid import inference, training
 from hmmsid.training import (
     TrainConfig,
     VariantSpec,
@@ -807,9 +809,8 @@ class TestStackedEmissionStatistics:
 
 def _allowed(model):
     """The _AllowedTransitions of ``model`` over the tables its lane pass
-    keeps (order 2: over its one-model stack's entries)."""
-    stack = _ModelStack((model,))
-    return training._AllowedTransitions(model, stack.entries if model.order == 2 else None)
+    keeps: over its one-model stack's entries."""
+    return training._AllowedTransitions(model, _ModelStack((model,)).entries)
 
 
 def _posteriors(model, alpha, beta, bsh, counts, chunk=None):
@@ -817,8 +818,8 @@ def _posteriors(model, alpha, beta, bsh, counts, chunk=None):
     ``beta`` taken at the entries of the model's compact lane tables, with
     an _AllowedTransitions (taking ``chunk`` frames per chunk when given)
     and a normalizer table of its own."""
-    flat = _ModelStack((model,)).flat
     allowed = _allowed(model)
+    flat = allowed.entries.flat
     allowed.frames = chunk or allowed.frames
     alpha, beta = (table.reshape(len(bsh), -1).take(flat, axis=1) for table in (alpha, beta))
     return training._posteriors(model, alpha, beta, bsh, counts, allowed, np.ones((2, len(bsh))))
@@ -893,7 +894,7 @@ class TestRowSums:
             values[0] = -0.0   # np.sum makes it +0.0
         rows = np.zeros((f, n))
         rows[:, flat] = values
-        got = training._RowSums(n, flat)(values)
+        got = inference._RowSums(n, flat)(values)
         assert got.tobytes() == rows.sum(axis=1).tobytes()
 
 
@@ -989,3 +990,107 @@ class TestTransitionPosterior:
         assert len(stats) == len(want_stats) == 3
         for got, want in zip(stats, want_stats):
             assert np.array_equal(got, want)
+
+
+class TestPatternLayout:
+    """One layout per zero pattern (inference._Entries) serves both orders'
+    passes and the E-step: order 1's entries are the N states, the E-step's
+    table of allowed entries is the one built from the last transition
+    array itself, and the layout is built once per pattern, shared
+    read-only by every stack of that pattern."""
+
+    STATES = (2, 3, 4, 5, 6, 7, 24)
+
+    @staticmethod
+    def _models(order, topology, emission, seed):
+        """Models of each of STATES (a ring needs 3) of the topology and
+        with a random custom mask."""
+        rng = np.random.default_rng([seed, order, len(topology), len(emission)])
+        for n_states in TestPatternLayout.STATES:
+            for kind in (topology, "custom"):
+                if kind != "circular" or n_states >= 3:
+                    yield make_random_model(rng, order, kind, emission, n_states=n_states)
+
+    @pytest.mark.parametrize("topology", ["ltr", "circular", "custom"])
+    def test_order1_entries_are_the_states(self, topology):
+        rng = np.random.default_rng([710, len(topology)])
+        for n_states in self.STATES[1:]:
+            entries = _ModelStack((make_random_model(rng, 1, topology, "gmm", n_states=n_states),)).entries
+            states = np.arange(n_states)
+            assert np.array_equal(entries.flat, states)
+            assert np.array_equal(entries.last, states)
+            assert np.array_equal(entries.place, states)
+            assert np.array_equal(entries.ending, states[None])
+            assert entries.back is None
+
+    @pytest.mark.parametrize("order,topology,emission", ALL_CONFIGS)
+    def test_allowed_entries_equal_the_last_arrays_own(self, order, topology, emission):
+        """The reference is built from the last transition array: its
+        nonzero entries, the slice entry each leaves (flat // N) and enters
+        (flat % N^order), placed by the layout, and its last state."""
+        for model in self._models(order, topology, emission, 711):
+            allowed = _allowed(model)
+            n, last = model.n_states, _transitions(model)[-1][1]
+            flat = np.flatnonzero(last)
+            place = allowed.entries.place
+            assert np.array_equal(allowed.flat, flat)
+            assert np.array_equal(allowed.source, place[flat // n])
+            assert np.array_equal(allowed.target, place[flat % n**order])
+            assert np.array_equal(allowed.last, flat % n)
+            assert np.array_equal(allowed.values, last.ravel()[flat])
+            assert np.array_equal(allowed.entries.flat[allowed.source], flat // n)
+            assert np.array_equal(allowed.entries.flat[allowed.target], flat % n**order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_built_once_per_zero_pattern(self, order):
+        """Every E-step of one model reads the one layout of its zero
+        pattern, which the M-step keeps."""
+        rng = np.random.default_rng([712, order])
+        model = make_random_model(rng, order, "custom", "gmm", n_states=6)
+        xs = [make_obs(rng, "gmm", n) for n in (20, 35, 9)]
+        inference._slice_entries.cache_clear()
+        report = _welch(model, xs, TrainConfig(max_iterations=3, rel_tol=1e-15))
+        assert report.iterations_run == 3
+        assert inference._slice_entries.cache_info().misses == 1
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_a_floored_zero_gets_its_own_layout(self, order):
+        """A starting chain with a zero at an allowed entry: the first
+        M-step floors it to nonzero, so the later E-steps read a second
+        layout, which holds that entry, not the first one's tables."""
+        rng = np.random.default_rng([713, order])
+        model = make_random_model(rng, order, "ltr", "gmm", n_states=5)
+        name, last, _ = _transitions(model)[-1]
+        last = last.copy()
+        zero = np.flatnonzero(last * ((last > 0).sum(axis=-1, keepdims=True) > 1))[0]   # in a row of two or more
+        last.flat[zero] = 0.0
+        row = np.unravel_index(zero, last.shape)[:-1]
+        last[row] /= last[row].sum()
+        model = replace(model, **{name: last})
+        xs = [make_obs(rng, "gmm", n) for n in (20, 35, 9)]
+        inference._slice_entries.cache_clear()
+        seen = []
+
+        def lanes(model, *args):
+            entries, out = inference._lanes(model, *args)
+            seen.append((model, entries))
+            return entries, out
+
+        with mock.patch.object(training, "_lanes", lanes):
+            _welch(model, xs, TrainConfig(max_iterations=3, rel_tol=1e-15))
+        assert len(seen) == 3 and inference._slice_entries.cache_info().misses == 2
+        assert zero not in seen[0][1].moves[0]
+        assert seen[1][1] is seen[2][1] and zero in seen[1][1].moves[0]
+        for model, entries in seen:
+            assert np.array_equal(entries.moves[0], np.flatnonzero(_transitions(model)[-1][1]))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_layout_is_read_only(self, order):
+        rng = np.random.default_rng([714, order])
+        stacks = [_ModelStack((make_random_model(rng, order, "ltr", "gmm", n_states=5),)) for _ in range(2)]
+        entries = stacks[0].entries
+        assert stacks[1].entries is entries
+        arrays = [*entries[:4], *itertools.chain(*entries.steps), *(entries.back or ()), *entries.moves]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
