@@ -4,18 +4,16 @@ One engine serves both orders. A second-order chain is a first-order chain
 over state pairs (see embed_pair_states), so each recursion runs once over
 a slice holding the last ``order`` states. It is laid out over the P
 entries of that slice that can ever hold a nonzero forward or backward
-value or a finite best score (_Entries): for order 1 the N states, so P =
-N and the (N,) vector is the slice itself; for order 2 the pairs that
-``trans1`` allows, that an allowed triple enters, or that an allowed
-triple leaves, in some model of the stack (69 of 576 for a 24-state
-left-to-right model, 72 for a ring: a left-to-right or ring model's
-entries are its ``allowed1`` pairs). A pair that only triples leave has
-forward values of 0 but backward values that are not. Every other pair
-is 0 in every forward and backward slice, but the last backward slice of
-a lane, and -inf in every Viterbi slice. The layout depends only on the
-zero pattern of the transition arrays, so it is built once per pattern,
-with the E-step's tables, and shared read-only by every stack of that
-pattern (_slice_entries); a stack only gathers its transition values.
+value or a finite best score (_Entries): for order 1 the N states (P =
+N); for order 2 the pairs some model of the stack can reach or leave (69
+of 576 for a 24-state left-to-right model, 72 for a ring). Every other
+pair is 0 in every forward and backward slice, but the last backward
+slice of a row, and -inf in every Viterbi slice. The layout depends only
+on the zero pattern of the transition arrays, so it is built once per
+pattern and shared read-only by every stack of that pattern
+(_slice_entries); a stack only gathers its transition values. The
+E-step's tables of a pattern are built on its first E-step
+(_estep_tables).
 
 Only the step that carries a slice one frame on depends on the order.
 Order 1's forward and backward steps are ``prev @ trans`` and its twin.
@@ -26,28 +24,19 @@ contraction's association), from (K, P) tables of their places in the
 previous (next) slice with the transition values gathered there once per
 stack. The skipped terms are exact zeros and the kept ones are added in
 ascending order, so every entry has the bits of the contraction over all
-N^2 pairs. Each forward normalizer is the sum of the whole slice: where
-the entries do not fill it, the slice is scattered into a row of N^2
-zeros kept for the pass, and that row is summed, so it has the bits of
-the sum over all pairs; order 1's slice is summed as it is. forward2 and
-forward_backward2 scatter the (T, P) tables into (T, N, N) pair tables
-of zeros; the E-step reads them as they are.
+N^2 pairs. Each forward normalizer is the sum of the whole slice (see
+_forward). forward2 and forward_backward2 scatter the (T, P) tables into
+(T, N, N) pair tables of zeros; the E-step reads them as they are.
 
-The forward and Viterbi recursions also run over a leading model axis, so
-score_models scores every candidate model of an utterance in one pass.
-Forward-backward runs that axis as "lanes", the utterances of one model,
-so that a Baum-Welch E-step makes one emission call, one forward and one
-backward pass per iteration. The single-model, single-utterance functions
-are the one-model and one-lane cases of the same code. Viterbi scoring
-(score_models) runs the max-plus recursion without back-pointers, since
-it reads only the best score; viterbi1/viterbi2 keep them to decode the
-path. Each Viterbi step takes every entry's maximum over its allowed
-predecessors only, with the log-transitions taken once per stack. Every
-candidate is the same single addition as over all N predecessors, the
-maximum is exact and every pair left out is -inf at every frame, so
-scores, paths and failing frames keep their bits; the predecessors are
-in ascending order and the entries row-major, so ties still break toward
-the lowest index.
+Every recursion runs over the rows of one pass (_RowPass): each row is
+one model of a stack on one utterance. score_models runs every candidate
+of an utterance in one pass, and a Baum-Welch E-step all of one model's
+utterances. Each Viterbi step takes every entry's maximum over its
+allowed predecessors only: every candidate is the addition the step over
+all N predecessors makes, the maximum is exact and every pair left out
+is -inf, so scores, paths and failing frames keep their bits.
+Predecessors are in ascending order and the entries row-major, so ties
+still break toward the lowest index.
 
 Numerical regime
 ----------------
@@ -58,39 +47,47 @@ Viterbi is max-plus in the log domain. Before exponentiating, each frame's
 log-densities are shifted by their maximum and the shift is folded back into
 that frame's normalizer, so a frame whose densities are merely tiny never
 looks impossible. The terminal backward slice is 1 for left-to-right
-models and 1/N for circular models; reestimation ratios are invariant to
-that constant. Backward slice t is divided by forward slice t's
-normalizer (in the shifted domain). On a frame far from the model that
-normalizer can be so small (even subnormal) that the division overflows.
-A lane with an inf or NaN at any entry of its backward table is run
-again with each slice divided by its own maximum instead. The step over
+models and 1/N for circular models, each row taking its own model's;
+reestimation ratios are invariant to that constant. Backward slice t is
+divided by forward slice t's normalizer (in the shifted domain). On a
+frame far from the model that normalizer can be so small (even
+subnormal) that the division overflows. A row with an inf or NaN at any
+entry of its backward table is run again with each slice divided by its
+own maximum instead. The step over
 allowed successors carries an inf or NaN only along allowed transitions,
-so the whole table is tested; the first inf or NaN of a lane is at an
-entry (0 divided by a normalizer of 0 is NaN at every pair), so the lanes
+so the whole table is tested; the first inf or NaN of a row is at an
+entry (0 divided by a normalizer of 0 is NaN at every pair), so the rows
 run again are those the steps over all pairs would run again, and the
 bits of the others are theirs too. Posteriors are per-frame ratios, so
 they do not depend on which divisor a slice had.
 
-Every pass fails an utterance with ImpossibleObservationError at the
-first frame whose forward normalizer is 0 (no state with incoming mass can
-emit it; a frame with all densities -inf is shifted by 0, so it is one),
-or, for Viterbi, whose best score is -inf. A +inf or NaN log-density (a
-zero variance) fails it with ValueError. _raise_first raises the errors,
-naming the utterance where it has a name.
+Every pass fails a row with ImpossibleObservationError at the first
+frame whose forward normalizer is 0 (no state with incoming mass can emit
+it; a frame with all densities -inf is shifted by 0, so it is one), or,
+for Viterbi, whose best score is -inf. A +inf or NaN log-density (a zero
+variance), or frames the emission kernel rejects (dimension, symbol
+range), fail it with ValueError. A pass records each row's first error;
+_raise_first raises the first of them, naming the utterance where it has
+a name.
 
-Lanes of differing lengths share one time axis: row t is every lane's
-frame t. Forward pads each lane after its last frame with emissions of 1
-and shifts of 0; backward starts each lane from its terminal slice at its
-own last frame and gives its padding normalizers of 1. A lane's own
-frames never read another lane or a padding row, so its alpha, beta,
-normalizers and log-likelihood (the sum of its first T_k log normalizers)
-are bitwise those of running it alone.
+Rows of differing lengths share one time axis: entry t is every row's
+frame t. Each row is padded after its last frame with log-densities of
+0 (emissions of 1, shifts of 0); forward records no error there, Viterbi
+reads each row's best score at its own last frame, and backward starts
+each row from its terminal slice at that frame and gives its padding
+normalizers of 1. A row's own frames never read another row or a
+padding entry, and every step computes each row as the one-row step
+does: each normalizer sums the row's own contiguous slice, log
+normalizers are summed along a contiguous T axis, and order 1's step is
+a (R, 1, N) @ (R, N, N) matmul. So its alpha, beta, normalizers, scores
+and failing frames are bitwise those of running it alone.
 
 State indices are 0-based; frame indices are 0-based.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -135,9 +132,9 @@ def log_emission_matrix(model, obs) -> np.ndarray:
     A non-finite continuous frame would make every score NaN; it raises
     ValueError naming the frame and the utterance (when ``obs`` has one).
     """
-    logb, errors, name = _emission_terms(_ModelStack((model,)), obs)
-    _raise_first(errors, [name])
-    return logb[:, 0]
+    rows = _one_utterance(_ModelStack((model,)), obs)
+    _raise_first(rows.errors, rows.names)
+    return rows.logb[:, 0]
 
 
 def _checked(kind, obs):
@@ -151,29 +148,20 @@ def _checked(kind, obs):
     return x, name
 
 
-def _emission_terms(stack, obs):
-    """The checks and the arithmetic behind log_emission_matrix, for the
-    S models of ``stack`` (a _ModelStack) at once.
-
-    ``obs`` is converted and checked by _checked and scored by the emission
-    kind's kernel in one call. Returns the (T, S, N) log emission densities,
-    per model the error _bad_densities records, and the utterance's name.
-    Checks of ``obs`` itself raise at once, naming the utterance where it
-    has a name.
-    """
-    x, name = _checked(stack.emission, obs)
+def _densities(stack, x, name):
+    """The kernel's (T, S·N) log densities and components of the frames
+    ``x`` under every model of ``stack``, and None; or, when its frame check
+    (dimension, symbol range) fails, (0, None, that ValueError, named)."""
     try:
-        logb = stack.emission._kernel(x, *stack.emission_parameters)[0]
-    except ValueError as err:   # the kernel's check of the frames (dimension, symbol range)
-        raise ValueError(_named(str(err), name)) from None
-    logb = logb.reshape(x.shape[0], stack.n_models, stack.n_states)
-    return logb, _bad_densities(logb), name
+        return *stack.emission._kernel(x, *stack.emission_parameters), None
+    except ValueError as err:
+        return np.zeros((len(x), stack.n_models * stack.n_states)), None, ValueError(_named(str(err), name))
 
 
 def _bad_densities(logb):
-    """Per model (or lane) of the (T, S, N) log densities ``logb``, the
-    ValueError a +inf or NaN density raises, else None. Such a model's
-    densities are set to 0 so that it stays quiet in the recursions."""
+    """Per row of the (T, R, N) log densities ``logb``, the ValueError a
+    +inf or NaN density raises, else None. Such a row's densities are set
+    to 0 so that it stays quiet in the recursions."""
     errors = [None] * logb.shape[1]
     bad = ~(logb < np.inf)   # +inf or NaN
     if bad.any():
@@ -185,29 +173,26 @@ def _bad_densities(logb):
 
 
 def _shifted_emissions(logb):
-    """Per-frame max-shifted linear emission densities of the (T, S, N) log
-    densities ``logb``.
-
-    Returns (bsh, shifts) with bsh[t, s] = exp(logb[t, s] - shifts[t, s]) in
-    [0, 1]. A frame whose densities are all -inf is shifted by 0, so its
-    forward normalizer is 0 and _forward fails it ("Numerical regime").
-    """
+    """(bsh, shifts): the (T, R, N) log densities ``logb`` shifted per frame
+    by their maximum, bsh[t, r] = exp(logb[t, r] - shifts[t, r]) in [0, 1].
+    A frame whose densities are all -inf is shifted by 0, so its forward
+    normalizer is 0 and _forward fails it ("Numerical regime")."""
     shifts = np.max(logb, axis=2)
     shifts[np.isneginf(shifts)] = 0.0
     return np.exp(logb - shifts[..., None]), shifts
 
 
 def _fail_first(errors, hits):
-    """Record, for each model without an error, ImpossibleObservationError
-    at its first True in the (S, T) ``hits``."""
+    """Record, for each row without an error, ImpossibleObservationError
+    at its first True in the (R, T) ``hits``."""
     for k in np.flatnonzero(hits.any(axis=1)):
         if errors[k] is None:
             errors[k] = ImpossibleObservationError(np.argmax(hits[k]))
 
 
 def _raise_first(errors, names):
-    """Raise the first error of ``errors`` (one entry per model or lane, in
-    order): the one that running them one by one would raise. An
+    """Raise the first error of ``errors`` (one entry per row, in order):
+    the one that running the rows one by one would raise. An
     ImpossibleObservationError names the utterance of its entry in
     ``names`` unless that is None."""
     for err, name in zip(errors, names):
@@ -221,20 +206,13 @@ def _raise_first(errors, names):
 # the scaled lattice engine
 # ---------------------------------------------------------------------------
 #
-# _forward and _viterbi run S models of one shape at once (a _ModelStack;
-# S = 1 for a single model) over frame-major (T, S, N) emissions. Each
-# model's numbers are computed as the one-model recursion computes them,
-# so its results are bitwise those of running it alone: each slice's
-# normalizer is summed over that model's own contiguous slice (order 2:
-# its own row of N^2 pairs), log normalizers are summed along a contiguous
-# T axis, and the order-1 step is a (S, 1, N) @ (S, N, N) matmul. A model
-# that fails records its error in ``errors``; the NaN (forward) or -inf
+# A pass (_RowPass) runs the S models of a _ModelStack on L utterances as
+# R = L·S rows, row l·S + s being model s on utterance l: one
+# emission-kernel call on the utterances' concatenated, already-checked
+# frames, then _forward, _backward or _viterbi over the rows, with the
+# stack's tables gathered per row once (_ModelStack.rows). A row that
+# fails records its error in ``errors``; the NaN (forward) or -inf
 # (Viterbi) it carries from then on stays in its own slices.
-#
-# _lanes runs one model's utterances the same way, as lanes in place of
-# models: one emission-kernel call on their concatenated frames, one
-# _forward and one _backward over lanes padded as "Numerical regime" says.
-# Its one-model stack's leading axis of 1 broadcasts over the L lanes.
 
 
 def _stack_key(model):
@@ -246,19 +224,19 @@ def _stack_key(model):
 class _ModelStack:
     """S models with one _stack_key, their parameters stacked along a
     leading model axis: ``initial`` (S, N), each transition array of
-    _TRANSITION_FIELDS (S, N, ...), and ``emission_parameters``, each field
-    of the emission kind ``emission`` stacked over the S·N states model by
-    model ((S·N, M) weights, ...). A one-model stack views its model's
-    arrays; its leading axis of 1 also serves any number of lanes."""
+    _TRANSITION_FIELDS (S, N, ...), the (S, 1) terminal backward values
+    ``terminal`` (1, or 1/N for a ring), and ``emission_parameters``, each
+    field of the emission kind ``emission`` stacked over the S·N states
+    model by model ((S·N, M) weights, ...). A one-model stack views its
+    model's arrays."""
 
     def __init__(self, models):
         first = models[0]
-        self.order = first.order
-        self.n_states = first.n_states
-        self.n_models = len(models)
+        self.order, self.n_states, self.n_models = first.order, first.n_states, len(models)
         self.emission = type(first.emissions[0])
         for name in ("initial",) + _TRANSITION_FIELDS[self.order]:
             setattr(self, name, _stacked([getattr(m, name)[None] for m in models]))
+        self.terminal = np.array([[1.0 / m.n_states if m.mask.kind == "circular" else 1.0] for m in models])
         self.emission_parameters = tuple(map(_stacked, zip(*(m._emission_parameters for m in models))))
 
     @cached_property
@@ -280,6 +258,16 @@ class _ModelStack:
             steps.append((places, values, _log(values)))
         return tuple(steps)
 
+    def rows(self, index):
+        """For the recursions, the stack whose row r is model index[r]: its
+        per-model arrays taken at ``index`` (``steps`` gathered anew)."""
+        view = copy.copy(self)
+        view.__dict__.pop("steps", None)
+        view.entries, view.n_models = self.entries, len(index)
+        for name in ("initial", "terminal") + _TRANSITION_FIELDS[self.order]:
+            setattr(view, name, getattr(self, name)[index])
+        return view
+
 
 class _Entries(NamedTuple):
     """The layout of one zero pattern (see _slice_entries), read-only since
@@ -289,17 +277,14 @@ class _Entries(NamedTuple):
     flat index in the slice, ``last`` the state it ends in, ``place`` the
     place among the P of each of the N^order slice entries (0 off them),
     and ``ending`` the (K', N) places of the entries that end in each
-    state, in ascending order, padded with place P (order 1: arange(N),
-    arange(N) and arange(N)[None]). ``steps`` holds, per kind of forward
-    step (order 2: with ``trans1``, then with ``trans2``), the (K, P)
-    places in the previous slice of each entry's predecessors, in
-    ascending state, the flat index of each move in the step's transition
-    array and whether the pattern allows it (not at padding); ``back`` the
-    same for order 2's backward step over successors, with their states
-    after the places (None for order 1). ``moves`` is the E-step's table
-    of the allowed moves of the last transition array (flat indices in it,
-    places of the entries they leave and enter, last states); ``row_sums``
-    and ``pair_sums`` are the _RowSums of that array's rows and of slices."""
+    state, in ascending order, padded with place P. ``steps`` holds, per
+    kind of forward step (order 2: with ``trans1``, then with ``trans2``),
+    the (K, P) places in the previous slice of each entry's predecessors,
+    in ascending state, the flat index of each move in the step's
+    transition array and whether the pattern allows it (not at padding);
+    ``back`` the same for order 2's backward step over successors, with
+    their states after the places (None for order 1). ``key`` holds the
+    arguments of _slice_entries."""
 
     flat: np.ndarray
     last: np.ndarray
@@ -307,9 +292,12 @@ class _Entries(NamedTuple):
     ending: np.ndarray
     steps: tuple
     back: tuple | None
-    moves: tuple
-    row_sums: _RowSums
-    pair_sums: _RowSums
+    key: tuple
+
+    @property
+    def estep(self):
+        """The pattern's E-step tables (_estep_tables), built on first use."""
+        return _estep_tables(*self.key)
 
 
 def _gathered(array, at, ok):
@@ -357,9 +345,9 @@ class StatePath:
 
 
 def _step(stack, t, prev):
-    """Carry the (S, P) slices at t-1 (order 2's frame 1: the (S, N)
+    """Carry the (R, P) slices at t-1 (order 2's frame 1: the (R, N)
     first-frame vectors) to frame t, before weighting by frame t's
-    emissions. Order 1 is the (S, 1, N) @ (S, N, N) matmul. Order 2 sums
+    emissions. Order 1 is the (R, 1, N) @ (R, N, N) matmul. Order 2 sums
     each entry's terms prev * trans over its allowed predecessors, in
     ascending order: the contraction over all N predecessors adds the
     same terms in that order, and exact zeros for the others."""
@@ -372,10 +360,10 @@ def _step(stack, t, prev):
 
 
 def _back_step(stack, weights, beta):
-    """Backward twin of _step: the (L, P) slices at frame t from frame
-    t+1's (L, P) backward slices ``beta``, before normalization. For
-    order 1 ``weights`` are frame t+1's (L, N) shifted emissions b and the
-    step is trans @ (b * beta). For order 2 they are the (L, K', P)
+    """Backward twin of _step: the (R, P) slices at frame t from frame
+    t+1's (R, P) backward slices ``beta``, before normalization. For
+    order 1 ``weights`` are frame t+1's (R, N) shifted emissions b and the
+    step is trans @ (b * beta). For order 2 they are the (R, K', P)
     products trans2 * b at each entry's allowed successors (see
     _backward), and each entry sums (trans2 * b) * beta over them in
     ascending order, as the contraction over all N successors does."""
@@ -386,29 +374,34 @@ def _back_step(stack, weights, beta):
     return np.add.reduce(terms, 1)
 
 
-def _forward(stack, bsh, shifts, errors, lengths=None):
-    """Scaled forward pass of every model (or lane) of ``stack`` over the
-    (T, S, N) shifted emissions ``bsh`` and their (T, S) ``shifts``.
+def _ends(lengths):
+    """Frame -> the rows whose last frame it is, of rows of ``lengths``."""
+    ends = {}
+    for r, n in enumerate(lengths.tolist()):
+        ends.setdefault(n - 1, []).append(r)
+    return {end: np.array(rows) for end, rows in ends.items()}
 
-    Returns (alpha, log_norms): the (T, S, P) tables over the stack's
-    entries (order 2's slice 0 is 0: the first-frame vectors have no
-    place among the pairs) and the (S, T) slice log normalizers. Each
-    normalizer is the sum of the whole slice: where the entries do not
-    fill it, the slice is scattered into a row of N^order zeros kept for
-    the pass, and that row is summed. A model
-    whose slice sums to 0 at frame t gets ImpossibleObservationError(t) in
-    ``errors``; its later values are NaN. With ``lengths``, lane k's
-    frames from lengths[k] on are padding and record no error.
+
+def _forward(stack, bsh, shifts, errors, lengths):
+    """Scaled forward pass of the rows of ``stack`` over the (T, R, N)
+    shifted emissions ``bsh`` and their (T, R) ``shifts``. Returns the
+    (T, R, P) alpha over the stack's entries (order 2's slice 0 is 0: the
+    first-frame vectors have no place among the pairs) and the (R, T)
+    slice log normalizers. Each normalizer is the sum of the whole slice:
+    where the entries do not fill it, the slice is scattered into a row of
+    N^order zeros kept for the pass, and that row is summed. A row whose
+    slice sums to 0 at a frame t before its length lengths[r] gets
+    ImpossibleObservationError(t) in ``errors``; its later values are NaN.
     """
-    T, S, N = bsh.shape
+    T, R, N = bsh.shape
     order, flat = stack.order, stack.entries.flat
-    b = bsh.take(stack.entries.last, axis=2)
+    b = bsh if order == 1 else bsh.take(stack.entries.last, axis=2)   # order 1's entries are the states
     row = None
     if len(flat) < N**order:   # else the slice is whole, and summed as it is
-        row = np.zeros((S, N**order))
-        at = (np.arange(S)[:, None] * N**order + flat).ravel()   # of each entry in the flattened rows
-    alpha = np.zeros((T, S, len(flat)))
-    norms = np.empty((T, S, 1))
+        row = np.zeros((R, N**order))
+        at = (np.arange(R)[:, None] * N**order + flat).ravel()   # of each entry in the flattened rows
+    alpha = np.zeros((T, R, len(flat)))
+    norms = np.empty((T, R, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = stack.initial * bsh[0]
         # positional out= arguments: the loop below runs once per frame
@@ -421,144 +414,146 @@ def _forward(stack, bsh, shifts, errors, lengths=None):
                 row.put(at, u)
             s = np.add.reduce(u if row is None else row, 1, None, norms[t], True)
             a = np.divide(u, s, alpha[t])
-        norms = norms.reshape(T, S).T.copy()
+        norms = norms.reshape(T, R).T.copy()
         log_norms = np.log(norms)
     log_norms += shifts.T
     dead = norms <= 0.0
-    if lengths is not None:
+    if lengths.min() < T:   # padding records no error
         dead &= np.arange(T) < lengths[:, None]
     _fail_first(errors, dead)
     return alpha, log_norms
 
 
-def _backward(stack, bsh, lengths, terminal, norms=None):
-    """Scaled (T, L, P) backward tables, over the stack's entries, of L
-    lanes of the one-model ``stack`` on the time axis of their forward
-    pass, from its (T, L, N) shifted emissions ``bsh``. Lane k starts from
-    the model's ``terminal`` value at every entry at its last frame
-    lengths[k]-1; its rows after that are padding. Slice t is divided by
-    the (T, L) ``norms`` at t or, when ``norms`` is None, by its own
+def _backward(stack, bsh, lengths, norms=None):
+    """Scaled (T, R, P) backward tables, over the stack's entries, of the
+    rows of ``stack`` on the time axis of their forward pass, from their
+    (T, R, N) shifted emissions ``bsh``. Row r starts from its model's
+    terminal value (stack.terminal) at every entry at its last frame
+    lengths[r]-1; its frames after that are padding. Slice t is divided by
+    the (T, R) ``norms`` at t or, when ``norms`` is None, by its own
     maximum. For order 2, slice 0 is 0.
     """
-    T, L = bsh.shape[:2]
+    T, R = bsh.shape[:2]
     order = stack.order
     weights = bsh
     if order == 2:   # trans2 * b at each entry's successors, every frame at once
         _, states, at, ok = stack.entries.back
         weights = _gathered(stack.trans2, at, ok) * bsh.take(states, axis=2)
-    if norms is not None:
-        norms = norms[..., None]
-    terminal = np.full((1, 1), terminal)   # an array: the rescale divides by u.max
-    ends = {}   # frame -> the lanes whose last frame it is
-    for k, n in enumerate(lengths):
-        ends.setdefault(n - 1, []).append(k)
-    beta = np.empty((T, L, len(stack.entries.flat)))
-    u = terminal
+    ends = _ends(lengths)
+    beta = np.empty((T, R, len(stack.entries.flat)))
+    u = stack.terminal   # an array: the rescale divides by u.max
     for t in range(T - 1, order - 2, -1):
         if t < T - 1:
             u = _back_step(stack, weights[t + 1], beta[t + 1])
             if t in ends:
-                u[ends[t]] = terminal
-        np.divide(u, u.max(1, keepdims=True) if norms is None else norms[t], beta[t])
+                u[ends[t]] = stack.terminal[ends[t]]
+        np.divide(u, u.max(1, keepdims=True) if norms is None else norms[t, :, None], beta[t])
     if order == 2:
         beta[0] = 0.0
     return beta
 
 
-class _Lane(NamedTuple):
-    """One utterance's share of a _lanes pass: its (T, P) forward and
-    backward tables over the pass's entries (``beta`` None without the
-    backward pass), its (T,) slice log normalizers and emission shifts, and
-    its (T, N) shifted emissions, log emission densities and component
-    log-densities (None for symbol tables)."""
+class _RowPass:
+    """One pass over the rows of the S models of ``stack`` on the L
+    utterances ``xs`` (see the notes above _stack_key), non-empty and
+    converted by the emission kind's observation rule, named ``names``
+    (None: unnamed). Construction makes the one kernel call and leaves
+    ``stack``, the rows' stack; ``lengths``, ``names`` and ``errors`` per
+    row; the kernel's ``frame_logb`` and ``comp`` (None for symbol tables)
+    of the concatenated frames; and ``logb``, the (T, R, N) padded log
+    densities. The caller raises ``errors`` (_raise_first)."""
 
-    alpha: np.ndarray
-    beta: np.ndarray | None
-    log_norms: np.ndarray
-    shifts: np.ndarray
-    bsh: np.ndarray
-    logb: np.ndarray
-    comp: np.ndarray | None
+    def __init__(self, stack, xs, names):
+        L, S, N = len(xs), stack.n_models, stack.n_states
+        logb, self.comp, failed = _densities(stack, _stacked(xs), names[0])
+        failed = [failed] * L
+        if failed[0] is not None and L > 1:   # one by one: each utterance that fails gets its own error
+            logb, _, failed = zip(*(_densities(stack, x, name) for x, name in zip(xs, names)))
+            logb = np.concatenate(logb)
+        lengths = np.array([len(x) for x in xs])
+        T, self.frame_logb = max(lengths), logb
+        if L == 1:
+            self.logb = logb.reshape(T, S, N)
+        else:   # padding: log densities of 0, on a C-contiguous time axis
+            padded = np.zeros((T, L, S * N))
+            padded.transpose(1, 0, 2)[np.arange(T) < lengths[:, None]] = logb
+            self.logb = padded.reshape(T, L * S, N)
+        self.stack = stack if L == 1 else stack.rows(np.tile(np.arange(S), L))
+        self.lengths, self.n_models = np.repeat(lengths, S), S
+        self.names = [name for name in names for _ in range(S)]
+        self.errors = [failed[r // S] or err for r, err in enumerate(_bad_densities(self.logb))]
 
+    def forward(self):
+        """Sets ``bsh`` and ``shifts`` (_shifted_emissions), then ``alpha``
+        and ``log_norms`` (_forward)."""
+        self.bsh, self.shifts = _shifted_emissions(self.logb)
+        self.alpha, self.log_norms = _forward(self.stack, self.bsh, self.shifts, self.errors, self.lengths)
 
-def _lanes(model, xs, names, backward=True):
-    """Forward tables, with backward tables when ``backward``, of the
-    utterances ``xs`` under ``model``, run as the lanes of one stacked pass.
-    Each utterance is non-empty and already converted by the emission kind's
-    observation rule; ``names`` are their names for errors (None: unnamed).
-
-    Returns the _Entries that the tables are over (see
-    _ModelStack.entries) and a _Lane per utterance. When utterances fail,
-    raises the error the first of them raises on its own.
-    """
-    kind = type(model.emissions[0])
-    try:
-        logb, comp = kind._kernel(np.concatenate(xs), *model._emission_parameters)
-    except ValueError as err:   # the kernel's check of the frames (dimension, symbol range)
-        if len(xs) == 1:
-            raise ValueError(_named(str(err), names[0])) from None
-        for x, name in zip(xs, names):   # one by one: the first utterance that fails raises its own error
-            _lanes(model, [x], [name], backward=False)
-        raise
-    lengths = np.array([len(x) for x in xs])
-    starts = np.cumsum(lengths) - lengths
-    T, L = lengths.max(), len(xs)
-    lane = np.repeat(np.arange(L), lengths)
-    padded = np.zeros((T, L, model.n_states))   # padding: emission 1, shift 0
-    padded[np.arange(len(logb)) - starts[lane], lane] = logb
-    errors = _bad_densities(padded)
-    bsh, shifts = _shifted_emissions(padded)
-    stack = _ModelStack((model,))
-    alpha, log_norms = _forward(stack, bsh, shifts, errors, lengths)
-    _raise_first(errors, names)
-    beta = None
-    if backward:
-        norms = np.exp(log_norms.T - shifts)
-        norms[np.arange(T)[:, None] >= lengths] = 1.0
-        terminal = 1.0 / model.n_states if model.mask.kind == "circular" else 1.0
+    def backward(self):
+        """Sets ``beta`` after forward: by the forward normalizers, a row
+        with an inf or NaN again by each slice's maximum."""
+        norms = np.exp(self.log_norms.T - self.shifts)
+        norms[np.arange(len(norms))[:, None] >= self.lengths] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            beta = _backward(stack, bsh, lengths, terminal, norms)
-            if not beta.max() < np.inf:   # an inf or NaN in some lane: see "Numerical regime"
+            beta = _backward(self.stack, self.bsh, self.lengths, norms)
+            if not beta.max() < np.inf:
                 lost = np.flatnonzero(~np.isfinite(beta).all(axis=(0, 2)))
-                beta[:, lost] = _backward(stack, bsh[:, lost], lengths[lost], terminal)
-    lanes = []
-    for k, (n, start) in enumerate(zip(lengths, starts)):
-        rows = slice(start, start + n)
-        lanes.append(_Lane(alpha[:n, k], None if beta is None else beta[:n, k], log_norms[k, :n],
-                           shifts[:n, k], bsh[:n, k], logb[rows], None if comp is None else comp[rows]))
-    return stack.entries, lanes
+                beta[:, lost] = _backward(self.stack.rows(lost), self.bsh[:, lost], self.lengths[lost])
+        self.beta = beta
+
+    def forward_backward(self, backward=True):
+        """forward, the first error raised, then backward if ``backward``."""
+        self.forward()
+        _raise_first(self.errors, self.names)
+        if backward:
+            self.backward()
+        return self
+
+    def log_likelihoods(self):
+        """Each row's forward score: the sum of its own log normalizers."""
+        S = self.n_models
+        blocks = self.log_norms.reshape(-1, S, self.log_norms.shape[1])
+        return [v for block, n in zip(blocks, self.lengths[::S]) for v in block[:, :n].sum(axis=1).tolist()]
+
+    def viterbi(self, paths=True):
+        """(states, scores): _viterbi over the rows."""
+        return _viterbi(self.stack, self.logb, self.errors, self.lengths, paths)
+
+
+def _one_utterance(stack, obs):
+    """The _RowPass of the models of ``stack`` on ``obs`` (checked by _checked)."""
+    x, name = _checked(stack.emission, obs)
+    return _RowPass(stack, [x], [name])
 
 
 def _forward_backward(model, obs, backward=True):
     """One model's forward lattice, with its backward table when
-    ``backward``: the one-lane case of _lanes, its (T, P) tables laid out
-    as (T, N...) slices. Where the entries do not fill the slice, they are
-    scattered into slices of zeros, as the steps over all pairs leave
-    them, but in two backward slices: the last holds the terminal value,
-    divided as the others, at every pair; and a slice that is NaN at every
-    entry (a rescaled rerun whose slice maximum underflowed to 0, and
-    every slice before it) is NaN at every pair."""
-    x, name = _checked(type(model.emissions[0]), obs)
-    entries, (lane,) = _lanes(model, [x], [name], backward)
-    alpha, beta = lane.alpha, lane.beta
-    n, flat = model.n_states**model.order, entries.flat
+    ``backward``: the one-row _RowPass, its (T, P) tables scattered into
+    (T, N...) slices of zeros, as the steps over all pairs leave them, but
+    in two backward slices: the last holds the terminal value, divided as
+    the others, at every pair; and a slice that is NaN at every entry (a
+    rescaled rerun whose slice maximum underflowed to 0, and every slice
+    before it) is NaN at every pair."""
+    rows = _one_utterance(_ModelStack((model,)), obs).forward_backward(backward)
+    alpha, beta, t_count = rows.alpha[:, 0], rows.beta[:, 0] if backward else None, len(rows.logb)
+    n, flat = model.n_states**model.order, rows.stack.entries.flat
     if len(flat) < n:
-        alpha = np.zeros((len(x), n))
-        alpha[:, flat] = lane.alpha
+        alpha = np.zeros((t_count, n))
+        alpha[:, flat] = rows.alpha[:, 0]
         if backward:
-            full = np.isnan(lane.beta).all(axis=1)
-            full[-1] = len(x) > 1
-            beta = np.zeros((len(x), n))
-            beta[:, flat] = lane.beta
-            beta[full] = lane.beta[full, :1]   # a NaN keeps its bits
-    shape = (len(x),) + (model.n_states,) * model.order
+            full = np.isnan(rows.beta[:, 0]).all(axis=1)
+            full[-1] = t_count > 1
+            beta = np.zeros((t_count, n))
+            beta[:, flat] = rows.beta[:, 0]
+            beta[full] = rows.beta[full, 0, :1]   # a NaN keeps its bits
+    shape = (t_count,) + (model.n_states,) * model.order
     return TrellisLattice(
         order=model.order,
         alpha=alpha.reshape(shape),
-        slice_log_norms=lane.log_norms,
-        log_likelihood=float(lane.log_norms.sum()),
+        slice_log_norms=rows.log_norms[0],
+        log_likelihood=rows.log_likelihoods()[0],
         beta=None if beta is None else beta.reshape(shape),
-        emission_shifts=lane.shifts,
+        emission_shifts=rows.shifts[:, 0],
     )
 
 
@@ -583,15 +578,13 @@ def _slice_entries(order, N, *patterns):
 
     The entries are, for order 1, all N states; for order 2 the pairs
     (j, k) that ``trans1`` allows, that some allowed triple (i, j, k)
-    enters or that some allowed triple (j, k, l) leaves, or pair (0, 0)
-    when there is none. A left-to-right or ring model's entries are its
-    ``allowed1`` pairs. Every other pair's forward and backward values are
-    0 at every frame but a lane's last backward slice, which holds the
-    terminal value at every pair, and its best score is -inf. An entry's
-    predecessors (successors) are the states of the allowed transitions
-    into (out of) it, whose own entries are among these; K is the longest
-    such list, and at least 1. Shorter lists are padded with place 0 and
-    moves the pattern does not allow."""
+    enters or that some allowed triple (j, k, l) leaves (whose forward
+    values are 0 but backward values are not), or pair (0, 0) when there
+    is none; a left-to-right or ring model's are its ``allowed1`` pairs.
+    An entry's predecessors (successors) are the states of the allowed
+    transitions into (out of) it; K is the longest such list, and at
+    least 1. Shorter lists are padded with place 0 and moves the pattern
+    does not allow."""
     allowed = np.frombuffer(patterns[-1], dtype=bool).reshape(N, -1)   # [i, the flat entry i moves to]
     if order == 1:   # order 1's steps are products over all N states
         kept = np.ones(N, dtype=bool)
@@ -611,25 +604,38 @@ def _slice_entries(order, N, *patterns):
         states, ok = _allowed_first(leaving[flat].T)
         back = (np.where(ok, place[flat % N * N + states], 0), states, flat * N + states, ok)
     ending, ok = _allowed_first(flat[:, None] % N == np.arange(N))
-    at = np.flatnonzero(allowed)   # the allowed moves, in the last transition array
-    moves = (at, place[at // N], place[at % N**order], at % N)
-    entries = _Entries(flat, flat % N, place, np.where(ok, ending, len(flat)), steps, back, moves,
-                       _RowSums(allowed.size, at), _RowSums(N**order, flat))
-    for array in itertools.chain(entries[:4], *steps, back or (), moves):
+    entries = _Entries(flat, flat % N, place, np.where(ok, ending, len(flat)), steps, back, (order, N, *patterns))
+    for array in itertools.chain(entries[:4], *steps, back or ()):
         array.setflags(write=False)
     return entries
 
 
+@lru_cache(maxsize=32)
+def _estep_tables(order, N, *patterns):
+    """The E-step's tables of one zero pattern (the arguments of
+    _slice_entries), built on its first E-step, once, and read-only: the
+    allowed moves of the last transition array (flat indices in it,
+    places of the entries they leave and enter, last states), and the
+    _RowSums of that array's rows and of slices."""
+    entries = _slice_entries(order, N, *patterns)
+    place = entries.place
+    at = np.flatnonzero(np.frombuffer(patterns[-1], dtype=bool))   # the allowed moves, in the last array
+    moves = (at, place[at // N], place[at % N**order], at % N)
+    for array in moves:
+        array.setflags(write=False)
+    return moves, _RowSums(len(patterns[-1]), at), _RowSums(N**order, entries.flat)
+
+
 class _RowSums:
     """Sums of rows of ``n`` values that are zero except at the sorted
-    positions ``flat``, from the (F, K) values at those positions (of any
-    layout: they are copied into the sum's own rows or buffer); each is
-    bitwise the np.sum of its whole row.
+    positions ``flat``, from the (F, K) values at those positions; each is
+    bitwise the np.sum of its whole row, which adds a contiguous row
+    pairwise (as models._pairwise_sum does) to an initial 0.0.
 
-    np.sum adds a contiguous row pairwise, the order models._pairwise_sum
-    follows, and adds the result to an initial 0.0. A row of up to 128
-    values is one pairwise block, and is summed that way, scattered into a
-    row of zeros. A longer row follows a plan of the same additions in the
+    Where every position is kept, the values are summed as they are, so
+    their rows must be contiguous. Otherwise they are copied, of any
+    layout: a row of up to 128 values, one pairwise block, into a row of
+    zeros, summed; a longer row follows a plan of the same additions in the
     same order, with every addition of an all-zero part left out: adding
     a zero changes at most the sign of a zero sum, and the closing
     addition of 0.0 makes every zero +0.0, as np.sum's initial 0.0 does.
@@ -641,7 +647,7 @@ class _RowSums:
 
     def __init__(self, n, flat):
         self.n, self.flat, self.levels, self.width = n, flat, None, n
-        if n <= 128 or not len(flat):
+        if n <= 128 or len(flat) in (0, n):
             return
         k = len(flat)
         leaf = dict(zip(flat.tolist(), range(k)))
@@ -685,6 +691,8 @@ class _RowSums:
             start += operands.shape[1]
 
     def __call__(self, terms):
+        if len(self.flat) == self.n:   # every position kept: the rows as they are, each summed along itself
+            return terms.sum(axis=1)
         if self.levels is None:
             rows = np.zeros((len(terms), self.n))
             rows[:, self.flat] = terms
@@ -696,85 +704,80 @@ class _RowSums:
         return buf[self.root] + 0.0
 
 
-def _max_plus(order, steps, dp, frames, ptr=None, peaks=None):
-    """The max-plus recursion from frame 0's (S, N) scores ``dp`` over the
-    (T, S, P) log-densities ``frames`` at each entry's last state, with
-    ``steps`` (places, log-transitions) per kind of step. Writes each
-    frame's back-pointers to the (T, S, P) ``ptr`` and each slice's
-    maximum to the (S, T) ``peaks`` when given; returns the last slice."""
+def _max_plus(order, steps, dp, frames, ends, ptr=None, peaks=None):
+    """The max-plus recursion from frame 0's (R, N) scores ``dp`` over the
+    (T, R, P) log-densities ``frames`` at each entry's last state, with
+    ``steps`` (places, log-transitions) per kind of step, writing ``ptr``
+    and each slice's maximum to the (R, T) ``peaks`` when given. Returns
+    each row's best place and score at its last frame (``ends``: _ends)."""
+    best, scores, t = np.zeros(len(dp), dtype=np.int64), np.empty(len(dp)), 0
     if peaks is not None:
         peaks[:, 0] = dp.max(axis=1)
-    for t in range(1, len(frames)):
-        places, logv = steps[min(t, order) - 1]
-        cand = dp.take(places, axis=1)
-        cand += logv
-        if ptr is not None:
-            np.argmax(cand, 1, ptr[t])   # positional out=: this loop runs once per frame
-        dp = cand.max(axis=1)
-        dp += frames[t]
-        if peaks is not None:
-            peaks[:, t] = dp.max(axis=1)
-    return dp
+    for end in sorted(ends):   # frame by frame up to the next rows' last frame
+        for t in range(t + 1, end + 1):
+            places, logv = steps[min(t, order) - 1]
+            cand = dp.take(places, axis=1)
+            cand += logv
+            if ptr is not None:
+                np.argmax(cand, 1, ptr[t])   # positional out=: this loop runs once per frame
+            dp = cand.max(axis=1)
+            dp += frames[t]
+            if peaks is not None:
+                peaks[:, t] = dp.max(axis=1)
+        rows = ends[end]
+        best[rows] = np.argmax(dp[rows], axis=1)
+        scores[rows] = dp[rows, best[rows]]
+    return best, scores
 
 
-def _viterbi(stack, logb, errors, paths=True):
+def _viterbi(stack, logb, errors, lengths, paths=True):
     """Max-plus twin of _forward over the stack's _Entries, with a
     back-pointer from each entry to its best predecessor's row in the
-    step's table. Returns the (S, T) best paths and their (S,) joint
-    log-probabilities. A model whose best score is -inf at frame t gets
-    ImpossibleObservationError(t) in ``errors``. Without ``paths`` it
-    keeps no back-pointers and returns None for the paths; the scores are
-    the same.
+    step's table. Returns the (R, T) best paths (None without ``paths``:
+    no back-pointers are kept) and the (R,) joint log-probabilities of the
+    rows of ``stack`` over their (T, R, N) log densities ``logb``, each at
+    its row's last frame lengths[r]-1. A row whose best score is -inf at a
+    frame t of its own gets ImpossibleObservationError(t) in ``errors``.
 
     Frame 0's slice is the N states for both orders. Each later frame takes
     every entry's best over its allowed predecessors (order 2's frame 1:
     its one first-step source), then adds the log-density of the state the
-    entry ends in. Every candidate is the one addition the step over all
-    N predecessors (or all N^2 pairs) makes, the maximum is exact, and
-    every entry left out is -inf at every frame, so every score and
-    failing frame is bitwise that step's. Predecessors are in ascending
-    order and the entries in row-major order, so ties still break toward
-    the lowest index, at every step and at the final pair.
-
-    A slice that is all -inf stays so, so a model whose final score is
-    finite never had one: the recursion runs again, keeping each slice's
-    maximum, only for the models whose score is -inf, to find their first
-    such frame."""
-    T, S, _ = logb.shape
-    order = stack.order
-    entries = stack.entries
-    frames = logb.take(entries.last, axis=2)
+    entry ends in. A slice that is all -inf stays so, so the recursion
+    runs again, keeping each slice's maximum, only for the rows whose
+    score is -inf, to find their first such frame."""
+    T, R, _ = logb.shape
+    order, entries = stack.order, stack.entries
+    frames = logb if order == 1 else logb.take(entries.last, axis=2)   # order 1's entries are the states
     start = _log(stack.initial) + logb[0]
-    ptr = np.empty((T, S, len(entries.last)), dtype=np.int64) if paths else None
-    dp = _max_plus(order, [(places, logs) for places, _, logs in stack.steps], start, frames, ptr)
-    rows = np.arange(S)
-    best = np.argmax(dp, axis=1)
-    scores = dp[rows, best]
+    steps = [(places, logs) for places, _, logs in stack.steps]
+    ptr = np.empty((T, R, len(entries.last)), dtype=np.int64) if paths else None
+    best, scores = _max_plus(order, steps, start, frames, _ends(lengths), ptr)
     dead = np.flatnonzero(np.isneginf(scores))
     if dead.size:
         peaks = np.empty((len(dead), T))
-        _max_plus(order, [(places, logs[dead]) for places, _, logs in stack.steps],
-                  start[dead], frames[:, dead], peaks=peaks)
-        hits = np.zeros((S, T), dtype=bool)
-        hits[dead] = np.isneginf(peaks)
+        _max_plus(order, [(places, logs[dead]) for places, logs in steps], start[dead], frames[:, dead],
+                  _ends(lengths[dead]), peaks=peaks)
+        hits = np.zeros((R, T), dtype=bool)
+        hits[dead] = np.isneginf(peaks) & (np.arange(T) < lengths[dead, None])
         _fail_first(errors, hits)
     if not paths:
         return None, scores
-    states = np.empty((S, T), dtype=np.int64)
-    place = best
-    for t in range(T - 1, 0, -1):
-        states[:, t] = entries.last[place]
-        place = entries.steps[min(t, order) - 1][0][ptr[t, rows, place], place]
-    states[:, 0] = place   # frame 0's slice is the states
+    states = np.zeros((R, T), dtype=np.int64)   # 0 after a row's last frame
+    for end, rows in _ends(lengths).items():   # back from the rows' own last frame
+        place, path = best[rows], []
+        for t in range(end, 0, -1):
+            path.append(entries.last[place])
+            place = entries.steps[min(t, order) - 1][0][ptr[t, rows, place], place]
+        path.append(place)   # frame 0's slice is the states
+        states[rows, :end + 1] = np.array(path[::-1]).T
     return states, scores
 
 
 def _single_path(model, obs) -> StatePath:
     """Best path of one model (viterbi1, viterbi2)."""
-    stack = _ModelStack((model,))
-    logb, errors, name = _emission_terms(stack, obs)
-    states, log_probs = _viterbi(stack, logb, errors)
-    _raise_first(errors, [name])
+    rows = _one_utterance(_ModelStack((model,)), obs)
+    states, log_probs = rows.viterbi()
+    _raise_first(rows.errors, rows.names)
     return StatePath(states[0], float(log_probs[0]))
 
 
@@ -792,10 +795,9 @@ def score_models(models, obs, scoring: str = SCORING_MODES[0]) -> list:
     viterbi1/viterbi2 give it), bit for bit.
 
     Models that share order, state count and emission kind and shape are
-    scored together: one emission evaluation and one recursion over a
-    leading model axis. Returns the scores in the order of ``models``. When
-    models fail, raises the error that the first of them, scored alone,
-    raises.
+    scored as the rows of one pass. Returns the scores in the order of
+    ``models``. When models fail, raises the error that the first of them,
+    scored alone, raises.
     """
     return _score_groups(_stack_groups(models), obs, scoring)
 
@@ -835,13 +837,13 @@ def _score_groups(groups, obs, scoring) -> list:
 
 
 def _stack_scores(stack, obs, scoring):
-    """(scores, errors) of every model of ``stack``; checks of ``obs`` that
-    fail raise."""
-    logb, errors, _ = _emission_terms(stack, obs)
+    """(scores, errors) of every model of ``stack``: the rows of a
+    one-utterance _RowPass. Checks of ``obs`` that fail raise."""
+    rows = _one_utterance(stack, obs)
     if scoring == "forward":
-        log_norms = _forward(stack, *_shifted_emissions(logb), errors)[1]
-        return log_norms.sum(axis=1).tolist(), errors
-    return _viterbi(stack, logb, errors, paths=False)[1].tolist(), errors
+        rows.forward()
+        return rows.log_likelihoods(), rows.errors
+    return rows.viterbi(paths=False)[1].tolist(), rows.errors
 
 
 # ---------------------------------------------------------------------------

@@ -301,18 +301,19 @@ def dense_forward(stack, bsh, shifts, lengths=None):
 
 
 def dense_backward(stack, bsh, lengths, terminal, norms=None):
-    """The scaled backward pass of the lanes of a one-model stack as the
-    library ran it before its order-2 steps visited only allowed
-    transitions (einsum "sijk,sk,sjk->sij" over the whole trans2). Lane k
-    starts from ``terminal`` at its last frame lengths[k]-1; slice t is
-    divided by the (T, L) ``norms`` at t or, when ``norms`` is None, by its
-    own maximum. For order 2, slice 0 is 0."""
+    """The scaled backward pass of the lanes of a one-model stack, or of
+    the models of a stack as its lanes, as the library ran it before its
+    order-2 steps visited only allowed transitions (einsum
+    "sijk,sk,sjk->sij" over the whole trans2). Lane k starts from
+    ``terminal`` (one value, or one per lane) at its last frame
+    lengths[k]-1; slice t is divided by the (T, L) ``norms`` at t or, when
+    ``norms`` is None, by its own maximum. For order 2, slice 0 is 0."""
     T, L, N = bsh.shape
     order = stack.order
     axes = tuple(range(1, order + 1))
     if norms is not None:
         norms = norms.reshape((T, L) + (1,) * order)
-    terminal = np.full((1,) * (order + 1), terminal)
+    terminal = np.broadcast_to(np.reshape(terminal, (-1,) + (1,) * order), (L,) + (1,) * order)
     beta = np.empty((T, L) + (N,) * order)
     u = terminal
     for t in range(T - 1, order - 2, -1):
@@ -322,7 +323,7 @@ def dense_backward(stack, bsh, lengths, terminal, norms=None):
                 u = np.matmul(stack.trans, (b * nxt)[..., None])[..., 0]
             else:
                 u = np.einsum("sijk,sk,sjk->sij", stack.trans2, b, nxt)
-            u[lengths - 1 == t] = terminal
+            u[lengths - 1 == t] = terminal[lengths - 1 == t]
         np.divide(u, u.max(axes, keepdims=True) if norms is None else norms[t], beta[t])
     if order == 2:
         beta[0] = 0.0

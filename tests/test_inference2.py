@@ -10,19 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import far_off_case, leaving_only_pair, make_obs, make_random_model, random_trans1, random_trans2
+from conftest import (
+    ALL_CONFIGS,
+    far_off_case,
+    leaving_only_pair,
+    make_obs,
+    make_random_model,
+    random_trans1,
+    random_trans2,
+)
 
 from hmmsid import inference
 from hmmsid.errors import ImpossibleObservationError
 from hmmsid.features import FeatureMatrix
 from hmmsid.inference import (
     _backward,
-    _emission_terms,
-    _forward,
-    _lanes,
+    _checked,
     _ModelStack,
+    _one_utterance,
+    _RowPass,
     _shifted_emissions,
-    _viterbi,
     decode_pair_path,
     embed_pair_states,
     forward1,
@@ -245,11 +252,11 @@ class TestAllowedPredecessors:
         """Compare _viterbi with the dense recursion on the stack of
         ``models``; return the scores."""
         stack = _ModelStack(models)
-        logb, errors, _ = _emission_terms(stack, obs)
-        states, scores = _viterbi(stack, logb, errors, paths)
-        want_states, want_scores, want_dead = oracles.dense_viterbi(stack, logb, paths)
+        rows = _one_utterance(stack, obs)
+        states, scores = rows.viterbi(paths)
+        want_states, want_scores, want_dead = oracles.dense_viterbi(stack, rows.logb, paths)
         assert np.array_equal(scores, want_scores)
-        assert [None if e is None else e.frame for e in errors] == want_dead
+        assert [None if e is None else e.frame for e in rows.errors] == want_dead
         if paths:   # a failing model's path is never read
             live = np.isfinite(scores)
             assert np.array_equal(states[live], want_states[live])
@@ -300,7 +307,7 @@ class TestAllowedPredecessors:
             for t_count in (1, 2, 3, 4, 9, 30):
                 obs = rng.integers(0, 2, size=t_count)
                 stack = _ModelStack((model,))
-                want_states, want_scores, _ = oracles.dense_viterbi(stack, _emission_terms(stack, obs)[0])
+                want_states, want_scores, _ = oracles.dense_viterbi(stack, _one_utterance(stack, obs).logb)
                 path = viterbi(model, obs)
                 assert np.array_equal(path.states, want_states[0])
                 assert path.log_prob == want_scores[0]
@@ -565,29 +572,30 @@ class TestAllowedTransitionSteps:
     @classmethod
     def _check_stack(cls, models, obs):
         """Forward over the stack of ``models``, then backward with each
-        model as one lane, by its forward normalizers and by each slice's
+        model as one row, by its forward normalizers and by each slice's
         maximum; returns the stack."""
         stack = _ModelStack(models)
-        bsh, shifts = _shifted_emissions(_emission_terms(stack, obs)[0])
-        errors = [None] * len(models)
+        rows = _one_utterance(stack, obs)
         with cls._contiguous_steps():
-            alpha, log_norms = _forward(stack, bsh, shifts, errors)
+            rows.forward()
+        bsh, shifts, alpha, log_norms = rows.bsh, rows.shifts, rows.alpha, rows.log_norms
         want_alpha, want_log_norms, want_dead = oracles.dense_forward(stack, bsh, shifts)
         cls._assert_on_entries(alpha, want_alpha, stack.entries.flat)
         assert np.array_equal(log_norms, want_log_norms)
-        assert [None if e is None else e.frame for e in errors] == want_dead == [None] * len(models)
+        assert [None if e is None else e.frame for e in rows.errors] == want_dead == [None] * len(models)
         lengths = np.full(len(models), len(bsh))
         for norms in (np.exp(log_norms.T - shifts), None):
             with cls._contiguous_steps():
-                beta = _backward(stack, bsh, lengths, 1.0, norms)
-            want_beta = oracles.dense_backward(stack, bsh, lengths, 1.0, norms)
+                beta = _backward(stack, bsh, lengths, norms)
+            want_beta = oracles.dense_backward(stack, bsh, lengths, stack.terminal[:, 0], norms)
             cls._assert_on_entries(beta, want_beta, stack.entries.flat, lengths - 1 if len(bsh) > 1 else None)
         return stack
 
     @classmethod
     def _check_lanes(cls, model, xs):
-        """_lanes and forward_backward2 against the dense passes run as
-        _lanes runs them: padded lanes, backward by the forward normalizers,
+        """The E-step's pass (a _RowPass of one row per utterance) and
+        forward_backward2 against the dense passes run as that pass runs
+        them: padded lanes, backward by the forward normalizers,
         and every lane with a backward value that is not finite run again
         by each slice's maximum. Returns the lanes run again."""
         lengths = np.array([len(x) for x in xs])
@@ -595,18 +603,18 @@ class TestAllowedTransitionSteps:
         stack = _ModelStack((model,))
         bsh, shifts = np.ones((T, L, N)), np.zeros((T, L))
         for k, x in enumerate(xs):
-            b, shift = _shifted_emissions(_emission_terms(stack, x)[0])
+            b, shift = _shifted_emissions(_one_utterance(stack, x).logb)
             bsh[:lengths[k], k], shifts[:lengths[k], k] = b[:, 0], shift[:, 0]
         alpha, log_norms, dead = oracles.dense_forward(stack, bsh, shifts, lengths)
         if dead != [None] * L:
             k = next(k for k, frame in enumerate(dead) if frame is not None)
             with pytest.raises(ImpossibleObservationError) as caught:
-                _lanes(model, xs, [None] * L)
+                _RowPass(stack, xs, [None] * L).forward_backward()
             assert caught.value.frame == dead[k]
             return None
         with cls._contiguous_steps():
-            entries, lanes = _lanes(model, xs, [None] * L)
-        flat = entries.flat
+            rows = _RowPass(stack, xs, [None] * L).forward_backward()
+        flat = rows.stack.entries.flat
         assert np.array_equal(flat, stack.entries.flat)
         norms = np.exp(log_norms.T - shifts)
         norms[np.arange(T)[:, None] >= lengths] = 1.0
@@ -615,14 +623,14 @@ class TestAllowedTransitionSteps:
             beta = oracles.dense_backward(stack, bsh, lengths, terminal, norms)
             lost = np.flatnonzero(~np.isfinite(beta.reshape(T, L, -1)).all(axis=(0, 2)))
             beta[:, lost] = oracles.dense_backward(stack, bsh[:, lost], lengths[lost], terminal)
-        for k, lane in enumerate(lanes):
-            n = lengths[k]
-            cls._assert_on_entries(lane.alpha[:, None], alpha[:n, k:k + 1], flat)
-            assert np.array_equal(lane.log_norms, log_norms[k, :n])
+        for k, n in enumerate(lengths):
+            cls._assert_on_entries(rows.alpha[:n, k:k + 1], alpha[:n, k:k + 1], flat)
+            assert np.array_equal(rows.log_norms[k, :n], log_norms[k, :n])
             if np.isfinite(beta[:n, k]).all():
-                cls._assert_on_entries(lane.beta[:, None], beta[:n, k:k + 1], flat, [n - 1] if n > 1 else None)
+                cls._assert_on_entries(rows.beta[:n, k:k + 1], beta[:n, k:k + 1], flat,
+                                       [n - 1] if n > 1 else None)
             else:   # the rescaled rerun is NaN from some slice back, at every pair
-                assert np.array_equal(lane.beta, beta[:n, k].reshape(n, -1)[:, flat], equal_nan=True)
+                assert np.array_equal(rows.beta[:n, k], beta[:n, k].reshape(n, -1)[:, flat], equal_nan=True)
             public = forward_backward2(model, xs[k])
             for got, want in ((public.alpha, alpha[:n, k]), (public.beta, beta[:n, k])):
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes()   # NaN payloads too
@@ -700,10 +708,10 @@ class TestAllowedTransitionSteps:
         model = replace(model, trans2=np.zeros_like(model.trans2))
         stack = _ModelStack((model,))
         obs = np.zeros(5, dtype=np.int64)
-        bsh, shifts = _shifted_emissions(_emission_terms(stack, obs)[0])
-        errors = [None]
-        alpha, log_norms = _forward(stack, bsh, shifts, errors)
-        want_alpha, want_log_norms, want_dead = oracles.dense_forward(stack, bsh, shifts)
+        rows = _one_utterance(stack, obs)
+        rows.forward()
+        alpha, log_norms, errors = rows.alpha, rows.log_norms, rows.errors
+        want_alpha, want_log_norms, want_dead = oracles.dense_forward(stack, rows.bsh, rows.shifts)
         self._assert_on_entries(alpha[:2], want_alpha[:2], stack.entries.flat)
         assert np.isnan(alpha[2:]).all() and np.isnan(want_alpha[2:]).all()
         assert np.array_equal(log_norms, want_log_norms, equal_nan=True)
@@ -711,6 +719,111 @@ class TestAllowedTransitionSteps:
         with pytest.raises(ImpossibleObservationError) as caught:
             forward_backward2(model, obs)
         assert caught.value.frame == 2
+
+
+@st.composite
+def _row_batches(draw):
+    """A configuration of ALL_CONFIGS; a stack of 1-5 models of one state
+    count (2-7), the first of the configuration's topology, the others
+    left-to-right, ring or with a random custom mask; and 1-4 utterances
+    of 1-40 frames. Discrete models at times cannot emit symbol 0, so rows
+    fail; GMM utterances are at times 40-100 times farther out than
+    make_obs draws; order-2 GMM stacks at times hold a model and
+    far-off utterance of RERUN_CASES, whose backward rerun is NaN or not.
+    Also a reordering of the models and of the utterances."""
+    order, topology, emission = draw(st.sampled_from(ALL_CONFIGS))
+    models, xs = [], []
+    if order == 2 and emission == "gmm" and draw(st.booleans()):
+        model, far, rng = _far_off_lane(*draw(st.sampled_from(RERUN_CASES)))
+        models.append(model)
+        xs.append(far)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_states = models[0].n_states if models else draw(st.integers(3 if topology == "circular" else 2, 7))
+    kinds = ("ltr", "circular", "custom") if n_states >= 3 else ("ltr", "custom")
+    others = draw(st.lists(st.sampled_from(kinds), max_size=4))[:4 - len(models)]
+    for kind in [topology if topology in kinds else "ltr"] + others:
+        model = make_random_model(rng, order, kind, emission, n_states=n_states)
+        if emission == "discrete" and draw(st.integers(0, 3)) == 0:
+            probs = np.array([e.probs for e in model.emissions])
+            probs[:, 0] = 0.0
+            model = replace(model, emissions=tuple(DiscreteEmission(p / p.sum()) for p in probs))
+        models.append(model)
+    for n in draw(st.lists(st.integers(1, 40), min_size=0 if xs else 1, max_size=4 - len(xs))):
+        x = make_obs(rng, emission, n)
+        if emission == "gmm" and draw(st.integers(0, 3)) == 0:
+            x *= rng.uniform(40, 100)
+        xs.insert(draw(st.integers(0, len(xs))), x)
+    return models, xs, draw(st.permutations(range(len(models)))), draw(st.permutations(range(len(xs))))
+
+
+class TestBatchInvariance:
+    """Every row of a _RowPass, model s of a stack on utterance l, has the
+    bits of that model and utterance run as a one-row pass, whatever rows
+    share the pass and in whatever order: alpha, beta (rows whose rescaled
+    rerun is finite or NaN), the slice log normalizers, the forward score,
+    the Viterbi score and path (of a row that does not fail), and the
+    failing frames. The one-row pass runs over the stack's layout, so that
+    its tables are comparable, and again over the model's own layout,
+    whose normalizers, scores and failing frames are the same."""
+
+    @staticmethod
+    def _frames(errors):
+        return [None if e is None else (type(e), getattr(e, "frame", None)) for e in errors]
+
+    @classmethod
+    def _run(cls, stack, xs):
+        """Forward, backward and Viterbi over the rows of ``stack`` on
+        ``xs``: per row its tables, normalizers, scores, path and errors."""
+        xs = [_checked(stack.emission, x)[0] for x in xs]
+        with np.errstate(all="ignore"):
+            rows = _RowPass(stack, xs, [None] * len(xs))
+            rows.forward()
+            rows.backward()
+            viterbi = _RowPass(stack, xs, [None] * len(xs))
+            states, scores = viterbi.viterbi()
+        out = []
+        for r, (n, ll) in enumerate(zip(rows.lengths, rows.log_likelihoods())):
+            out.append((rows.alpha[:n, r].tobytes(), rows.beta[:n, r].tobytes(),
+                        rows.log_norms[r, :n].tobytes(), np.float64(ll).tobytes(),
+                        cls._frames(rows.errors[r:r + 1]), scores[r].tobytes(),
+                        states[r, :n].tolist() if np.isfinite(scores[r]) else None,
+                        cls._frames(viterbi.errors[r:r + 1])))
+        return out
+
+    @classmethod
+    def _check(cls, models, xs, model_order, utterance_order):
+        stack = _ModelStack(models)
+        alone = {}
+        for s, model in enumerate(models):
+            for k, x in enumerate(xs):
+                one = _ModelStack((model,))
+                one.entries = stack.entries
+                alone[s, k] = cls._run(one, [x])[0]
+                own = cls._run(_ModelStack((model,)), [x])[0]
+                assert own[2:] == alone[s, k][2:]
+        for s_order, k_order in ((range(len(models)), range(len(xs))), (model_order, utterance_order)):
+            shuffled = _ModelStack([models[s] for s in s_order])
+            shuffled.entries = stack.entries
+            got = cls._run(shuffled, [xs[k] for k in k_order])
+            assert got == [alone[s, k] for k in k_order for s in s_order]
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(_row_batches())
+    def test_rows_are_bitwise_one_row_passes(self, case):
+        self._check(*case)
+
+    def test_reruns_finite_and_nan_share_a_pass(self):
+        """Far-off lanes of RERUN_CASES, three whose rescaled rerun is NaN
+        and one whose rerun is finite, beside ordinary models and
+        utterances: every row keeps its bits."""
+        for case in (("ltr", 5, 83), ("circular", 6, 104), ("custom", 5, 173), ("ltr", 5, 80)):
+            model, far, rng = _far_off_lane(*case)
+            alone = _RowPass(_ModelStack((model,)), [far], [None]).forward_backward()
+            assert np.isnan(alone.beta).any() == (case != ("ltr", 5, 80))
+            others = [make_random_model(rng, 2, "ltr", "gmm", n_states=model.n_states) for _ in range(2)]
+            xs = [make_obs(rng, "gmm", 17), far, make_obs(rng, "gmm", 3)]
+            self._check([others[0], model, others[1]], xs, [2, 1, 0], [1, 2, 0])
 
 
 class TestPairStateEmbedding:

@@ -14,7 +14,16 @@ from conftest import ALL_CONFIGS, far_off_case, make_obs, make_random_model
 
 from hmmsid.errors import ImpossibleObservationError, UtteranceTooShortError
 from hmmsid.features import FeatureMatrix, FeatureMeta
-from hmmsid.inference import _ModelStack, forward1, forward2, forward_backward1, forward_backward2
+from hmmsid.inference import (
+    _ModelStack,
+    forward1,
+    forward2,
+    forward_backward1,
+    forward_backward2,
+    score_models,
+    viterbi1,
+    viterbi2,
+)
 from hmmsid.models import (
     DiscreteEmission,
     GmmEmission,
@@ -1054,6 +1063,24 @@ class TestPatternLayout:
         assert inference._slice_entries.cache_info().misses == 1
 
     @pytest.mark.parametrize("order", [1, 2])
+    def test_scoring_builds_no_estep_tables(self, order):
+        """Scoring a stack, in either mode, and the public lattices and
+        paths build no E-step tables (moves and _RowSums plans) for its
+        union pattern; the first E-step of a pattern builds them once."""
+        rng = np.random.default_rng([715, order])
+        models = [make_random_model(rng, order, topology, "gmm", n_states=6)
+                  for topology in ("ltr", "circular", "custom")]
+        obs = make_obs(rng, "gmm", 30)
+        inference._estep_tables.cache_clear()
+        for scoring in ("forward", "viterbi"):
+            score_models(models, obs, scoring)
+        fb, viterbi = (forward_backward1, viterbi1) if order == 1 else (forward_backward2, viterbi2)
+        fb(models[2], obs), viterbi(models[2], obs)
+        assert inference._estep_tables.cache_info().currsize == 0
+        _welch(models[2], [obs, obs[:12]], TrainConfig(max_iterations=2, rel_tol=1e-15))
+        assert inference._estep_tables.cache_info().misses == 1
+
+    @pytest.mark.parametrize("order", [1, 2])
     def test_a_floored_zero_gets_its_own_layout(self, order):
         """A starting chain with a zero at an allowed entry: the first
         M-step floors it to nonzero, so the later E-steps read a second
@@ -1071,18 +1098,18 @@ class TestPatternLayout:
         inference._slice_entries.cache_clear()
         seen = []
 
-        def lanes(model, *args):
-            entries, out = inference._lanes(model, *args)
+        def allowed(model, entries):
             seen.append((model, entries))
-            return entries, out
+            return transitions(model, entries)
 
-        with mock.patch.object(training, "_lanes", lanes):
+        transitions = training._AllowedTransitions
+        with mock.patch.object(training, "_AllowedTransitions", allowed):
             _welch(model, xs, TrainConfig(max_iterations=3, rel_tol=1e-15))
         assert len(seen) == 3 and inference._slice_entries.cache_info().misses == 2
-        assert zero not in seen[0][1].moves[0]
-        assert seen[1][1] is seen[2][1] and zero in seen[1][1].moves[0]
+        assert zero not in seen[0][1].estep[0][0]
+        assert seen[1][1] is seen[2][1] and zero in seen[1][1].estep[0][0]
         for model, entries in seen:
-            assert np.array_equal(entries.moves[0], np.flatnonzero(_transitions(model)[-1][1]))
+            assert np.array_equal(entries.estep[0][0], np.flatnonzero(_transitions(model)[-1][1]))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_layout_is_read_only(self, order):
@@ -1090,7 +1117,7 @@ class TestPatternLayout:
         stacks = [_ModelStack((make_random_model(rng, order, "ltr", "gmm", n_states=5),)) for _ in range(2)]
         entries = stacks[0].entries
         assert stacks[1].entries is entries
-        arrays = [*entries[:4], *itertools.chain(*entries.steps), *(entries.back or ()), *entries.moves]
+        arrays = [*entries[:4], *itertools.chain(*entries.steps), *(entries.back or ()), *entries.estep[0]]
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0
