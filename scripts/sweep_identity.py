@@ -244,16 +244,17 @@ def _lane_sets(rng, order, emission):
 
 
 # state counts of the long family: its last transition array has more than
-# 128 entries, so each frame's normalizer follows inference._RowSums' plan,
-# and its transition posterior spans several chunks of frames
-# (training._TERMS_BYTES) on 150-250 frames
+# 128 entries, so each frame's normalizer follows the plan of its
+# inference._RowSums (the layout's move_sums), and its transition posterior
+# spans several chunks of frames (inference._TERMS_BYTES) on 150-250 frames
 LONG_STATES = {1: 48, 2: 24}
 
 
 def _long(d, index, order, topology, emission):
     """Models of LONG_STATES[order] states on utterances of 150-250 frames,
-    where the E-step sums each frame's transition posterior by a planned
-    pairwise sum (inference._RowSums), over several chunks of frames:
+    where the E-step (inference._RowPass.posteriors) sums each frame's
+    transition posterior by a planned pairwise sum (inference._RowSums),
+    over several chunks of frames:
     lattices, Viterbi paths and scores, score_models in both modes over 3
     models of the topology and one with a random custom mask, and
     2-iteration baum_welch1/2 runs of the first and the custom one."""

@@ -11,9 +11,9 @@ pair is 0 in every forward and backward slice, but the last backward
 slice of a row, and -inf in every Viterbi slice. The layout depends only
 on the zero pattern of the transition arrays, so it is built once per
 pattern and shared read-only by every stack of that pattern
-(_slice_entries); a stack only gathers its transition values. The
-E-step's tables of a pattern are built on its first E-step
-(_estep_tables).
+(_slice_entries), with the tables of the E-step's posteriors: the moves
+the last transition array allows and the plans of its sums (_RowSums).
+A stack only gathers its transition values.
 
 Only the step that carries a slice one frame on depends on the order.
 Order 1's forward and backward steps are ``prev @ trans`` and its twin.
@@ -37,6 +37,12 @@ all N predecessors makes, the maximum is exact and every pair left out
 is -inf, so scores, paths and failing frames keep their bits.
 Predecessors are in ascending order and the entries row-major, so ties
 still break toward the lowest index.
+
+The E-step's posteriors (_RowPass.posteriors) are taken at the slice
+entries and, for the last transition array (xi over ``trans``, eta over
+``trans2``), at the moves it allows, over chunks of frames. Each frame's
+normalizer is bitwise the sum of its whole slice or array (_RowSums), so
+every total is bitwise that of the dense tensors.
 
 Numerical regime
 ----------------
@@ -96,7 +102,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ImpossibleObservationError, _named
-from .models import _TRANSITION_FIELDS, Hmm1Model, Hmm2Model, custom_topology
+from .models import _TRANSITION_FIELDS, Hmm1Model, Hmm2Model, _pairwise_sum, custom_topology
 
 __all__ = [
     "TrellisLattice",
@@ -283,8 +289,12 @@ class _Entries(NamedTuple):
     in ascending state, the flat index of each move in the step's
     transition array and whether the pattern allows it (not at padding);
     ``back`` the same for order 2's backward step over successors, with
-    their states after the places (None for order 1). ``key`` holds the
-    arguments of _slice_entries."""
+    their states after the places (None for order 1). For the E-step's
+    posteriors, ``moves`` holds the moves the last transition array
+    allows, in ascending order: their flat indices in it, the places of
+    the entries they leave and enter, and their last states; and
+    ``move_sums`` and ``slice_sums`` are the _RowSums of that array's rows
+    and of slices."""
 
     flat: np.ndarray
     last: np.ndarray
@@ -292,12 +302,9 @@ class _Entries(NamedTuple):
     ending: np.ndarray
     steps: tuple
     back: tuple | None
-    key: tuple
-
-    @property
-    def estep(self):
-        """The pattern's E-step tables (_estep_tables), built on first use."""
-        return _estep_tables(*self.key)
+    moves: tuple
+    move_sums: _RowSums
+    slice_sums: _RowSums
 
 
 def _gathered(array, at, ok):
@@ -519,6 +526,98 @@ class _RowPass:
         """(states, scores): _viterbi over the rows."""
         return _viterbi(self.stack, self.logb, self.errors, self.lengths, paths)
 
+    @cached_property
+    def move_values(self):
+        """Per model of the stack, its last transition array at the
+        layout's allowed moves (entries.moves)."""
+        last = getattr(self.stack, _TRANSITION_FIELDS[self.stack.order][-1])[:self.n_models]
+        return last.reshape(self.n_models, -1)[:, self.stack.entries.moves[0]]
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def posteriors(self, k, counts, norms):
+        """State posteriors gamma (T, N) of row k, of T frames, from its
+        compact (T, P) tables after forward_backward. Adds the summed
+        posterior of its model's last transition array to counts[-1] (see
+        _transition_posterior) and, for order 2, the first pair posterior
+        to counts[0]. Frame t's slice (state or pair) posterior sum goes to
+        norms[0, t]; that of the transition posterior ending at t to
+        norms[1, t]. A frame at which the forward and backward slices share
+        no mass gives NaN posteriors (0/0).
+
+        The slice posterior is taken at the entries only, its sums bitwise
+        those of the whole slices (entries.slice_sums). Each state's
+        posterior adds the entries that end in it in ascending order, as
+        the sum over the first axis of an (N, N) slice does; where at most
+        one entry ends in each state (order 1), it is that entry's column.
+        Order 2's first frame's (N, N) slice is scattered whole."""
+        order, entries, t_count = self.stack.order, self.stack.entries, int(self.lengths[k])
+        alpha, beta, bsh = self.alpha[:t_count, k], self.beta[:t_count, k], self.bsh[:t_count, k]
+        n, p = bsh.shape[1], len(entries.flat)
+        post = np.zeros((t_count - order + 1, p + 1))   # its last column: the padding of entries.ending
+        slices = np.multiply(alpha[order - 1:], beta[order - 1:], out=post[:, :p])
+        norms[0, order - 1:t_count] = sums = entries.slice_sums(slices)
+        slices /= sums[:, None]
+        gamma = np.empty((t_count, n))
+        ending = entries.ending
+        gamma[order - 1:] = post[:, ending[0]] if len(ending) == 1 else post.take(ending, axis=1).sum(axis=1)
+        if order == 2:   # order 2's slice 0 holds no pairs: the first pair slice gives it
+            first = np.zeros(n * n)
+            first[entries.flat] = slices[0]
+            first = first.reshape(n, n)
+            gamma[0] = first.sum(axis=1)
+            counts[0] += first
+        if t_count > order:
+            counts[-1].flat[entries.moves[0]] += self._transition_posterior(k, alpha, beta, bsh, norms[1])
+        return gamma
+
+    def _transition_posterior(self, k, alpha, beta, bsh, norms):
+        """Sum over frames t = order..T-1 of the posterior of the transition
+        ending at t, at the allowed moves, from row k's compact (T, P)
+        ``alpha`` and ``beta`` and (T, N) shifted emissions ``bsh``; every
+        other transition's is 0. It is taken chunk by chunk (_chunk_frames).
+        The terms alpha(i...) A(i..., k) b(k) beta(...k) are taken in the
+        whole product's order, (alpha * trans) * (b * beta) for order 1 and
+        alpha * trans2 * b * beta for order 2, into a C-contiguous (F, K)
+        array (by ``take``: a fancy-indexed gather is Fortran-ordered). Each
+        frame is divided by its sum (entries.move_sums), written to
+        norms[t]. The sum of the chunks before is folded into each chunk's
+        first row, and numpy sums axis 0 of a C-contiguous array row by row
+        in order, so each move's total is bitwise that of the sum of the
+        whole (T-order, N, ..., N) tensor."""
+        order, entries = self.stack.order, self.stack.entries
+        _, source, target, last = entries.moves
+        values, frames = self.move_values[k % self.n_models], _chunk_frames(entries.move_sums)
+        acc = None
+        for lo in range(order - 1, len(bsh) - 1, frames):
+            hi = min(lo + frames, len(bsh) - 1)
+            xi = np.take(alpha[lo:hi], source, axis=1)
+            xi *= values
+            entering = beta[lo + 1:hi + 1, target]
+            if order == 1:
+                entering *= bsh[lo + 1:hi + 1, last]
+            else:
+                xi *= bsh[lo + 1:hi + 1, last]
+            xi *= entering
+            norms[lo + 1:hi + 1] = entries.move_sums(xi)
+            xi /= norms[lo + 1:hi + 1, None]
+            if acc is not None:
+                xi[0] += acc
+            acc = xi.sum(axis=0)
+        return acc
+
+
+# bytes of the move_sums buffer of one chunk of frames of the transition
+# posterior; at 2**18 its arrays stay in a core's cache, which took about a
+# fifth less time per utterance than whole utterances of 150-250 frames
+# (24-state order-2 models, 2-vCPU Xeon VM)
+_TERMS_BYTES = 2**18
+
+
+def _chunk_frames(sums):
+    """Frames per chunk of the transition posterior: as many as fill about
+    _TERMS_BYTES of the buffer of the _RowSums ``sums``, and at least 1."""
+    return max(1, _TERMS_BYTES // (8 * sums.width))
+
 
 def _one_utterance(stack, obs):
     """The _RowPass of the models of ``stack`` on ``obs`` (checked by _checked)."""
@@ -604,33 +703,40 @@ def _slice_entries(order, N, *patterns):
         states, ok = _allowed_first(leaving[flat].T)
         back = (np.where(ok, place[flat % N * N + states], 0), states, flat * N + states, ok)
     ending, ok = _allowed_first(flat[:, None] % N == np.arange(N))
-    entries = _Entries(flat, flat % N, place, np.where(ok, ending, len(flat)), steps, back, (order, N, *patterns))
-    for array in itertools.chain(entries[:4], *steps, back or ()):
+    at = np.flatnonzero(allowed)   # the allowed moves, in the last array
+    moves = (at, place[at // N], place[at % N**order], at % N)
+    entries = _Entries(flat, flat % N, place, np.where(ok, ending, len(flat)), steps, back, moves,
+                       _RowSums(allowed.size, at), _RowSums(N**order, flat))
+    for array in itertools.chain(entries[:4], *steps, back or (), moves):
         array.setflags(write=False)
     return entries
 
 
-@lru_cache(maxsize=32)
-def _estep_tables(order, N, *patterns):
-    """The E-step's tables of one zero pattern (the arguments of
-    _slice_entries), built on its first E-step, once, and read-only: the
-    allowed moves of the last transition array (flat indices in it,
-    places of the entries they leave and enter, last states), and the
-    _RowSums of that array's rows and of slices."""
-    entries = _slice_entries(order, N, *patterns)
-    place = entries.place
-    at = np.flatnonzero(np.frombuffer(patterns[-1], dtype=bool))   # the allowed moves, in the last array
-    moves = (at, place[at // N], place[at % N**order], at % N)
-    for array in moves:
-        array.setflags(write=False)
-    return moves, _RowSums(len(patterns[-1]), at), _RowSums(N**order, entries.flat)
+class _PlanNode:
+    """A value of a _RowSums plan: node ``number`` of ``tree``, the plan's
+    list of nodes (None for a leaf, else the numbers of the two nodes
+    added). Adding another node records that addition; adding anything
+    else (0.0: a position that is not kept) leaves the node as it is."""
+
+    __slots__ = ("tree", "number")
+
+    def __init__(self, tree, operands=None):
+        self.tree, self.number = tree, len(tree)
+        tree.append(operands)
+
+    def __add__(self, other):
+        if not isinstance(other, _PlanNode):
+            return self
+        return _PlanNode(self.tree, (self.number, other.number))
+
+    __radd__ = __add__
 
 
 class _RowSums:
     """Sums of rows of ``n`` values that are zero except at the sorted
     positions ``flat``, from the (F, K) values at those positions; each is
     bitwise the np.sum of its whole row, which adds a contiguous row
-    pairwise (as models._pairwise_sum does) to an initial 0.0.
+    pairwise (models._pairwise_sum) to an initial 0.0.
 
     Where every position is kept, the values are summed as they are, so
     their rows must be contiguous. Otherwise they are copied, of any
@@ -639,43 +745,23 @@ class _RowSums:
     same order, with every addition of an all-zero part left out: adding
     a zero changes at most the sign of a zero sum, and the closing
     addition of 0.0 makes every zero +0.0, as np.sum's initial 0.0 does.
-    The plan takes its additions a level (of depth in the tree) at a time
-    over all frames, on a (width, F) buffer: the values in the first K
-    rows, each partial sum in a row of its own after them. Either way a
-    frame takes ``width`` values of buffer.
+    The plan is what models._pairwise_sum adds up over a row of
+    _PlanNodes at the kept positions and 0.0 elsewhere. It takes its
+    additions a level (of depth in the tree) at a time over all frames, on
+    a (width, F) buffer: the values in the first K rows, each partial sum
+    in a row of its own after them. Either way a frame takes ``width``
+    values of buffer. The plan's operand arrays are read-only.
     """
 
     def __init__(self, n, flat):
         self.n, self.flat, self.levels, self.width = n, flat, None, n
         if n <= 128 or len(flat) in (0, n):
             return
-        k = len(flat)
-        leaf = dict(zip(flat.tolist(), range(k)))
-        pairs = []   # the operands of the additions; addition i gives node k + i
-
-        def add(a, b):
-            if a is None or b is None:
-                return b if a is None else a
-            pairs.append((a, b))
-            return k + len(pairs) - 1
-
-        def run(total, span):
-            for p in span:
-                total = add(total, leaf.get(p))
-            return total
-
-        def block(lo, m):
-            """The node of numpy's pairwise sum of the m > 64 values from
-            position lo (None when all of them are zero)."""
-            if m > 128:
-                half = m // 2 - m // 2 % 8
-                return add(block(lo, half), block(lo + half, m - half))
-            end = lo + m - m % 8
-            r = [run(None, range(lo + j, end, 8)) for j in range(8)]
-            total = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
-            return run(total, range(end, lo + m))
-
-        root = block(0, n)
+        k, tree = len(flat), []
+        leaves = np.full(n, 0.0, dtype=object)
+        leaves[flat] = [_PlanNode(tree) for _ in range(k)]
+        root = _pairwise_sum(leaves).number
+        pairs = tree[k:]   # the operands of the additions; addition i gives node k + i
         depth = [0] * k
         for a, b in pairs:
             depth.append(1 + max(depth[a], depth[b]))
@@ -687,6 +773,7 @@ class _RowSums:
         start = k
         for _, level in itertools.groupby(nodes, depth.__getitem__):
             operands = np.array([[row[v] for v in pairs[u - k]] for u in level]).T
+            operands.setflags(write=False)
             self.levels.append((slice(start, start + operands.shape[1]), *operands))
             start += operands.shape[1]
 

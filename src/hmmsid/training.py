@@ -8,27 +8,16 @@ contributes an exact zero to every accumulator and stays zero forever.
 
 Each E-step runs the model's utterances as the rows of one pass
 (inference._RowPass): one emission-kernel call on their concatenated
-frames, one forward and one backward pass on one time axis, over the
-slice entries only (inference._Entries: the N states for order 1, the
-pairs that can hold a nonzero value for order 2, 69 of 576 for a
-24-state left-to-right model). The E-step reads those compact (T, P)
-tables as they are. Posteriors and the emission kind's statistics (all
-states at once) are added in utterance order, so every total is bitwise
-what running the utterances one at a time on the whole (T, N, N) tables
-gives. When utterances fail, the first of them raises the error it
-raises on its own, naming the utterance.
-
-Both orders take one posterior path (_posteriors). The posterior of the
-last transition array (xi over ``trans``, eta over ``trans2``) is taken
-only at the transitions it allows, over chunks of frames
-(_AllowedTransitions), and the slice posterior at the slice entries,
-each state adding the entries that end in it in ascending order. Each
-frame's normalizer is bitwise the sum of its whole slice
-(inference._RowSums), and the frames are summed in frame order over a
-C-contiguous array. A lost frame is named from the normalizers the
-posteriors keep. The tables and plans are built on a zero pattern's
-first E-step (inference._estep_tables); the M-step keeps the pattern
-from its first update on.
+frames, one forward and one backward pass on one time axis over the
+compact slice layout, then each row's posteriors from the pass
+(_RowPass.posteriors), which alone reads that layout. Posteriors and the
+emission kind's statistics (all states at once) are added in utterance
+order, so every total is bitwise what running the utterances one at a
+time on the whole (T, N, N) tables gives. When utterances fail, the
+first of them raises the error it raises on its own, naming the
+utterance; an utterance whose posteriors are lost at a frame is named
+from the normalizers the posteriors keep. The M-step keeps a model's zero
+pattern, and so its layout, from its first update on.
 
 Conventions applied here:
 
@@ -410,97 +399,6 @@ def _prepared(obs_set, kind):
 # Baum-Welch
 # ---------------------------------------------------------------------------
 
-# bytes of the _RowSums buffer of one chunk of frames of the transition
-# posterior; at 2**18 its arrays stay in a core's cache, which took about a
-# fifth less time per utterance than whole utterances of 150-250 frames
-# (24-state order-2 models, 2-vCPU Xeon VM)
-_TERMS_BYTES = 2**18
-
-
-class _AllowedTransitions:
-    """A model's last transition array A (``trans``, or ``trans2`` for
-    order 2) at its K allowed (nonzero) entries, listed by the E-step
-    tables of ``entries``, the inference._Entries of its zero pattern that
-    the pass's compact tables are over, and the frames per chunk of the
-    transition posterior, whose _RowSums buffer takes about _TERMS_BYTES."""
-
-    def __init__(self, model, entries):
-        last = _transitions(model)[-1][1]
-        self.order, self.shape, self.entries = model.order, last.shape, entries
-        (self.flat, self.source, self.target, self.last), self.row_sums, self.pair_sums = entries.estep
-        self.values = last.ravel()[self.flat]
-        self.frames = max(1, _TERMS_BYTES // (8 * self.row_sums.width))
-
-    def posterior_sum(self, alpha, beta, bsh, norms):
-        """Sum over frames t = order..T-1 of the posterior of the transition
-        ending at t, taken chunk by chunk at the allowed entries, from the
-        compact (T, P) ``alpha`` and ``beta`` and the (T, N) shifted
-        emissions ``bsh``. The terms alpha(i...) A(i..., k) b(k) beta(...k)
-        are taken in the whole product's order, (alpha * trans) * (b *
-        beta) for order 1 and alpha * trans2 * b * beta for order 2, into a
-        C-contiguous (F, K) array (by ``take``: a fancy-indexed gather is
-        Fortran-ordered). Each frame is divided by its sum
-        (inference._RowSums), written to norms[t]. The sum of the chunks
-        before is folded into each chunk's first row, and numpy sums axis 0
-        of a C-contiguous array row by row in order, so each allowed entry
-        is bitwise that of the sum of the whole (T-order, N, ..., N)
-        tensor. Every other entry is 0, as it is there."""
-        acc = None
-        for lo in range(self.order - 1, len(bsh) - 1, self.frames):
-            hi = min(lo + self.frames, len(bsh) - 1)
-            xi = np.take(alpha[lo:hi], self.source, axis=1)
-            xi *= self.values
-            entering = beta[lo + 1:hi + 1, self.target]
-            if self.order == 1:
-                entering *= bsh[lo + 1:hi + 1, self.last]
-            else:
-                xi *= bsh[lo + 1:hi + 1, self.last]
-            xi *= entering
-            norms[lo + 1:hi + 1] = self.row_sums(xi)
-            xi /= norms[lo + 1:hi + 1, None]
-            if acc is not None:
-                xi[0] += acc
-            acc = xi.sum(axis=0)
-        total = np.zeros(self.row_sums.n)
-        total[self.flat] = acc
-        return total.reshape(self.shape)
-
-
-def _posteriors(model, alpha, beta, bsh, counts, allowed, norms):
-    """State posteriors gamma (T, N) of one utterance from its row's
-    compact (T, P) tables in the E-step's pass (inference._RowPass). Adds
-    the summed posterior of the last transition array (via the
-    _AllowedTransitions ``allowed``) to counts[-1] and, for order 2, the
-    first pair posterior to counts[0]. Frame t's slice (state or pair)
-    posterior sum goes to norms[0, t]; that of the transition posterior
-    ending at t to norms[1, t].
-
-    The slice posterior is taken at the entries only, its sums bitwise
-    those of the whole slices (inference._RowSums). Each state's posterior
-    adds the entries that end in it in ascending order, as the sum over
-    the first axis of an (N, N) slice does; where at most one entry ends
-    in each state (order 1), it is that entry's column. Order 2's first
-    frame's (N, N) slice is scattered whole."""
-    order, t_count, n, entries = model.order, len(bsh), model.n_states, allowed.entries
-    p = len(entries.flat)
-    post = np.zeros((t_count - order + 1, p + 1))   # its last column: the padding of entries.ending
-    slices = np.multiply(alpha[order - 1:], beta[order - 1:], out=post[:, :p])
-    norms[0, order - 1:t_count] = sums = allowed.pair_sums(slices)
-    slices /= sums[:, None]
-    gamma = np.empty((t_count, n))
-    ending = entries.ending
-    gamma[order - 1:] = post[:, ending[0]] if len(ending) == 1 else post.take(ending, axis=1).sum(axis=1)
-    if order == 2:   # order 2's slice 0 holds no pairs: the first pair slice gives it
-        first = np.zeros(n * n)
-        first[entries.flat] = slices[0]
-        first = first.reshape(n, n)
-        gamma[0] = first.sum(axis=1)
-        counts[0] += first
-    if t_count > order:
-        counts[-1] += allowed.posterior_sum(alpha, beta, bsh, norms[1])
-    return gamma
-
-
 def _estep(model, obs_list):
     """Total log-likelihood and the accumulated statistics: transition
     counts aligned with the model's transition arrays, first-frame state
@@ -510,16 +408,13 @@ def _estep(model, obs_list):
     first_sum = np.zeros(model.n_states)
     stats = []
     rows = _RowPass(_ModelStack((model,)), *zip(*obs_list)).forward_backward()
-    norms = np.ones((2, len(rows.logb)))   # per frame, the posteriors' sums (see _posteriors)
-    allowed = _AllowedTransitions(model, rows.stack.entries)
+    norms = np.ones((2, len(rows.logb)))   # per frame, the posteriors' sums (see _RowPass.posteriors)
     total_ll, start = 0.0, 0
     for k, ((x, name), ll) in enumerate(zip(obs_list, rows.log_likelihoods())):
         total_ll += ll
-        n, frames = len(x), slice(start, start + len(x))
-        start += n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = _posteriors(model, rows.alpha[:n, k], rows.beta[:n, k], rows.bsh[:n, k], counts, allowed,
-                                norms)
+        frames = slice(start, start + len(x))
+        start += len(x)
+        gamma = rows.posteriors(k, counts, norms)
         if not (np.isfinite(gamma).all() and all(np.isfinite(c).all() for c in counts)):
             sums = norms[:, :len(x)]
             frame = int(np.argmax(~((0.0 < sums) & (sums < np.inf)).all(axis=0)))

@@ -20,9 +20,6 @@ from hmmsid.inference import (
     forward2,
     forward_backward1,
     forward_backward2,
-    score_models,
-    viterbi1,
-    viterbi2,
 )
 from hmmsid.models import (
     DiscreteEmission,
@@ -605,7 +602,6 @@ class TestLaneIndependence:
     @staticmethod
     def _one_by_one(model, obs_list, posteriors=None):
         fb = forward_backward1 if model.order == 1 else forward_backward2
-        posteriors = posteriors or _posteriors
         kind = type(model.emissions[0])
         counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
         first_sum = np.zeros(model.n_states)
@@ -616,7 +612,10 @@ class TestLaneIndependence:
             logb, comp = kind._kernel(x, *model._emission_parameters)
             bsh = np.exp(logb - lat.emission_shifts[:, None])
             total += lat.log_likelihood
-            gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
+            if posteriors is None:
+                gamma = _posteriors(model, x, counts)
+            else:
+                gamma = posteriors(model, lat.alpha, lat.beta, bsh, counts)
             first_sum += gamma[0]
             stats.append(kind._statistics(model._emission_parameters, x, gamma, logb, comp))
         return total, counts, first_sum, tuple(map(sum, zip(*stats)))
@@ -816,22 +815,24 @@ class TestStackedEmissionStatistics:
         assert np.array_equal(updated[3].probs, probs[3])
 
 
-def _allowed(model):
-    """The _AllowedTransitions of ``model`` over the tables its lane pass
-    keeps: over its one-model stack's entries."""
-    return training._AllowedTransitions(model, _ModelStack((model,)).entries)
+def _pass(model, x):
+    """The one-utterance inference._RowPass of ``model`` on ``x``, after
+    forward_backward: the E-step's pass over one utterance."""
+    return inference._one_utterance(_ModelStack((model,)), x).forward_backward()
 
 
-def _posteriors(model, alpha, beta, bsh, counts, chunk=None):
-    """training._posteriors on one utterance's (T, N...) ``alpha`` and
-    ``beta`` taken at the entries of the model's compact lane tables, with
-    an _AllowedTransitions (taking ``chunk`` frames per chunk when given)
-    and a normalizer table of its own."""
-    allowed = _allowed(model)
-    flat = allowed.entries.flat
-    allowed.frames = chunk or allowed.frames
-    alpha, beta = (table.reshape(len(bsh), -1).take(flat, axis=1) for table in (alpha, beta))
-    return training._posteriors(model, alpha, beta, bsh, counts, allowed, np.ones((2, len(bsh))))
+def _chunk(model):
+    """Frames per chunk of ``model``'s transition posterior."""
+    return inference._chunk_frames(_ModelStack((model,)).entries.move_sums)
+
+
+def _posteriors(model, x, counts, chunk=None):
+    """_RowPass.posteriors of the one-utterance pass of ``model`` on ``x``
+    (taking ``chunk`` frames per chunk when given), with a normalizer table
+    of its own."""
+    rows, frames = _pass(model, x), chunk or _chunk(model)
+    with mock.patch.object(inference, "_chunk_frames", lambda sums: frames):
+        return rows.posteriors(0, counts, np.ones((2, len(x))))
 
 
 def _whole_posteriors1(model, alpha, beta, bsh, counts):
@@ -908,10 +909,10 @@ class TestRowSums:
 
 
 class TestTransitionPosterior:
-    """_posteriors builds the posterior of the last transition array (xi
-    for order 1, eta for order 2) at its allowed entries only, over chunks
-    of frames, and sums the frames in frame order; every total is bitwise
-    that of the whole tensor."""
+    """_RowPass.posteriors builds the posterior of the last transition
+    array (xi for order 1, eta for order 2) at its allowed entries only,
+    over chunks of frames, and sums the frames in frame order; every total
+    is bitwise that of the whole tensor."""
 
     # state counts at which the last transition array has more than 128
     # entries, so that _RowSums plans each frame's normalizer, and
@@ -923,7 +924,7 @@ class TestTransitionPosterior:
         """Utterances with no transition posterior (order 1), one frame of
         it, one full chunk, one frame past it, two full chunks and one past
         them, then lengths up to 260 frames."""
-        order, chunk = model.order, _allowed(model).frames
+        order, chunk = model.order, _chunk(model)
         return sorted({2 * order - 1, order + 1, order + 2, chunk + order, chunk + order + 1,
                        2 * chunk + order, 2 * chunk + order + 1, 77, 129, 152, 200, 251, 260})
 
@@ -939,11 +940,11 @@ class TestTransitionPosterior:
         logb = type(model.emissions[0])._kernel(x, *model._emission_parameters)[0]
         return lat, np.exp(logb - lat.emission_shifts[:, None])
 
-    @staticmethod
-    def _compare(model, lat, bsh, what, chunk=None):
+    def _compare(self, model, x, what, chunk=None):
+        lat, bsh = self._lattice(model, x)
         got = [np.zeros_like(a) for _, a, _ in _transitions(model)]
         want = [np.zeros_like(a) for _, a, _ in _transitions(model)]
-        gamma = _posteriors(model, lat.alpha, lat.beta, bsh, got, chunk)
+        gamma = _posteriors(model, x, got, chunk)
         want_gamma = _WHOLE_POSTERIORS[model.order](model, lat.alpha, lat.beta, bsh, want)
         assert np.array_equal(gamma, want_gamma), what
         for g, w in zip(got, want):
@@ -955,8 +956,7 @@ class TestTransitionPosterior:
     def test_posteriors_equal_the_whole_tensor(self, order, topology):
         model, rng = self._model(order, topology, 501)
         for t_count in self._lengths(model):
-            lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
-            got = self._compare(model, lat, bsh, t_count)
+            got = self._compare(model, make_obs(rng, "gmm", t_count), t_count)
             assert got[-1].any() == (t_count > order), t_count
 
     @settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -977,14 +977,32 @@ class TestTransitionPosterior:
             model = replace(model, mask=custom_topology(np.ones((n_states, n_states))),
                             **{_transitions(model)[-1][0]: last})
         t_count = data.draw(st.integers(2 * order - 1, 260))
-        lat, bsh = self._lattice(model, make_obs(rng, "gmm", t_count))
-        self._compare(model, lat, bsh, t_count, chunk)
+        self._compare(model, make_obs(rng, "gmm", t_count), t_count, chunk)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rows_of_a_stack_pass_equal_their_own(self, order):
+        """Each row of a pass of three models (left-to-right, ring and
+        custom, so over the union of their layouts) on two utterances has
+        the posteriors and counts of its model's own one-utterance pass."""
+        rng = np.random.default_rng([503, order])
+        models = [make_random_model(rng, order, topology, "gmm", n_states=5, n_mixtures=1)
+                  for topology in ("ltr", "circular", "custom")]
+        xs = [make_obs(rng, "gmm", n) for n in (9, 14)]
+        rows = inference._RowPass(_ModelStack(models), xs, [None, None]).forward_backward()
+        for k in range(6):
+            model, x = models[k % 3], xs[k // 3]
+            got = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+            want = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+            gamma = rows.posteriors(k, got, np.ones((2, 14)))
+            assert np.array_equal(gamma, _posteriors(model, x, want)), k
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), k
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("topology", ["ltr", "circular"])
     def test_estep_equals_one_utterance_passes(self, order, topology):
         model, rng = self._model(order, topology, 502)
-        chunk = _allowed(model).frames
+        chunk = _chunk(model)
         lengths = [77, order + 1, 251, 260, chunk + order, 152, 2 * chunk + order + 1, 200, 129]
         kind = type(model.emissions[0])
         obs_list = training._prepare_obs([make_obs(rng, "gmm", n) for n in lengths], kind)
@@ -1037,18 +1055,21 @@ class TestPatternLayout:
         """The reference is built from the last transition array: its
         nonzero entries, the slice entry each leaves (flat // N) and enters
         (flat % N^order), placed by the layout, and its last state."""
+        rng = np.random.default_rng([716, order, len(topology), len(emission)])
         for model in self._models(order, topology, emission, 711):
-            allowed = _allowed(model)
+            rows = inference._one_utterance(_ModelStack((model,)), make_obs(rng, emission, 4))
+            entries = rows.stack.entries
+            moves, source, target, last_states = entries.moves
             n, last = model.n_states, _transitions(model)[-1][1]
             flat = np.flatnonzero(last)
-            place = allowed.entries.place
-            assert np.array_equal(allowed.flat, flat)
-            assert np.array_equal(allowed.source, place[flat // n])
-            assert np.array_equal(allowed.target, place[flat % n**order])
-            assert np.array_equal(allowed.last, flat % n)
-            assert np.array_equal(allowed.values, last.ravel()[flat])
-            assert np.array_equal(allowed.entries.flat[allowed.source], flat // n)
-            assert np.array_equal(allowed.entries.flat[allowed.target], flat % n**order)
+            place = entries.place
+            assert np.array_equal(moves, flat)
+            assert np.array_equal(source, place[flat // n])
+            assert np.array_equal(target, place[flat % n**order])
+            assert np.array_equal(last_states, flat % n)
+            assert np.array_equal(rows.move_values[0], last.ravel()[flat])
+            assert np.array_equal(entries.flat[source], flat // n)
+            assert np.array_equal(entries.flat[target], flat % n**order)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_built_once_per_zero_pattern(self, order):
@@ -1061,24 +1082,6 @@ class TestPatternLayout:
         report = _welch(model, xs, TrainConfig(max_iterations=3, rel_tol=1e-15))
         assert report.iterations_run == 3
         assert inference._slice_entries.cache_info().misses == 1
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_scoring_builds_no_estep_tables(self, order):
-        """Scoring a stack, in either mode, and the public lattices and
-        paths build no E-step tables (moves and _RowSums plans) for its
-        union pattern; the first E-step of a pattern builds them once."""
-        rng = np.random.default_rng([715, order])
-        models = [make_random_model(rng, order, topology, "gmm", n_states=6)
-                  for topology in ("ltr", "circular", "custom")]
-        obs = make_obs(rng, "gmm", 30)
-        inference._estep_tables.cache_clear()
-        for scoring in ("forward", "viterbi"):
-            score_models(models, obs, scoring)
-        fb, viterbi = (forward_backward1, viterbi1) if order == 1 else (forward_backward2, viterbi2)
-        fb(models[2], obs), viterbi(models[2], obs)
-        assert inference._estep_tables.cache_info().currsize == 0
-        _welch(models[2], [obs, obs[:12]], TrainConfig(max_iterations=2, rel_tol=1e-15))
-        assert inference._estep_tables.cache_info().misses == 1
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_a_floored_zero_gets_its_own_layout(self, order):
@@ -1096,28 +1099,37 @@ class TestPatternLayout:
         model = replace(model, **{name: last})
         xs = [make_obs(rng, "gmm", n) for n in (20, 35, 9)]
         inference._slice_entries.cache_clear()
-        seen = []
+        seen = []   # per E-step, its model's last transition array and the layout its posteriors read
 
-        def allowed(model, entries):
-            seen.append((model, entries))
-            return transitions(model, entries)
+        def spy(rows, k, counts, norms):
+            if k == 0:
+                seen.append((getattr(rows.stack, name)[0], rows.stack.entries))
+            return posteriors(rows, k, counts, norms)
 
-        transitions = training._AllowedTransitions
-        with mock.patch.object(training, "_AllowedTransitions", allowed):
+        posteriors = inference._RowPass.posteriors
+        with mock.patch.object(inference._RowPass, "posteriors", spy):
             _welch(model, xs, TrainConfig(max_iterations=3, rel_tol=1e-15))
         assert len(seen) == 3 and inference._slice_entries.cache_info().misses == 2
-        assert zero not in seen[0][1].estep[0][0]
-        assert seen[1][1] is seen[2][1] and zero in seen[1][1].estep[0][0]
-        for model, entries in seen:
-            assert np.array_equal(entries.estep[0][0], np.flatnonzero(_transitions(model)[-1][1]))
+        assert zero not in seen[0][1].moves[0]
+        assert seen[1][1] is seen[2][1] and zero in seen[1][1].moves[0]
+        for last, entries in seen:
+            assert np.array_equal(entries.moves[0], np.flatnonzero(last))
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_layout_is_read_only(self, order):
+        """Every array of the layout, the allowed moves and the operand
+        arrays of its _RowSums plans included. At 12 states (order 1) the
+        rows of trans, and at 24 (order 2) those of trans2 and the pair
+        slices, have more than 128 values, so their sums are planned."""
         rng = np.random.default_rng([714, order])
-        stacks = [_ModelStack((make_random_model(rng, order, "ltr", "gmm", n_states=5),)) for _ in range(2)]
+        n_states = {1: 12, 2: 24}[order]
+        stacks = [_ModelStack((make_random_model(rng, order, "ltr", "gmm", n_states=n_states),)) for _ in range(2)]
         entries = stacks[0].entries
         assert stacks[1].entries is entries
-        arrays = [*entries[:4], *itertools.chain(*entries.steps), *(entries.back or ()), *entries.estep[0]]
+        plans = [sums for sums in (entries.move_sums, entries.slice_sums) if sums.levels is not None]
+        assert len(plans) == order
+        operands = [array for plan in plans for _, *pair in plan.levels for array in pair]
+        arrays = [*entries[:4], *itertools.chain(*entries.steps), *(entries.back or ()), *entries.moves, *operands]
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0
