@@ -37,7 +37,9 @@
 # move. So after it, the working tree's sweep runs twice more, under
 # OPENBLAS_CORETYPE=Haswell and under NPY_DISABLE_CPU_FEATURES set to the
 # AVX-512 targets, and the script names the families each setting moves
-# against the native run. That part is informational: it does not change
+# against the native run. Last it prints the code lines of both src/hmmsid
+# trees, each module's and the total, counted by the working tree's
+# scripts/code_lines.py. Both parts are informational: they do not change
 # the exit status.
 set -euo pipefail
 
@@ -185,4 +187,8 @@ for setting in OPENBLAS_CORETYPE=Haswell "NPY_DISABLE_CPU_FEATURES=X86_V4 AVX512
         echo "  the sweep failed (see $other.err)"
     fi
 done
+echo "code lines, $rev:"
+python3 "$repo/scripts/code_lines.py" "$work/base/tree/src/hmmsid"
+echo "code lines, working tree:"
+python3 "$repo/scripts/code_lines.py" "$repo/src/hmmsid"
 exit $status

@@ -42,7 +42,12 @@ The E-step's posteriors (_RowPass.posteriors) are taken at the slice
 entries and, for the last transition array (xi over ``trans``, eta over
 ``trans2``), at the moves it allows, over chunks of frames. Each frame's
 normalizer is bitwise the sum of its whole slice or array (_RowSums), so
-every total is bitwise that of the dense tensors.
+every total is bitwise that of the dense tensors. A row whose posteriors
+are not finite (its forward and backward slices share no mass at a
+frame) raises ValueError naming its utterance and that frame before it
+adds anything. The E-step reads each row's emission terms, its log
+densities and kernel components, from the pass too
+(_RowPass.emission_terms).
 
 Numerical regime
 ----------------
@@ -466,9 +471,10 @@ class _RowPass:
     converted by the emission kind's observation rule, named ``names``
     (None: unnamed). Construction makes the one kernel call and leaves
     ``stack``, the rows' stack; ``lengths``, ``names`` and ``errors`` per
-    row; the kernel's ``frame_logb`` and ``comp`` (None for symbol tables)
-    of the concatenated frames; and ``logb``, the (T, R, N) padded log
-    densities. The caller raises ``errors`` (_raise_first)."""
+    row; the kernel's ``comp`` (None for symbol tables) of the
+    concatenated frames, whose rows emission_terms slices; and ``logb``,
+    the (T, R, N) padded log densities. The caller raises ``errors``
+    (_raise_first)."""
 
     def __init__(self, stack, xs, names):
         L, S, N = len(xs), stack.n_models, stack.n_states
@@ -478,7 +484,7 @@ class _RowPass:
             logb, _, failed = zip(*(_densities(stack, x, name) for x, name in zip(xs, names)))
             logb = np.concatenate(logb)
         lengths = np.array([len(x) for x in xs])
-        T, self.frame_logb = max(lengths), logb
+        T = max(lengths)
         if L == 1:
             self.logb = logb.reshape(T, S, N)
         else:   # padding: log densities of 0, on a C-contiguous time axis
@@ -533,16 +539,28 @@ class _RowPass:
         last = getattr(self.stack, _TRANSITION_FIELDS[self.stack.order][-1])[:self.n_models]
         return last.reshape(self.n_models, -1)[:, self.stack.entries.moves[0]]
 
+    def emission_terms(self, k):
+        """Row k's own (T, N) log densities and (T, N, M) kernel components
+        (None for symbol tables), over its T frames: model s on utterance
+        l, whose frames start after those of the utterances before it."""
+        t_count, s, n = int(self.lengths[k]), k % self.n_models, self.logb.shape[2]
+        start = int(self.lengths[:k - s:self.n_models].sum())
+        comp = None if self.comp is None else self.comp[start:start + t_count, s * n:(s + 1) * n]
+        return self.logb[:t_count, k], comp
+
     @np.errstate(divide="ignore", invalid="ignore")
-    def posteriors(self, k, counts, norms):
+    def posteriors(self, k, counts):
         """State posteriors gamma (T, N) of row k, of T frames, from its
         compact (T, P) tables after forward_backward. Adds the summed
         posterior of its model's last transition array to counts[-1] (see
         _transition_posterior) and, for order 2, the first pair posterior
-        to counts[0]. Frame t's slice (state or pair) posterior sum goes to
-        norms[0, t]; that of the transition posterior ending at t to
-        norms[1, t]. A frame at which the forward and backward slices share
-        no mass gives NaN posteriors (0/0).
+        to counts[0].
+
+        A frame at which the forward and backward slices share no mass
+        gives NaN posteriors (0/0). Then nothing is added and ValueError
+        names row k's utterance and the first frame whose slice (state or
+        pair) posterior or transition posterior ending there sums to 0 or
+        to no finite number.
 
         The slice posterior is taken at the entries only, its sums bitwise
         those of the whole slices (entries.slice_sums). Each state's
@@ -555,39 +573,46 @@ class _RowPass:
         n, p = bsh.shape[1], len(entries.flat)
         post = np.zeros((t_count - order + 1, p + 1))   # its last column: the padding of entries.ending
         slices = np.multiply(alpha[order - 1:], beta[order - 1:], out=post[:, :p])
-        norms[0, order - 1:t_count] = sums = entries.slice_sums(slices)
-        slices /= sums[:, None]
+        sums = np.ones((2, t_count))   # per frame, the slice and the transition posteriors' sums
+        sums[0, order - 1:] = entries.slice_sums(slices)
+        slices /= sums[0, order - 1:, None]
         gamma = np.empty((t_count, n))
         ending = entries.ending
         gamma[order - 1:] = post[:, ending[0]] if len(ending) == 1 else post.take(ending, axis=1).sum(axis=1)
         if order == 2:   # order 2's slice 0 holds no pairs: the first pair slice gives it
-            first = np.zeros(n * n)
-            first[entries.flat] = slices[0]
-            first = first.reshape(n, n)
+            first = np.zeros((n, n))
+            first.flat[entries.flat] = slices[0]
             gamma[0] = first.sum(axis=1)
+        moves = self._transition_posterior(k, alpha, beta, bsh, sums[1])
+        if not (np.isfinite(gamma).all() and np.isfinite(moves).all()):
+            frame = int(np.argmax(~((0.0 < sums) & (sums < np.inf)).all(axis=0)))
+            raise ValueError(_named(
+                f"posteriors are not finite at frame {frame}: the forward and backward "
+                "passes share no path there (the utterance is far from the model)", self.names[k]))
+        if order == 2:
             counts[0] += first
-        if t_count > order:
-            counts[-1].flat[entries.moves[0]] += self._transition_posterior(k, alpha, beta, bsh, norms[1])
+        counts[-1].flat[entries.moves[0]] += moves
         return gamma
 
-    def _transition_posterior(self, k, alpha, beta, bsh, norms):
+    def _transition_posterior(self, k, alpha, beta, bsh, sums):
         """Sum over frames t = order..T-1 of the posterior of the transition
         ending at t, at the allowed moves, from row k's compact (T, P)
         ``alpha`` and ``beta`` and (T, N) shifted emissions ``bsh``; every
-        other transition's is 0. It is taken chunk by chunk (_chunk_frames).
+        other transition's is 0 (and all of it where T <= order: 0.0). It
+        is taken chunk by chunk (_chunk_frames).
         The terms alpha(i...) A(i..., k) b(k) beta(...k) are taken in the
         whole product's order, (alpha * trans) * (b * beta) for order 1 and
         alpha * trans2 * b * beta for order 2, into a C-contiguous (F, K)
         array (by ``take``: a fancy-indexed gather is Fortran-ordered). Each
         frame is divided by its sum (entries.move_sums), written to
-        norms[t]. The sum of the chunks before is folded into each chunk's
+        sums[t]. The sum of the chunks before is folded into each chunk's
         first row, and numpy sums axis 0 of a C-contiguous array row by row
         in order, so each move's total is bitwise that of the sum of the
         whole (T-order, N, ..., N) tensor."""
         order, entries = self.stack.order, self.stack.entries
         _, source, target, last = entries.moves
         values, frames = self.move_values[k % self.n_models], _chunk_frames(entries.move_sums)
-        acc = None
+        acc = 0.0
         for lo in range(order - 1, len(bsh) - 1, frames):
             hi = min(lo + frames, len(bsh) - 1)
             xi = np.take(alpha[lo:hi], source, axis=1)
@@ -598,10 +623,9 @@ class _RowPass:
             else:
                 xi *= bsh[lo + 1:hi + 1, last]
             xi *= entering
-            norms[lo + 1:hi + 1] = entries.move_sums(xi)
-            xi /= norms[lo + 1:hi + 1, None]
-            if acc is not None:
-                xi[0] += acc
+            sums[lo + 1:hi + 1] = entries.move_sums(xi)
+            xi /= sums[lo + 1:hi + 1, None]
+            xi[0] += acc
             acc = xi.sum(axis=0)
         return acc
 

@@ -12,12 +12,13 @@ Emission densities depend on the current state only. An emission kind
 per-state parameters, and it owns the rest of what the engine needs: its
 ``kind`` name in model files, the observation rule for one utterance, one
 kernel that scores an utterance under K states whose parameters are stacked
-field by field, and its Baum-Welch statistics and update over all states.
-The Gaussian-mixture kernel sums over dimensions and over mixture
-components slab by slab: its differences are laid out dimension-major,
-(D, T, K, M), and _pairwise_sum adds whole (T, K, M) slabs (and the
-log-sum-exp whole component slabs) in the order of numpy's pairwise
-summation, so every value has the bits of np.sum along a contiguous axis.
+field by field, its Baum-Welch statistics and update over all states, and
+the checks validate makes of its parameters. The Gaussian-mixture kernel
+sums over dimensions and over mixture components slab by slab: its
+differences are laid out dimension-major, (D, T, K, M), and _pairwise_sum
+adds whole (T, K, M) slabs (and the log-sum-exp whole component slabs) in
+the order of numpy's pairwise summation, so every value has the bits of
+np.sum along a contiguous axis.
 
 Two modeling topologies are supported:
 
@@ -61,6 +62,10 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
+
+# The default forward skip of a left-to-right topology (ltr_topology,
+# training.VariantSpec): from state i, states i..i+2 are reachable.
+_SKIP_WIDTH = 2
 
 # Transition arrays of each order, in the order the chain first applies them;
 # array k conditions on k + 1 states, so its topology mask is allowed{k+1}.
@@ -111,7 +116,7 @@ class TopologyMask:
         return self.allowed1[:, :, None] & self.allowed1[None, :, :]
 
 
-def ltr_topology(n_states: int, skip_width: int = 2) -> TopologyMask:
+def ltr_topology(n_states: int, skip_width: int = _SKIP_WIDTH) -> TopologyMask:
     """Left-to-right mask: i -> j allowed iff 0 <= j - i <= skip_width.
 
     The last state keeps its self-loop, so every row has a successor.
@@ -218,6 +223,14 @@ class GmmEmission:
             raise ValueError(f"non-finite feature value at {_where(frame, utterance)}")
         return x
 
+    def _problems(self) -> list:
+        """validate's findings on these parameters, without the state."""
+        problems = _distribution_problems(self.weights, "mixture weights", "mixture weight")
+        if (self.variances <= 0).any():
+            m, d = np.argwhere(self.variances <= 0)[0]
+            problems.append(f"variance[{m},{d}] = {self.variances[m, d]:.12g} is not positive")
+        return problems
+
     @staticmethod
     def _kernel(x, weights, means, variances):
         """(T, K) log-densities of the (T, D) frames ``x`` under K states
@@ -278,6 +291,17 @@ def _with_mass(table, r, floor):
     table = table.copy()
     table[has_mass] = _floored(r[has_mass], floor)
     return has_mass, table
+
+
+def _distribution_problems(p, values, value) -> list:
+    """An emission's findings on its distribution ``p`` (mixture weights,
+    symbol probabilities): a sum off 1, a negative ``value``."""
+    problems = []
+    if abs(p.sum() - 1.0) > _SUM_TOL:
+        problems.append(f"{values} sum to {p.sum():.12g}")
+    if (p < 0).any():
+        problems.append(f"has a negative {value}")
+    return problems
 
 
 def _component_log_densities(frames, weights, means, variances) -> np.ndarray:
@@ -420,6 +444,10 @@ class DiscreteEmission:
                 at = int(np.argwhere(~whole)[0][0])
                 raise ValueError(f"non-integer symbol {x[at]} at {_where(at, utterance)}")
         return x.astype(np.int64, copy=False)
+
+    def _problems(self) -> list:
+        """validate's findings on this table, without the state."""
+        return _distribution_problems(self.probs, "symbol probabilities", "symbol probability")
 
     @staticmethod
     def _kernel(x, probs):
@@ -606,26 +634,7 @@ def validate(model) -> list[str]:
         _check_rows(name, matrix, allowed, problems)
 
     for s, e in enumerate(model.emissions):
-        if isinstance(e, GmmEmission):
-            if abs(e.weights.sum() - 1.0) > _SUM_TOL:
-                problems.append(
-                    f"state {s} mixture weights sum to {e.weights.sum():.12g}"
-                )
-            if (e.weights < 0).any():
-                problems.append(f"state {s} has a negative mixture weight")
-            if (e.variances <= 0).any():
-                m, d = np.argwhere(e.variances <= 0)[0]
-                problems.append(
-                    f"state {s} variance[{m},{d}] = {e.variances[m, d]:.12g} is not positive"
-                )
-        else:
-            if abs(e.probs.sum() - 1.0) > _SUM_TOL:
-                problems.append(
-                    f"state {s} symbol probabilities sum to {e.probs.sum():.12g}"
-                )
-            if (e.probs < 0).any():
-                problems.append(f"state {s} has a negative symbol probability")
-
+        problems.extend(f"state {s} {problem}" for problem in e._problems())
     return problems
 
 

@@ -9,15 +9,17 @@ contributes an exact zero to every accumulator and stays zero forever.
 Each E-step runs the model's utterances as the rows of one pass
 (inference._RowPass): one emission-kernel call on their concatenated
 frames, one forward and one backward pass on one time axis over the
-compact slice layout, then each row's posteriors from the pass
-(_RowPass.posteriors), which alone reads that layout. Posteriors and the
-emission kind's statistics (all states at once) are added in utterance
-order, so every total is bitwise what running the utterances one at a
-time on the whole (T, N, N) tables gives. When utterances fail, the
-first of them raises the error it raises on its own, naming the
-utterance; an utterance whose posteriors are lost at a frame is named
-from the normalizers the posteriors keep. The M-step keeps a model's zero
-pattern, and so its layout, from its first update on.
+compact slice layout, then each row's posteriors and its own emission
+terms from the pass (_RowPass.posteriors, _RowPass.emission_terms), which
+alone reads that layout and the rows' places in the kernel's output.
+Posteriors and the emission kind's statistics (all states at once) are
+added in utterance order, so every total is bitwise what running the
+utterances one at a time on the whole (T, N, N) tables gives. When
+utterances fail, the first of them raises the error it raises on its
+own, naming the utterance; so does an utterance whose posteriors are
+lost at a frame, which the pass names before adding any of it. The
+M-step keeps a model's zero pattern, and so its layout, from its first
+update on.
 
 Conventions applied here:
 
@@ -49,6 +51,7 @@ from .errors import UtteranceTooShortError, _named, _where
 from .inference import _ModelStack, _RowPass, _utterance
 from .models import (
     _EMISSION_KINDS,
+    _SKIP_WIDTH,
     GmmEmission,
     Hmm1Model,
     Hmm2Model,
@@ -144,7 +147,7 @@ class VariantSpec:
     topology: str = "ltr"          # "ltr" | "circular"
     n_states: int = 5
     n_mixtures: int = 5
-    skip_width: int = 2
+    skip_width: int = _SKIP_WIDTH
     emission: str = "gmm"          # "gmm" | "discrete"
 
     def __post_init__(self):
@@ -408,22 +411,12 @@ def _estep(model, obs_list):
     first_sum = np.zeros(model.n_states)
     stats = []
     rows = _RowPass(_ModelStack((model,)), *zip(*obs_list)).forward_backward()
-    norms = np.ones((2, len(rows.logb)))   # per frame, the posteriors' sums (see _RowPass.posteriors)
-    total_ll, start = 0.0, 0
-    for k, ((x, name), ll) in enumerate(zip(obs_list, rows.log_likelihoods())):
+    total_ll = 0.0
+    for k, ((x, _), ll) in enumerate(zip(obs_list, rows.log_likelihoods())):
         total_ll += ll
-        frames = slice(start, start + len(x))
-        start += len(x)
-        gamma = rows.posteriors(k, counts, norms)
-        if not (np.isfinite(gamma).all() and all(np.isfinite(c).all() for c in counts)):
-            sums = norms[:, :len(x)]
-            frame = int(np.argmax(~((0.0 < sums) & (sums < np.inf)).all(axis=0)))
-            raise ValueError(_named(
-                f"posteriors are not finite at frame {frame}: the forward and backward "
-                "passes share no path there (the utterance is far from the model)", name))
+        gamma = rows.posteriors(k, counts)
         first_sum += gamma[0]
-        stats.append(kind._statistics(model._emission_parameters, x, gamma, rows.frame_logb[frames],
-                                      None if rows.comp is None else rows.comp[frames]))
+        stats.append(kind._statistics(model._emission_parameters, x, gamma, *rows.emission_terms(k)))
     return total_ll, counts, first_sum, tuple(map(sum, zip(*stats)))
 
 

@@ -4,11 +4,13 @@ import os
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import make_obs, make_random_model
+from hmmsid import inference
 from hmmsid.corpus import ManifestRow
 from hmmsid.errors import ImpossibleObservationError
 from hmmsid.features import FeatureMatrix, FeatureMeta
@@ -382,6 +384,28 @@ class TestFailingCandidates:
                 reg.identify("w", "v", self.OBS, scoring=scoring)
         assert raised.value.frame == 5
         assert str(raised.value) == str(alone.value)
+
+    @pytest.mark.parametrize("scoring", ["forward", "viterbi"])
+    def test_later_groups_unscored_after_a_failure(self, scoring):
+        """Candidates stack by state count: [A, C] (3 states), then [B] (4
+        states). A cannot emit frame 0's symbol 0, so its group fails and
+        B's group is never scored; A's error is raised as A alone raises it."""
+        a = discrete_model(3, [[0.0, 1 / 3, 1 / 3, 1 / 3]] * 3)
+        b = discrete_model(4, [[0.25] * 4] * 4)
+        c = discrete_model(3, [[0.25] * 4] * 3)
+        with pytest.raises(ImpossibleObservationError) as alone:
+            score_alone(a, self.OBS, scoring)
+        reg = SpeakerRegistry()
+        for speaker, model in zip("abc", (a, b, c)):
+            reg.add_model(speaker, "w", "v", model)
+        for run in (lambda: score_models([a, b, c], self.OBS, scoring),
+                    lambda: reg.identify("w", "v", self.OBS, scoring=scoring)):
+            with mock.patch.object(inference, "_stack_scores", wraps=inference._stack_scores) as scored:
+                with pytest.raises(ImpossibleObservationError) as raised:
+                    run()
+            assert scored.call_count == 1
+            assert raised.value.frame == alone.value.frame == 0
+            assert str(raised.value) == str(alone.value)
 
     def test_integral_float_symbols_score_like_ints(self):
         reg = SpeakerRegistry()

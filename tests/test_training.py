@@ -96,6 +96,33 @@ class TestMonotonicity:
             f"utterance 'far': posteriors are not finite at frame {frame}: "
         )
 
+    @pytest.mark.parametrize("seed,order,topology,frame", [
+        (266, 1, "ltr", 0), (253, 2, "ltr", 1), (1339, 1, "circular", 0),
+        (673, 2, "circular", 1), (201, 1, "circular", 14), (53, 2, "circular", 16),
+    ])
+    def test_pass_raises_before_adding_lost_mass(self, seed, order, topology, frame):
+        """The far-off utterances above, as the middle row of a
+        three-utterance pass: _RowPass.posteriors raises naming that row's
+        utterance and frame, and adds nothing, so counts hold exactly what
+        the first row added."""
+        model, far = far_off_case(seed, order, topology)
+        rng = np.random.default_rng([seed, 1])
+        xs = [make_obs(rng, "gmm", 12), far, make_obs(rng, "gmm", 9)]
+        rows = inference._RowPass(_ModelStack((model,)), xs, ["near", "far", "after"]).forward_backward()
+        counts = [np.zeros_like(a) for _, a, _ in _transitions(model)]
+        rows.posteriors(0, counts)
+        first_row = [c.copy() for c in counts]
+        assert first_row[-1].any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                rows.posteriors(1, counts)
+        assert str(caught.value).startswith(
+            f"utterance 'far': posteriors are not finite at frame {frame}: "
+        )
+        for got, want in zip(counts, first_row):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("order,topology,emission", ALL_CONFIGS)
     def test_invariants_hold_after_every_iteration(self, order, topology, emission):
         rng = np.random.default_rng(320 + order)
@@ -828,11 +855,10 @@ def _chunk(model):
 
 def _posteriors(model, x, counts, chunk=None):
     """_RowPass.posteriors of the one-utterance pass of ``model`` on ``x``
-    (taking ``chunk`` frames per chunk when given), with a normalizer table
-    of its own."""
+    (taking ``chunk`` frames per chunk when given)."""
     rows, frames = _pass(model, x), chunk or _chunk(model)
     with mock.patch.object(inference, "_chunk_frames", lambda sums: frames):
-        return rows.posteriors(0, counts, np.ones((2, len(x))))
+        return rows.posteriors(0, counts)
 
 
 def _whole_posteriors1(model, alpha, beta, bsh, counts):
@@ -983,7 +1009,8 @@ class TestTransitionPosterior:
     def test_rows_of_a_stack_pass_equal_their_own(self, order):
         """Each row of a pass of three models (left-to-right, ring and
         custom, so over the union of their layouts) on two utterances has
-        the posteriors and counts of its model's own one-utterance pass."""
+        the posteriors and counts of its model's own one-utterance pass,
+        and its own model's emission terms on its own utterance."""
         rng = np.random.default_rng([503, order])
         models = [make_random_model(rng, order, topology, "gmm", n_states=5, n_mixtures=1)
                   for topology in ("ltr", "circular", "custom")]
@@ -993,8 +1020,10 @@ class TestTransitionPosterior:
             model, x = models[k % 3], xs[k // 3]
             got = [np.zeros_like(a) for _, a, _ in _transitions(model)]
             want = [np.zeros_like(a) for _, a, _ in _transitions(model)]
-            gamma = rows.posteriors(k, got, np.ones((2, 14)))
+            gamma = rows.posteriors(k, got)
             assert np.array_equal(gamma, _posteriors(model, x, want)), k
+            for term, own in zip(rows.emission_terms(k), GmmEmission._kernel(x, *model._emission_parameters)):
+                assert np.array_equal(term, own), k
             for g, w in zip(got, want):
                 assert np.array_equal(g, w), k
 
@@ -1101,10 +1130,10 @@ class TestPatternLayout:
         inference._slice_entries.cache_clear()
         seen = []   # per E-step, its model's last transition array and the layout its posteriors read
 
-        def spy(rows, k, counts, norms):
+        def spy(rows, k, counts):
             if k == 0:
                 seen.append((getattr(rows.stack, name)[0], rows.stack.entries))
-            return posteriors(rows, k, counts, norms)
+            return posteriors(rows, k, counts)
 
         posteriors = inference._RowPass.posteriors
         with mock.patch.object(inference._RowPass, "posteriors", spy):
