@@ -146,13 +146,15 @@ def _merged_config(args, environ=None) -> dict:
 
 def build_config(args, environ=None) -> dict:
     """Merge defaults <- config file <- environment <- flags, and check the
-    model and scoring settings."""
+    scoring setting and, for train (the one command that reads them), the
+    model sizes."""
     cfg = _merged_config(args, environ)
-    v = cfg["variant"]
-    if not 1 <= int(v["n_states"]) <= MAX_STATES:
-        raise CliError(f"n_states must be in [1, {MAX_STATES}]")
-    if not 1 <= int(v["n_mixtures"]) <= MAX_MIXTURES:
-        raise CliError(f"n_mixtures must be in [1, {MAX_MIXTURES}]")
+    if args.command == "train":
+        v = cfg["variant"]
+        if not 1 <= int(v["n_states"]) <= MAX_STATES:
+            raise CliError(f"n_states must be in [1, {MAX_STATES}]")
+        if not 1 <= int(v["n_mixtures"]) <= MAX_MIXTURES:
+            raise CliError(f"n_mixtures must be in [1, {MAX_MIXTURES}]")
     if cfg["scoring"] not in SCORING_MODES:
         raise CliError(f"scoring must be one of {SCORING_MODES}")
     return cfg

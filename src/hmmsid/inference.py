@@ -284,26 +284,24 @@ class _Entries(NamedTuple):
     """The layout of one zero pattern (see _slice_entries), read-only since
     stacks share it: the P entries of the slice (states for order 1, pairs
     for order 2) that can ever hold a nonzero forward or backward value or
-    a finite best score, in ascending flat order. ``flat`` is each entry's
-    flat index in the slice, ``last`` the state it ends in, ``place`` the
-    place among the P of each of the N^order slice entries (0 off them),
-    and ``ending`` the (K', N) places of the entries that end in each
-    state, in ascending order, padded with place P. ``steps`` holds, per
-    kind of forward step (order 2: with ``trans1``, then with ``trans2``),
-    the (K, P) places in the previous slice of each entry's predecessors,
-    in ascending state, the flat index of each move in the step's
-    transition array and whether the pattern allows it (not at padding);
-    ``back`` the same for order 2's backward step over successors, with
-    their states after the places (None for order 1). For the E-step's
-    posteriors, ``moves`` holds the moves the last transition array
-    allows, in ascending order: their flat indices in it, the places of
-    the entries they leave and enter, and their last states; and
+    a finite best score, in ascending flat order; an entry's place is its
+    index among them. ``flat`` is each entry's flat index in the slice,
+    ``last`` the state it ends in, and ``ending`` the (K', N) places of the
+    entries that end in each state, in ascending order, padded with place
+    P. ``steps`` holds, per kind of forward step (order 2: with ``trans1``,
+    then with ``trans2``), the (K, P) places in the previous slice of each
+    entry's predecessors, in ascending state, the flat index of each move
+    in the step's transition array and whether the pattern allows it (not
+    at padding); ``back`` the same for order 2's backward step over
+    successors, with their states after the places (None for order 1). For
+    the E-step's posteriors, ``moves`` holds the moves the last transition
+    array allows, in ascending order: their flat indices in it, the places
+    of the entries they leave and enter, and their last states; and
     ``move_sums`` and ``slice_sums`` are the _RowSums of that array's rows
     and of slices."""
 
     flat: np.ndarray
     last: np.ndarray
-    place: np.ndarray
     ending: np.ndarray
     steps: tuple
     back: tuple | None
@@ -729,9 +727,9 @@ def _slice_entries(order, N, *patterns):
     ending, ok = _allowed_first(flat[:, None] % N == np.arange(N))
     at = np.flatnonzero(allowed)   # the allowed moves, in the last array
     moves = (at, place[at // N], place[at % N**order], at % N)
-    entries = _Entries(flat, flat % N, place, np.where(ok, ending, len(flat)), steps, back, moves,
+    entries = _Entries(flat, flat % N, np.where(ok, ending, len(flat)), steps, back, moves,
                        _RowSums(allowed.size, at), _RowSums(N**order, flat))
-    for array in itertools.chain(entries[:4], *steps, back or (), moves):
+    for array in itertools.chain(entries[:3], *steps, back or (), moves):
         array.setflags(write=False)
     return entries
 

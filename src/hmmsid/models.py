@@ -157,7 +157,8 @@ class GmmEmission:
     """Diagonal-covariance Gaussian mixture over feature vectors.
 
     weights: (M,), means: (M, D), variances: (M, D). ``log_density`` returns
-    the per-frame log of sum_m weights[m] * N(x; means[m], diag(variances[m])).
+    the per-frame log of sum_m weights[m] * N(x; means[m], diag(variances[m]))
+    for (T, D) frames, which it takes by the observation rule scoring applies.
     """
 
     weights: np.ndarray
@@ -191,17 +192,11 @@ class GmmEmission:
         return self.means.shape[1]
 
     def log_density(self, frames) -> np.ndarray:
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim == 1:
-            frames = frames[None, :]
-        return self._kernel(frames, self.weights[None], self.means[None], self.variances[None])[0][:, 0]
+        return _one_state(self, frames)[0][:, 0]
 
     def component_log_density(self, frames) -> np.ndarray:
         """(T, M) matrix of log(weights[m]) + log N(x; means[m], variances[m])."""
-        frames = np.asarray(frames, dtype=np.float64)
-        return _component_log_densities(
-            frames, self.weights[None], self.means[None], self.variances[None]
-        )[:, 0]
+        return _one_state(self, frames)[1][:, 0]
 
     @staticmethod
     def _observations(x, utterance=None) -> np.ndarray:
@@ -421,12 +416,7 @@ class DiscreteEmission:
         return self.probs.shape[0]
 
     def log_density(self, symbols) -> np.ndarray:
-        sym = np.asarray(symbols)
-        if sym.ndim != 1:
-            raise ValueError("symbol sequence must be 1-dimensional")
-        if not np.issubdtype(sym.dtype, np.integer):
-            raise ValueError("discrete emissions need integer symbols")
-        return self._kernel(sym, self.probs[None])[0][:, 0]
+        return _one_state(self, symbols)[0][:, 0]
 
     @staticmethod
     def _observations(x, utterance=None) -> np.ndarray:
@@ -472,6 +462,13 @@ class DiscreteEmission:
         """The (N, M) tables re-estimated as _floored mass; a state without
         mass keeps its row."""
         return (_with_mass(stacked[0], stats[0], weight_floor)[1],)
+
+
+def _one_state(emission, x):
+    """The emission kind's _kernel on ``x`` under this one state, after its
+    _observations rule: the rule scoring and training apply."""
+    stacked = (getattr(emission, name)[None] for name in _parameter_names(emission))
+    return emission._kernel(emission._observations(x), *stacked)
 
 
 # The emission kinds by name (a model file's "emission_type").

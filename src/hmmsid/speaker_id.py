@@ -98,12 +98,10 @@ class SpeakerRegistry:
                utterances, config: TrainConfig = TrainConfig()) -> TrainReport:
         """Train a model on the given utterances and register it.
 
-        The registry key uses variant.label; training failures propagate and
-        leave the registry unchanged.
+        The registry key uses variant.label. Training failures, an empty
+        set of utterances among them (train's ``obs_set is empty``),
+        propagate and leave the registry unchanged.
         """
-        utterances = list(utterances)
-        if not utterances:
-            raise ValueError("enroll needs at least one training utterance")
         key = self._free_key(speaker_id, word_id, variant.label)
         report = train(variant, utterances, config)
         self._register(key, report.model)

@@ -21,6 +21,12 @@ lost at a frame, which the pass names before adding any of it. The
 M-step keeps a model's zero pattern, and so its layout, from its first
 update on.
 
+segmental_kmeans_init, baum_welch1 and baum_welch2 each convert and check
+their utterances by the emission kind's observation rule (_prepare_obs),
+the one scoring applies, so its errors name the utterance; train, which
+calls two of them, reads a one-shot iterable into a list once and checks
+nothing itself.
+
 Conventions applied here:
 
 * every variant starts from one chain (_uniform_init): transition rows
@@ -278,7 +284,7 @@ def segmental_kmeans_init(
         raise ValueError("n_states must be >= 1")
     if n_mixtures < 1:
         raise ValueError("n_mixtures must be >= 1")
-    obs_list = _prepared(obs_set, GmmEmission)
+    obs_list = _prepare_obs(obs_set, GmmEmission)
     for x, name in obs_list:
         if x.shape[0] < n_states:
             raise UtteranceTooShortError(x.shape[0], n_states, utterance=name)
@@ -373,16 +379,12 @@ def _variance_floor(obs_list, factor):
     return np.maximum(factor * pooled_var, 1e-12), pooled_var
 
 
-class _PreparedObs(list):
-    """What _prepare_obs returns: utterances already converted and checked."""
-
-
 def _prepare_obs(obs_set, kind):
     """(frames, name) per utterance, where name is the FeatureMatrix source,
     else the utterance's index, and the frames are converted and checked by
     the emission ``kind``'s observation rule (the one scoring applies), so
     its errors name the utterance."""
-    out = _PreparedObs()
+    out = []
     for u, o in enumerate(obs_set):
         frames, name = _utterance(o)
         name = u if name is None else name
@@ -390,12 +392,6 @@ def _prepare_obs(obs_set, kind):
     if not out:
         raise ValueError("obs_set is empty")
     return out
-
-
-def _prepared(obs_set, kind):
-    """_prepare_obs(obs_set, kind), unless obs_set is already its result
-    (train prepares once for k-means initialization and Baum-Welch)."""
-    return obs_set if isinstance(obs_set, _PreparedObs) else _prepare_obs(obs_set, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +432,7 @@ def _mstep(model, counts, first_sum, emstats, config, floor_d, n_utt):
 
 def _baum_welch(model, obs_set, config, min_frames=1) -> TrainReport:
     kind = type(model.emissions[0])
-    obs_list = _prepared(obs_set, kind)
+    obs_list = _prepare_obs(obs_set, kind)
     for x, name in obs_list:
         if x.shape[0] < min_frames:
             raise UtteranceTooShortError(x.shape[0], min_frames, utterance=name)
@@ -490,7 +486,7 @@ def train(variant: VariantSpec, obs_set, config: TrainConfig = TrainConfig()) ->
     refer to the unprojected parameters).
     """
     kind = _EMISSION_KINDS[variant.emission]
-    obs_set = _prepare_obs(obs_set, kind)
+    obs_set = list(obs_set)   # read twice: k-means initialization, then Baum-Welch
     if kind is GmmEmission:
         emissions = segmental_kmeans_init(
             obs_set,

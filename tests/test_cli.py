@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import shutil
 import wave
 
 import numpy as np
 import pytest
 
 from hmmsid.cli import _defaults, build_config, build_parser, main
-from hmmsid.features import config_digest, read_features
+from hmmsid.corpus import read_manifest
+from hmmsid.features import FeatureMatrix, config_digest, read_features, write_features
 from hmmsid.models import load_model, validate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "reference_grids.json")
@@ -338,6 +340,26 @@ class TestTrainCommand:
             main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
                   "--out", str(tmp_path / "m"), "--variant", "ltr1"])
 
+    def test_failing_model_is_reported_and_skipped(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        """One (speaker, word) with an utterance shorter than --states fails
+        by name; every other model is written, and the exit status is 1."""
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        row = next(r for r in read_manifest(data / "manifest.tsv")
+                   if (r.speaker_id, r.word_id, r.split) == ("spk01", "word0", "train"))
+        fm = read_features(data / row.path)
+        write_features(FeatureMatrix(fm.frames[:2], fm.meta), data / row.path)
+        monkeypatch.setenv("HMMSID_TRAIN__MAX_ITERATIONS", "3")
+        out = tmp_path / "m"
+        rc = main(["train", "--manifest", str(data / "manifest.tsv"), "--out", str(out),
+                   "--variant", "ltr1", "--states", "3", "--mixtures", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"FAIL spk01/word0: utterance {fm.meta.source!r} has 2 frames, needs at least 3\n")
+        assert sorted(os.listdir(out / "ltr1")) == [
+            "spk00__word0.json", "spk00__word1.json", "spk01__word1.json",
+        ]
+
     def test_no_train_rows_is_exit_2(self, corpus_dir, tmp_path, capsys):
         # manifest reduced to test rows only
         lines = (corpus_dir / "manifest.tsv").read_text().splitlines()
@@ -437,6 +459,30 @@ class TestEvaluateFromGrids:
         payload = json.loads((out / "comparison.json").read_text())
         assert payload["reference"] == "ltr2"
         assert "circ2" in payload["rates"]
+
+    @pytest.mark.parametrize("env,config,flags", [
+        ({"HMMSID_VARIANT__N_STATES": "99"}, None, []),
+        ({"HMMSID_VARIANT__N_MIXTURES": "0"}, None, []),
+        ({}, {"variant": {"n_states": 99}}, []),
+        ({}, None, ["--states", "99", "--mixtures", "65"]),
+    ], ids=["env-states", "env-mixtures", "config-states", "flags"])
+    def test_model_settings_are_not_checked(self, tmp_path, monkeypatch, env, config, flags):
+        """Model sizes that train would reject do not stop evaluate, which
+        never reads them; its report is the same but for the hash of the
+        merged configuration."""
+        assert main(["evaluate", "--from-grids", FIXTURE, "--out", str(tmp_path / "plain")]) == 0
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = ["evaluate", "--from-grids", FIXTURE, "--out", str(tmp_path / "o")] + flags
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 0
+        assert (tmp_path / "o" / "comparison.txt").read_bytes() == (tmp_path / "plain" / "comparison.txt").read_bytes()
+        plain = json.loads((tmp_path / "plain" / "comparison.json").read_text())
+        changed = json.loads((tmp_path / "o" / "comparison.json").read_text())
+        assert changed.pop("config_hash") != plain.pop("config_hash")
+        assert changed == plain
 
 
 class TestFeaturesManifestMode:
@@ -591,3 +637,38 @@ class TestMalformedJsonInputs:
         assert "valid: NO" in printed
         for problem in problems:
             assert f"  problem: {problem}" in printed
+
+
+class TestRefusals:
+    """Bad settings and sources end the command with exit 1 and one error
+    line that says what was refused."""
+
+    @pytest.mark.parametrize("argv,env,message", [
+        (["train", "--manifest", "{manifest}", "--out", "{out}"],
+         {"HMMSID_TRAIN__MAX_ITERATIONS": "0"},
+         "bad training configuration: max_iterations must be >= 1"),
+        (["train", "--manifest", "{manifest}", "--out", "{out}"],
+         {"HMMSID_VARIANT__TOPOLOGY": "star"},
+         "bad variant configuration: topology must be 'ltr' or 'circular'"),
+        (["train", "--manifest", "{manifest}", "--out", "{out}", "--mixtures", "65"], {},
+         "n_mixtures must be in [1, 64]"),
+        (["train", "--manifest", "{manifest}", "--out", "{out}"],
+         {"HMMSID_SCORING": "viterbi", "HMMSID_SCORING__MODE": "fast"},
+         "environment override HMMSID_SCORING__MODE conflicts with a scalar setting"),
+        (["evaluate", "--from-grids", FIXTURE, "--out", "{out}"], {"HMMSID_SCORING": "magic"},
+         "scoring must be one of ('forward', 'viterbi')"),
+        (["evaluate", "--manifest", "{manifest}", "--models", "{manifest}", "--out", "{out}"], {},
+         "model store '{manifest}' is not a directory"),
+        (["evaluate", "--manifest", "{manifest}", "--models", "{store}", "--out", "{out}",
+          "--reference", "circ2"], {},
+         "--reference 'circ2' has no evaluated models"),
+    ], ids=["train-section", "variant-section", "mixtures-cap", "env-scalar-conflict",
+            "evaluate-scoring", "store-not-a-directory", "reference-without-models"])
+    def test_exit_1_naming_the_refusal(self, corpus_dir, trained_store, tmp_path, monkeypatch,
+                                       capsys, argv, env, message):
+        paths = {"manifest": str(corpus_dir / "manifest.tsv"), "store": str(trained_store),
+                 "out": str(tmp_path / "out")}
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"

@@ -73,10 +73,39 @@ class TestEmissionDensities:
         with pytest.raises(ValueError):
             e.log_density(np.array([-1]))
 
-    def test_discrete_rejects_float_symbols(self):
-        e = DiscreteEmission(np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            e.log_density(np.array([0.0, 1.0]))
+    def test_discrete_float_symbols_must_be_integral(self):
+        """log_density takes symbols by the rule scoring and training apply:
+        an integral float is its integer, any other value is refused."""
+        e = DiscreteEmission(np.array([0.25, 0.75]))
+        want = e.log_density(np.array([1, 0, 1]))
+        assert e.log_density(np.array([1.0, 0.0, 1.0])).tobytes() == want.tobytes()
+        for bad, shown in ((1.5, "1.5"), (np.nan, "nan"), (-np.inf, "-inf")):
+            with pytest.raises(ValueError, match=rf"^non-integer symbol {shown} at frame 1$"):
+                e.log_density(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("method", ["log_density", "component_log_density"])
+    def test_gmm_frames_follow_the_scoring_rule(self, method):
+        """Both GMM methods take frames by the rule scoring applies: a 1-D
+        array, a non-finite value or another dimension raises its
+        ValueError."""
+        e = GmmEmission(np.array([0.4, 0.6]), np.zeros((2, 3)), np.ones((2, 3)))
+        score = getattr(e, method)
+        with pytest.raises(ValueError, match=r"^continuous observations must be \(T, D\), got shape \(3,\)$"):
+            score(np.zeros(3))
+        x = np.zeros((4, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite feature value at frame 2$"):
+            score(x)
+        with pytest.raises(ValueError, match=r"^frames have dimension 2, emission has 3$"):
+            score(np.zeros((4, 2)))
+
+    def test_gmm_components_sum_to_the_density(self):
+        rng = np.random.default_rng(46)
+        e = GmmEmission(np.array([0.3, 0.7]), rng.normal(size=(2, 3)), rng.uniform(0.2, 2.0, size=(2, 3)))
+        x = rng.normal(size=(6, 3))
+        comp = e.component_log_density(x)
+        assert comp.shape == (6, 2)
+        assert np.array_equal(_logsumexp(comp), e.log_density(x))
 
 
 # Values that make ties, empty rows, overflow and the non-finite fallback.

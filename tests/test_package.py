@@ -1,6 +1,7 @@
 """The package's public names are the union of its modules' __all__ lists."""
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -92,3 +93,41 @@ def test_import_loads_no_scipy_module():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert "hmmsid.cli" in done.stdout.split()
     assert [m for m in done.stdout.split() if _is_scipy(m)] == []
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py, imported by path (perfbench is not a package)."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_installs_and_restores():
+    """The benchmark's span tracer wraps every public function of the
+    traced modules and the methods it names, each looked up in its own
+    class's __dict__ (a method moved to a base class fails here), records
+    a span per call, and on uninstall restores every attribute it
+    patched."""
+    tracing = _perfbench_tracing()
+    classes = [(getattr(getattr(hmmsid, layer), name), methods)
+               for layer, by_class in tracing.METHODS.items() for name, methods in by_class.items()]
+    owners = [getattr(hmmsid, layer) for layer in tracing.LAYERS] + [cls for cls, _ in classes]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    tracer.install(hmmsid)
+    try:
+        for cls, methods in classes:
+            for name in methods:
+                assert vars(cls)[name].__wrapped__ is before[owners.index(cls)][name]
+        assert models.ltr_topology.__wrapped__ is before[owners.index(models)]["ltr_topology"]
+        emission = models.GmmEmission([1.0], [[0.0]], [[1.0]])
+        emission.log_density([[0.5]])
+        assert "models.GmmEmission.log_density" in tracer.names
+    finally:
+        tracer.uninstall()
+    for owner, attrs in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == attrs.keys(), owner
+        assert all(now[name] is value for name, value in attrs.items()), owner

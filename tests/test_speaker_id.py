@@ -41,7 +41,7 @@ from hmmsid.speaker_id import (
     format_rate,
     improvement_rate,
 )
-from hmmsid.training import TrainConfig, VariantSpec
+from hmmsid.training import TrainConfig, VariantSpec, train
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "reference_grids.json")
 
@@ -134,6 +134,21 @@ class TestRegistry:
         variant = VariantSpec(order=1, topology="ltr", n_states=2, n_mixtures=1)
         with pytest.raises(ValueError, match="already"):
             reg.enroll("alice", "word0", variant, [obs_at(0.0)], TrainConfig(max_iterations=1))
+
+    @pytest.mark.parametrize("emission", ["gmm", "discrete"])
+    @pytest.mark.parametrize("utterances", [[], iter([])], ids=["list", "iterator"])
+    @pytest.mark.parametrize("call", ["train", "enroll"])
+    def test_no_utterances_is_refused(self, call, utterances, emission):
+        """train refuses an empty set, and enroll through it, before
+        anything is registered."""
+        reg = SpeakerRegistry()
+        variant = VariantSpec(n_states=3, n_mixtures=4, emission=emission)
+        with pytest.raises(ValueError, match=r"^obs_set is empty$"):
+            if call == "train":
+                train(variant, utterances)
+            else:
+                reg.enroll("alice", "word0", variant, utterances)
+        assert reg.keys() == ()
 
     def test_forward_score_matches_inference(self):
         model = point_model(0.0)
