@@ -1071,7 +1071,6 @@ class TestPatternLayout:
             states = np.arange(n_states)
             assert np.array_equal(entries.flat, states)
             assert np.array_equal(entries.last, states)
-            assert np.array_equal(np.searchsorted(entries.flat, states), states)
             assert np.array_equal(entries.ending, states[None])
             assert entries.back is None
 
